@@ -11,7 +11,8 @@ variation-check       compare dE/dt against the tension-field pairing
 
 Exit codes: 0 on success (and on a matching --expect), 1 when --expect
 does not match the computed classification, 2 on configuration or engine
-errors.  The PQHARM_THREADS environment variable caps grid parallelism.
+errors.  The PQHARM_THREADS environment variable must be an integer; it is
+validated and has no other effect.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import datetime
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,9 +30,8 @@ from . import curves as crv
 from . import expressions, variation
 from .errors import GeometryError
 from .expressions import ExpressionError, evaluate_literal
-from .immersion import ImmersionChart, geometric_sample, sample_grid
-from .residual import (Classification, PQParams, classify_samples,
-                       solve_p, solve_param_pair)
+from .immersion import ImmersionChart
+from .residual import Classification, PQParams, classify, solve_p, solve_param_pair
 from .spaceform import SpaceForm
 
 SCHEMA_VERSION = 1
@@ -72,20 +71,13 @@ def _pair(text):
 
 
 def thread_count():
+    """PQHARM_THREADS, validated; sampling runs in one thread whatever its value."""
     raw = os.environ.get("PQHARM_THREADS", "1")
     try:
         n = int(raw)
     except ValueError:
         raise _CliError(f"PQHARM_THREADS must be an integer, got {raw!r}")
     return max(1, n)
-
-
-def _map_parallel(fn, items):
-    n = thread_count()
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
 
 
 # -- chart files ------------------------------------------------------------
@@ -251,17 +243,14 @@ def cmd_catalog(args):
 def cmd_verify_hypersurface(args):
     chart = build_hypersurface(args)
     params = PQParams(p=_num(args.p), q=_num(args.q))
+    thread_count()  # validation only
     use_analytic = not args.stencil
-    pts = sample_grid(chart, args.grid)
-    samples = _map_parallel(
-        lambda u: geometric_sample(chart, u, use_analytic=use_analytic), pts)
-    tol = args.tol
-    if tol is None:
-        tol = 1e-6 if (use_analytic and chart.analytic_geometry is not None) else 1e-3
-    report = classify_samples(samples, params, c=chart.sf.c, tol=tol, points=pts)
+    report = classify(chart, params, n_per_axis=args.grid, tol=args.tol,
+                      use_analytic=use_analytic)
+    pts = report.points
 
     config = {"chart": chart.name, "p": params.p, "q": params.q,
-              "grid": args.grid, "tol": tol,
+              "grid": args.grid, "tol": report.tol,
               "path": "analytic" if (use_analytic and chart.analytic_geometry) else "stencil"}
     summary = {"classification": report.classification.value,
                "max_abs_eq1": report.max_abs_eq1,
@@ -352,14 +341,12 @@ def cmd_sweep(args):
         raise _CliError("sweep needs --values or --range")
 
     params = PQParams(p=_num(args.p), q=_num(args.q))
+    thread_count()  # validation only
     csv_lines = ["param,max_eq1,max_eq2,classification"]
     for value in values:
         setattr(args, args.param, value)
-        chart = build_hypersurface(args)
-        pts = sample_grid(chart, args.grid)
-        samples = _map_parallel(lambda u: geometric_sample(chart, u), pts)
-        report = classify_samples(samples, params, c=chart.sf.c,
-                                  tol=args.tol or 1e-6, points=pts)
+        report = classify(build_hypersurface(args), params, n_per_axis=args.grid,
+                          tol=args.tol)
         csv_lines.append(f"{value:.12g},{report.max_abs_eq1:.6e},"
                          f"{report.max_eq2_norm:.6e},{report.classification.value}")
     _emit("\n".join(csv_lines) + "\n", args.out)

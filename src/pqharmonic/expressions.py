@@ -71,9 +71,12 @@ class Expression:
             raise ExpressionError(
                 f"missing values for {sorted(missing)} in {self.source!r}")
         try:
-            return float(self._fn(vars))
+            value = self._fn(vars)
         except (OverflowError, ZeroDivisionError) as exc:
             raise ExpressionError(f"evaluation failed for {self.source!r}: {exc}")
+        if isinstance(value, complex):
+            raise ExpressionError(f"{self.source!r} has the non-real value {value}")
+        return float(value)
 
     def __call__(self, **vars):
         return self.evaluate(**vars)

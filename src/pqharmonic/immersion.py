@@ -13,7 +13,7 @@ with closed-form geometry double as cross-checks of the stencil path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -57,15 +57,6 @@ class ImmersionChart:
             return np.asarray(self.fd_step, dtype=float)
         return 1e-3 * self.widths()
 
-    def check_interior(self, u, margin_steps=2):
-        u = np.asarray(u, dtype=float)
-        h = self.steps()
-        for a, (lo, hi) in enumerate(self.domain):
-            if u[a] < lo + margin_steps * h[a] or u[a] > hi - margin_steps * h[a]:
-                raise BoundaryProximityError(
-                    f"parameter {u} within {margin_steps} stencil steps of the boundary")
-        return u
-
     def flipped(self):
         """Same patch with the opposite orientation."""
         ref = self.reference_normal
@@ -98,7 +89,8 @@ class GeometricSample:
 
     Tangent vectors (grad_f, A_grad_f, ricci_eta_top) are chart-basis
     coefficient arrays of length m; ``g`` is kept so downstream code can
-    take g-norms of tangential residuals.
+    take g-norms of tangential residuals.  :func:`stack_samples` stacks
+    samples of one chart along a new axis 0 of every field but ``m``.
     """
 
     m: int
@@ -112,11 +104,25 @@ class GeometricSample:
     ricci_eta_top: np.ndarray
     g: Optional[np.ndarray] = None
 
+    def g_dot(self, a, b):
+        """g(a, b) of tangent vectors, per sample for a stacked sample."""
+        g = np.eye(self.m) if self.g is None else self.g
+        return np.einsum("...i,...ij,...j->...", a, g, b)
+
     def g_norm(self, vec):
-        v = np.asarray(vec, dtype=float)
-        if self.g is None:
-            return float(np.linalg.norm(v))
-        return float(np.sqrt(max(v @ self.g @ v, 0.0)))
+        return np.sqrt(np.maximum(self.g_dot(vec, vec), 0.0))
+
+
+def stack_samples(samples) -> GeometricSample:
+    """Samples of one hypersurface dimension as one sample with stacked fields."""
+    samples = list(samples)
+    m = samples[0].m
+    stacked = {fd.name: np.stack([np.asarray(getattr(s, fd.name), dtype=float)
+                                  for s in samples])
+               for fd in fields(GeometricSample) if fd.name not in ("m", "g")}
+    g = None if all(s.g is None for s in samples) else np.stack(
+        [np.eye(m) if s.g is None else s.g for s in samples])
+    return GeometricSample(m=m, g=g, **stacked)
 
 
 def flip_sample(s: GeometricSample) -> GeometricSample:

@@ -16,6 +16,7 @@ biharmonic-hypersurface system.
 from __future__ import annotations
 
 import enum
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,19 +26,20 @@ import numpy as np
 import scipy.optimize
 
 from .errors import NoRootInBracketError, NonConvergenceError
-from .immersion import GeometricSample, geometric_sample, sample_grid
+from .immersion import GeometricSample, geometric_sample, sample_grid, stack_samples
 
 
 @dataclass(frozen=True)
 class PQParams:
-    """Exponent pair of the (p,q)-energy; both must exceed 1."""
+    """Exponent pair of the (p,q)-energy; both must be finite and exceed 1."""
 
     p: float
     q: float
 
     def __post_init__(self):
-        if not (self.p > 1 and self.q > 1):
-            raise ValueError(f"need p > 1 and q > 1, got p={self.p}, q={self.q}")
+        if not (self.p > 1 and self.q > 1
+                and math.isfinite(self.p) and math.isfinite(self.q)):
+            raise ValueError(f"need finite p > 1 and q > 1, got p={self.p}, q={self.q}")
 
     @property
     def pq(self):
@@ -77,7 +79,11 @@ def coefficients(params: PQParams, m: int) -> CoefficientSet:
     """Coefficient set of the residual system for hypersurface dimension m."""
     if m < 1:
         raise ValueError("hypersurface dimension must be >= 1")
-    p, q = _exactify(params.p), _exactify(params.q)
+    return _coefficients(_exactify(params.p), _exactify(params.q), m)
+
+
+def _coefficients(p, q, m):
+    """The coefficient formula, without the guards on p, q and m."""
     return CoefficientSet(
         c1=-(q - 1),
         c2=-(q - 1) * (q - 2),
@@ -111,39 +117,40 @@ class ResidualReport:
 
 # -- evaluation -------------------------------------------------------------
 
-def residual(sample: GeometricSample, params: PQParams):
-    """(eq1, eq2) of the general-ambient system at one sample point."""
-    co = coefficients(params, sample.m)
-    f = sample.f
-    eq1 = (float(co.c1) * f * sample.laplacian_f
-           + float(co.c2) * sample.grad_f_norm2
-           + float(co.c3) * f * f * sample.normA2
-           + float(co.c4) * f * f * sample.ric_eta_eta
-           + float(co.c5) * f ** 4)
-    eq2 = (float(co.d1) * sample.A_grad_f
-           + float(co.d2) * f * sample.ricci_eta_top
-           + float(co.d3) * f * sample.grad_f)
+def _system(sample: GeometricSample, p, q, ric_eta_eta, ricci_eta_top):
+    """(eq1, eq2) at one sample, or at samples stacked along axis 0.
+
+    The only evaluation of the system: the ambient enters through the Ricci
+    data alone.  p and q are not guarded, so solver iterates may leave p > 1.
+    """
+    c1, c2, c3, c4, c5, d1, d2, d3 = (
+        float(x) for x in _coefficients(_exactify(p), _exactify(q), sample.m).as_tuple())
+    f = np.asarray(sample.f, dtype=float)
+    eq1 = (c1 * f * sample.laplacian_f
+           + c2 * sample.grad_f_norm2
+           + c3 * f * f * sample.normA2
+           + c4 * f * f * ric_eta_eta
+           + c5 * f ** 4)
+    f = f[..., None]
+    eq2 = (d1 * np.asarray(sample.A_grad_f)
+           + d2 * f * ricci_eta_top
+           + d3 * f * sample.grad_f)
     return eq1, eq2
+
+
+def residual(sample: GeometricSample, params: PQParams):
+    """(eq1, eq2) of the general-ambient system with the sample's Ricci data."""
+    return _system(sample, params.p, params.q, sample.ric_eta_eta, sample.ricci_eta_top)
 
 
 def residual_spaceform(sample: GeometricSample, params: PQParams, c: float):
     """Residuals with the space-form Ricci data Ric = m c, (Ricci eta)^T = 0."""
-    forced = GeometricSample(
-        m=sample.m, f=sample.f, grad_f=sample.grad_f,
-        grad_f_norm2=sample.grad_f_norm2, laplacian_f=sample.laplacian_f,
-        normA2=sample.normA2, A_grad_f=sample.A_grad_f,
-        ric_eta_eta=sample.m * c, ricci_eta_top=np.zeros(sample.m), g=sample.g)
-    return residual(forced, params)
+    return _system(sample, params.p, params.q, sample.m * c, 0.0)
 
 
 def residual_einstein(sample: GeometricSample, params: PQParams, S: float, m: int):
     """Residuals in an Einstein ambient of scalar curvature S."""
-    forced = GeometricSample(
-        m=m, f=sample.f, grad_f=sample.grad_f,
-        grad_f_norm2=sample.grad_f_norm2, laplacian_f=sample.laplacian_f,
-        normA2=sample.normA2, A_grad_f=sample.A_grad_f,
-        ric_eta_eta=S / (m + 1), ricci_eta_top=np.zeros(m), g=sample.g)
-    return residual(forced, params)
+    return _system(sample, params.p, params.q, S / (m + 1), 0.0)
 
 
 def umbilic_f(params: PQParams, m: int, S: float):
@@ -167,20 +174,16 @@ def collect_samples(chart, grid_points, use_analytic=True, h_step=None):
 def classify_samples(samples, params: PQParams, c=None, S=None, tol=1e-6,
                      points=None):
     """Build a :class:`ResidualReport` from precomputed samples."""
-    eq1s, eq2n, fs = [], [], []
-    for s in samples:
-        if S is not None:
-            e1, e2 = residual_einstein(s, params, S, s.m)
-        elif c is not None:
-            e1, e2 = residual_spaceform(s, params, c)
-        else:
-            e1, e2 = residual(s, params)
-        eq1s.append(e1)
-        eq2n.append(s.g_norm(e2))
-        fs.append(s.f)
-    eq1s = np.array(eq1s)
-    eq2n = np.array(eq2n)
-    fs = np.array(fs)
+    batch = stack_samples(samples)
+    if S is not None:
+        ricci = (S / (batch.m + 1), 0.0)
+    elif c is not None:
+        ricci = (batch.m * c, 0.0)
+    else:
+        ricci = (batch.ric_eta_eta, batch.ricci_eta_top)
+    eq1s, eq2 = _system(batch, params.p, params.q, *ricci)
+    eq2n = batch.g_norm(eq2)
+    fs = batch.f
     max1 = float(np.max(np.abs(eq1s)))
     max2 = float(np.max(eq2n))
     if np.max(np.abs(fs)) < tol:
@@ -191,7 +194,7 @@ def classify_samples(samples, params: PQParams, c=None, S=None, tol=1e-6,
         cls = Classification.PROPER_PQ_HARMONIC
     else:
         cls = Classification.NOT_PQ_HARMONIC
-    pts = np.zeros((len(samples), 0)) if points is None else np.asarray(points)
+    pts = np.zeros((len(fs), 0)) if points is None else np.asarray(points)
     return ResidualReport(points=pts, f_values=fs, eq1=eq1s, eq2_norm=eq2n,
                           max_abs_eq1=max1, max_eq2_norm=max2,
                           classification=cls, tol=tol)
@@ -218,11 +221,10 @@ class SolveResult:
     reason: str = ""
 
 
-def _residual_arrays(samples, p, q, c):
-    params = PQParams(p=p, q=q)
-    eq1 = np.array([residual_spaceform(s, params, c)[0] for s in samples])
-    eq2 = np.array([s.g_norm(residual_spaceform(s, params, c)[1]) for s in samples])
-    return eq1, eq2
+def _residual_arrays(batch, p, q, c):
+    """Solver objective: eq1 and |eq2|_g over a stacked space-form batch."""
+    eq1, eq2 = _system(batch, p, q, batch.m * c, 0.0)
+    return eq1, batch.g_norm(eq2)
 
 
 def solve_p(chart, q, bracket, n_per_axis=8, tol=1e-8, use_analytic=True):
@@ -236,21 +238,21 @@ def solve_p(chart, q, bracket, n_per_axis=8, tol=1e-8, use_analytic=True):
     """
     p_lo, p_hi = bracket
     pts = sample_grid(chart, n_per_axis)
-    samples = collect_samples(chart, pts, use_analytic=use_analytic)
+    batch = stack_samples(collect_samples(chart, pts, use_analytic=use_analytic))
     c = chart.sf.c
-    fs = np.array([s.f for s in samples])
-    if np.max(np.abs(fs)) < tol:
+    if np.max(np.abs(batch.f)) < tol:
         return SolveResult(p=None, max_residual=0.0, success=False,
                            reason="chart is minimal; no proper solution in p")
+    PQParams(p=min(p_lo, p_hi), q=q)  # the bracket must stay in p > 1
 
     def max_res(p):
-        eq1, eq2 = _residual_arrays(samples, p, q, c)
+        eq1, eq2 = _residual_arrays(batch, p, q, c)
         return max(np.max(np.abs(eq1)), np.max(eq2))
 
     def mean_eq1(p):
-        return float(np.mean(_residual_arrays(samples, p, q, c)[0]))
+        return float(np.mean(_residual_arrays(batch, p, q, c)[0]))
 
-    eq2_probe = max(np.max(_residual_arrays(samples, pp, q, c)[1])
+    eq2_probe = max(np.max(_residual_arrays(batch, pp, q, c)[1])
                     for pp in np.linspace(p_lo, p_hi, 5))
     if eq2_probe < tol:
         a, b = mean_eq1(p_lo), mean_eq1(p_hi)
@@ -293,26 +295,16 @@ def solve_param_pair(family: Callable, q, theta_bracket, p_bracket,
     th0 = 0.5 * (theta_bracket[0] + theta_bracket[1])
     p0 = 0.5 * (p_bracket[0] + p_bracket[1])
 
-    def samples_at(theta):
-        chart = family(theta)
-        pts = sample_grid(chart, n_per_axis)
-        return (collect_samples(chart, pts, use_analytic=use_analytic),
-                chart.sf.c)
-
     def system(x):
         p, theta = x
-        samples, c = samples_at(theta)
-        g1, g2 = [], []
-        for s in samples:
-            e1, e2 = _raw_spaceform(s, p, q, c)
-            g1.append(e1)
-            gf = np.asarray(s.grad_f)
-            gfn = s.g_norm(gf)
-            if gfn > 1e-14:
-                g2.append(float(np.dot(e2, (s.g if s.g is not None else np.eye(s.m)) @ gf)) / gfn)
-            else:
-                g2.append(0.0)
-        return np.array([np.mean(g1), np.mean(g2)])
+        chart = family(theta)
+        batch = stack_samples(collect_samples(chart, sample_grid(chart, n_per_axis),
+                                              use_analytic=use_analytic))
+        eq1, eq2 = _system(batch, p, q, batch.m * chart.sf.c, 0.0)
+        gfn = batch.g_norm(batch.grad_f)
+        along = np.divide(batch.g_dot(eq2, batch.grad_f), gfn,
+                          out=np.zeros_like(gfn), where=gfn > 1e-14)
+        return np.array([np.mean(eq1), np.mean(along)])
 
     x = np.array([p0, th0], dtype=float)
     # detect a degenerate tangential equation (e.g. constant-f families)
@@ -356,22 +348,11 @@ def solve_param_pair(family: Callable, q, theta_bracket, p_bracket,
                                converged=True, admissible=False,
                                max_residual=float("nan"),
                                reason="solution has p <= 1: outside the admissible range")
-    samples, c = samples_at(th_sol)
-    report = classify_samples(samples, PQParams(p=p_sol, q=q), c=c, tol=tol)
+    report = classify(family(th_sol), PQParams(p=p_sol, q=q), n_per_axis=n_per_axis,
+                      tol=tol, use_analytic=use_analytic)
     res = max(report.max_abs_eq1, report.max_eq2_norm)
     if res >= tol:
         raise NonConvergenceError(
             f"post-verification failed: residual {res:.3e} >= {tol:g}")
     return PairSolveResult(p=p_sol, theta=th_sol, iterations=iterations,
                            converged=True, admissible=True, max_residual=res)
-
-
-def _raw_spaceform(sample, p, q, c):
-    """Space-form residuals without the p,q > 1 guard (solver internals)."""
-    f = sample.f
-    eq1 = (-(q - 1) * (f * sample.laplacian_f + (q - 2) * sample.grad_f_norm2)
-           + (sample.normA2 - sample.m * c) * f * f
-           + sample.m * (p - 2) * f ** 4)
-    eq2 = (2 * (q - 1) * np.asarray(sample.A_grad_f)
-           + (sample.m + (p - 2) * q) * f * np.asarray(sample.grad_f))
-    return eq1, eq2

@@ -100,13 +100,6 @@ class SpaceForm:
 
     # -- metric and curvature ----------------------------------------------
 
-    def metric(self, P, X, Y):
-        """Riemannian metric h(X, Y) at P; inputs must be tangent."""
-        P = self.check_point(P)
-        X = self.check_tangent(P, X)
-        Y = self.check_tangent(P, Y)
-        return self.pair(X, Y)
-
     def curvature_tensor(self, P, X, Y, Z):
         """R(X,Y)Z = c [h(Y,Z) X - h(X,Z) Y] for constant curvature c."""
         P = self.check_point(P)

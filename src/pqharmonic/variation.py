@@ -57,11 +57,6 @@ def tension_p(curve: CurveChart, t, p, step=None):
     return sp * acc + dsp * vel
 
 
-def tension_p_norm(curve, t, p, step=None):
-    tp = tension_p(curve, t, p, step=step)
-    return math.sqrt(max(curve.sf.pair(tp, tp), 0.0))
-
-
 # -- discretized energy -----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -86,9 +81,6 @@ class DiscretizedCurve:
     @property
     def weights(self):
         return numeric.simpson_weights(self.K, self.dt)
-
-    def nodes(self):
-        return np.array([self.curve.map(t) for t in self.ts])
 
 
 def energy_pq(dcurve: DiscretizedCurve, params: PQParams, measure=None):

@@ -133,6 +133,26 @@ def test_chart_file_hypersurface(tmp_path, capsys):
     assert code == 0
 
 
+def test_chart_file_sweep_uses_stencil_tolerance(tmp_path):
+    path = tmp_path / "cone.txt"
+    path.write_text(CONE_CHART)
+    out = tmp_path / "sweep.csv"
+    code = run(["sweep", "--chart-file", str(path), "--param", "r",
+                "--values", "1/sqrt(6)", "--p", "4/3", "--q", "3",
+                "--grid", "4", "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().strip().splitlines()
+    assert len(lines) == 2 and lines[1].endswith(",ProperPQHarmonic")
+
+
+def test_complex_flag_value_is_config_error(capsys):
+    code = run(["verify-hypersurface", "--builtin", "cone", "--p", "(-1)^0.5",
+                "--q", "3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_chart_file_curve(tmp_path, capsys):
     path = tmp_path / "circle.txt"
     path.write_text(CIRCLE_CHART)

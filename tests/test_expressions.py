@@ -58,3 +58,10 @@ def test_syntax_errors():
 def test_division_by_zero_is_reported():
     with pytest.raises(ExpressionError):
         evaluate_literal("1/0")
+
+
+def test_non_real_value_is_reported():
+    with pytest.raises(ExpressionError):
+        evaluate_literal("(-1)^0.5")
+    with pytest.raises(ExpressionError):
+        parse("u^0.5").evaluate(u=-4.0)

@@ -9,7 +9,8 @@ from pqharmonic import (Classification, PQParams, classify, coefficients,
                         residual_spaceform, solve_p, solve_param_pair,
                         sphere_in_sphere, umbilic_f)
 from pqharmonic.errors import NoRootInBracketError
-from pqharmonic.immersion import GeometricSample, ImmersionChart
+from pqharmonic.immersion import GeometricSample, ImmersionChart, stack_samples
+from pqharmonic.residual import classify_samples
 from pqharmonic.spaceform import SpaceForm
 
 
@@ -26,6 +27,12 @@ def test_pqparams_guard():
     with pytest.raises(ValueError):
         PQParams(2.0, 0.5)
     assert PQParams(Fraction(4, 3), 3).pq == Fraction(4, 1)
+
+
+def test_pqparams_rejects_non_finite():
+    for p, q in ((math.inf, 2.0), (2.0, math.inf), (math.nan, 2.0)):
+        with pytest.raises(ValueError):
+            PQParams(p, q)
 
 
 def test_coefficients_exact_rational():
@@ -76,6 +83,53 @@ def test_residual_einstein_matches_spaceform():
         e1b, e2b = residual_einstein(s, params, m * (m + 1) * c, m)
         assert e1a == pytest.approx(e1b, rel=1e-13, abs=1e-13)
         assert np.allclose(e2a, e2b, atol=1e-13)
+
+
+def _random_sample(rng, m, with_g):
+    g = None
+    if with_g:
+        a = rng.standard_normal((m, m))
+        g = a @ a.T + m * np.eye(m)
+    return GeometricSample(m=m, f=rng.uniform(-2, 2),
+                           grad_f=rng.standard_normal(m),
+                           grad_f_norm2=rng.uniform(0, 2),
+                           laplacian_f=rng.uniform(-2, 2),
+                           normA2=rng.uniform(0, 4),
+                           A_grad_f=rng.standard_normal(m),
+                           ric_eta_eta=rng.uniform(-3, 3),
+                           ricci_eta_top=rng.standard_normal(m), g=g)
+
+
+def test_batched_kernel_matches_per_sample():
+    rng = np.random.default_rng(11)
+    for m in range(1, 5):
+        for with_g in (False, True):
+            samples = [_random_sample(rng, m, with_g) for _ in range(6)]
+            batch = stack_samples(samples)
+            params = PQParams(rng.uniform(1.1, 4), rng.uniform(1.1, 4))
+            c, S = float(rng.uniform(-2, 2)), float(rng.uniform(-6, 6))
+            # (batched call, per-sample calls, classify_samples Ricci choice)
+            cases = [
+                (residual(batch, params),
+                 [residual(s, params) for s in samples], {}),
+                (residual_spaceform(batch, params, c),
+                 [residual_spaceform(s, params, c) for s in samples], {"c": c}),
+                (residual_einstein(batch, params, S, m),
+                 [residual_einstein(s, params, S, m) for s in samples], {"S": S}),
+            ]
+            for (eq1, eq2), per_sample, ambient in cases:
+                assert eq1.shape == (6,) and eq2.shape == (6, m)
+                np.testing.assert_allclose(eq1, [e1 for e1, _ in per_sample],
+                                           rtol=1e-13, atol=1e-13)
+                np.testing.assert_allclose(eq2, [e2 for _, e2 in per_sample],
+                                           rtol=1e-13, atol=1e-13)
+                norms = [s.g_norm(e2) for s, (_, e2) in zip(samples, per_sample)]
+                np.testing.assert_allclose(batch.g_norm(eq2), norms,
+                                           rtol=1e-13, atol=1e-13)
+                report = classify_samples(samples, params, **ambient)
+                np.testing.assert_allclose(report.eq1, eq1, rtol=1e-13, atol=1e-13)
+                np.testing.assert_allclose(report.eq2_norm, norms,
+                                           rtol=1e-13, atol=1e-13)
 
 
 def test_umbilic_f():
