@@ -14,6 +14,19 @@ base curve, which is what the first-variation identity
 is stated for.  The identity is checked by comparing a Richardson-
 extrapolated central difference of the energy against composite-Simpson
 quadrature of the pairing.
+
+Every derivative is the 4th-order central stencil of
+:func:`numeric.deriv1`, and a composition of central stencils is one
+weight vector on the integer lattice t + k h (Fornberg, Math. Comp. 51
+(1988) 699-706).  So the curve is sampled once per distinct lattice
+point, as an (N, L, dim) array for N nodes and L offsets k, and every
+stencil acts along the lattice axis:
+
+* tau_p at a node uses the offsets k = -4..4 of the step h;
+* tau_{p,q} uses tau_p at the nine nodes t + 4 j h1 (j = -4..4), so the
+  offsets -20..20 of h1, and stencils of step h2 = 4 h1 over those nodes;
+* the first-variation check samples the base curve and the field once on
+  the (K+1) x 9 energy lattice and forms every varied energy from them.
 """
 
 from __future__ import annotations
@@ -26,35 +39,88 @@ import numpy as np
 
 from . import numeric
 from .curves import CurveChart
-from .errors import SingularFactorError, SingularSpeedError
+from .errors import DomainError, SingularFactorError, SingularSpeedError
 from .residual import PQParams
 
 SPEED_FLOOR = 1e-10
 TAU_P_FLOOR = 1e-6
 
+TP_OFFSETS = np.arange(-4, 5)           # the lattice of one tau_p, in steps h
+OUTER = 4                               # h2 = OUTER * h1 for the tau_pq stencils
+PQ_OFFSETS = np.arange(-20, 21)         # the lattice of one tau_pq, in steps h1
+PQ_NODES = 20 + OUTER * TP_OFFSETS      # indices of its nine tau_p nodes
+
+
+# -- the stencil lattice ----------------------------------------------------
+
+def _lattice(ts, h, offsets=TP_OFFSETS):
+    """The points t + k h, one row per node t."""
+    return np.asarray(ts, dtype=float)[:, None] + offsets[None, :] * h
+
+
+def _sample(fn, pts):
+    """The scalar map ``fn`` once per lattice point: an (N, L, dim) array."""
+    vals = np.array([fn(float(s)) for s in pts.ravel()], dtype=float)
+    return vals.reshape(pts.shape + (-1,))
+
+
+def _stencil(F, h):
+    """The deriv1 stencil of step h along axis 1, at the entries 2..L-3 of F."""
+    fm2, fm1, fp1, fp2 = F[:, :-4], F[:, 1:-3], F[:, 3:-1], F[:, 4:]
+    return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
+
+
+def _pair(sf, X, Y):
+    """SpaceForm.pair over the last axis."""
+    return np.sum(X * sf.pairing_signs() * Y, axis=-1)
+
+
+def _covariant(sf, P, dV):
+    """Project a stencil derivative at the points P (SpaceForm.covariant_derivative)."""
+    if not np.all(np.isfinite(dV)):
+        raise DomainError("non-finite derivative; step too small or field singular")
+    if sf.c == 0:
+        return dV
+    return dV - sf.c * _pair(sf, P, dV)[..., None] * P
+
+
+def _retract(sf, P):
+    """SpaceForm.retract over the rows of P."""
+    if sf.c == 0:
+        return P
+    nrm2 = _pair(sf, P, P)
+    if sf.c > 0 and np.any(nrm2 <= 0):
+        raise DomainError("cannot retract the origin onto the sphere")
+    if sf.c < 0 and np.any((nrm2 >= 0) | (P[:, -1] <= 0)):
+        raise DomainError("hyperboloid retraction needs a timelike, future-pointing input")
+    return P / np.sqrt(sf.c * nrm2)[:, None]
+
 
 # -- p-tension field --------------------------------------------------------
 
+def _tension_p(sf, X, h, p):
+    """tau_p, velocity and squared speed at the centres of (N, 9, dim) windows."""
+    if h <= 0 or not np.isfinite(h):
+        raise DomainError("derivative step must be positive and finite")
+    V = _stencil(X, h)                      # offsets -2..2
+    s2 = _pair(sf, V, V)
+    vel, s2c = V[:, 2], s2[:, 2]
+    if p < 2 and np.any(s2c < SPEED_FLOOR ** 2):
+        low = float(np.min(s2c))
+        raise SingularSpeedError(f"speed {math.sqrt(max(low, 0)):.3e} with p = {p} < 2")
+    acc = _covariant(sf, X[:, 4], _stencil(V, h)[:, 0])
+    if p == 2:
+        return acc, vel, s2c
+    e = (p - 2) / 2.0
+    dsp = _stencil(s2 ** e, h)[:, 0]
+    return (s2c ** e)[:, None] * acc + dsp[:, None] * vel, vel, s2c
+
+
 def tension_p(curve: CurveChart, t, p, step=None):
     """tau_p = |g'|^(p-2) nabla_t g' + d/dt(|g'|^(p-2)) g' at parameter t."""
-    sf = curve.sf
     h = step if step is not None else curve.frame_step()
-    vel = numeric.deriv1(curve.map, t, h)
-    s2 = sf.pair(vel, vel)
-    if s2 < SPEED_FLOOR ** 2 and p < 2:
-        raise SingularSpeedError(f"speed {math.sqrt(max(s2,0)):.3e} with p = {p} < 2")
-    acc = sf.covariant_derivative(curve.map, lambda w: numeric.deriv1(curve.map, w, h),
-                                  t, step=h)
-    if p == 2:
-        return acc
-    sp = s2 ** ((p - 2) / 2.0)
-
-    def speed_pow(w):
-        v = numeric.deriv1(curve.map, w, h)
-        return sf.pair(v, v) ** ((p - 2) / 2.0)
-
-    dsp = float(numeric.deriv1(speed_pow, t, h))
-    return sp * acc + dsp * vel
+    X = _sample(curve.map, _lattice([t], h))
+    return _tension_p(curve.sf, X, h, p)[0][0]
 
 
 # -- discretized energy -----------------------------------------------------
@@ -90,85 +156,82 @@ def energy_pq(dcurve: DiscretizedCurve, params: PQParams, measure=None):
     variation check to freeze the base-curve measure); by default the speed
     of the discretized curve itself is used.
     """
-    curve, q = dcurve.curve, float(params.q)
-    total = 0.0
-    for w, t, mu in zip(dcurve.weights, dcurve.ts,
-                        _measure_factors(dcurve, measure)):
-        tp = tension_p(curve, t, params.p)
-        total += w * curve.sf.pair(tp, tp) ** (q / 2.0) * mu
-    return total / q
+    h = dcurve.curve.frame_step()
+    X = _sample(dcurve.curve.map, _lattice(dcurve.ts, h))
+    return _energy(dcurve, X, h, params, measure)
 
 
-def _measure_factors(dcurve, measure):
-    if measure is not None:
-        return np.asarray(measure, dtype=float)
-    curve = dcurve.curve
+def _energy(dcurve, X, h, params, measure):
+    """energy_pq from the curve sampled on the (K+1) x 9 energy lattice."""
+    sf, q = dcurve.curve.sf, float(params.q)
+    tp = _tension_p(sf, X, h, params.p)[0]
+    mu = _measure(dcurve.curve, X, h) if measure is None \
+        else np.asarray(measure, dtype=float)
+    return float(np.sum(dcurve.weights * _pair(sf, tp, tp) ** (q / 2.0) * mu)) / q
+
+
+def _measure(curve, X, h):
+    """Speed of the curve at the nodes of its energy lattice (1 if unit speed)."""
     if curve.unit_speed:
-        return np.ones(dcurve.K + 1)
-    h = curve.frame_step()
-    return np.array([math.sqrt(max(curve.sf.pair(v, v), 0.0))
-                     for v in (numeric.deriv1(curve.map, t, h) for t in dcurve.ts)])
+        return np.ones(len(X))
+    vel = _stencil(X, h)[:, 2]
+    return np.sqrt(np.maximum(_pair(curve.sf, vel, vel), 0.0))
 
 
 # -- (p,q)-tension field ----------------------------------------------------
 
+def _tension_pq(curve, ts, params, h1):
+    """The (p,q)-tension field at the nodes ``ts`` from one sampled lattice."""
+    sf = curve.sf
+    p, q = float(params.p), float(params.q)
+    h2 = OUTER * h1
+    X = _sample(curve.map, _lattice(ts, h1, PQ_OFFSETS))
+    n, dim = len(X), X.shape[-1]
+    windows = X[:, PQ_NODES[:, None] + TP_OFFSETS].reshape(-1, len(TP_OFFSETS), dim)
+    tp, vel, s2 = (a.reshape((n, len(PQ_NODES)) + a.shape[1:])
+                   for a in _tension_p(sf, windows, h1, p))
+    P = X[:, PQ_NODES]                      # the nine tau_p nodes; P[:, 4] is t
+    n2 = _pair(sf, tp, tp)
+    if q == 2:
+        W = tp                              # |tau_p|^(q-2) tau_p
+    else:
+        if q < 2 and np.any(n2 < TAU_P_FLOOR ** 2):
+            low = float(np.min(n2))
+            raise SingularFactorError(
+                f"|tau_p| = {math.sqrt(max(low, 0)):.3e} at a q = {q} < 2 evaluation")
+        W = (n2 ** ((q - 2) / 2.0))[..., None] * tp
+
+    inner = slice(2, 7)                     # nodes j = -2..2, where dW exists
+    dW = _covariant(sf, P[:, inner], _stencil(W, h2))
+    U2 = (s2[:, inner] ** ((p - 2) / 2.0))[..., None] * dW
+    term2 = -_covariant(sf, P[:, 4], _stencil(U2, h2)[:, 0])
+    if p == 2:
+        term3 = 0.0
+    else:
+        v = vel[:, inner]
+        U3 = (s2[:, inner] ** ((p - 4) / 2.0) * _pair(sf, dW, v))[..., None] * v
+        term3 = -(p - 2) * _covariant(sf, P[:, 4], _stencil(U3, h2)[:, 0])
+
+    R = np.array([sf.curvature_tensor(P[i, 4], tp[i, 4], vel[i, 4], vel[i, 4])
+                  for i in range(n)])
+    term1 = (-(s2[:, 4] ** ((p - 2) / 2.0)) * n2[:, 4] ** ((q - 2) / 2.0))[:, None] * R
+
+    out = term1 + term2 + term3
+    if not np.all(np.isfinite(out)):
+        raise SingularFactorError("NaN in (p,q)-tension evaluation")
+    return out
+
+
 def tension_pq_curve(curve: CurveChart, t, params: PQParams, step=None):
-    """The (p,q)-tension field of a curve, by nested covariant stencils.
+    """The (p,q)-tension field of a curve at parameter t.
 
     Three terms: the curvature term -|g'|^(p-2)|tau_p|^(q-2) R(tau_p,g')g',
     the double covariant derivative of |tau_p|^(q-2) tau_p weighted by
     |g'|^(p-2), and the (p-2) correction along g'.  The |tau_p|^(q-2)
     factor is refused (not regularized) near zeros of tau_p when q < 2.
     """
-    sf = curve.sf
-    p, q = float(params.p), float(params.q)
     h1 = step if step is not None else curve.frame_step()
-    h2 = 4.0 * h1  # outer stencils live on top of already-nested values
-
-    def vel(w):
-        return numeric.deriv1(curve.map, w, h1)
-
-    def speed2(w):
-        v = vel(w)
-        return sf.pair(v, v)
-
-    def W(w):
-        """|tau_p|^(q-2) tau_p at parameter w."""
-        tp = tension_p(curve, w, p, step=h1)
-        n2 = sf.pair(tp, tp)
-        if q == 2:
-            return tp
-        if n2 < TAU_P_FLOOR ** 2 and q < 2:
-            raise SingularFactorError(
-                f"|tau_p| = {math.sqrt(max(n2,0)):.3e} at a q = {q} < 2 evaluation")
-        return n2 ** ((q - 2) / 2.0) * tp
-
-    def dW(w):
-        return sf.covariant_derivative(curve.map, W, w, step=h2)
-
-    tp0 = tension_p(curve, t, p, step=h1)
-    v0 = vel(t)
-    s2 = speed2(t)
-
-    term1 = -(s2 ** ((p - 2) / 2.0)) * (sf.pair(tp0, tp0) ** ((q - 2) / 2.0)) \
-        * sf.curvature_tensor(np.asarray(curve.map(t), dtype=float), tp0, v0, v0)
-
-    def U2(w):
-        return speed2(w) ** ((p - 2) / 2.0) * dW(w)
-
-    term2 = -sf.covariant_derivative(curve.map, U2, t, step=h2)
-
-    if p == 2:
-        term3 = 0.0
-    else:
-        def U3(w):
-            return speed2(w) ** ((p - 4) / 2.0) * sf.pair(dW(w), vel(w)) * vel(w)
-        term3 = -(p - 2) * sf.covariant_derivative(curve.map, U3, t, step=h2)
-
-    out = term1 + term2 + term3
-    if not np.all(np.isfinite(out)):
-        raise SingularFactorError("NaN in (p,q)-tension evaluation")
-    return out
+    return _tension_pq(curve, [t], params, h1)[0]
 
 
 # -- variation fields -------------------------------------------------------
@@ -270,43 +333,43 @@ def first_variation_check(dcurve: DiscretizedCurve, v: VariationField,
     The left side is a central finite difference of the energy of the
     retracted variation (per step, with a Richardson estimate from the two
     smallest steps); the right side is Simpson quadrature of the pairing
-    against tau_pq of the base curve.
+    against tau_pq of the base curve.  The base curve and the field are
+    sampled once on the energy lattice; each varied curve is
+    retract(base + t v) on those samples, as in :func:`varied_curve`.
     """
-    curve = dcurve.curve
-    base_measure = _measure_factors(dcurve, None)
+    curve, sf = dcurve.curve, dcurve.curve.sf
+    h = curve.frame_step()
+    pts = _lattice(dcurve.ts, h)
+    B = _sample(curve.map, pts)
+    V = v.values(pts.ravel(), sf.ambient_dim).reshape(B.shape)
+    lo, hi = v.support
+    inside = (pts > lo) & (pts < hi)
+    base_measure = _measure(curve, B, h)
 
     def energy_at(t):
-        return energy_pq(DiscretizedCurve(curve=varied_curve(curve, v, t), K=dcurve.K),
-                         params, measure=base_measure)
+        X = B.copy()
+        X[inside] = _retract(sf, B[inside] + t * V[inside])
+        return _energy(dcurve, X, h, params, base_measure)
 
     # steps scale inversely with the field size so the perturbation of
     # tau_p stays small compared to its base value
-    sup_v = max((math.sqrt(max(curve.sf.pair(w, w), 0.0))
-                 for w in (v(t) for t in dcurve.ts) if w is not None),
-                default=0.0)
+    nodes = inside[:, 4]                    # offset 0: the Simpson nodes themselves
+    vv = V[nodes, 4]
+    sup_v = float(np.max(np.sqrt(np.maximum(_pair(sf, vv, vv), 0.0)), initial=0.0))
     scale = 1.0 / max(1.0, sup_v)
-    steps = tuple(h * scale for h in steps)
-
-    fd = []
-    for h in steps:
-        fd.append((energy_at(h) - energy_at(-h)) / (2.0 * h))
-    fd = np.array(fd)
+    steps = tuple(s * scale for s in steps)
+    fd = np.array([(energy_at(s) - energy_at(-s)) / (2.0 * s) for s in steps])
     lhs = float(numeric.richardson(fd[-2], fd[-1], order=2))
     order = numeric.observed_order(fd) if len(fd) >= 3 else float("nan")
 
     rhs = 0.0
-    vmax = 0.0
-    for w, t, mu in zip(dcurve.weights, dcurve.ts, base_measure):
-        vv = v(t)
-        if vv is None:
-            continue
-        vmax = max(vmax, math.sqrt(max(curve.sf.pair(vv, vv), 0.0)))
-        tpq = tension_pq_curve(curve, t, params)
-        rhs -= w * mu * curve.sf.pair(vv, tpq)
+    if nodes.any():
+        tpq = _tension_pq(curve, dcurve.ts[nodes], params, h)
+        rhs = -float(np.sum(dcurve.weights[nodes] * base_measure[nodes] * _pair(sf, vv, tpq)))
 
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-14)
     return VariationCheckReport(lhs=lhs, rhs=float(rhs), rel_error=float(rel),
                                 observed_order=float(order),
                                 fd_values=tuple(float(x) for x in fd),
-                                steps=tuple(float(h) for h in steps),
-                                v_norm=float(vmax))
+                                steps=tuple(float(s) for s in steps),
+                                v_norm=sup_v)

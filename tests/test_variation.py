@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from pqharmonic import (CurveChart, DiscretizedCurve, PQParams, circle,
                         bump_normal_field, curve_system_residual, energy_pq,
                         first_variation_check, frenet, helix,
                         random_bump_field, tension_p, tension_pq_curve)
-from pqharmonic.errors import SingularFactorError
+from pqharmonic import variation
+from pqharmonic.errors import SingularFactorError, SingularSpeedError
 from pqharmonic.spaceform import SpaceForm
 from pqharmonic.variation import VariationField, varied_curve
 
@@ -148,3 +151,100 @@ def test_first_variation_critical_helix():
     v = random_bump_field(hr.curve, np.random.default_rng(11), amplitude=0.5)
     rep = first_variation_check(dc, v, PQParams(hr.p, 2))
     assert abs(rep.lhs) <= 1e-5 * rep.v_norm
+
+
+# -- pinned values of the discretisation ------------------------------------
+
+# Computed with nested per-point deriv1 closures, before the stencil lattice;
+# the lattice changes only the evaluation order, so these must not move.
+TENSION_P_PINS = {
+    ("circle", 2, 2): [0.4161468365045446, -0.9092974267310884, 0.0],
+    ("circle", 3, 2): [0.4161468364834897, -0.9092974266836, 0.0],
+    ("circle", 1.5, 2.5): [0.41614683651507667, -0.9092974267548304, 0.0],
+    ("helix", 2, 2): [0.31064917565211936, -0.21793827004731137,
+                      0.006692920500340999, 0.3097663712190427],
+    ("helix", 3, 2): [0.310649175624012, -0.2179382700267118,
+                      0.006692920500267075, 0.3097663711905907],
+    ("helix", 1.5, 2.5): [0.3106491756661676, -0.2179382700576189,
+                          0.0066929205003708955, 0.3097663712332689],
+}
+TENSION_PQ_PINS = {
+    ("circle", 2, 2): [0.4161468278068205, -0.90929740259698, 0.0],
+    ("circle", 3, 2): [0.8322936590308142, -1.8185948022087075, -0.0],
+    ("circle", 1.5, 2.5): [0.20807341381857908, -0.45464870250705336, 0.0],
+    ("helix", 2, 2): [0.06212981790561556, -0.043587636861946555,
+                      0.001338583897897501, 0.06195325468940921],
+    ("helix", 3, 2): [0.1366856171629996, -0.09589280956221584,
+                      0.0029448908422463325, 0.13629717603300057],
+    ("helix", 1.5, 2.5): [0.01739453241628449, -0.012203263512719584,
+                          0.00037476335369673246, 0.01734509973037761],
+}
+# lhs, rhs, v_norm at (p,q) = (3,2) for the first default_rng(9) field
+VARIATION_PINS = {
+    "circle": (0.09604734149801786, 0.09604737540367504, 0.49933404105035595),
+    "helix": (-0.021393098939326283, -0.021393070327117503, 0.5000000000000001),
+}
+
+
+def _pin_curves():
+    return {"circle": circle(1.0),
+            "helix": helix(math.acos(math.sqrt(0.4)), math.sqrt(1.6),
+                           math.sqrt(0.6)).curve}
+
+
+def test_tension_pinned_values():
+    for name, curve in _pin_curves().items():
+        for (p, q) in ((2, 2), (3, 2), (1.5, 2.5)):
+            for got, pins in ((tension_p(curve, 2.0, p), TENSION_P_PINS),
+                              (tension_pq_curve(curve, 2.0, PQParams(p, q)), TENSION_PQ_PINS)):
+                want = np.array(pins[(name, p, q)])
+                assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want), \
+                    (name, p, q, got, want)
+
+
+def test_first_variation_pinned_values():
+    for name, curve in _pin_curves().items():
+        v = random_bump_field(curve, np.random.default_rng(9), amplitude=0.5)
+        rep = first_variation_check(DiscretizedCurve(curve=curve, K=128), v, PQParams(3, 2))
+        for got, want in zip((rep.lhs, rep.rhs, rep.v_norm), VARIATION_PINS[name]):
+            assert got == pytest.approx(want, rel=1e-6), (name, got, want)
+
+
+def test_batched_tension_equals_per_node_calls():
+    ts = np.array([1.5, 2.0, 2.7, 3.1])
+    for curve in _pin_curves().values():
+        h = curve.frame_step()
+        X = variation._sample(curve.map, variation._lattice(ts, h))
+        for (p, q) in ((2, 2), (3, 2), (1.5, 2.5)):
+            params = PQParams(p, q)
+            batched_p = variation._tension_p(curve.sf, X, h, p)[0]
+            batched_pq = variation._tension_pq(curve, ts, params, h)
+            for i, t in enumerate(ts):
+                assert np.array_equal(batched_p[i], tension_p(curve, t, p))
+                assert np.array_equal(batched_pq[i], tension_pq_curve(curve, t, params))
+
+
+def _cubic():
+    # t -> (t^3, 0, 0): the stencil speed at the node t = 0 is exactly 0
+    return CurveChart(sf=SpaceForm(3, 0.0), domain=(-1.0, 1.0),
+                      map=lambda t: np.array([t ** 3, 0.0, 0.0]), name="cubic")
+
+
+def test_singular_speed_guard():
+    dc = DiscretizedCurve(curve=_cubic(), K=16)
+    assert dc.ts[8] == 0.0
+    with pytest.raises(SingularSpeedError):
+        energy_pq(dc, PQParams(1.5, 2))
+    with pytest.raises(SingularSpeedError):
+        tension_pq_curve(dc.curve, 0.0, PQParams(1.5, 2))
+
+
+def test_variation_demo_runs(capsys):
+    path = pathlib.Path(__file__).resolve().parents[1] / "demos" / "variation.py"
+    spec = importlib.util.spec_from_file_location("variation_demo", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    demo.main()
+    out = capsys.readouterr().out
+    assert "== circle of radius 1 in R^3 ==" in out
+    assert out.count("rel err") == 3 and out.count("random field") == 3
