@@ -10,6 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
+# deriv1 and deriv2 as weight vectors, for kernels that apply them to
+# sampled arrays: sum_k W[k] F(x + OFFSETS[k] h) / h (or / h^2)
+D1_OFFSETS = np.array([-2, -1, 1, 2])
+D1_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
+D2_OFFSETS = np.array([-2, -1, 0, 1, 2])
+D2_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+
 
 def deriv1(fn, x, h):
     """4th-order central first derivative of ``fn`` at scalar ``x``."""

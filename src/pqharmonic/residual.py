@@ -167,14 +167,24 @@ def umbilic_f(params: PQParams, m: int, S: float):
 # -- classification ---------------------------------------------------------
 
 def collect_samples(chart, grid_points, use_analytic=True, h_step=None):
-    return [geometric_sample(chart, u, h_step=h_step, use_analytic=use_analytic)
-            for u in grid_points]
+    """Samples at the grid points, stacked along axis 0.
+
+    Closed-form geometry is sampled point by point; the stencil path takes
+    the whole grid in one call, on one lattice.
+    """
+    if use_analytic and chart.analytic_geometry is not None:
+        return stack_samples(geometric_sample(chart, u) for u in grid_points)
+    return geometric_sample(chart, np.asarray(grid_points, dtype=float),
+                            h_step=h_step, use_analytic=False)
 
 
 def classify_samples(samples, params: PQParams, c=None, S=None, tol=1e-6,
                      points=None):
-    """Build a :class:`ResidualReport` from precomputed samples."""
-    batch = stack_samples(samples)
+    """Build a :class:`ResidualReport` from precomputed samples.
+
+    ``samples`` is a list of samples or one sample with stacked fields.
+    """
+    batch = samples if isinstance(samples, GeometricSample) else stack_samples(samples)
     if S is not None:
         ricci = (S / (batch.m + 1), 0.0)
     elif c is not None:
@@ -238,7 +248,7 @@ def solve_p(chart, q, bracket, n_per_axis=8, tol=1e-8, use_analytic=True):
     """
     p_lo, p_hi = bracket
     pts = sample_grid(chart, n_per_axis)
-    batch = stack_samples(collect_samples(chart, pts, use_analytic=use_analytic))
+    batch = collect_samples(chart, pts, use_analytic=use_analytic)
     c = chart.sf.c
     if np.max(np.abs(batch.f)) < tol:
         return SolveResult(p=None, max_residual=0.0, success=False,
@@ -298,8 +308,8 @@ def solve_param_pair(family: Callable, q, theta_bracket, p_bracket,
     def system(x):
         p, theta = x
         chart = family(theta)
-        batch = stack_samples(collect_samples(chart, sample_grid(chart, n_per_axis),
-                                              use_analytic=use_analytic))
+        batch = collect_samples(chart, sample_grid(chart, n_per_axis),
+                                use_analytic=use_analytic)
         eq1, eq2 = _system(batch, p, q, batch.m * chart.sf.c, 0.0)
         gfn = batch.g_norm(batch.grad_f)
         along = np.divide(batch.g_dot(eq2, batch.grad_f), gfn,

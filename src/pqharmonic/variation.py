@@ -44,6 +44,7 @@ from .residual import PQParams
 
 SPEED_FLOOR = 1e-10
 TAU_P_FLOOR = 1e-6
+MEASURE_SPREAD = 1e-6   # relative spread of the base speed the first-variation check allows
 
 TP_OFFSETS = np.arange(-4, 5)           # the lattice of one tau_p, in steps h
 OUTER = 4                               # h2 = OUTER * h1 for the tau_pq stencils
@@ -336,6 +337,8 @@ def first_variation_check(dcurve: DiscretizedCurve, v: VariationField,
     against tau_pq of the base curve.  The base curve and the field are
     sampled once on the energy lattice; each varied curve is
     retract(base + t v) on those samples, as in :func:`varied_curve`.
+    The curve must have constant speed (to MEASURE_SPREAD relative);
+    otherwise DomainError is raised.
     """
     curve, sf = dcurve.curve, dcurve.curve.sf
     h = curve.frame_step()
@@ -345,6 +348,14 @@ def first_variation_check(dcurve: DiscretizedCurve, v: VariationField,
     lo, hi = v.support
     inside = (pts > lo) & (pts < hi)
     base_measure = _measure(curve, B, h)
+    spread = float(np.ptp(base_measure) / np.max(base_measure))
+    if spread > MEASURE_SPREAD:
+        # the identity pairs v with tau_pq of the flat parameter measure, so the
+        # mu' terms of a varying arc measure would be missing from the right side
+        raise DomainError(
+            f"first_variation_check needs a constant-speed curve; the speed of "
+            f"{curve.name} varies by {spread:.2e} (relative) over the nodes: "
+            f"reparametrize it with curves.reparametrize_arclength")
 
     def energy_at(t):
         X = B.copy()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from pqharmonic import (cone, first_fundamental, geometric_sample, great_sphere,
                         plane, sample_grid, shape_packet, sphere_in_sphere,
                         unit_normal)
+from pqharmonic import immersion, numeric
+from pqharmonic.cli import load_chart_file
 from pqharmonic.errors import BoundaryProximityError, DegenerateImmersionError
-from pqharmonic.immersion import ImmersionChart, flip_sample
+from pqharmonic.immersion import GeometricSample, ImmersionChart, flip_sample
 from pqharmonic.spaceform import SpaceForm
 
 U_SPHERE = np.array([1.1, 2.3])
@@ -133,3 +136,168 @@ def test_higher_dimensional_sphere():
     b_over_a = math.sqrt(0.6) / math.sqrt(0.4)
     assert pk.f == pytest.approx(-b_over_a, abs=1e-11)
     assert pk.normA2 == pytest.approx(3 * 0.6 / 0.4, abs=1e-10)
+
+
+# -- the stencil lattice -----------------------------------------------------
+
+R6 = 1.0 / math.sqrt(6.0)
+
+
+def _cone_file(tmp_path):
+    """The r = 1/sqrt(6) cone as a chart file: FD jets from the map only."""
+    path = tmp_path / "cone.txt"
+    path.write_text("type: hypersurface\nc: 0\nu: 1/2, 2\nv: 0, 2*pi\n"
+                    f"x1: u*cos(v)*{R6!r}\nx2: u*sin(v)*{R6!r}\nx3: u\n")
+    return load_chart_file(str(path))
+
+
+def _h3_sphere_file(tmp_path):
+    """A geodesic sphere of radius 0.8 in H^3 as a chart file."""
+    path = tmp_path / "h3.txt"
+    path.write_text("type: hypersurface\nc: -1\nu: 0.45, 2.65\nv: 0, 2*pi\n"
+                    "x1: sinh(0.8)*sin(u)*cos(v)\nx2: sinh(0.8)*sin(u)*sin(v)\n"
+                    "x3: sinh(0.8)*cos(u)\nx4: cosh(0.8)\n")
+    return load_chart_file(str(path))
+
+
+# stencil-path values recorded with the nested per-point stencils this
+# lattice replaced: (u, f, grad f, lap f, |A|^2, A(grad f))
+PINNED = {
+    "file-cone": [
+        ((1.3, 2.0), 0.8722257069204891, (-0.5750938539921523, 8.929628779622479e-09),
+         0.4423800659848916, 3.043110735330094, (1.2907727046906771e-11, 1.5580478225811173e-08)),
+        ((0.8, 4.5), 1.4173667737668345, (-1.518606888050746, 1.1696368384201088e-08),
+         1.898255415696922, 8.03571428548237, (-8.156452294303422e-12, 3.315956742044039e-08)),
+    ],
+    "jet-cone": [
+        ((1.3, 2.0), 0.8722257069443703, (-0.5750938526165209, 1.305118373096309e-14),
+         0.4423798093333482, 3.0431107354184275, (0.0, 2.2823825951142474e-14)),
+        ((0.8, 4.5), 1.4173667737846019, (-1.518606887354244, 2.0703166994159483e-13),
+         1.8982562938604994, 8.035714285714281, (0.0, 5.864844657399725e-13)),
+    ],
+    "jet-sphere": [
+        ((1.1, 2.3), -0.6546536707079771, (0.0, 0.0), 0.0, 0.8571428571428572, (0.0, 0.0)),
+        ((2.0, 5.0), -0.6546536707079771, (0.0, 0.0), 0.0, 0.857142857142857, (0.0, 0.0)),
+    ],
+    "jet-sphere-m3": [
+        ((1.0, 1.4, 2.0), -1.224744871391589, (0.0, 0.0, 0.0), 0.0, 4.499999999999997,
+         (0.0, 0.0, 0.0)),
+    ],
+    "file-h3-sphere": [
+        ((1.1, 2.3), -1.5059407020717126, (-2.565447597137362e-09, -4.932605126092475e-09),
+         2.2732314789104495e-07, 4.535714796312484, (3.8634119556675034e-09, 7.428210826428801e-09)),
+    ],
+}
+
+
+def _pinned_charts(tmp_path):
+    return {"file-cone": _cone_file(tmp_path), "jet-cone": cone(R6),
+            "jet-sphere": sphere_in_sphere(2, 0.7), "jet-sphere-m3": sphere_in_sphere(3, 0.4),
+            "file-h3-sphere": _h3_sphere_file(tmp_path)}
+
+
+def test_stencil_pinned_values(tmp_path):
+    charts = _pinned_charts(tmp_path)
+    for name, rows in PINNED.items():
+        fd = name.startswith("file")
+        # map-only charts carry rounding noise through two stencil levels
+        tol_grad, tol_lap = (1e-7, 1e-5) if fd else (1e-10, 1e-8)
+        for u, f, grad_f, lap, normA2, A_grad_f in rows:
+            s = geometric_sample(charts[name], np.array(u), use_analytic=False)
+            assert s.f == pytest.approx(f, rel=1e-9), name
+            assert s.normA2 == pytest.approx(normA2, rel=1e-9), name
+            assert np.allclose(s.grad_f, grad_f, rtol=0, atol=tol_grad), name
+            assert s.laplacian_f == pytest.approx(lap, abs=tol_lap), name
+            assert np.allclose(s.A_grad_f, A_grad_f, rtol=0, atol=tol_grad), name
+
+
+def test_batched_sample_equals_per_point_calls(tmp_path):
+    # 36 and 16 grid points: more than one kernel batch (KERNEL_POINTS)
+    fd_sphere = replace(sphere_in_sphere(3, 0.4), jacobian=None, hessian=None)
+    for ch, pts in ((_cone_file(tmp_path), sample_grid(cone(R6), 6)),
+                    (cone(R6), sample_grid(cone(R6), 6)),
+                    (_h3_sphere_file(tmp_path), sample_grid(great_sphere(2), 6)),
+                    (fd_sphere, sample_grid(fd_sphere, 4)[::4])):
+        batch = geometric_sample(ch, pts, use_analytic=False)
+        assert batch.f.shape == (len(pts),)
+        for i in (0, len(pts) // 2, len(pts) - 1):
+            one = geometric_sample(ch, pts[i], use_analytic=False)
+            for fd in fields(GeometricSample):
+                if fd.name != "m":
+                    assert np.array_equal(getattr(batch, fd.name)[i],
+                                          getattr(one, fd.name)), (ch.name, fd.name)
+
+
+def test_stencil_samples_each_lattice_point_once(tmp_path):
+    ch = _cone_file(tmp_path)
+    calls = []
+
+    def counted(w):
+        calls.append(np.array(w, dtype=float))
+        return ch.map(w)
+
+    geometric_sample(replace(ch, map=counted), np.array([1.3, 2.0]), use_analytic=False)
+    # nested per-point stencils made 5,619 map calls here
+    assert len(calls) <= 700
+    assert len(np.unique(np.round(np.array(calls), 9), axis=0)) == len(calls)
+
+    jets = {"jacobian": 0, "hessian": 0}
+    exact = cone(R6)
+
+    def counting(name):
+        fn = getattr(exact, name)
+
+        def wrapped(w):
+            jets[name] += 1
+            return fn(w)
+        return wrapped
+
+    geometric_sample(replace(exact, jacobian=counting("jacobian"),
+                             hessian=counting("hessian")),
+                     np.array([1.3, 2.0]), use_analytic=False)
+    assert jets == {"jacobian": 33, "hessian": 33}   # once per f-lattice point
+
+
+def test_guards_raise_inside_a_batch():
+    sf = SpaceForm(3, 0.0)
+    # flat patch whose v direction collapses along u = 0.5
+    pinched = ImmersionChart(sf=sf, m=2, domain=((0.0, 1.0), (0.0, 1.0)),
+                             map=lambda u: np.array([u[0], (u[0] - 0.5) * u[1], 0.0]),
+                             name="pinched")
+    batch = np.array([[0.2, 0.5], [0.5, 0.5], [0.8, 0.5]])
+    geometric_sample(pinched, batch[[0, 2]], use_analytic=False)
+    with pytest.raises(DegenerateImmersionError):
+        geometric_sample(pinched, batch, use_analytic=False)
+
+    ch = cone(0.5)
+    h_step = 2e-3 * 2 * math.pi
+    near_edge = np.array([[1.3, 2.0], [0.5 + 1.5 * h_step, 2.0], [1.0, 3.0]])
+    with pytest.raises(BoundaryProximityError):
+        geometric_sample(ch, near_edge, use_analytic=False)
+
+
+def test_flipped_chart_negates_stencil_quantities():
+    ch = cone(0.5)
+    pts = sample_grid(ch, 4)
+    s = geometric_sample(ch, pts, use_analytic=False)
+    t = geometric_sample(ch.flipped(), pts, use_analytic=False)
+    for name in ("f", "grad_f", "laplacian_f"):
+        assert np.allclose(getattr(t, name), -getattr(s, name), rtol=1e-13, atol=1e-15), name
+    assert np.allclose(t.normA2, s.normA2, rtol=1e-13)
+
+
+def test_map_lattice_jets_match_nested_stencils(tmp_path):
+    # the nested numeric.partial1 / partial2 stencils are the reference; the
+    # lattice applies the same weights, so only rounding may differ
+    fd_sphere = replace(sphere_in_sphere(3, 0.4), jacobian=None, hessian=None)
+    for ch, u in ((_cone_file(tmp_path), U_CONE), (fd_sphere, np.array([1.0, 1.4, 2.0]))):
+        h = ch.steps()
+        J, H, P = immersion._jets(ch, u[None], None)
+        assert np.array_equal(P[0], ch.map(u))
+        J_ref = np.stack([numeric.partial1(ch.map, u, a, h[a], richardson=True)
+                          for a in range(ch.m)], axis=1)
+        assert np.allclose(J[0], J_ref, rtol=0, atol=1e-12)
+        for a in range(ch.m):
+            for b in range(ch.m):
+                H_ref = numeric.partial2(ch.map, u, a, b, max(h[a], h[b]))
+                assert np.allclose(H[0, :, a, b], H_ref, rtol=0, atol=1e-9), (ch.name, a, b)

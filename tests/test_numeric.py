@@ -78,3 +78,13 @@ def test_smooth_bump_vanishing_edge_derivative():
     h = 1e-4
     d = numeric.deriv1(lambda t: numeric.smooth_bump(t, 0.0, 1.0), 1.0 - 2 * h, h)
     assert abs(d) < 1e-10
+
+
+def test_stencil_weights_match_deriv1_and_deriv2():
+    x, h = 0.3, 0.05
+    d1 = sum(w * math.exp(x + k * h)
+             for k, w in zip(numeric.D1_OFFSETS, numeric.D1_WEIGHTS)) / h
+    d2 = sum(w * math.exp(x + k * h)
+             for k, w in zip(numeric.D2_OFFSETS, numeric.D2_WEIGHTS)) / (h * h)
+    assert d1 == pytest.approx(numeric.deriv1(math.exp, x, h), rel=1e-13)
+    assert d2 == pytest.approx(numeric.deriv2(math.exp, x, h), rel=1e-11)

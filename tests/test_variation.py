@@ -10,7 +10,7 @@ from pqharmonic import (CurveChart, DiscretizedCurve, PQParams, circle,
                         first_variation_check, frenet, helix,
                         random_bump_field, tension_p, tension_pq_curve)
 from pqharmonic import variation
-from pqharmonic.errors import SingularFactorError, SingularSpeedError
+from pqharmonic.errors import DomainError, SingularFactorError, SingularSpeedError
 from pqharmonic.spaceform import SpaceForm
 from pqharmonic.variation import VariationField, varied_curve
 
@@ -248,3 +248,24 @@ def test_variation_demo_runs(capsys):
     out = capsys.readouterr().out
     assert "== circle of radius 1 in R^3 ==" in out
     assert out.count("rel err") == 3 and out.count("random field") == 3
+
+
+def _circle_traced_by(phi, name):
+    """The unit circle in R^3 traced as t -> phi(t) on (0, 2)."""
+    return CurveChart(sf=SpaceForm(3, 0.0), domain=(0.0, 2.0),
+                      map=lambda t: np.array([math.cos(phi(t)), math.sin(phi(t)), 0.0]),
+                      unit_speed=False, name=name)
+
+
+def test_first_variation_refuses_non_constant_speed():
+    # the check weighs tau_pq with the flat measure, which is only right at
+    # constant speed: on t + 0.3 t^2 it gave rel_error 0.18 and 0.45 silently
+    accelerating = _circle_traced_by(lambda t: t + 0.3 * t * t, "accelerating")
+    steady = _circle_traced_by(lambda t: 2.0 * t, "speed 2")
+    for params in (PQParams(2.0, 2.0), PQParams(3.0, 2.0)):
+        v = random_bump_field(accelerating, np.random.default_rng(1))
+        with pytest.raises(DomainError, match="reparametrize_arclength"):
+            first_variation_check(DiscretizedCurve(accelerating, 128), v, params)
+        v = random_bump_field(steady, np.random.default_rng(1))
+        rep = first_variation_check(DiscretizedCurve(steady, 128), v, params)
+        assert rep.rel_error < 1e-6
