@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.optimize
 
 from .errors import NoRootInBracketError, NonConvergenceError
 from .immersion import GeometricSample, geometric_sample, sample_grid, stack_samples
@@ -223,6 +222,10 @@ def classify(chart, params: PQParams, n_per_axis=8, tol=None,
 
 # -- parameter solving ------------------------------------------------------
 
+# the eliminated p carries ~1e-15 of rounding: a p this close to 1 is p = 1
+_P_ROUNDING = 1e-12
+
+
 @dataclass(frozen=True)
 class SolveResult:
     p: Optional[float]
@@ -231,58 +234,48 @@ class SolveResult:
     reason: str = ""
 
 
-def _residual_arrays(batch, p, q, c):
-    """Solver objective: eq1 and |eq2|_g over a stacked space-form batch."""
-    eq1, eq2 = _system(batch, p, q, batch.m * c, 0.0)
-    return eq1, batch.g_norm(eq2)
+def _affine_in_p(batch, q, c):
+    """((a1, s1), (a2, s2)) with eq1 = a1 + s1 p, eq2 = a2 + s2 p exactly.
+
+    p enters the system only through c5 = m(p-2) and d3 = m + (p-2)q.
+    """
+    a1, a2 = _system(batch, 0.0, q, batch.m * c, 0.0)
+    b1, b2 = _system(batch, 1.0, q, batch.m * c, 0.0)
+    return (a1, b1 - a1), (a2, b2 - a2)
 
 
 def solve_p(chart, q, bracket, n_per_axis=8, tol=1e-8, use_analytic=True):
     """Find the exponent p that makes the chart (p,q)-harmonic.
 
-    Bisection on the grid-mean of the scalar equation when the tangential
-    equation vanishes identically over the bracket, golden-section descent
-    on the max residual otherwise.  Raises
-    :class:`~pqharmonic.errors.NoRootInBracketError` when neither route
-    lands below tolerance.
+    The residuals are affine in p, so the least-squares p over every eq1 and
+    eq2 component of the grid is closed form.  Raises
+    :class:`~pqharmonic.errors.NoRootInBracketError` when that p lies outside
+    the bracket or leaves a residual of at least ``tol``.
     """
     p_lo, p_hi = bracket
-    pts = sample_grid(chart, n_per_axis)
-    batch = collect_samples(chart, pts, use_analytic=use_analytic)
+    batch = collect_samples(chart, sample_grid(chart, n_per_axis),
+                            use_analytic=use_analytic)
     c = chart.sf.c
     if np.max(np.abs(batch.f)) < tol:
         return SolveResult(p=None, max_residual=0.0, success=False,
                            reason="chart is minimal; no proper solution in p")
     PQParams(p=min(p_lo, p_hi), q=q)  # the bracket must stay in p > 1
-
-    def max_res(p):
-        eq1, eq2 = _residual_arrays(batch, p, q, c)
-        return max(np.max(np.abs(eq1)), np.max(eq2))
-
-    def mean_eq1(p):
-        return float(np.mean(_residual_arrays(batch, p, q, c)[0]))
-
-    eq2_probe = max(np.max(_residual_arrays(batch, pp, q, c)[1])
-                    for pp in np.linspace(p_lo, p_hi, 5))
-    if eq2_probe < tol:
-        a, b = mean_eq1(p_lo), mean_eq1(p_hi)
-        if a * b <= 0:
-            root = scipy.optimize.brentq(mean_eq1, p_lo, p_hi, xtol=1e-14)
-            res = max_res(root)
-            if res < tol:
-                return SolveResult(p=float(root), max_residual=res, success=True)
-    opt = scipy.optimize.minimize_scalar(max_res, bounds=(p_lo, p_hi),
-                                         method="bounded",
-                                         options={"xatol": 1e-12})
-    if opt.fun < tol:
-        return SolveResult(p=float(opt.x), max_residual=float(opt.fun), success=True)
+    (a1, s1), (a2, s2) = _affine_in_p(batch, q, c)
+    p = float(-(np.vdot(a1, s1) + np.vdot(a2, s2)) / (np.vdot(s1, s1) + np.vdot(s2, s2)))
+    eq1, eq2 = _system(batch, p, q, batch.m * c, 0.0)
+    res = float(max(np.max(np.abs(eq1)), np.max(batch.g_norm(eq2))))
+    if min(p_lo, p_hi) <= p <= max(p_lo, p_hi) and res < tol:
+        return SolveResult(p=p, max_residual=res, success=True)
     raise NoRootInBracketError(
         f"no p in [{p_lo}, {p_hi}] brings the residual below {tol:g} "
-        f"(best {opt.fun:.3e} at p={opt.x:.6g})")
+        f"(least squares: {res:.3e} at p={p:.6g})")
 
 
 @dataclass(frozen=True)
 class PairSolveResult:
+    """Outcome of :func:`solve_param_pair`; ``iterations`` counts the family
+    evaluations of the root search (widening included, post-verification not)."""
+
     p: float
     theta: float
     iterations: int
@@ -294,67 +287,70 @@ class PairSolveResult:
 
 def solve_param_pair(family: Callable, q, theta_bracket, p_bracket,
                      n_per_axis=8, tol=1e-8, max_iter=100, use_analytic=True):
-    """2-D Newton solve for (p, theta) over a one-parameter chart family.
+    """Solve for (p, theta) over a one-parameter chart family.
 
-    The two residual functions are the grid mean of the scalar equation and
-    the grid mean of the signed tangential component (the part of eq2 along
-    grad f).  When the tangential equation is identically zero over the
-    family the solve degenerates to the 1-D problem at the bracket-midpoint
-    theta.  Solutions with p <= 1 are returned with ``admissible=False``.
+    The grid mean of the scalar equation is affine in p and fixes p(theta).
+    The root in theta of the grid mean of the signed tangential component
+    (the part of eq2 along grad f) at p(theta) is found by false position
+    (Illinois).  The search starts on ``theta_bracket``, which grows outward
+    from its end of smaller |mean| only while both ends have the same sign.
+    If the mean vanishes at both ends (constant f), the midpoint is taken.
+    ``max_iter`` caps the family evaluations.  A p outside ``p_bracket``
+    raises :class:`~pqharmonic.errors.NoRootInBracketError`; a p <= 1 is
+    returned with ``admissible=False``.
     """
-    th0 = 0.5 * (theta_bracket[0] + theta_bracket[1])
-    p0 = 0.5 * (p_bracket[0] + p_bracket[1])
+    if not (math.isfinite(q) and q > 1):
+        raise ValueError(f"need finite q > 1, got q={q}")
+    evaluations = 0
 
-    def system(x):
-        p, theta = x
+    def reduced(theta):
+        """(p(theta), tangential mean at p(theta))."""
+        nonlocal evaluations
+        if evaluations >= max_iter:
+            raise NonConvergenceError(
+                f"no root of the tangential mean in {max_iter} evaluations")
+        evaluations += 1
         chart = family(theta)
         batch = collect_samples(chart, sample_grid(chart, n_per_axis),
                                 use_analytic=use_analytic)
-        eq1, eq2 = _system(batch, p, q, batch.m * chart.sf.c, 0.0)
+        (a1, s1), (a2, s2) = _affine_in_p(batch, q, chart.sf.c)
+        p = -np.mean(a1) / np.mean(s1)
         gfn = batch.g_norm(batch.grad_f)
-        along = np.divide(batch.g_dot(eq2, batch.grad_f), gfn,
+        along = np.divide(batch.g_dot(a2 + p * s2, batch.grad_f), gfn,
                           out=np.zeros_like(gfn), where=gfn > 1e-14)
-        return np.array([np.mean(eq1), np.mean(along)])
+        return float(p), float(np.mean(along))
 
-    x = np.array([p0, th0], dtype=float)
-    # detect a degenerate tangential equation (e.g. constant-f families)
-    probe = [abs(system(np.array([pp, tt]))[1])
-             for pp in (p_bracket[0] + 0.1, p_bracket[1] - 0.1)
-             for tt in (theta_bracket[0] + 1e-3, th0)]
-    degenerate = max(probe) < 1e-13
-
-    iterations = 0
-    if degenerate:
-        def g1_of_p(p):
-            return system(np.array([p, th0]))[0]
-        p_root = scipy.optimize.brentq(g1_of_p, p_bracket[0], p_bracket[1],
-                                       xtol=1e-14)
-        x = np.array([p_root, th0])
-    else:
-        for iterations in range(1, max_iter + 1):
-            F = system(x)
-            if np.max(np.abs(F)) < 1e-13 and iterations > 1:
-                break
-            J = np.zeros((2, 2))
-            for j in range(2):
-                dh = 1e-6 * (1.0 + abs(x[j]))
-                xp = x.copy(); xp[j] += dh
-                xm = x.copy(); xm[j] -= dh
-                J[:, j] = (system(xp) - system(xm)) / (2 * dh)
-            try:
-                step = np.linalg.solve(J, F)
-            except np.linalg.LinAlgError as exc:
-                raise NonConvergenceError(f"singular Jacobian at {x}") from exc
-            x = x - step
-            if np.max(np.abs(step)) < 1e-13:
-                break
+    x0, x1 = sorted(theta_bracket)
+    g0, g1 = reduced(x0)[1], reduced(x1)[1]
+    while g0 * g1 > 0:
+        if abs(g0) < abs(g1):
+            x0 -= 0.5 * (x1 - x0)
+            g0 = reduced(x0)[1]
         else:
-            raise NonConvergenceError(
-                f"Newton did not converge in {max_iter} iterations (at {x})")
+            x1 += 0.5 * (x1 - x0)
+            g1 = reduced(x1)[1]
+    if g0 == 0 and g1 == 0:
+        th_sol = 0.5 * (x0 + x1)
+        p_sol = reduced(th_sol)[0]
+    else:
+        # Illinois: x1 is the newest point; an x0 kept once more has its value halved
+        while True:
+            th_sol = x1 - g1 * (x1 - x0) / (g1 - g0)
+            p_sol, g = reduced(th_sol)
+            if g == 0 or th_sol in (x0, x1):
+                break
+            if g * g1 < 0:
+                x0, g0 = x1, g1
+            else:
+                g0 *= 0.5
+            x1, g1 = th_sol, g
 
-    p_sol, th_sol = float(x[0]), float(x[1])
-    if p_sol <= 1.0:
-        return PairSolveResult(p=p_sol, theta=th_sol, iterations=iterations,
+    if not min(p_bracket) <= p_sol <= max(p_bracket):
+        raise NoRootInBracketError(
+            f"the solution p={p_sol:.6g} (theta={th_sol:.6g}) lies outside "
+            f"[{p_bracket[0]}, {p_bracket[1]}]")
+    if p_sol <= 1.0 + _P_ROUNDING:
+        return PairSolveResult(p=p_sol, theta=th_sol, iterations=evaluations,
                                converged=True, admissible=False,
                                max_residual=float("nan"),
                                reason="solution has p <= 1: outside the admissible range")
@@ -364,5 +360,5 @@ def solve_param_pair(family: Callable, q, theta_bracket, p_bracket,
     if res >= tol:
         raise NonConvergenceError(
             f"post-verification failed: residual {res:.3e} >= {tol:g}")
-    return PairSolveResult(p=p_sol, theta=th_sol, iterations=iterations,
+    return PairSolveResult(p=p_sol, theta=th_sol, iterations=evaluations,
                            converged=True, admissible=True, max_residual=res)

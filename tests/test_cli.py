@@ -104,6 +104,14 @@ def test_solve_cone_pair(capsys):
     assert r == pytest.approx(1 / math.sqrt(6), abs=1e-6)
 
 
+@pytest.mark.parametrize("q", ["0.5", "1"])
+def test_solve_cone_pair_rejects_q_at_most_1(q, capsys):
+    code = run(["solve", "--builtin", "cone", "--q", q, "--unknowns", "p,r"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_solve_sphere_p(capsys):
     assert run(["solve", "--builtin", "sphere-in-sphere", "--a2", "0.7",
                 "--q", "2", "--unknowns", "p"]) == 0

@@ -188,12 +188,59 @@ def test_solve_p_no_root():
         solve_p(cone(0.5), 2.0, (1.5, 4.0))
 
 
+@pytest.mark.parametrize("q", [2.5, 3.0, 3.4, 3.8])
+def test_solve_p_analytic_cone(q):
+    # the proper cone r = 1/sqrt(q(q-1)) has p = 2(1 - 1/q) exactly
+    result = solve_p(cone(1 / math.sqrt(q * (q - 1))), q, (1.1, 8.0))
+    assert result.success
+    assert result.p == pytest.approx(2 * (1 - 1 / q), abs=1e-12)
+
+
+def test_solve_p_root_outside_bracket():
+    # the exact p = 2 of this sphere lies below the bracket
+    with pytest.raises(NoRootInBracketError):
+        solve_p(sphere_in_sphere(2, 0.5), 2.0, (2.5, 5.0))
+
+
 def test_solve_param_pair_cone():
     result = solve_param_pair(lambda r: cone(r), 3.0, (0.3, 0.7), (0.5, 2.5))
     assert result.converged and result.admissible
     assert result.p == pytest.approx(4 / 3, abs=1e-9)
     assert result.theta == pytest.approx(1 / math.sqrt(6), abs=1e-9)
     assert result.iterations <= 100
+
+
+def test_solve_param_pair_cone_q356():
+    q = 3.56
+    result = solve_param_pair(lambda r: cone(r), q, (0.3, 0.7), (0.5, 2.5))
+    assert result.converged and result.admissible
+    assert result.theta == pytest.approx(1 / math.sqrt(q * (q - 1)), abs=1e-9)
+    assert result.p == pytest.approx(2 * (1 - 1 / q), abs=1e-9)
+
+
+def test_solve_param_pair_p_outside_bracket():
+    # the solution p = 1.4382 at q = 3.56 lies below this p bracket
+    with pytest.raises(NoRootInBracketError):
+        solve_param_pair(lambda r: cone(r), 3.56, (0.3, 0.7), (1.5, 2.5))
+
+
+@pytest.mark.parametrize("q", [2.0, 2.5, 3.0, 3.56])
+def test_solve_param_pair_family_samplings(q):
+    calls = []
+
+    def family(r):
+        calls.append(r)
+        return cone(r)
+
+    result = solve_param_pair(family, q, (0.3, 0.7), (0.5, 2.5))
+    assert len(calls) <= 25  # post-verification included
+    assert result.iterations <= len(calls)
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, -3.0, math.nan, math.inf])
+def test_solve_param_pair_rejects_bad_q(q):
+    with pytest.raises(ValueError):
+        solve_param_pair(lambda r: cone(r), q, (0.3, 0.7), (0.5, 2.5))
 
 
 def test_solve_param_pair_cone_q2_inadmissible():
