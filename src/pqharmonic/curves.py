@@ -1,9 +1,13 @@
 """Frenet apparatus and the (p,q)-harmonic curve system in 3-D space forms.
 
 Curves live in N^3(c) through the embedded models of
-:mod:`pqharmonic.spaceform`; the frame (T, N, B) is computed numerically
-from the exact model connection, the binormal being the oriented
-completion with respect to the ambient volume form.
+:mod:`pqharmonic.spaceform`.  :func:`frenet` samples the curve once on the
+stencil lattice t + k h, k = -8..8, of :mod:`pqharmonic.numeric` and nests
+the deriv1 stencil along it: T on the offsets -6..6, then nabla_T T, k and
+N on -4..4, then nabla_T N and tau on -2..2, and finally k', k'' and tau'
+at the centre.  The binormal is the oriented completion of (T, N), a
+polynomial in the coordinates: T x N in R^3 and a signed generalized cross
+product in the embedded models.
 """
 
 from __future__ import annotations
@@ -13,16 +17,15 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-import scipy.interpolate
-import scipy.linalg
-import scipy.optimize
 
 from . import numeric
-from .errors import (DomainError, FrameUndefinedError, SingularFactorError,
-                     SingularSpeedError)
+from .errors import (DomainError, FrameUndefinedError, NonConvergenceError,
+                     SingularFactorError, SingularSpeedError)
+from .numeric import _lattice, _sample, _stencil, _stencil2
 from .spaceform import SpaceForm
 
 K_THRESHOLD = 1e-8
+FRENET_OFFSETS = np.arange(-8, 9)   # T, nabla_T T, nabla_T N and tau': four nested deriv1
 
 
 @dataclass(frozen=True)
@@ -46,10 +49,6 @@ class CurveChart:
     def frame_step(self):
         return 1e-3 * self.width
 
-    def scan_step(self):
-        # step for arc-length derivatives of k and tau
-        return 1e-3 * self.width
-
 
 @dataclass(frozen=True)
 class FrenetApparatus:
@@ -63,115 +62,113 @@ class FrenetApparatus:
     tau_prime: float
 
 
-# -- frame construction -----------------------------------------------------
-
-def _tangent(curve, t):
-    return numeric.deriv1(curve.map, t, curve.frame_step())
-
-
-def _accel(curve, t):
-    """nabla_T T at t for a (near) unit-speed curve."""
-    return curve.sf.covariant_derivative(curve.map, lambda s: _tangent(curve, s),
-                                         t, step=curve.frame_step())
-
-
-def _principal_normal(curve, t):
-    acc = _accel(curve, t)
-    k = math.sqrt(max(curve.sf.pair(acc, acc), 0.0))
-    if k < K_THRESHOLD:
-        raise FrameUndefinedError(
-            f"geodesic curvature {k:.3e} below {K_THRESHOLD:g}: frame undefined")
-    return acc / k, k
-
+# -- the Frenet frame -------------------------------------------------------
 
 def _binormal(sf, P, T, N):
-    """Oriented completion of (T, N) in the tangent 3-space at P.
+    """Oriented completion of (T, N) in the tangent 3-space at P, over the last axis.
 
-    The sign convention is det[T, N, B] > 0 in R^3 and
-    det[T, N, B, P-axis] > 0 columnwise in the embedded models, which makes
-    the torsion of the standard sphere helices positive.
+    In R^3 it is T x N, so det[T, N, B] > 0.  In the embedded models the
+    cofactors cof_j = det[T, N, e_j, P] are Euclidean-orthogonal to T, N and
+    P, so s * cof (s the pairing signs) is orthogonal to them in the model
+    pairing, and det[T, N, s * cof, P] = <s * cof, s * cof> > 0.  B is the
+    unit vector -s * cof, with det[T, N, B, P] < 0; this makes the torsion
+    of the standard sphere helices positive.
     """
     if sf.c == 0:
         return np.cross(T, N)
-    signs = sf.pairing_signs()
-    rows = np.stack([signs * P, signs * T, signs * N])
-    null = scipy.linalg.null_space(rows)
-    w = null[:, 0]
-    w = w / math.sqrt(sf.pair(w, w))
-    if np.linalg.det(np.stack([T, N, w, P], axis=1)) > 0:
-        w = -w
-    return w
+    cols = np.stack([T, N, P], axis=-1)
+    cof = np.stack([(-1) ** j * np.linalg.det(np.delete(cols, j, axis=-2))
+                    for j in range(sf.ambient_dim)], axis=-1)
+    w = -sf.pairing_signs() * cof
+    return w / np.sqrt(sf.pair(w, w))[..., None]
 
 
 def frenet(curve: CurveChart, t) -> FrenetApparatus:
     """Frenet frame, curvature, torsion and their arc-length derivatives.
 
-    The curve must be (claimed) unit speed; the frame is undefined where
-    the geodesic curvature drops below 1e-8.
+    The curve must be (claimed) unit speed.  Its map is called once at each
+    of the 17 points t + k h, k = -8..8, with h = ``curve.frame_step()``;
+    the frame is undefined where the geodesic curvature on the offsets
+    -4..4 drops below 1e-8.
     """
-    sf = curve.sf
-    T = _tangent(curve, t)
-    N, k = _principal_normal(curve, t)
-    B = _binormal(sf, np.asarray(curve.map(t), dtype=float), T, N)
-
-    def n_field(s):
-        return _principal_normal(curve, s)[0]
-
-    dN = sf.covariant_derivative(curve.map, n_field, t, step=curve.frame_step())
+    sf, h = curve.sf, curve.frame_step()
+    X = _sample(curve.map, _lattice([t], h, FRENET_OFFSETS))
+    T = _stencil(X, h)                                          # offsets -6..6
+    acc = sf.tangent_project(X[:, 4:-4], _stencil(T, h))        # -4..4
+    k = np.sqrt(np.maximum(sf.pair(acc, acc), 0.0))
+    if np.min(k) < K_THRESHOLD:
+        raise FrameUndefinedError(
+            f"geodesic curvature {np.min(k):.3e} below {K_THRESHOLD:g}: frame undefined")
+    N = acc / k[..., None]
+    dN = sf.tangent_project(X[:, 6:-6], _stencil(N, h))        # -2..2
+    B = _binormal(sf, X[:, 6:-6], T[:, 4:-4], N[:, 2:-2])
     tau = sf.pair(dN, B)
-
-    def k_of(s):
-        return _principal_normal(curve, s)[1]
-
-    def tau_of(s):
-        Ts = _tangent(curve, s)
-        Ns, _ = _principal_normal(curve, s)
-        Bs = _binormal(sf, np.asarray(curve.map(s), dtype=float), Ts, Ns)
-        dNs = sf.covariant_derivative(curve.map, n_field, s, step=curve.frame_step())
-        return sf.pair(dNs, Bs)
-
-    h = curve.scan_step()
-    k_prime = float(numeric.deriv1(k_of, t, h))
-    k_second = float(numeric.deriv2(k_of, t, h))
-    tau_prime = float(numeric.deriv1(tau_of, t, h))
-    return FrenetApparatus(T=T, N=N, B=B, k=k, tau=tau,
-                           k_prime=k_prime, k_second=k_second,
-                           tau_prime=tau_prime)
+    return FrenetApparatus(T=T[0, 6], N=N[0, 4], B=B[0, 2], k=float(k[0, 4]),
+                           tau=float(tau[0, 2]),
+                           k_prime=float(_stencil(k[:, 2:-2], h)[0, 0]),
+                           k_second=float(_stencil2(k[:, 2:-2], h)[0, 0]),
+                           tau_prime=float(_stencil(tau, h)[0, 0]))
 
 
 # -- arc length -------------------------------------------------------------
 
-def speed_of(curve, t):
-    v = _tangent(curve, t)
-    return math.sqrt(max(curve.sf.pair(v, v), 0.0))
+GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
+NEWTON_STEPS = 20
+
+
+def _speeds(curve, ts):
+    """|gamma'| at the parameters ``ts`` by the deriv1 stencil of step frame_step."""
+    h = curve.frame_step()
+    X = _sample(curve.map, _lattice(ts, h, numeric.D1_OFFSETS))
+    V = np.einsum("k,nkd->nd", numeric.D1_WEIGHTS, X) / h
+    return np.sqrt(np.maximum(curve.sf.pair(V, V), 0.0))
+
+
+def _gauss(curve, a, b):
+    """Gauss-Legendre lengths of the curve over the intervals [a, b], elementwise."""
+    a, b = np.atleast_1d(a, b)
+    half = 0.5 * (b - a)
+    nodes = (0.5 * (a + b))[:, None] + half[:, None] * GAUSS_NODES
+    return half * (_speeds(curve, nodes.ravel()).reshape(nodes.shape) @ GAUSS_WEIGHTS)
 
 
 def reparametrize_arclength(curve: CurveChart, samples=2048) -> CurveChart:
-    """Unit-speed reparametrization via cumulative length inversion.
+    """Unit-speed reparametrization by inverting the exact length function.
 
-    Verified-unit-speed input is returned unchanged.  The speed is splined
-    on a dense grid, its antiderivative gives the length function, and each
-    arc-length value is inverted by monotone root finding.
+    The speed is scanned on ``samples + 1`` nodes: a vanishing speed raises
+    :class:`~pqharmonic.errors.SingularSpeedError`, and verified-unit-speed
+    input is returned unchanged.  Otherwise the length is accumulated by
+    Gauss-Legendre quadrature over ``samples // 8`` coarse intervals.  Each
+    arc length s is inverted from a linear guess (``np.interp``) by Newton
+    steps on the length from the nearest coarse node, also by Gauss-Legendre.
+    That length is a smooth function of t; a piecewise interpolant of it
+    would carry jumps in its higher derivatives into k'' at the frame step.
     """
     t0, t1 = curve.domain
-    ts = np.linspace(t0, t1, samples + 1)
-    speeds = np.array([speed_of(curve, t) for t in ts])
+    speeds = _speeds(curve, np.linspace(t0, t1, samples + 1))
     if np.min(speeds) <= 1e-10:
         raise SingularSpeedError("curve speed vanishes; cannot reparametrize")
     if np.max(np.abs(speeds - 1.0)) < 1e-10:
         return replace(curve, unit_speed=True)
 
-    length_fn = scipy.interpolate.CubicSpline(ts, speeds).antiderivative()
-    total = float(length_fn(t1) - length_fn(t0))
-    pad = 0.05 * (t1 - t0)
+    coarse = np.linspace(t0, t1, max(samples // 8, 1) + 1)
+    lengths = np.concatenate([[0.0], np.cumsum(_gauss(curve, coarse[:-1], coarse[1:]))])
+    # a Newton step below tol leaves an error of order tol^2 / width
+    tol = 1e-9 * (t1 - t0)
 
     def t_of_s(s):
-        target = float(length_fn(t0)) + s
-        return scipy.optimize.brentq(lambda t: float(length_fn(t)) - target,
-                                     t0 - pad, t1 + pad, xtol=1e-14)
+        t = float(np.interp(s, lengths, coarse))
+        i = int(np.argmin(np.abs(coarse - t)))
+        target = s - lengths[i]
+        for _ in range(NEWTON_STEPS):
+            step = (_gauss(curve, coarse[i], t)[0] - target) / _speeds(curve, [t])[0]
+            t -= step
+            if abs(step) <= tol:
+                return t
+        raise NonConvergenceError(f"arc length {s:.6g} not inverted in {NEWTON_STEPS} steps")
 
     new_map = lambda s: np.asarray(curve.map(t_of_s(float(s))), dtype=float)
-    return CurveChart(sf=curve.sf, domain=(0.0, total), map=new_map,
+    return CurveChart(sf=curve.sf, domain=(0.0, float(lengths[-1])), map=new_map,
                       unit_speed=True, name=curve.name + "(arclength)")
 
 

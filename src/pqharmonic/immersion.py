@@ -286,7 +286,7 @@ def _unit_normal(chart, X, J, P):
     if sf.c != 0:
         rows = np.concatenate([rows, (signs * P)[:, None, :]], axis=1)
     _, sv, vh = np.linalg.svd(rows, full_matrices=True)
-    # the rank rule of scipy.linalg.null_space
+    # numerical rank: singular values above eps * max(shape) * the largest
     tol = sv[:, :1] * np.finfo(float).eps * max(rows.shape[1:])
     null_dim = rows.shape[2] - np.sum(sv > tol, axis=1)
     _first_guard(null_dim != 1, X,

@@ -4,11 +4,19 @@ All derivative routines use 4th-order central stencils so that two nested
 differentiation levels still leave enough accuracy for 1e-4 level checks.
 Functions may be scalar- or vector-valued; stencil arithmetic is done with
 numpy broadcasting.
+
+A composition of central stencils is one weight vector on the integer
+lattice t + k h (Fornberg, Math. Comp. 51 (1988) 699-706).  So a curve is
+sampled once per lattice point, as an (N, L, dim) array for N nodes and L
+offsets k (:func:`_lattice`, :func:`_sample`), and the stencils
+:func:`_stencil` and :func:`_stencil2` act along the lattice axis.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import DomainError
 
 # deriv1 and deriv2 as weight vectors, for kernels that apply them to
 # sampled arrays: sum_k W[k] F(x + OFFSETS[k] h) / h (or / h^2)
@@ -16,6 +24,8 @@ D1_OFFSETS = np.array([-2, -1, 1, 2])
 D1_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 D2_OFFSETS = np.array([-2, -1, 0, 1, 2])
 D2_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+# the lattice of two nested deriv1 stencils, e.g. one acceleration
+NESTED_OFFSETS = np.arange(-4, 5)
 
 
 def deriv1(fn, x, h):
@@ -41,6 +51,31 @@ def deriv2(fn, x, h):
     fm1 = np.asarray(fn(x - h), dtype=float)
     fp2 = np.asarray(fn(x + 2 * h), dtype=float)
     fm2 = np.asarray(fn(x - 2 * h), dtype=float)
+    return (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
+
+
+def _lattice(ts, h, offsets=NESTED_OFFSETS):
+    """The points t + k h, one row per node t."""
+    return np.asarray(ts, dtype=float)[:, None] + offsets[None, :] * h
+
+
+def _sample(fn, pts):
+    """The scalar map ``fn`` once per lattice point: an (N, L, dim) array."""
+    vals = np.array([fn(float(s)) for s in pts.ravel()], dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise DomainError("non-finite map value on the stencil lattice")
+    return vals.reshape(pts.shape + (-1,))
+
+
+def _stencil(F, h):
+    """The deriv1 stencil of step h along axis 1, at the entries 2..L-3 of F."""
+    fm2, fm1, fp1, fp2 = F[:, :-4], F[:, 1:-3], F[:, 3:-1], F[:, 4:]
+    return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
+
+
+def _stencil2(F, h):
+    """The deriv2 stencil of step h along axis 1, at the entries 2..L-3 of F."""
+    fm2, fm1, f0, fp1, fp2 = F[:, :-4], F[:, 1:-3], F[:, 2:-2], F[:, 3:-1], F[:, 4:]
     return (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
 
 

@@ -295,9 +295,10 @@ def solve_param_pair(family: Callable, q, theta_bracket, p_bracket,
     (Illinois).  The search starts on ``theta_bracket``, which grows outward
     from its end of smaller |mean| only while both ends have the same sign.
     If the mean vanishes at both ends (constant f), the midpoint is taken.
-    ``max_iter`` caps the family evaluations.  A p outside ``p_bracket``
-    raises :class:`~pqharmonic.errors.NoRootInBracketError`; a p <= 1 is
-    returned with ``admissible=False``.
+    ``max_iter`` caps the family evaluations.  A p outside ``p_bracket``,
+    or a minimal chart on the way, raises
+    :class:`~pqharmonic.errors.NoRootInBracketError`; a p <= 1 is returned
+    with ``admissible=False``.
     """
     if not (math.isfinite(q) and q > 1):
         raise ValueError(f"need finite q > 1, got q={q}")
@@ -314,6 +315,10 @@ def solve_param_pair(family: Callable, q, theta_bracket, p_bracket,
         batch = collect_samples(chart, sample_grid(chart, n_per_axis),
                                 use_analytic=use_analytic)
         (a1, s1), (a2, s2) = _affine_in_p(batch, q, chart.sf.c)
+        if np.mean(s1) == 0:
+            # the mean of eq1 does not depend on p: f vanishes on the grid
+            raise NoRootInBracketError(
+                f"the family is minimal at theta={theta:.6g}; no proper solution in p")
         p = -np.mean(a1) / np.mean(s1)
         gfn = batch.g_norm(batch.grad_f)
         along = np.divide(batch.g_dot(a2 + p * s2, batch.grad_f), gfn,

@@ -10,8 +10,10 @@ The three models are carried in embedding coordinates:
 
 For the embedded models the Levi-Civita connection is ordinary coordinate
 differentiation followed by the (pseudo-)orthogonal projection onto the
-tangent space, which is what :meth:`SpaceForm.covariant_derivative`
-implements.
+tangent space, :meth:`SpaceForm.tangent_project`: the covariant derivative
+of a field V along a curve is ``tangent_project(P, dV/dt)``.  The pairing,
+the projection and the retraction act over the last axis, so they take one
+point or a whole stencil lattice of points at once.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numeric
 from .errors import DomainError, ModelConstraintError, TangencyError
 
 MODEL_TOL = 1e-12
@@ -58,8 +59,8 @@ class SpaceForm:
         return s
 
     def pair(self, X, Y):
-        """Raw coordinate pairing (Euclidean dot or Minkowski product)."""
-        return float(np.dot(np.asarray(X) * self.pairing_signs(), Y))
+        """Raw coordinate pairing (Euclidean dot or Minkowski product) over the last axis."""
+        return np.sum(np.asarray(X) * self.pairing_signs() * Y, axis=-1)
 
     # -- model membership ---------------------------------------------------
 
@@ -95,8 +96,9 @@ class SpaceForm:
         V = np.asarray(V, dtype=float)
         if self.c == 0:
             return V
+        P = np.asarray(P, dtype=float)
         # <P,P> = 1/c on the model, so the normal component is c<P,V> P
-        return V - self.c * self.pair(P, V) * np.asarray(P, dtype=float)
+        return V - self.c * self.pair(P, V)[..., None] * P
 
     # -- metric and curvature ----------------------------------------------
 
@@ -116,21 +118,7 @@ class SpaceForm:
         m = self.n - 1
         return m * self.c, np.zeros(self.ambient_dim)
 
-    # -- connection and retraction ------------------------------------------
-
-    def covariant_derivative(self, curve, field, t0, step=1e-4):
-        """Levi-Civita derivative of ``field`` along ``curve`` at ``t0``.
-
-        ``curve`` and ``field`` are callables of the parameter; the field
-        must be tangent along the curve.  The coordinate derivative is taken
-        with a 4th-order stencil and projected at curve(t0).
-        """
-        if step <= 0 or not np.isfinite(step):
-            raise DomainError("derivative step must be positive and finite")
-        dV = numeric.deriv1(field, t0, step)
-        if not np.all(np.isfinite(dV)):
-            raise DomainError("non-finite derivative; step too small or field singular")
-        return self.tangent_project(np.asarray(curve(t0), dtype=float), dV)
+    # -- retraction ---------------------------------------------------------
 
     def retract(self, coords):
         """Nearest-point normalization of raw coordinates onto the model.
@@ -143,14 +131,9 @@ class SpaceForm:
         if self.c == 0:
             return P
         nrm2 = self.pair(P, P)
-        if self.c > 0 and nrm2 <= 0:
+        if self.c > 0 and np.any(nrm2 <= 0):
             raise DomainError("cannot retract the origin onto the sphere")
-        if self.c < 0 and (nrm2 >= 0 or P[-1] <= 0):
+        if self.c < 0 and np.any((nrm2 >= 0) | (P[..., -1] <= 0)):
             raise DomainError("hyperboloid retraction needs a timelike, future-pointing input")
         # c * nrm2 > 0 in both embedded cases; the target norm is 1/c
-        return P / np.sqrt(self.c * nrm2)
-
-    def speed(self, curve, t, step=1e-4):
-        """|gamma'(t)| in the model metric."""
-        v = numeric.deriv1(curve, t, step)
-        return float(np.sqrt(max(self.pair(v, v), 0.0)))
+        return P / np.sqrt(self.c * nrm2)[..., None]

@@ -16,11 +16,9 @@ extrapolated central difference of the energy against composite-Simpson
 quadrature of the pairing.
 
 Every derivative is the 4th-order central stencil of
-:func:`numeric.deriv1`, and a composition of central stencils is one
-weight vector on the integer lattice t + k h (Fornberg, Math. Comp. 51
-(1988) 699-706).  So the curve is sampled once per distinct lattice
-point, as an (N, L, dim) array for N nodes and L offsets k, and every
-stencil acts along the lattice axis:
+:func:`numeric.deriv1`, applied along the stencil lattice of
+:mod:`numeric`: the curve is sampled once per distinct lattice point, as
+an (N, L, dim) array for N nodes and L offsets k:
 
 * tau_p at a node uses the offsets k = -4..4 of the step h;
 * tau_{p,q} uses tau_p at the nine nodes t + 4 j h1 (j = -4..4), so the
@@ -40,61 +38,17 @@ import numpy as np
 from . import numeric
 from .curves import CurveChart
 from .errors import DomainError, SingularFactorError, SingularSpeedError
+from .numeric import _lattice, _sample, _stencil
 from .residual import PQParams
 
 SPEED_FLOOR = 1e-10
 TAU_P_FLOOR = 1e-6
 MEASURE_SPREAD = 1e-6   # relative spread of the base speed the first-variation check allows
 
-TP_OFFSETS = np.arange(-4, 5)           # the lattice of one tau_p, in steps h
+TP_OFFSETS = numeric.NESTED_OFFSETS     # the lattice of one tau_p, in steps h
 OUTER = 4                               # h2 = OUTER * h1 for the tau_pq stencils
 PQ_OFFSETS = np.arange(-20, 21)         # the lattice of one tau_pq, in steps h1
 PQ_NODES = 20 + OUTER * TP_OFFSETS      # indices of its nine tau_p nodes
-
-
-# -- the stencil lattice ----------------------------------------------------
-
-def _lattice(ts, h, offsets=TP_OFFSETS):
-    """The points t + k h, one row per node t."""
-    return np.asarray(ts, dtype=float)[:, None] + offsets[None, :] * h
-
-
-def _sample(fn, pts):
-    """The scalar map ``fn`` once per lattice point: an (N, L, dim) array."""
-    vals = np.array([fn(float(s)) for s in pts.ravel()], dtype=float)
-    return vals.reshape(pts.shape + (-1,))
-
-
-def _stencil(F, h):
-    """The deriv1 stencil of step h along axis 1, at the entries 2..L-3 of F."""
-    fm2, fm1, fp1, fp2 = F[:, :-4], F[:, 1:-3], F[:, 3:-1], F[:, 4:]
-    return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
-
-
-def _pair(sf, X, Y):
-    """SpaceForm.pair over the last axis."""
-    return np.sum(X * sf.pairing_signs() * Y, axis=-1)
-
-
-def _covariant(sf, P, dV):
-    """Project a stencil derivative at the points P (SpaceForm.covariant_derivative)."""
-    if not np.all(np.isfinite(dV)):
-        raise DomainError("non-finite derivative; step too small or field singular")
-    if sf.c == 0:
-        return dV
-    return dV - sf.c * _pair(sf, P, dV)[..., None] * P
-
-
-def _retract(sf, P):
-    """SpaceForm.retract over the rows of P."""
-    if sf.c == 0:
-        return P
-    nrm2 = _pair(sf, P, P)
-    if sf.c > 0 and np.any(nrm2 <= 0):
-        raise DomainError("cannot retract the origin onto the sphere")
-    if sf.c < 0 and np.any((nrm2 >= 0) | (P[:, -1] <= 0)):
-        raise DomainError("hyperboloid retraction needs a timelike, future-pointing input")
-    return P / np.sqrt(sf.c * nrm2)[:, None]
 
 
 # -- p-tension field --------------------------------------------------------
@@ -104,12 +58,12 @@ def _tension_p(sf, X, h, p):
     if h <= 0 or not np.isfinite(h):
         raise DomainError("derivative step must be positive and finite")
     V = _stencil(X, h)                      # offsets -2..2
-    s2 = _pair(sf, V, V)
+    s2 = sf.pair(V, V)
     vel, s2c = V[:, 2], s2[:, 2]
     if p < 2 and np.any(s2c < SPEED_FLOOR ** 2):
         low = float(np.min(s2c))
         raise SingularSpeedError(f"speed {math.sqrt(max(low, 0)):.3e} with p = {p} < 2")
-    acc = _covariant(sf, X[:, 4], _stencil(V, h)[:, 0])
+    acc = sf.tangent_project(X[:, 4], _stencil(V, h)[:, 0])
     if p == 2:
         return acc, vel, s2c
     e = (p - 2) / 2.0
@@ -168,7 +122,7 @@ def _energy(dcurve, X, h, params, measure):
     tp = _tension_p(sf, X, h, params.p)[0]
     mu = _measure(dcurve.curve, X, h) if measure is None \
         else np.asarray(measure, dtype=float)
-    return float(np.sum(dcurve.weights * _pair(sf, tp, tp) ** (q / 2.0) * mu)) / q
+    return float(np.sum(dcurve.weights * sf.pair(tp, tp) ** (q / 2.0) * mu)) / q
 
 
 def _measure(curve, X, h):
@@ -176,7 +130,7 @@ def _measure(curve, X, h):
     if curve.unit_speed:
         return np.ones(len(X))
     vel = _stencil(X, h)[:, 2]
-    return np.sqrt(np.maximum(_pair(curve.sf, vel, vel), 0.0))
+    return np.sqrt(np.maximum(curve.sf.pair(vel, vel), 0.0))
 
 
 # -- (p,q)-tension field ----------------------------------------------------
@@ -192,7 +146,7 @@ def _tension_pq(curve, ts, params, h1):
     tp, vel, s2 = (a.reshape((n, len(PQ_NODES)) + a.shape[1:])
                    for a in _tension_p(sf, windows, h1, p))
     P = X[:, PQ_NODES]                      # the nine tau_p nodes; P[:, 4] is t
-    n2 = _pair(sf, tp, tp)
+    n2 = sf.pair(tp, tp)
     if q == 2:
         W = tp                              # |tau_p|^(q-2) tau_p
     else:
@@ -203,15 +157,15 @@ def _tension_pq(curve, ts, params, h1):
         W = (n2 ** ((q - 2) / 2.0))[..., None] * tp
 
     inner = slice(2, 7)                     # nodes j = -2..2, where dW exists
-    dW = _covariant(sf, P[:, inner], _stencil(W, h2))
+    dW = sf.tangent_project(P[:, inner], _stencil(W, h2))
     U2 = (s2[:, inner] ** ((p - 2) / 2.0))[..., None] * dW
-    term2 = -_covariant(sf, P[:, 4], _stencil(U2, h2)[:, 0])
+    term2 = -sf.tangent_project(P[:, 4], _stencil(U2, h2)[:, 0])
     if p == 2:
         term3 = 0.0
     else:
         v = vel[:, inner]
-        U3 = (s2[:, inner] ** ((p - 4) / 2.0) * _pair(sf, dW, v))[..., None] * v
-        term3 = -(p - 2) * _covariant(sf, P[:, 4], _stencil(U3, h2)[:, 0])
+        U3 = (s2[:, inner] ** ((p - 4) / 2.0) * sf.pair(dW, v))[..., None] * v
+        term3 = -(p - 2) * sf.tangent_project(P[:, 4], _stencil(U3, h2)[:, 0])
 
     R = np.array([sf.curvature_tensor(P[i, 4], tp[i, 4], vel[i, 4], vel[i, 4])
                   for i in range(n)])
@@ -359,14 +313,14 @@ def first_variation_check(dcurve: DiscretizedCurve, v: VariationField,
 
     def energy_at(t):
         X = B.copy()
-        X[inside] = _retract(sf, B[inside] + t * V[inside])
+        X[inside] = sf.retract(B[inside] + t * V[inside])
         return _energy(dcurve, X, h, params, base_measure)
 
     # steps scale inversely with the field size so the perturbation of
     # tau_p stays small compared to its base value
     nodes = inside[:, 4]                    # offset 0: the Simpson nodes themselves
     vv = V[nodes, 4]
-    sup_v = float(np.max(np.sqrt(np.maximum(_pair(sf, vv, vv), 0.0)), initial=0.0))
+    sup_v = float(np.max(np.sqrt(np.maximum(sf.pair(vv, vv), 0.0)), initial=0.0))
     scale = 1.0 / max(1.0, sup_v)
     steps = tuple(s * scale for s in steps)
     fd = np.array([(energy_at(s) - energy_at(-s)) / (2.0 * s) for s in steps])
@@ -376,7 +330,7 @@ def first_variation_check(dcurve: DiscretizedCurve, v: VariationField,
     rhs = 0.0
     if nodes.any():
         tpq = _tension_pq(curve, dcurve.ts[nodes], params, h)
-        rhs = -float(np.sum(dcurve.weights[nodes] * base_measure[nodes] * _pair(sf, vv, tpq)))
+        rhs = -float(np.sum(dcurve.weights[nodes] * base_measure[nodes] * sf.pair(vv, tpq)))
 
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-14)
     return VariationCheckReport(lhs=lhs, rhs=float(rhs), rel_error=float(rel),

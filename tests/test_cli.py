@@ -1,9 +1,12 @@
 import math
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import pqharmonic
 from pqharmonic import cli
 
 CONE_CHART = """\
@@ -207,3 +210,13 @@ def test_threads_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("PQHARM_THREADS", "zebra")
     assert run(["verify-hypersurface", "--builtin", "sphere-in-sphere",
                 "--a2", "0.5", "--p", "2", "--q", "2"]) == 2
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(pqharmonic.__file__))
+    code = ("import sys, pqharmonic, pqharmonic.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

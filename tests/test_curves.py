@@ -1,15 +1,38 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pqharmonic import (CurveChart, PQParams, circle, curve_system_residual,
-                        frenet, helix, p_closed_form, reparametrize_arclength)
-from pqharmonic.curves import FrenetApparatus, _binormal, _principal_normal, _tangent
+from pqharmonic import (CurveChart, PQParams, circle, cli, curve_system_residual,
+                        frenet, helix, numeric, p_closed_form, reparametrize_arclength)
+from pqharmonic.curves import FrenetApparatus
 from pqharmonic.errors import DomainError, FrameUndefinedError, SingularFactorError
 from pqharmonic.spaceform import SpaceForm
 
 SQ7 = math.sqrt(7.0)
+
+# the helix(pi/4, sqrt(7)/2, 1/2) of S^3 traced at constant speed 1.6
+HELIX_FILE = """\
+type: curve
+c: 1
+t: 0, 2*pi/1.6
+x1: cos(pi/4)*cos(1.6*sqrt(7)/2*t)
+x2: cos(pi/4)*sin(1.6*sqrt(7)/2*t)
+x3: sin(pi/4)*cos(0.8*t)
+x4: sin(pi/4)*sin(0.8*t)
+"""
+
+# the circle of radius 0.8 in H^3: k = coth(0.8), tau = 0
+H3_CIRCLE_FILE = """\
+type: curve
+c: -1
+t: 0, 2*pi
+x1: sinh(0.8)*cos(t)
+x2: sinh(0.8)*sin(t)
+x3: 0
+x4: cosh(0.8)
+"""
 
 
 def test_circle_frenet():
@@ -70,16 +93,41 @@ def test_frenet_equations_hold_on_helix():
     lo, hi = curve.domain
     for t in rng.uniform(lo + 0.1, hi - 0.1, 8):
         fr = frenet(curve, float(t))
-        T_field = lambda s: _tangent(curve, s)
-        N_field = lambda s: _principal_normal(curve, s)[0]
-        B_field = lambda s: _binormal(sf, np.asarray(curve.map(s)), _tangent(curve, s),
-                                      _principal_normal(curve, s)[0])
-        dT = sf.covariant_derivative(curve.map, T_field, float(t), step=h)
-        dN = sf.covariant_derivative(curve.map, N_field, float(t), step=h)
-        dB = sf.covariant_derivative(curve.map, B_field, float(t), step=h)
+        # nabla_T of each frame field: the deriv1 stencil over the frames at
+        # t +- h and t +- 2h, projected onto the tangent space at t
+        dT, dN, dB = (sf.tangent_project(
+            curve.map(float(t)),
+            numeric.deriv1(lambda s: getattr(frenet(curve, s), field), float(t), h))
+            for field in "TNB")
         assert np.allclose(dT, fr.k * fr.N, atol=1e-6)
         assert np.allclose(dN, -fr.k * fr.T + fr.tau * fr.B, atol=1e-6)
         assert np.allclose(dB, -fr.tau * fr.N, atol=1e-6)
+
+
+@pytest.mark.parametrize("text, k, tau", [(HELIX_FILE, 0.75, SQ7 / 4),
+                                          (H3_CIRCLE_FILE, 1 / math.tanh(0.8), 0.0)])
+def test_chart_file_frenet_pinned(tmp_path, text, k, tau):
+    path = tmp_path / "curve.txt"
+    path.write_text(text)
+    curve = cli.load_chart_file(str(path))
+    lo, hi = curve.domain
+    for t in (lo + 0.3 * (hi - lo), lo + 0.7 * (hi - lo)):
+        fr = frenet(curve, t)
+        assert fr.k == pytest.approx(k, abs=1e-8)
+        assert fr.tau == pytest.approx(tau, abs=1e-8)
+        assert max(abs(fr.k_prime), abs(fr.k_second), abs(fr.tau_prime)) < 1e-6
+
+
+def test_frenet_samples_the_lattice_once():
+    curve = helix(math.pi / 4, SQ7 / 2, 0.5).curve
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return curve.map(t)
+
+    frenet(replace(curve, map=counted), 1.7)
+    assert len(calls) == 17 and len(set(calls)) == 17
 
 
 def test_reparametrize_identity_on_unit_speed():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -256,3 +257,11 @@ def test_solve_param_pair_degenerate_family():
     assert result.converged and result.admissible
     b2 = 1.0 - result.theta
     assert result.p == pytest.approx(1.0 / b2, abs=1e-8)
+
+
+def test_solve_param_pair_minimal_family():
+    # p = -mean(a1)/mean(s1) would be 0/0 on a family of planes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoRootInBracketError, match="minimal"):
+            solve_param_pair(lambda r: plane(), 3.0, (0.3, 0.7), (0.5, 2.5))
