@@ -3,7 +3,9 @@
 Each hypersurface entry carries exact jacobian/hessian callbacks and an
 ``analytic_geometry`` sampler, so the same object exercises both the
 closed-form path (residuals at machine precision) and the stencil path
-(everything recomputed by finite differences) of the engine.
+(everything recomputed by finite differences) of the engine.  Every
+callback acts over the last axis (see :class:`ImmersionChart` and
+:class:`CurveChart`), so the engine evaluates a whole batch in one call.
 
 Entries:
 
@@ -19,6 +21,7 @@ Entries:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,62 +33,80 @@ from .immersion import GeometricSample, ImmersionChart
 from .spaceform import SpaceForm
 
 
-# -- hyperspherical coordinates ---------------------------------------------
+# -- callbacks over the last axis ---------------------------------------------
 
-def _trig(kind, x, order):
-    if kind == "sin":
-        return (math.sin(x), math.cos(x), -math.sin(x))[order]
-    return (math.cos(x), -math.sin(x), -math.cos(x))[order]
+def _omega(u, order=0):
+    """The unit-sphere map omega : (0,pi)^(m-1) x (0,2pi) -> S^m and its derivatives.
 
-
-def _omega_component(u, j, orders):
-    """Component j of the unit-sphere map omega : (0,pi)^(m-1) x (0,2pi) -> S^m.
-
-    omega_j = sin(u_0)...sin(u_{j-1}) cos(u_j) for j < m and
-    omega_m = sin(u_0)...sin(u_{m-1}); ``orders`` maps axis -> derivative
-    order, exploiting that each component is a product of univariate
-    factors.
+    omega_j = sin(u_0)...sin(u_{j-1}) cos(u_j) for j < m and omega_m =
+    sin(u_0)...sin(u_{m-1}) are products of univariate factors, so each
+    partial derivative is the product of the factors' own derivatives.
+    At u (..., m), order 0, 1 and 2 give omega (..., m+1), its Jacobian
+    (..., m+1, m) and its Hessian (..., m+1, m, m).
     """
-    m = len(u)
-    val = 1.0
-    for i in range(m):
-        if i < j:
-            kind = "sin"
-        elif i == j and j < m:
-            kind = "cos"
-        else:
-            if orders.get(i, 0):
-                return 0.0
-            continue
-        val *= _trig(kind, u[i], orders.get(i, 0))
-    return val
+    u = np.asarray(u, dtype=float)
+    m = u.shape[-1]
+    s, c = np.sin(u)[..., None, :], np.cos(u)[..., None, :]
+    j_minus_i = np.arange(m + 1)[:, None] - np.arange(m)
+    # F[k][..., j, i]: derivative k of factor i of component j (sin, cos or 1)
+    F = [np.where(j_minus_i > 0, d_sin, np.where(j_minus_i == 0, d_cos, float(k == 0)))
+         for k, (d_sin, d_cos) in enumerate(((s, c), (c, -s), (-s, -c)))]
+
+    def partial(*axes):
+        out = 1.0
+        for i in range(m):
+            out = out * F[axes.count(i)][..., i]
+        return out
+
+    parts = [partial(*axes) for axes in itertools.product(range(m), repeat=order)]
+    return np.stack(parts, axis=-1).reshape(u.shape[:-1] + (m + 1,) + (m,) * order)
 
 
-def _omega(u):
-    m = len(u)
-    return np.array([_omega_component(u, j, {}) for j in range(m + 1)])
+def _append(X, value, axis=-1):
+    """X with one more entry, the constant ``value``, along ``axis``."""
+    pad = [(0, 0)] * X.ndim
+    pad[axis] = (0, 1)
+    return np.pad(X, pad, constant_values=value)
 
 
-def _omega_jacobian(u):
-    m = len(u)
-    return np.array([[_omega_component(u, j, {i: 1}) for i in range(m)]
-                     for j in range(m + 1)])
+def _constant(value, u):
+    """``value`` at every point of u (..., m)."""
+    value = np.asarray(value, dtype=float)
+    return np.broadcast_to(value, np.shape(u)[:-1] + value.shape).copy()
 
 
-def _omega_hessian(u):
-    m = len(u)
-    H = np.zeros((m + 1, m, m))
-    for j in range(m + 1):
-        for a in range(m):
-            for b in range(a, m):
-                orders = {a: 2} if a == b else {a: 1, b: 1}
-                H[j, a, b] = H[j, b, a] = _omega_component(u, j, orders)
-    return H
+def _constant_geometry(m, f, normA2, ric, g=None):
+    """Closed-form samples of a hypersurface with constant f and |A|^2."""
+    def analytic(u):
+        shape = np.shape(u)[:-1]
+        return GeometricSample(
+            m=m, f=np.full(shape, f), grad_f=np.zeros(shape + (m,)),
+            grad_f_norm2=np.zeros(shape), laplacian_f=np.zeros(shape),
+            normA2=np.full(shape, normA2), A_grad_f=np.zeros(shape + (m,)),
+            ric_eta_eta=np.full(shape, ric), ricci_eta_top=np.zeros(shape + (m,)),
+            g=None if g is None else _constant(g, u))
+    return analytic
 
 
-def _sphere_domain(m):
+def _sphere(m, a2, name):
+    """X(u) = (a omega(u), b) with a^2 = a2 and b^2 = 1 - a2, in the unit S^(m+1).
+
+    The unit normal eta = (b omega, -a) gives the constant mean curvature
+    f = -b/a and |A|^2 = m b^2/a^2.
+    """
+    a, b = math.sqrt(a2), math.sqrt(1.0 - a2)
     # polar angles clear of the coordinate singularities, azimuth almost full
-    return tuple([(0.45, 2.65)] * (m - 1) + [(0.0, 2.0 * math.pi)])
+    domain = tuple([(0.45, 2.65)] * (m - 1) + [(0.0, 2.0 * math.pi)])
+    return ImmersionChart(
+        sf=SpaceForm(m + 1, 1.0), m=m, domain=domain,
+        map=lambda u: _append(a * _omega(u), b),
+        jacobian=lambda u: _append(a * _omega(u, 1), 0.0, axis=-2),
+        hessian=lambda u: _append(a * _omega(u, 2), 0.0, axis=-3),
+        reference_normal=lambda u: _append(b * _omega(u), -a),
+        # f = +0 on the great sphere (b = 0), where -b/a would print as -0
+        analytic_geometry=_constant_geometry(m, f=-b / a if b else 0.0,
+                                             normA2=m * (1.0 - a2) / a2, ric=float(m)),
+        name=name)
 
 
 # -- catalog entries --------------------------------------------------------
@@ -101,70 +122,12 @@ def sphere_in_sphere(m=2, a2=0.5):
         raise DomainError(f"need 0 < a2 < 1, got {a2}")
     if m < 1:
         raise DomainError("hypersurface dimension must be >= 1")
-    a, b = math.sqrt(a2), math.sqrt(1.0 - a2)
-    sf = SpaceForm(m + 1, 1.0)
-    f0 = -b / a
-
-    def chart_map(u):
-        return np.append(a * _omega(u), b)
-
-    def jac(u):
-        J = np.zeros((m + 2, m))
-        J[:m + 1] = a * _omega_jacobian(u)
-        return J
-
-    def hess(u):
-        H = np.zeros((m + 2, m, m))
-        H[:m + 1] = a * _omega_hessian(u)
-        return H
-
-    def normal(u):
-        return np.append(b * _omega(u), -a)
-
-    def analytic(u):
-        return GeometricSample(
-            m=m, f=f0, grad_f=np.zeros(m), grad_f_norm2=0.0, laplacian_f=0.0,
-            normA2=m * (1.0 - a2) / a2, A_grad_f=np.zeros(m),
-            ric_eta_eta=float(m), ricci_eta_top=np.zeros(m), g=None)
-
-    return ImmersionChart(sf=sf, m=m, domain=_sphere_domain(m), map=chart_map,
-                          jacobian=jac, hessian=hess, reference_normal=normal,
-                          analytic_geometry=analytic,
-                          name=f"sphere-in-sphere(m={m}, a2={a2:g})")
+    return _sphere(m, a2, f"sphere-in-sphere(m={m}, a2={a2:g})")
 
 
 def great_sphere(m=2):
     """The equatorial great sphere S^m(1) in S^(m+1): totally geodesic."""
-    sf = SpaceForm(m + 1, 1.0)
-
-    def chart_map(u):
-        return np.append(_omega(u), 0.0)
-
-    def jac(u):
-        J = np.zeros((m + 2, m))
-        J[:m + 1] = _omega_jacobian(u)
-        return J
-
-    def hess(u):
-        H = np.zeros((m + 2, m, m))
-        H[:m + 1] = _omega_hessian(u)
-        return H
-
-    def normal(u):
-        out = np.zeros(m + 2)
-        out[-1] = 1.0
-        return out
-
-    def analytic(u):
-        return GeometricSample(
-            m=m, f=0.0, grad_f=np.zeros(m), grad_f_norm2=0.0, laplacian_f=0.0,
-            normA2=0.0, A_grad_f=np.zeros(m), ric_eta_eta=float(m),
-            ricci_eta_top=np.zeros(m), g=None)
-
-    return ImmersionChart(sf=sf, m=m, domain=_sphere_domain(m), map=chart_map,
-                          jacobian=jac, hessian=hess, reference_normal=normal,
-                          analytic_geometry=analytic,
-                          name=f"great-sphere(m={m})")
+    return _sphere(m, 1.0, f"great-sphere(m={m})")
 
 
 def cone(r, u_range=(0.5, 2.0)):
@@ -181,37 +144,45 @@ def cone(r, u_range=(0.5, 2.0)):
     s = math.sqrt(s2)
     f1 = 1.0 / (2.0 * r * s)
 
+    def split(w):
+        w = np.asarray(w, dtype=float)
+        return w[..., 0], np.cos(w[..., 1]), np.sin(w[..., 1])
+
     def chart_map(w):
-        u, v = w
-        return np.array([r * u * math.cos(v), r * u * math.sin(v), u])
+        u, cv, sv = split(w)
+        return np.stack([r * u * cv, r * u * sv, u], axis=-1)
 
     def jac(w):
-        u, v = w
-        return np.array([[r * math.cos(v), -r * u * math.sin(v)],
-                         [r * math.sin(v), r * u * math.cos(v)],
-                         [1.0, 0.0]])
+        u, cv, sv = split(w)
+        return np.stack([np.stack([r * cv, -r * u * sv], axis=-1),
+                         np.stack([r * sv, r * u * cv], axis=-1),
+                         _constant([1.0, 0.0], w)], axis=-2)
 
     def hess(w):
-        u, v = w
-        H = np.zeros((3, 2, 2))
-        H[:, 0, 1] = H[:, 1, 0] = [-r * math.sin(v), r * math.cos(v), 0.0]
-        H[:, 1, 1] = [-r * u * math.cos(v), -r * u * math.sin(v), 0.0]
+        u, cv, sv = split(w)
+        H = np.zeros(u.shape + (3, 2, 2))
+        H[..., 0, 0, 1] = H[..., 0, 1, 0] = -r * sv
+        H[..., 1, 0, 1] = H[..., 1, 1, 0] = r * cv
+        H[..., 0, 1, 1] = -r * u * cv
+        H[..., 1, 1, 1] = -r * u * sv
         return H
 
     def normal(w):
-        u, v = w
-        return np.array([-math.cos(v), -math.sin(v), r]) / s
+        _, cv, sv = split(w)
+        return np.stack([-cv, -sv, np.full(cv.shape, r)], axis=-1) / s
 
     def analytic(w):
-        u = float(w[0])
+        u = np.asarray(w, dtype=float)[..., 0]
+        g = np.zeros(u.shape + (2, 2))
+        g[..., 0, 0], g[..., 1, 1] = s2, r * r * u * u
         return GeometricSample(
             m=2, f=f1 / u,
-            grad_f=np.array([-f1 / (u * u * s2), 0.0]),
-            grad_f_norm2=f1 * f1 / (u ** 4 * s2),
-            laplacian_f=f1 / (s2 * u ** 3),
+            grad_f=np.stack([-f1 / (u * u * s2), np.zeros(u.shape)], axis=-1),
+            grad_f_norm2=f1 * f1 / (np.float_power(u, 4) * s2),
+            laplacian_f=f1 / (s2 * np.float_power(u, 3)),
             normA2=1.0 / (r * r * u * u * s2),
-            A_grad_f=np.zeros(2), ric_eta_eta=0.0, ricci_eta_top=np.zeros(2),
-            g=np.diag([s2, r * r * u * u]))
+            A_grad_f=np.zeros(u.shape + (2,)), ric_eta_eta=np.zeros(u.shape),
+            ricci_eta_top=np.zeros(u.shape + (2,)), g=g)
 
     return ImmersionChart(sf=sf, m=2,
                           domain=(tuple(u_range), (0.0, 2.0 * math.pi)),
@@ -222,25 +193,14 @@ def cone(r, u_range=(0.5, 2.0)):
 
 def plane():
     """A flat coordinate patch in R^3; minimal with vanishing residuals."""
-    sf = SpaceForm(3, 0.0)
-
-    def chart_map(w):
-        return np.array([w[0], w[1], 0.0])
-
-    jac = lambda w: np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    hess = lambda w: np.zeros((3, 2, 2))
-    normal = lambda w: np.array([0.0, 0.0, 1.0])
-
-    def analytic(w):
-        return GeometricSample(
-            m=2, f=0.0, grad_f=np.zeros(2), grad_f_norm2=0.0, laplacian_f=0.0,
-            normA2=0.0, A_grad_f=np.zeros(2), ric_eta_eta=0.0,
-            ricci_eta_top=np.zeros(2), g=np.eye(2))
-
-    return ImmersionChart(sf=sf, m=2, domain=((0.0, 1.0), (0.0, 1.0)),
-                          map=chart_map, jacobian=jac, hessian=hess,
-                          reference_normal=normal, analytic_geometry=analytic,
-                          name="plane")
+    return ImmersionChart(
+        sf=SpaceForm(3, 0.0), m=2, domain=((0.0, 1.0), (0.0, 1.0)),
+        map=lambda w: _append(np.asarray(w, dtype=float), 0.0),
+        jacobian=lambda w: _constant([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], w),
+        hessian=lambda w: _constant(np.zeros((3, 2, 2)), w),
+        reference_normal=lambda w: _constant([0.0, 0.0, 1.0], w),
+        analytic_geometry=_constant_geometry(2, f=0.0, normA2=0.0, ric=0.0, g=np.eye(2)),
+        name="plane")
 
 
 def circle(rho=1.0, periods=1.0):
@@ -249,7 +209,8 @@ def circle(rho=1.0, periods=1.0):
         raise DomainError(f"radius must be positive, got {rho}")
 
     def gamma(t):
-        return np.array([rho * math.cos(t / rho), rho * math.sin(t / rho), 0.0])
+        x = np.asarray(t, dtype=float) / rho
+        return np.stack([rho * np.cos(x), rho * np.sin(x), np.zeros(x.shape)], axis=-1)
 
     return CurveChart(sf=SpaceForm(3, 0.0),
                       domain=(0.0, periods * 2.0 * math.pi * rho),

@@ -96,12 +96,19 @@ def _parse_chart_file(path):
     return entries
 
 
+def _coordinates(exprs, shape, **variables):
+    """Each coordinate expression once, on arrays of ``shape``: (*shape, N)."""
+    return np.stack([np.broadcast_to(ex.evaluate(**variables), shape) for ex in exprs],
+                    axis=-1)
+
+
 def load_chart_file(path):
     """Load a hypersurface chart or curve from an expression file.
 
     Keys: ``type`` (hypersurface or curve), ``c``, domain intervals ``u``
     and ``v`` (or ``t`` for curves) as 'lo, hi', and ambient coordinates
-    ``x1`` .. ``xN`` as expressions in the domain variables.
+    ``x1`` .. ``xN`` as expressions in the domain variables.  The maps act
+    over the last axis, like every chart callback.
     """
     entries = _parse_chart_file(path)
     kind = entries.get("type")
@@ -130,7 +137,8 @@ def load_chart_file(path):
                  for k in coords]
 
         def chart_map(w):
-            return np.array([ex.evaluate(u=w[0], v=w[1]) for ex in exprs])
+            w = np.asarray(w, dtype=float)
+            return _coordinates(exprs, w.shape[:-1], u=w[..., 0], v=w[..., 1])
 
         return ImmersionChart(sf=sf, m=2, domain=domain, map=chart_map,
                               name=os.path.basename(path))
@@ -142,7 +150,7 @@ def load_chart_file(path):
              for k in coords]
 
     def curve_map(t):
-        return np.array([ex.evaluate(t=float(t)) for ex in exprs])
+        return _coordinates(exprs, np.shape(t), t=t)
 
     curve = crv.CurveChart(sf=sf, domain=domain, map=curve_map,
                            name=os.path.basename(path))

@@ -21,7 +21,7 @@ import numpy as np
 from . import numeric
 from .errors import (DomainError, FrameUndefinedError, NonConvergenceError,
                      SingularFactorError, SingularSpeedError)
-from .numeric import _lattice, _sample, _stencil, _stencil2
+from .numeric import _lattice, _sample, _stencil, _stencil2, _weigh
 from .spaceform import SpaceForm
 
 K_THRESHOLD = 1e-8
@@ -30,11 +30,16 @@ FRENET_OFFSETS = np.arange(-8, 9)   # T, nabla_T T, nabla_T N and tau': four nes
 
 @dataclass(frozen=True)
 class CurveChart:
-    """A C^4 curve t -> N^3(c) in ambient embedding coordinates."""
+    """A C^4 curve t -> N^3(c) in ambient embedding coordinates.
+
+    ``map`` acts over the last axis: parameters of shape (...,) go to
+    coordinates (..., dim), so a float gives one point (dim,).  The engine
+    calls it once per batch, on a flat (n,) array.
+    """
 
     sf: SpaceForm
     domain: tuple
-    map: Callable[[float], np.ndarray]
+    map: Callable[[np.ndarray], np.ndarray]
     unit_speed: bool = False
     name: str = "curve"
 
@@ -120,16 +125,15 @@ def _speeds(curve, ts):
     """|gamma'| at the parameters ``ts`` by the deriv1 stencil of step frame_step."""
     h = curve.frame_step()
     X = _sample(curve.map, _lattice(ts, h, numeric.D1_OFFSETS))
-    V = np.einsum("k,nkd->nd", numeric.D1_WEIGHTS, X) / h
+    V = _weigh(np.moveaxis(X, 1, -1), numeric.D1_WEIGHTS) / h
     return np.sqrt(np.maximum(curve.sf.pair(V, V), 0.0))
 
 
 def _gauss(curve, a, b):
     """Gauss-Legendre lengths of the curve over the intervals [a, b], elementwise."""
-    a, b = np.atleast_1d(a, b)
     half = 0.5 * (b - a)
     nodes = (0.5 * (a + b))[:, None] + half[:, None] * GAUSS_NODES
-    return half * (_speeds(curve, nodes.ravel()).reshape(nodes.shape) @ GAUSS_WEIGHTS)
+    return half * _weigh(_speeds(curve, nodes.ravel()).reshape(nodes.shape), GAUSS_WEIGHTS)
 
 
 def reparametrize_arclength(curve: CurveChart, samples=2048) -> CurveChart:
@@ -143,6 +147,8 @@ def reparametrize_arclength(curve: CurveChart, samples=2048) -> CurveChart:
     steps on the length from the nearest coarse node, also by Gauss-Legendre.
     That length is a smooth function of t; a piecewise interpolant of it
     would carry jumps in its higher derivatives into k'' at the frame step.
+    The Newton steps run on a whole batch of s at once, and each s stops
+    at its own tolerance.
     """
     t0, t1 = curve.domain
     speeds = _speeds(curve, np.linspace(t0, t1, samples + 1))
@@ -156,18 +162,23 @@ def reparametrize_arclength(curve: CurveChart, samples=2048) -> CurveChart:
     # a Newton step below tol leaves an error of order tol^2 / width
     tol = 1e-9 * (t1 - t0)
 
-    def t_of_s(s):
-        t = float(np.interp(s, lengths, coarse))
-        i = int(np.argmin(np.abs(coarse - t)))
-        target = s - lengths[i]
+    def new_map(s):
+        s = np.asarray(s, dtype=float)
+        flat = s.ravel()
+        t = np.interp(flat, lengths, coarse)
+        i = np.argmin(np.abs(coarse - t[:, None]), axis=1)
+        target = flat - lengths[i]
+        active = np.arange(len(t))
         for _ in range(NEWTON_STEPS):
-            step = (_gauss(curve, coarse[i], t)[0] - target) / _speeds(curve, [t])[0]
-            t -= step
-            if abs(step) <= tol:
-                return t
-        raise NonConvergenceError(f"arc length {s:.6g} not inverted in {NEWTON_STEPS} steps")
+            ta, ia = t[active], i[active]
+            step = (_gauss(curve, coarse[ia], ta) - target[active]) / _speeds(curve, ta)
+            t[active] = ta - step
+            active = active[~(np.abs(step) <= tol)]
+            if not len(active):
+                return curve.map(t.reshape(s.shape))
+        raise NonConvergenceError(
+            f"arc length {flat[active[0]]:.6g} not inverted in {NEWTON_STEPS} steps")
 
-    new_map = lambda s: np.asarray(curve.map(t_of_s(float(s))), dtype=float)
     return CurveChart(sf=curve.sf, domain=(0.0, float(lengths[-1])), map=new_map,
                       unit_speed=True, name=curve.name + "(arclength)")
 
@@ -256,8 +267,9 @@ def helix(alpha, a, b, periods=1.0) -> HelixResult:
     admissible = (tau * tau < 1.0) and (p > 1.0)
 
     def gamma(t):
-        return np.array([ca * math.cos(a * t), ca * math.sin(a * t),
-                         sa * math.cos(b * t), sa * math.sin(b * t)])
+        at, bt = a * np.asarray(t, dtype=float), b * np.asarray(t, dtype=float)
+        return np.stack([ca * np.cos(at), ca * np.sin(at),
+                         sa * np.cos(bt), sa * np.sin(bt)], axis=-1)
 
     curve = CurveChart(sf=SpaceForm(3, 1.0), domain=(0.0, periods * 2 * math.pi),
                        map=gamma, unit_speed=True,

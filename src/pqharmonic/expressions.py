@@ -7,25 +7,29 @@ curves).  Expressions are parsed once into an evaluation tree and
 evaluated many times; derivatives are taken by the finite-difference
 engine, not symbolically.
 
+Evaluation is numpy arithmetic, so the variables may be arrays: a whole
+batch of points is one evaluation, and floats give a float.
+
     >>> parse("7/4 * sin(u)^2").evaluate(u=0.5)
     0.40223548236537776
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "sqrt": math.sqrt,
+    "sin": np.sin,
+    "cos": np.cos,
+    "sinh": np.sinh,
+    "cosh": np.cosh,
+    "sqrt": np.sqrt,
 }
 
-CONSTANTS = {"pi": math.pi, "e": math.e}
+CONSTANTS = {"pi": np.float64(np.pi), "e": np.float64(np.e)}
 
 _TOKEN_RE = re.compile(r"""
     (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
@@ -36,7 +40,7 @@ _TOKEN_RE = re.compile(r"""
 
 
 class ExpressionError(ValueError):
-    """Raised for syntax errors and unknown identifiers."""
+    """Raised for syntax errors, unknown identifiers and failed evaluations."""
 
 
 def _tokenize(text):
@@ -66,17 +70,21 @@ class Expression:
     source: str
 
     def evaluate(self, **vars):
+        """The value, elementwise over array variables; a float for floats.
+
+        Overflow, division by zero and non-real values raise ExpressionError;
+        underflow to zero does not, as in scalar floating point."""
         missing = self.variables - set(vars)
         if missing:
             raise ExpressionError(
                 f"missing values for {sorted(missing)} in {self.source!r}")
+        arrays = {k: np.asarray(x, dtype=float) for k, x in vars.items()}
         try:
-            value = self._fn(vars)
-        except (OverflowError, ZeroDivisionError) as exc:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                value = self._fn(arrays)
+        except FloatingPointError as exc:
             raise ExpressionError(f"evaluation failed for {self.source!r}: {exc}")
-        if isinstance(value, complex):
-            raise ExpressionError(f"{self.source!r} has the non-real value {value}")
-        return float(value)
+        return float(value) if np.ndim(value) == 0 else value
 
     def __call__(self, **vars):
         return self.evaluate(**vars)
@@ -136,14 +144,16 @@ class _Parser:
         if self.peek() == ("op", "^"):
             self.take("op")
             expo = self.unary()
-            return lambda v: base(v) ** expo(v)
+            # the C library pow, as for floats, and the same bits in a
+            # batch of any size (numpy's array power differs in the last bit)
+            return lambda v: np.float_power(base(v), expo(v))
         return base
 
     def atom(self):
         kind, value = self.peek()
         if kind == "number":
             self.take()
-            x = float(value)
+            x = np.float64(value)
             return lambda v: x
         if kind == "ident":
             self.take()

@@ -17,7 +17,7 @@ grid points of a call:
   map lattice around the point: the centre, +-h_a/2, +-h_a and +-2 h_a per
   axis (deriv1 at h and h/2 with one Richardson level, and deriv2 at h)
   and (i e_a + j e_b) max(h_a, h_b) for the nested mixed stencil.  The map
-  is called once per distinct point of all these lattices;
+  is called once per batch, on the distinct points of all these lattices;
 * g, det g, g^-1, the unit normal (the null space of the tangent rows, by
   a batched SVD), B, A, f and |A|^2 = tr(A^2) are computed at all f points
   at once, and every guard is checked at every f point.
@@ -35,6 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import numeric
+from .numeric import _weigh
 from .errors import BoundaryProximityError, DegenerateImmersionError
 from .spaceform import SpaceForm
 
@@ -46,12 +47,17 @@ KERNEL_POINTS = 1024        # f points per kernel batch; bounds a call's memory
 class ImmersionChart:
     """A C^4 parametrized hypersurface patch in a space form.
 
-    ``map`` sends an m-vector of parameters to ambient embedding
-    coordinates.  Optional exact ``jacobian`` (ambient_dim x m) and
-    ``hessian`` (ambient_dim x m x m) callbacks are preferred over finite
-    differences when present.  ``reference_normal`` fixes the orientation;
+    Every callback acts over the last axis, as :meth:`SpaceForm.pair`
+    does: it takes parameter points of shape (..., m) and returns one
+    value per point.  ``map`` gives ambient embedding coordinates
+    (..., dim).  Optional exact ``jacobian`` (..., dim, m) and ``hessian``
+    (..., dim, m, m) callbacks are preferred over finite differences when
+    present.  ``reference_normal`` (..., dim) fixes the orientation;
     without it the sign comes from the ambient volume form.
-    ``analytic_geometry`` supplies closed-form samples for catalog entries.
+    ``analytic_geometry`` supplies closed-form samples for catalog
+    entries, as one :class:`GeometricSample` with its fields stacked along
+    axis 0.  The engine calls each callback once per batch, on a flat
+    (n, m) array.
     """
 
     sf: SpaceForm
@@ -63,14 +69,12 @@ class ImmersionChart:
     reference_normal: Optional[Callable] = None
     analytic_geometry: Optional[Callable] = None
     name: str = "chart"
-    fd_step: Optional[tuple] = None  # per-axis map-derivative steps
 
     def widths(self):
         return np.array([hi - lo for lo, hi in self.domain], dtype=float)
 
     def steps(self):
-        if self.fd_step is not None:
-            return np.asarray(self.fd_step, dtype=float)
+        """Per-axis steps of the map-derivative stencils."""
         return 1e-3 * self.widths()
 
     def flipped(self):
@@ -195,25 +199,6 @@ def _map_lattice(h):
     return np.concatenate(rows)
 
 
-def _evaluate(fn, points):
-    """A chart callback at each row of ``points``, as one float array."""
-    first = np.asarray(fn(points[0]), dtype=float)
-    out = np.empty((len(points),) + first.shape)
-    out[0] = first
-    for i in range(1, len(points)):
-        out[i] = fn(points[i])
-    return out
-
-
-def _weigh(F, weights):
-    """sum_k F[..., k] weights[..., k], term by term, so a point gets the
-    same bits in a batch of any size (a BLAS contraction does not)."""
-    out = F[..., 0] * weights[..., 0]
-    for k in range(1, F.shape[-1]):
-        out = out + F[..., k] * weights[..., k]
-    return out
-
-
 def _sample_map(chart, pts, quantum):
     """``chart.map`` once per distinct point of ``pts`` (..., m): (..., dim).
 
@@ -223,14 +208,14 @@ def _sample_map(chart, pts, quantum):
     flat = pts.reshape(-1, pts.shape[-1])
     _, first, inverse = np.unique(np.rint(flat / quantum), axis=0,
                                   return_index=True, return_inverse=True)
-    vals = _evaluate(chart.map, flat[first])
+    vals = np.asarray(chart.map(flat[first]), dtype=float)
     return vals[inverse.reshape(-1)].reshape(pts.shape[:-1] + (-1,))
 
 
 def _jets(chart, X, h_step):
     """Jacobian (n, dim, m), hessian (n, dim, m, m) and map (n, dim) at X (n, m).
 
-    Exact callbacks are called once per point.  Missing ones are stencils
+    Exact callbacks are called once, on all of X.  Missing ones are stencils
     on the map lattice around each point, with the map sampled once per
     distinct point of the map lattices of all X, which lie on the f-lattice
     of step ``h_step`` (None for unrelated points).  The map is None when
@@ -245,18 +230,18 @@ def _jets(chart, X, h_step):
         P = S[:, 0]
         line = np.moveaxis(S[:, 1:1 + 6 * m].reshape(n, m, 6, -1), 3, 1)
     elif chart.sf.c != 0:
-        P = _evaluate(chart.map, X)
+        P = np.asarray(chart.map(X), dtype=float)
 
     w = numeric.D1_WEIGHTS
     if chart.jacobian is not None:
-        J = _evaluate(chart.jacobian, X)
+        J = np.asarray(chart.jacobian(X), dtype=float)
     else:
         d_h = _weigh(line[..., _AT_H], w) / h
         d_h2 = _weigh(line[..., _AT_HALF], w) / (h / 2.0)
         J = numeric.richardson(d_h, d_h2, order=4)
 
     if chart.hessian is not None:
-        H = _evaluate(chart.hessian, X)
+        H = np.asarray(chart.hessian(X), dtype=float)
     else:
         centre = np.broadcast_to(P[:, :, None, None], line.shape[:3] + (1,))
         five = np.concatenate([line[..., :2], centre, line[..., 4:]], axis=-1)
@@ -296,7 +281,7 @@ def _unit_normal(chart, X, J, P):
     _first_guard(nrm2 <= 0, X, lambda i, x: "normal direction is not spacelike")
     eta = w / np.sqrt(nrm2)[:, None]
     if chart.reference_normal is not None:
-        ref = _evaluate(chart.reference_normal, X)
+        ref = np.asarray(chart.reference_normal(X), dtype=float)
         flip = np.sum(signs * eta * ref, axis=1) < 0
     else:
         cols = [J, eta[:, :, None]] + ([P[:, :, None]] if sf.c != 0 else [])
@@ -400,17 +385,16 @@ def geometric_sample(chart, u, h_step=None, use_analytic=True):
 
     ``u`` of shape (m,) gives one sample; (N, m) gives one sample with
     fields stacked along axis 0.  If the chart carries closed-form geometry
-    and ``use_analytic`` is true that path is used, point by point; pass
-    ``use_analytic=False`` to force the stencil path, which evaluates the
-    points on one lattice, KERNEL_POINTS f points at a time.
+    and ``use_analytic`` is true that path is used, in one call on all the
+    points; pass ``use_analytic=False`` to force the stencil path, which
+    evaluates the points on one lattice, KERNEL_POINTS f points at a time.
     """
     u = np.asarray(u, dtype=float)
-    if use_analytic and chart.analytic_geometry is not None:
-        if u.ndim == 1:
-            return chart.analytic_geometry(u)
-        return stack_samples(chart.analytic_geometry(w) for w in u)
-
     U = np.atleast_2d(u)
+    if use_analytic and chart.analytic_geometry is not None:
+        sample = chart.analytic_geometry(U)
+        return _row(sample) if u.ndim == 1 else sample
+
     if h_step is None:
         h_step = 2e-3 * float(np.max(chart.widths()))
     lo, hi = np.array(chart.domain, dtype=float).T

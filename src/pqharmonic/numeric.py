@@ -7,9 +7,10 @@ numpy broadcasting.
 
 A composition of central stencils is one weight vector on the integer
 lattice t + k h (Fornberg, Math. Comp. 51 (1988) 699-706).  So a curve is
-sampled once per lattice point, as an (N, L, dim) array for N nodes and L
-offsets k (:func:`_lattice`, :func:`_sample`), and the stencils
-:func:`_stencil` and :func:`_stencil2` act along the lattice axis.
+sampled once per lattice point, in one call of its map on all N x L
+points, as an (N, L, dim) array for N nodes and L offsets k
+(:func:`_lattice`, :func:`_sample`), and the stencils :func:`_stencil` and
+:func:`_stencil2` act along the lattice axis.
 """
 
 from __future__ import annotations
@@ -60,11 +61,20 @@ def _lattice(ts, h, offsets=NESTED_OFFSETS):
 
 
 def _sample(fn, pts):
-    """The scalar map ``fn`` once per lattice point: an (N, L, dim) array."""
-    vals = np.array([fn(float(s)) for s in pts.ravel()], dtype=float)
+    """The curve map ``fn`` on the flat lattice, in one call: an (N, L, dim) array."""
+    vals = np.asarray(fn(pts.ravel()), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise DomainError("non-finite map value on the stencil lattice")
     return vals.reshape(pts.shape + (-1,))
+
+
+def _weigh(F, weights):
+    """sum_k F[..., k] weights[..., k], term by term, so a point gets the
+    same bits in a batch of any size (a BLAS contraction does not)."""
+    out = F[..., 0] * weights[..., 0]
+    for k in range(1, F.shape[-1]):
+        out = out + F[..., k] * weights[..., k]
+    return out
 
 
 def _stencil(F, h):

@@ -165,18 +165,6 @@ def umbilic_f(params: PQParams, m: int, S: float):
 
 # -- classification ---------------------------------------------------------
 
-def collect_samples(chart, grid_points, use_analytic=True, h_step=None):
-    """Samples at the grid points, stacked along axis 0.
-
-    Closed-form geometry is sampled point by point; the stencil path takes
-    the whole grid in one call, on one lattice.
-    """
-    if use_analytic and chart.analytic_geometry is not None:
-        return stack_samples(geometric_sample(chart, u) for u in grid_points)
-    return geometric_sample(chart, np.asarray(grid_points, dtype=float),
-                            h_step=h_step, use_analytic=False)
-
-
 def classify_samples(samples, params: PQParams, c=None, S=None, tol=1e-6,
                      points=None):
     """Build a :class:`ResidualReport` from precomputed samples.
@@ -215,7 +203,7 @@ def classify(chart, params: PQParams, n_per_axis=8, tol=None,
     if tol is None:
         tol = 1e-6 if (use_analytic and chart.analytic_geometry is not None) else 1e-3
     pts = sample_grid(chart, n_per_axis)
-    samples = collect_samples(chart, pts, use_analytic=use_analytic, h_step=h_step)
+    samples = geometric_sample(chart, pts, h_step=h_step, use_analytic=use_analytic)
     c = chart.sf.c if S is None else None
     return classify_samples(samples, params, c=c, S=S, tol=tol, points=pts)
 
@@ -253,8 +241,7 @@ def solve_p(chart, q, bracket, n_per_axis=8, tol=1e-8, use_analytic=True):
     the bracket or leaves a residual of at least ``tol``.
     """
     p_lo, p_hi = bracket
-    batch = collect_samples(chart, sample_grid(chart, n_per_axis),
-                            use_analytic=use_analytic)
+    batch = geometric_sample(chart, sample_grid(chart, n_per_axis), use_analytic=use_analytic)
     c = chart.sf.c
     if np.max(np.abs(batch.f)) < tol:
         return SolveResult(p=None, max_residual=0.0, success=False,
@@ -293,7 +280,11 @@ def solve_param_pair(family: Callable, q, theta_bracket, p_bracket,
     The root in theta of the grid mean of the signed tangential component
     (the part of eq2 along grad f) at p(theta) is found by false position
     (Illinois).  The search starts on ``theta_bracket``, which grows outward
-    from its end of smaller |mean| only while both ends have the same sign.
+    by half its width only while both ends have the same sign: from the end
+    whose p(theta) lies nearer ``p_bracket`` (the admissible root lies on
+    that side), or on a tie from the end of smaller |mean|.  A step that
+    would reach or cross theta = 0 halves that end instead, so a positive
+    family parameter, such as the cone slope, stays positive.
     If the mean vanishes at both ends (constant f), the midpoint is taken.
     ``max_iter`` caps the family evaluations.  A p outside ``p_bracket``,
     or a minimal chart on the way, raises
@@ -312,8 +303,8 @@ def solve_param_pair(family: Callable, q, theta_bracket, p_bracket,
                 f"no root of the tangential mean in {max_iter} evaluations")
         evaluations += 1
         chart = family(theta)
-        batch = collect_samples(chart, sample_grid(chart, n_per_axis),
-                                use_analytic=use_analytic)
+        batch = geometric_sample(chart, sample_grid(chart, n_per_axis),
+                                 use_analytic=use_analytic)
         (a1, s1), (a2, s2) = _affine_in_p(batch, q, chart.sf.c)
         if np.mean(s1) == 0:
             # the mean of eq1 does not depend on p: f vanishes on the grid
@@ -325,15 +316,23 @@ def solve_param_pair(family: Callable, q, theta_bracket, p_bracket,
                           out=np.zeros_like(gfn), where=gfn > 1e-14)
         return float(p), float(np.mean(along))
 
+    def outside(p):   # how far p lies outside p_bracket
+        return max(min(p_bracket) - p, p - max(p_bracket), 0.0)
+
+    def widened(near, far):
+        x = near + 0.5 * (near - far)
+        return x if near == 0 or x * near > 0 else 0.5 * near
+
     x0, x1 = sorted(theta_bracket)
-    g0, g1 = reduced(x0)[1], reduced(x1)[1]
+    (p0, g0), (p1, g1) = reduced(x0), reduced(x1)
     while g0 * g1 > 0:
-        if abs(g0) < abs(g1):
-            x0 -= 0.5 * (x1 - x0)
-            g0 = reduced(x0)[1]
+        d0, d1 = outside(p0), outside(p1)
+        if d0 < d1 or (d0 == d1 and abs(g0) < abs(g1)):
+            x0 = widened(x0, x1)
+            p0, g0 = reduced(x0)
         else:
-            x1 += 0.5 * (x1 - x0)
-            g1 = reduced(x1)[1]
+            x1 = widened(x1, x0)
+            p1, g1 = reduced(x1)
     if g0 == 0 and g1 == 0:
         th_sol = 0.5 * (x0 + x1)
         p_sol = reduced(th_sol)[0]

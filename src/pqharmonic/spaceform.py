@@ -12,8 +12,9 @@ For the embedded models the Levi-Civita connection is ordinary coordinate
 differentiation followed by the (pseudo-)orthogonal projection onto the
 tangent space, :meth:`SpaceForm.tangent_project`: the covariant derivative
 of a field V along a curve is ``tangent_project(P, dV/dt)``.  The pairing,
-the projection and the retraction act over the last axis, so they take one
-point or a whole stencil lattice of points at once.
+the projection, the curvature tensor, the model checks and the retraction
+act over the last axis, so they take one point or a whole stencil lattice
+of points at once.
 """
 
 from __future__ import annotations
@@ -71,14 +72,14 @@ class SpaceForm:
 
     def check_point(self, P, tol=MODEL_TOL):
         P = np.asarray(P, dtype=float)
-        if P.shape != (self.ambient_dim,):
+        if P.shape[-1:] != (self.ambient_dim,):
             raise ModelConstraintError(
-                f"expected coordinate array of length {self.ambient_dim}, "
+                f"expected coordinate arrays of length {self.ambient_dim}, "
                 f"got shape {P.shape}")
-        if self.constraint_defect(P) > tol:
-            raise ModelConstraintError(
-                f"point off the {self.model} model by {self.constraint_defect(P):.3e}")
-        if self.c < 0 and P[-1] <= 0:
+        defect = np.max(self.constraint_defect(P))
+        if defect > tol:
+            raise ModelConstraintError(f"point off the {self.model} model by {defect:.3e}")
+        if self.c < 0 and np.any(P[..., -1] <= 0):
             raise ModelConstraintError("hyperboloid points need positive last coordinate")
         return P
 
@@ -86,9 +87,9 @@ class SpaceForm:
         V = np.asarray(V, dtype=float)
         if self.c == 0:
             return V
-        if abs(self.pair(P, V)) > tol:
-            raise TangencyError(
-                f"vector not tangent at P: <P,V> = {self.pair(P, V):.3e}")
+        worst = np.max(np.abs(self.pair(P, V)))
+        if worst > tol:
+            raise TangencyError(f"vector not tangent at P: |<P,V>| = {worst:.3e}")
         return V
 
     def tangent_project(self, P, V):
@@ -108,7 +109,7 @@ class SpaceForm:
         X = self.check_tangent(P, X)
         Y = self.check_tangent(P, Y)
         Z = self.check_tangent(P, Z)
-        return self.c * (self.pair(Y, Z) * X - self.pair(X, Z) * Y)
+        return self.c * (self.pair(Y, Z)[..., None] * X - self.pair(X, Z)[..., None] * Y)
 
     def ricci_data(self, eta):
         """(Ric(eta,eta), (Ricci eta)^T) for a unit normal of a hypersurface.

@@ -167,8 +167,7 @@ def _tension_pq(curve, ts, params, h1):
         U3 = (s2[:, inner] ** ((p - 4) / 2.0) * sf.pair(dW, v))[..., None] * v
         term3 = -(p - 2) * sf.tangent_project(P[:, 4], _stencil(U3, h2)[:, 0])
 
-    R = np.array([sf.curvature_tensor(P[i, 4], tp[i, 4], vel[i, 4], vel[i, 4])
-                  for i in range(n)])
+    R = sf.curvature_tensor(P[:, 4], tp[:, 4], vel[:, 4], vel[:, 4])
     term1 = (-(s2[:, 4] ** ((p - 2) / 2.0)) * n2[:, 4] ** ((q - 2) / 2.0))[:, None] * R
 
     out = term1 + term2 + term3
@@ -193,9 +192,13 @@ def tension_pq_curve(curve: CurveChart, t, params: PQParams, step=None):
 
 @dataclass(frozen=True)
 class VariationField:
-    """A tangent field along a curve, compactly supported inside its domain."""
+    """A tangent field along a curve, compactly supported inside its domain.
 
-    fn: Callable[[float], np.ndarray]
+    ``fn`` acts over the last axis, like a curve map: parameters (...,)
+    inside the open ``support`` go to vectors (..., dim).
+    """
+
+    fn: Callable[[np.ndarray], np.ndarray]
     support: tuple
 
     def __call__(self, t):
@@ -205,20 +208,23 @@ class VariationField:
         return np.asarray(self.fn(t), dtype=float)
 
     def values(self, ts, dim):
+        """The field at ``ts`` (n,), zero outside the support, by one call of fn: (n, dim)."""
+        ts = np.asarray(ts, dtype=float)
+        lo, hi = self.support
+        inside = (ts > lo) & (ts < hi)
         out = np.zeros((len(ts), dim))
-        for i, t in enumerate(ts):
-            v = self(t)
-            if v is not None:
-                out[i] = v
+        if inside.any():
+            out[inside] = self.fn(ts[inside])
         return out
 
 
 def bump_normal_field(curve, direction_fn, support=None, amplitude=1.0):
-    """A smooth bump times a tangent direction field along the curve."""
+    """A smooth bump times a tangent direction field (over the last axis) along the curve."""
     lo, hi = support if support is not None else _default_support(curve)
 
     def fn(t):
-        return amplitude * numeric.smooth_bump(t, lo, hi) \
+        bump = amplitude * numeric.smooth_bump(t, lo, hi)
+        return np.asarray(bump)[..., None] \
             * curve.sf.tangent_project(np.asarray(curve.map(t), dtype=float),
                                        np.asarray(direction_fn(t), dtype=float))
     return VariationField(fn=fn, support=(lo, hi))
@@ -232,16 +238,15 @@ def random_bump_field(curve, rng, support=None, amplitude=1.0, n_modes=2):
     omega = 2 * math.pi / (hi - lo)
 
     def direction(t):
-        x = omega * (t - lo)
-        return sum(coeffs[j, 0] * math.cos((j + 1) * x)
-                   + coeffs[j, 1] * math.sin((j + 1) * x)
+        x = omega * (np.asarray(t, dtype=float)[..., None] - lo)
+        return sum(coeffs[j, 0] * np.cos((j + 1) * x)
+                   + coeffs[j, 1] * np.sin((j + 1) * x)
                    for j in range(n_modes))
 
     field = bump_normal_field(curve, direction, support=(lo, hi), amplitude=1.0)
-    # normalize to the requested sup amplitude
-    probe = np.linspace(lo, hi, 129)
-    sup = max(math.sqrt(max(curve.sf.pair(w, w), 0.0))
-              for w in (field(t) for t in probe) if w is not None)
+    # normalize to the requested sup amplitude, over the probes inside the support
+    w = field.values(np.linspace(lo, hi, 129), dim)
+    sup = float(np.max(np.sqrt(np.maximum(curve.sf.pair(w, w), 0.0))))
     return bump_normal_field(curve, direction, support=(lo, hi),
                              amplitude=amplitude / max(sup, 1e-12))
 
@@ -268,13 +273,16 @@ class VariationCheckReport:
 def varied_curve(curve, v: VariationField, t):
     """gamma_t = retract(gamma + t v); equals gamma outside the support."""
     sf = curve.sf
+    lo, hi = v.support
 
     def mapped(s):
         base = np.asarray(curve.map(s), dtype=float)
-        w = v(s)
-        if w is None or t == 0.0:
+        if t == 0.0:
             return base
-        return sf.retract(base + t * w)
+        s = np.asarray(s, dtype=float)
+        w = v.values(s.ravel(), base.shape[-1]).reshape(base.shape)
+        inside = ((s > lo) & (s < hi))[..., None]
+        return np.where(inside, sf.retract(base + t * w), base)
 
     return CurveChart(sf=sf, domain=curve.domain, map=mapped,
                       unit_speed=False, name=curve.name + f"(varied t={t:g})")

@@ -107,6 +107,17 @@ def test_solve_cone_pair(capsys):
     assert r == pytest.approx(1 / math.sqrt(6), abs=1e-6)
 
 
+@pytest.mark.parametrize("q", [5.7, 6.0, 8.0])
+def test_solve_cone_pair_large_q(q, capsys):
+    # the root r = 1/sqrt(q(q-1)) lies below the default bracket (0.3, 0.7)
+    assert run(["solve", "--builtin", "cone", "--q", str(q), "--unknowns", "p,r"]) == 0
+    out = capsys.readouterr().out
+    p = float(re.search(r"^  p: (.*)$", out, re.M).group(1))
+    r = float(re.search(r"^  r: (.*)$", out, re.M).group(1))
+    assert p == pytest.approx(2 * (1 - 1 / q), abs=1e-9)
+    assert r == pytest.approx(1 / math.sqrt(q * (q - 1)), abs=1e-9)
+
+
 @pytest.mark.parametrize("q", ["0.5", "1"])
 def test_solve_cone_pair_rejects_q_at_most_1(q, capsys):
     code = run(["solve", "--builtin", "cone", "--q", q, "--unknowns", "p,r"])

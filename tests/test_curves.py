@@ -80,7 +80,7 @@ def test_helix_domain_errors():
 def test_great_circle_frame_undefined():
     sf = SpaceForm(3, 1.0)
     curve = CurveChart(sf=sf, domain=(0.0, 2 * math.pi), unit_speed=True,
-                       map=lambda t: np.array([math.cos(t), math.sin(t), 0.0, 0.0]))
+                       map=lambda t: np.stack([np.cos(t), np.sin(t), 0.0 * t, 0.0 * t], axis=-1))
     with pytest.raises(FrameUndefinedError):
         frenet(curve, 1.0)
 
@@ -123,11 +123,51 @@ def test_frenet_samples_the_lattice_once():
     calls = []
 
     def counted(t):
-        calls.append(t)
+        calls.append(np.array(t, dtype=float))
         return curve.map(t)
 
     frenet(replace(curve, map=counted), 1.7)
-    assert len(calls) == 17 and len(set(calls)) == 17
+    assert len(calls) == 1 and calls[0].shape == (17,)
+    rows = calls[0]
+    assert len(rows) == 17 and len(set(rows.tolist())) == 17
+
+
+def test_curve_maps_act_over_the_last_axis(tmp_path, monkeypatch):
+    path = tmp_path / "curve.txt"
+    path.write_text(HELIX_FILE)
+    arclength = cli.load_chart_file(str(path))
+    monkeypatch.setattr(cli.crv, "reparametrize_arclength", lambda curve: curve)
+    raw = cli.load_chart_file(str(path))
+    assert arclength.map is not raw.map
+    for curve in (helix(math.pi / 4, SQ7 / 2, 0.5).curve, circle(1.3), raw, arclength):
+        lo, hi = curve.domain
+        ts = lo + (hi - lo) * np.linspace(0.05, 0.95, 9)
+        batch = curve.map(ts)
+        assert batch.shape == (9, curve.sf.ambient_dim), curve.name
+        assert np.array_equal(batch, np.stack([curve.map(float(t)) for t in ts])), curve.name
+
+
+def test_arclength_newton_stops_each_s_at_its_tolerance():
+    # on the circle traced as t + 0.3 t^2 the Newton step count varies with s;
+    # a batch must cost the raw map rows its points cost one at a time
+    rows = []
+
+    def gamma(t):
+        rows.append(np.size(t))
+        phi = t + 0.3 * t * t
+        return np.stack([np.cos(phi), np.sin(phi), 0.0 * t], axis=-1)
+
+    out = reparametrize_arclength(CurveChart(sf=SpaceForm(3, 0.0), domain=(0.0, 2.0),
+                                             map=gamma))
+    # s = 0 and the full length are coarse nodes: one step; the others take two
+    ss = out.domain[1] * np.linspace(0.0, 1.0, 9)
+    rows.clear()
+    batch = out.map(ss)
+    batch_rows = sum(rows)
+    rows.clear()
+    single = np.stack([out.map(float(s)) for s in ss])
+    assert batch_rows == sum(rows)
+    assert np.array_equal(batch, single)
 
 
 def test_reparametrize_identity_on_unit_speed():
@@ -143,7 +183,7 @@ def test_reparametrize_nonunit_circle():
     rho = 2.0
     sf = SpaceForm(3, 0.0)
     raw = CurveChart(sf=sf, domain=(0.0, 2 * math.pi),
-                     map=lambda t: np.array([rho * math.cos(t), rho * math.sin(t), 0.0]))
+                     map=lambda t: np.stack([rho * np.cos(t), rho * np.sin(t), 0.0 * t], axis=-1))
     out = reparametrize_arclength(raw)
     assert out.unit_speed
     assert out.domain[1] == pytest.approx(2 * math.pi * rho, abs=1e-8)

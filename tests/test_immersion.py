@@ -4,8 +4,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from pqharmonic import (cone, first_fundamental, geometric_sample, great_sphere,
-                        plane, sample_grid, shape_packet, sphere_in_sphere,
+from pqharmonic import (PQParams, classify, cone, first_fundamental, geometric_sample,
+                        great_sphere, plane, sample_grid, shape_packet, sphere_in_sphere,
                         unit_normal)
 from pqharmonic import immersion, numeric
 from pqharmonic.cli import load_chart_file
@@ -100,7 +100,7 @@ def test_flip_sample_parity():
 def test_degenerate_immersion_raises():
     sf = SpaceForm(3, 0.0)
     ch = ImmersionChart(sf=sf, m=2, domain=((0.0, 1.0), (0.0, 1.0)),
-                        map=lambda u: np.array([u[0], u[0], 0.0]),
+                        map=lambda u: np.stack([u[..., 0], u[..., 0], 0.0 * u[..., 0]], axis=-1),
                         name="collapsed")
     with pytest.raises(DegenerateImmersionError):
         first_fundamental(ch, np.array([0.5, 0.5]))
@@ -237,32 +237,89 @@ def test_stencil_samples_each_lattice_point_once(tmp_path):
         return ch.map(w)
 
     geometric_sample(replace(ch, map=counted), np.array([1.3, 2.0]), use_analytic=False)
+    assert len(calls) == 1 and calls[0].ndim == 2
+    rows = calls[0]
     # nested per-point stencils made 5,619 map calls here
-    assert len(calls) <= 700
-    assert len(np.unique(np.round(np.array(calls), 9), axis=0)) == len(calls)
+    assert len(rows) == 507
+    assert len(rows) <= 700
+    assert len(np.unique(np.round(rows, 9), axis=0)) == len(rows)
 
-    jets = {"jacobian": 0, "hessian": 0}
+    jets = {"jacobian": [], "hessian": []}
     exact = cone(R6)
 
     def counting(name):
         fn = getattr(exact, name)
 
         def wrapped(w):
-            jets[name] += 1
+            jets[name].append(np.shape(w))
             return fn(w)
         return wrapped
 
     geometric_sample(replace(exact, jacobian=counting("jacobian"),
                              hessian=counting("hessian")),
                      np.array([1.3, 2.0]), use_analytic=False)
-    assert jets == {"jacobian": 33, "hessian": 33}   # once per f-lattice point
+    # one call each, one row per f-lattice point
+    assert jets == {"jacobian": [(33, 2)], "hessian": [(33, 2)]}
+
+
+def _same_sample(a, b, i):
+    """Row i of the stacked sample ``a`` equals the one-point sample ``b``, bit for bit."""
+    for fd in fields(GeometricSample):
+        x, y = getattr(a, fd.name), getattr(b, fd.name)
+        if fd.name == "m" or x is None:
+            assert x == y, fd.name
+        else:
+            assert np.array_equal(x[i], y), fd.name
+
+
+def test_callbacks_act_over_the_last_axis(tmp_path):
+    charts = {"sphere-m2": sphere_in_sphere(2, 0.7), "sphere-m3": sphere_in_sphere(3, 0.4),
+              "great-sphere": great_sphere(2), "cone": cone(R6), "plane": plane(),
+              "file-cone": _cone_file(tmp_path), "file-h3-sphere": _h3_sphere_file(tmp_path)}
+    rng = np.random.default_rng(7)
+    for name, ch in charts.items():
+        lo, hi = np.array(ch.domain).T
+        U = lo + (hi - lo) * rng.uniform(0.05, 0.95, (7, ch.m))
+        dim, m = ch.sf.ambient_dim, ch.m
+        for cb, shape in (("map", (dim,)), ("jacobian", (dim, m)),
+                          ("hessian", (dim, m, m)), ("reference_normal", (dim,))):
+            fn = getattr(ch, cb)
+            if fn is None:
+                continue
+            batch = fn(U)
+            assert batch.shape == (7,) + shape, (name, cb)
+            assert np.array_equal(batch, np.stack([fn(u) for u in U])), (name, cb)
+        if ch.analytic_geometry is not None:
+            stacked, sampled = ch.analytic_geometry(U), geometric_sample(ch, U)
+            for i, u in enumerate(U):
+                _same_sample(stacked, ch.analytic_geometry(u), i)
+                _same_sample(sampled, geometric_sample(ch, u), i)
+
+
+def test_chart_file_classify_calls_the_map_once_per_batch(tmp_path):
+    ch = _cone_file(tmp_path)
+    calls = []
+
+    def counted(w):
+        calls.append(np.shape(w))
+        return ch.map(w)
+
+    counting = replace(ch, map=counted)
+    classify(counting, PQParams(4 / 3, 3), n_per_axis=4)
+    # the 8,112 points the per-point loop evaluated, in one call
+    assert calls == [(8112, 2)]
+    calls.clear()
+    classify(counting, PQParams(4 / 3, 3), n_per_axis=8)
+    # one call per KERNEL_POINTS batch of f points
+    assert len(calls) == 3 and all(len(s) == 2 for s in calls)
 
 
 def test_guards_raise_inside_a_batch():
     sf = SpaceForm(3, 0.0)
     # flat patch whose v direction collapses along u = 0.5
     pinched = ImmersionChart(sf=sf, m=2, domain=((0.0, 1.0), (0.0, 1.0)),
-                             map=lambda u: np.array([u[0], (u[0] - 0.5) * u[1], 0.0]),
+                             map=lambda u: np.stack([u[..., 0], (u[..., 0] - 0.5) * u[..., 1],
+                                                     0.0 * u[..., 0]], axis=-1),
                              name="pinched")
     batch = np.array([[0.2, 0.5], [0.5, 0.5], [0.8, 0.5]])
     geometric_sample(pinched, batch[[0, 2]], use_analytic=False)

@@ -159,7 +159,7 @@ def test_classify_mixed_sign_f():
     sf = SpaceForm(3, 0.0)
     ch = ImmersionChart(
         sf=sf, m=2, domain=((0.0, 2.0), (0.0, 1.0)),
-        map=lambda w: np.array([w[0], w[1], (w[0] - 1.0) ** 3]),
+        map=lambda w: np.stack([w[..., 0], w[..., 1], (w[..., 0] - 1.0) ** 3], axis=-1),
         name="inflected-graph")
     rep = classify(ch, PQParams(2, 2), n_per_axis=9, use_analytic=False)
     assert rep.classification is Classification.MIXED_SIGN_F
@@ -223,6 +223,36 @@ def test_solve_param_pair_p_outside_bracket():
     # the solution p = 1.4382 at q = 3.56 lies below this p bracket
     with pytest.raises(NoRootInBracketError):
         solve_param_pair(lambda r: cone(r), 3.56, (0.3, 0.7), (1.5, 2.5))
+
+
+@pytest.mark.parametrize("q", [5.7, 6.0, 8.0])
+def test_solve_param_pair_cone_large_q(q):
+    # the root r = 1/sqrt(q(q-1)) < 0.2 lies below the bracket, where p(r) is
+    # smaller; widening from the end of smaller |mean| ran off to r ~ 7.7e4
+    calls = []
+
+    def family(r):
+        calls.append(r)
+        return cone(r)
+
+    result = solve_param_pair(family, q, (0.3, 0.7), (0.5, 2.5))
+    assert result.converged and result.admissible
+    assert result.theta == pytest.approx(1 / math.sqrt(q * (q - 1)), abs=1e-9)
+    assert result.p == pytest.approx(2 * (1 - 1 / q), abs=1e-9)
+    assert min(calls) > 0
+
+
+def test_solve_param_pair_benchmark_brackets_do_not_widen():
+    # roots inside (0.3, 0.7): the search never leaves the starting bracket
+    for q in np.linspace(2.3, 3.0, 8):
+        calls = []
+
+        def family(r):
+            calls.append(r)
+            return cone(r)
+
+        solve_param_pair(family, q, (0.3, 0.7), (0.5, 2.5))
+        assert 0.3 <= min(calls) and max(calls) <= 0.7, q
 
 
 @pytest.mark.parametrize("q", [2.0, 2.5, 3.0, 3.56])

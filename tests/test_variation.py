@@ -20,7 +20,7 @@ SQ7 = math.sqrt(7.0)
 def _line(speed=1.0):
     sf = SpaceForm(3, 0.0)
     return CurveChart(sf=sf, domain=(0.0, 4.0),
-                      map=lambda t: np.array([speed * t, 1.0, 2.0]),
+                      map=lambda t: np.stack([speed * t, 0.0 * t + 1.0, 0.0 * t + 2.0], axis=-1),
                       unit_speed=(speed == 1.0), name="line")
 
 
@@ -41,8 +41,8 @@ def test_tension_p_speedy_circle():
     rho, s = 2.0, 1.5
     sf = SpaceForm(3, 0.0)
     curve = CurveChart(sf=sf, domain=(0.0, 2 * math.pi * rho / s),
-                       map=lambda t: np.array([rho * math.cos(s * t / rho),
-                                               rho * math.sin(s * t / rho), 0.0]))
+                       map=lambda t: np.stack([rho * np.cos(s * t / rho),
+                                               rho * np.sin(s * t / rho), 0.0 * t], axis=-1))
     for p in (2.0, 3.0):
         tp = tension_p(curve, 1.0, p)
         assert np.linalg.norm(tp) == pytest.approx(s ** (p - 2) * s * s / rho, abs=1e-6)
@@ -100,16 +100,30 @@ def test_tension_pq_singular_factor_guard():
 
 
 def test_variation_field_support():
-    v = VariationField(fn=lambda t: np.array([1.0, 0.0, 0.0]), support=(1.0, 2.0))
+    v = VariationField(fn=lambda t: np.multiply.outer(np.ones_like(t), [1.0, 0.0, 0.0]),
+                       support=(1.0, 2.0))
     assert v(0.5) is None and v(2.5) is None
     assert np.allclose(v(1.5), [1.0, 0.0, 0.0])
     vals = v.values([0.5, 1.5, 2.5], 3)
     assert np.allclose(vals[0], 0) and np.allclose(vals[2], 0)
 
 
+def test_field_values_match_pointwise_calls():
+    hr = helix(math.pi / 4, SQ7 / 2, 0.5)
+    v = random_bump_field(hr.curve, np.random.default_rng(2), amplitude=0.5)
+    ts = np.linspace(*hr.curve.domain, 41)
+    vals = v.values(ts, 4)
+    for t, row in zip(ts, vals):
+        w = v(float(t))
+        assert np.array_equal(row, np.zeros(4) if w is None else w)
+    gt = varied_curve(hr.curve, v, 0.05)
+    assert np.array_equal(gt.map(ts), np.stack([gt.map(float(t)) for t in ts]))
+
+
 def test_varied_curve_stays_on_model():
     hr = helix(math.pi / 4, SQ7 / 2, 0.5)
-    v = bump_normal_field(hr.curve, lambda t: np.array([0.3, -0.2, 0.5, 0.1]))
+    v = bump_normal_field(hr.curve,
+                          lambda t: np.multiply.outer(np.ones_like(t), [0.3, -0.2, 0.5, 0.1]))
     gt = varied_curve(hr.curve, v, 0.05)
     sf = hr.curve.sf
     for t in np.linspace(*hr.curve.domain, 11):
@@ -127,7 +141,7 @@ def test_random_bump_field_amplitude_and_tangency():
 def test_first_variation_circle_22():
     c = circle(1.0)
     dc = DiscretizedCurve(curve=c, K=128)
-    v = bump_normal_field(c, lambda t: np.array([math.cos(t), math.sin(t), 0.0]),
+    v = bump_normal_field(c, lambda t: np.stack([np.cos(t), np.sin(t), 0.0 * t], axis=-1),
                           amplitude=0.5)
     rep = first_variation_check(dc, v, PQParams(2, 2))
     assert rep.rel_error <= 1e-4
@@ -227,7 +241,7 @@ def test_batched_tension_equals_per_node_calls():
 def _cubic():
     # t -> (t^3, 0, 0): the stencil speed at the node t = 0 is exactly 0
     return CurveChart(sf=SpaceForm(3, 0.0), domain=(-1.0, 1.0),
-                      map=lambda t: np.array([t ** 3, 0.0, 0.0]), name="cubic")
+                      map=lambda t: np.stack([t ** 3, 0.0 * t, 0.0 * t], axis=-1), name="cubic")
 
 
 def test_singular_speed_guard():
@@ -239,21 +253,25 @@ def test_singular_speed_guard():
         tension_pq_curve(dc.curve, 0.0, PQParams(1.5, 2))
 
 
-def test_variation_demo_runs(capsys):
-    path = pathlib.Path(__file__).resolve().parents[1] / "demos" / "variation.py"
-    spec = importlib.util.spec_from_file_location("variation_demo", path)
+@pytest.mark.parametrize("name", ["curves", "hypersurfaces", "variation"])
+def test_demo_runs(name, capsys):
+    # the demos build charts through the public API only
+    path = pathlib.Path(__file__).resolve().parents[1] / "demos" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"{name}_demo", path)
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)
     demo.main()
     out = capsys.readouterr().out
-    assert "== circle of radius 1 in R^3 ==" in out
-    assert out.count("rel err") == 3 and out.count("random field") == 3
+    assert out.startswith("== ")
+    if name == "variation":
+        assert "== circle of radius 1 in R^3 ==" in out
+        assert out.count("rel err") == 3 and out.count("random field") == 3
 
 
 def _circle_traced_by(phi, name):
     """The unit circle in R^3 traced as t -> phi(t) on (0, 2)."""
     return CurveChart(sf=SpaceForm(3, 0.0), domain=(0.0, 2.0),
-                      map=lambda t: np.array([math.cos(phi(t)), math.sin(phi(t)), 0.0]),
+                      map=lambda t: np.stack([np.cos(phi(t)), np.sin(phi(t)), 0.0 * t], axis=-1),
                       unit_speed=False, name=name)
 
 
