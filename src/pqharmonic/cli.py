@@ -487,6 +487,10 @@ def main(argv=None):
         if args.command != "catalog" and getattr(args, "builtin", None) is None \
                 and getattr(args, "chart_file", None) is None:
             raise _CliError("select a chart with --builtin or --chart-file")
+        for flag in ("tol", "samples", "fields", "amplitude", "max_rel"):
+            value = getattr(args, flag, None)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise _CliError(f"--{flag.replace('_', '-')} must be finite and > 0, got {value}")
         return args.fn(args)
     except (_CliError, GeometryError, ExpressionError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

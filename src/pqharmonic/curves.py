@@ -5,9 +5,9 @@ Curves live in N^3(c) through the embedded models of
 stencil lattice t + k h, k = -8..8, of :mod:`pqharmonic.numeric` and nests
 the deriv1 stencil along it: T on the offsets -6..6, then nabla_T T, k and
 N on -4..4, then nabla_T N and tau on -2..2, and finally k', k'' and tau'
-at the centre.  The binormal is the oriented completion of (T, N), a
-polynomial in the coordinates: T x N in R^3 and a signed generalized cross
-product in the embedded models.
+at the centre.  The binormal is T x N in R^3 and, in the embedded models,
+minus the oriented normal of (T, N) (:meth:`SpaceForm.complement`), which
+makes the torsion of the standard sphere helices positive.
 """
 
 from __future__ import annotations
@@ -69,25 +69,6 @@ class FrenetApparatus:
 
 # -- the Frenet frame -------------------------------------------------------
 
-def _binormal(sf, P, T, N):
-    """Oriented completion of (T, N) in the tangent 3-space at P, over the last axis.
-
-    In R^3 it is T x N, so det[T, N, B] > 0.  In the embedded models the
-    cofactors cof_j = det[T, N, e_j, P] are Euclidean-orthogonal to T, N and
-    P, so s * cof (s the pairing signs) is orthogonal to them in the model
-    pairing, and det[T, N, s * cof, P] = <s * cof, s * cof> > 0.  B is the
-    unit vector -s * cof, with det[T, N, B, P] < 0; this makes the torsion
-    of the standard sphere helices positive.
-    """
-    if sf.c == 0:
-        return np.cross(T, N)
-    cols = np.stack([T, N, P], axis=-1)
-    cof = np.stack([(-1) ** j * np.linalg.det(np.delete(cols, j, axis=-2))
-                    for j in range(sf.ambient_dim)], axis=-1)
-    w = -sf.pairing_signs() * cof
-    return w / np.sqrt(sf.pair(w, w))[..., None]
-
-
 def frenet(curve: CurveChart, t) -> FrenetApparatus:
     """Frenet frame, curvature, torsion and their arc-length derivatives.
 
@@ -106,9 +87,11 @@ def frenet(curve: CurveChart, t) -> FrenetApparatus:
             f"geodesic curvature {np.min(k):.3e} below {K_THRESHOLD:g}: frame undefined")
     N = acc / k[..., None]
     dN = sf.tangent_project(X[:, 6:-6], _stencil(N, h))        # -2..2
-    B = _binormal(sf, X[:, 6:-6], T[:, 4:-4], N[:, 2:-2])
+    T, N = T[:, 4:-4], N[:, 2:-2]                               # -2..2
+    # T x N in R^3, minus the oriented normal of (T, N) in the embedded models
+    B = np.cross(T, N) if sf.c == 0 else -sf.complement(X[:, 6:-6], np.stack([T, N], -1))[0]
     tau = sf.pair(dN, B)
-    return FrenetApparatus(T=T[0, 6], N=N[0, 4], B=B[0, 2], k=float(k[0, 4]),
+    return FrenetApparatus(T=T[0, 2], N=N[0, 2], B=B[0, 2], k=float(k[0, 4]),
                            tau=float(tau[0, 2]),
                            k_prime=float(_stencil(k[:, 2:-2], h)[0, 0]),
                            k_second=float(_stencil2(k[:, 2:-2], h)[0, 0]),

@@ -18,9 +18,9 @@ grid points of a call:
   axis (deriv1 at h and h/2 with one Richardson level, and deriv2 at h)
   and (i e_a + j e_b) max(h_a, h_b) for the nested mixed stencil.  The map
   is called once per batch, on the distinct points of all these lattices;
-* g, det g, g^-1, the unit normal (the null space of the tangent rows, by
-  a batched SVD), B, A, f and |A|^2 = tr(A^2) are computed at all f points
-  at once, and every guard is checked at every f point.
+* g, det g, g^-1, the unit normal (:meth:`SpaceForm.complement` of the
+  tangent columns), B, A, f and |A|^2 = tr(A^2) are computed at all f
+  points at once, and every guard is checked at every f point.
 
 Catalog entries with closed-form geometry double as cross-checks of the
 stencil path.
@@ -78,12 +78,12 @@ class ImmersionChart:
         return 1e-3 * self.widths()
 
     def flipped(self):
-        """Same patch with the opposite orientation."""
-        ref = self.reference_normal
+        """Same patch with the opposite orientation: the reference normal, or
+        without one the volume-form normal of this chart, negated."""
+        ref = self.reference_normal or (lambda u: unit_normal(self, u))
         ana = self.analytic_geometry
-        new_ref = (lambda u: -ref(u)) if ref is not None else None
         new_ana = (lambda u: flip_sample(ana(u))) if ana is not None else None
-        return replace(self, reference_normal=new_ref, analytic_geometry=new_ana,
+        return replace(self, reference_normal=lambda u: -ref(u), analytic_geometry=new_ana,
                        name=self.name + "(flipped)")
 
 
@@ -263,30 +263,18 @@ def _first_guard(bad, X, message):
         raise DegenerateImmersionError(message(i, X[i]))
 
 
-def _unit_normal(chart, X, J, P):
+def _unit_normal(chart, X, J, P, det_g):
     """Unit normals (n, dim) at X, oriented as :func:`unit_normal` says."""
     sf = chart.sf
-    signs = sf.pairing_signs()
-    rows = np.swapaxes(signs[:, None] * J, 1, 2)
-    if sf.c != 0:
-        rows = np.concatenate([rows, (signs * P)[:, None, :]], axis=1)
-    _, sv, vh = np.linalg.svd(rows, full_matrices=True)
-    # numerical rank: singular values above eps * max(shape) * the largest
-    tol = sv[:, :1] * np.finfo(float).eps * max(rows.shape[1:])
-    null_dim = rows.shape[2] - np.sum(sv > tol, axis=1)
-    _first_guard(null_dim != 1, X,
-                 lambda i, x: f"normal space at {x} has dimension {null_dim[i]}")
-    w = vh[:, -1]
-    nrm2 = np.sum(signs * w * w, axis=1)
-    _first_guard(nrm2 <= 0, X, lambda i, x: "normal direction is not spacelike")
-    eta = w / np.sqrt(nrm2)[:, None]
+    eta, nrm2 = sf.complement(P, J)
+    # <w, w> = det g |<P, P>| (det g in R^n) for an immersion into the model
+    scale = det_g if sf.c == 0 else det_g * np.abs(sf.pair(P, P))
+    _first_guard(~(nrm2 > RANK_TOL * scale), X,
+                 lambda i, x: f"no spacelike unit normal at {x}: <w, w> = {nrm2[i]:.3e}")
     if chart.reference_normal is not None:
         ref = np.asarray(chart.reference_normal(X), dtype=float)
-        flip = np.sum(signs * eta * ref, axis=1) < 0
-    else:
-        cols = [J, eta[:, :, None]] + ([P[:, :, None]] if sf.c != 0 else [])
-        flip = np.linalg.det(np.concatenate(cols, axis=2)) < 0
-    return np.where(flip[:, None], -eta, eta)
+        eta = np.where((sf.pair(eta, ref) < 0)[:, None], -eta, eta)
+    return eta
 
 
 def _shape(chart, X, h_step=None):
@@ -299,7 +287,7 @@ def _shape(chart, X, h_step=None):
     _first_guard(det_g <= RANK_TOL, X,
                  lambda i, x: f"degenerate immersion at {x}: det g = {det_g[i]:.3e}")
     g_inv = np.linalg.inv(g)
-    eta = _unit_normal(chart, X, J, P)
+    eta = _unit_normal(chart, X, J, P, det_g)
     # h(nabla_{d_i} d_j X, eta) = h(d^2 X / du_i du_j, eta): the model-normal
     # part of the coordinate second derivative pairs to zero with eta
     B = np.einsum("nk,nkab->nab", signs * eta, H)
@@ -331,12 +319,14 @@ def first_fundamental(chart, u):
 
 
 def unit_normal(chart, u):
-    """Unit ambient vector orthogonal to the patch (and to the model normal).
+    """Unit ambient vectors (..., dim) at u (..., m), orthogonal to the patch (and P).
 
     Orientation follows the chart's declared reference normal when present,
     otherwise the ambient volume form: det[d_1 X, ..., d_m X, eta(, P)] > 0.
     """
-    return _one_point(chart, u)[1].eta[0]
+    u = np.asarray(u, dtype=float)
+    eta = _shape(chart, u.reshape(-1, chart.m))[1].eta
+    return eta.reshape(u.shape[:-1] + eta.shape[-1:])
 
 
 def shape_packet(chart, u):

@@ -12,9 +12,9 @@ For the embedded models the Levi-Civita connection is ordinary coordinate
 differentiation followed by the (pseudo-)orthogonal projection onto the
 tangent space, :meth:`SpaceForm.tangent_project`: the covariant derivative
 of a field V along a curve is ``tangent_project(P, dV/dt)``.  The pairing,
-the projection, the curvature tensor, the model checks and the retraction
-act over the last axis, so they take one point or a whole stencil lattice
-of points at once.
+the projection, the oriented unit normal of tangent vectors (``complement``),
+the curvature tensor, the model checks and the retraction act over the last
+axis, so they take one point or a whole stencil lattice of points at once.
 """
 
 from __future__ import annotations
@@ -100,6 +100,25 @@ class SpaceForm:
         P = np.asarray(P, dtype=float)
         # <P,P> = 1/c on the model, so the normal component is c<P,V> P
         return V - self.c * self.pair(P, V)[..., None] * P
+
+    def complement(self, P, V):
+        """Oriented unit normal of the k tangent columns V (..., dim, k) at P, and its square.
+
+        w = s * cof, s the pairing signs and cof_j = det[V, e_j(, P)] (P only
+        in the embedded models), is pairing-orthogonal to V and P with
+        det[V, w(, P)] = <w, w>.  Returns (w / sqrt(<w, w>), <w, w>); the
+        first is nan where <w, w> <= 0, and in R^3 it is V_1 x V_2 normalised.
+        """
+        V = np.asarray(V, dtype=float)
+        k = V.shape[-1]
+        cols = V if self.c == 0 else np.concatenate([V, np.asarray(P, dtype=float)[..., None]],
+                                                    axis=-1)
+        cof = np.stack([(-1) ** (j + k) * np.linalg.det(np.delete(cols, j, axis=-2))
+                        for j in range(self.ambient_dim)], axis=-1)
+        w = self.pairing_signs() * cof
+        nrm2 = self.pair(w, w)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return w / np.sqrt(nrm2)[..., None], nrm2
 
     # -- metric and curvature ----------------------------------------------
 

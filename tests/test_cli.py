@@ -73,6 +73,27 @@ def test_verify_hypersurface_bad_config(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+CONE_PQ = ["--builtin", "cone", "--p", "4/3", "--q", "3"]
+CIRCLE_PQ = ["--builtin", "circle", "--p", "2", "--q", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-hypersurface", *CONE_PQ, "--tol", "nan"],
+    ["verify-hypersurface", *CONE_PQ, "--tol", "-1"],
+    ["sweep", *CONE_PQ, "--param", "r", "--values", "0.5", "--tol", "inf"],
+    ["verify-curve", *CIRCLE_PQ, "--tol", "0"],
+    ["verify-curve", *CIRCLE_PQ, "--samples", "0"],
+    ["variation-check", *CIRCLE_PQ, "--K", "64", "--amplitude", "nan"],
+    ["variation-check", *CIRCLE_PQ, "--K", "64", "--max-rel", "nan"],
+    ["variation-check", *CIRCLE_PQ, "--K", "64", "--fields", "0"],
+], ids=["tol-nan", "tol-negative", "sweep-tol-inf", "curve-tol-zero", "samples-0",
+        "amplitude-nan", "max-rel-nan", "fields-0"])
+def test_bad_numeric_flag_is_config_error(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_missing_selector_is_config_error(capsys):
     assert run(["verify-hypersurface", "--p", "2", "--q", "2"]) == 2
 

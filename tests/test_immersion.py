@@ -11,6 +11,7 @@ from pqharmonic import immersion, numeric
 from pqharmonic.cli import load_chart_file
 from pqharmonic.errors import BoundaryProximityError, DegenerateImmersionError
 from pqharmonic.immersion import GeometricSample, ImmersionChart, flip_sample
+from pqharmonic.residual import residual
 from pqharmonic.spaceform import SpaceForm
 
 U_SPHERE = np.array([1.1, 2.3])
@@ -104,6 +105,19 @@ def test_degenerate_immersion_raises():
                         name="collapsed")
     with pytest.raises(DegenerateImmersionError):
         first_fundamental(ch, np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("c, coords", [
+    # P = u d_u X, so d_u X, d_v X and P span only a plane
+    (1.0, lambda u, v: (u * np.cos(v), u * np.sin(v), 0.0 * u, 0.0 * u)),
+    # P is spacelike in the hyperboloid model, so the complement is timelike
+    (-1.0, lambda u, v: (u, v, 2.0 + 0.0 * u, 0.0 * u)),
+], ids=["radial-in-S3", "spacelike-P-in-H3"])
+def test_normal_guards_raise(c, coords):
+    ch = ImmersionChart(sf=SpaceForm(3, c), m=2, domain=((0.5, 1.5), (0.0, 2.0)),
+                        map=lambda u: np.stack(coords(u[..., 0], u[..., 1]), axis=-1))
+    with pytest.raises(DegenerateImmersionError):
+        unit_normal(ch, np.array([1.0, 1.0]))
 
 
 def test_boundary_proximity_guard():
@@ -333,8 +347,11 @@ def test_guards_raise_inside_a_batch():
         geometric_sample(ch, near_edge, use_analytic=False)
 
 
-def test_flipped_chart_negates_stencil_quantities():
-    ch = cone(0.5)
+# chart files have no reference normal: their orientation is the volume form's
+@pytest.mark.parametrize("make", [lambda tmp_path: cone(0.5), _cone_file, _h3_sphere_file],
+                         ids=["cone", "file-cone", "file-h3-sphere"])
+def test_flipped_chart_negates_stencil_quantities(make, tmp_path):
+    ch = make(tmp_path)
     pts = sample_grid(ch, 4)
     s = geometric_sample(ch, pts, use_analytic=False)
     t = geometric_sample(ch.flipped(), pts, use_analytic=False)
@@ -358,3 +375,22 @@ def test_map_lattice_jets_match_nested_stencils(tmp_path):
             for b in range(ch.m):
                 H_ref = numeric.partial2(ch.map, u, a, b, max(h[a], h[b]))
                 assert np.allclose(H[0, :, a, b], H_ref, rtol=0, atol=1e-9), (ch.name, a, b)
+
+
+@pytest.mark.parametrize("det", [1, -1])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rigid_motion_keeps_eq1_and_orients_f_by_det(seed, det):
+    base = cone(R6)
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    if np.linalg.det(Q) * det < 0:
+        Q[:, 2] *= -1.0
+    # map-only charts: the orientation comes from the volume form
+    before, after = (ImmersionChart(sf=base.sf, m=2, domain=base.domain, map=fn)
+                     for fn in (base.map, lambda u: base.map(u) @ Q.T))
+    pts = sample_grid(base, 4)
+    params = PQParams(2.5, 2.5)
+    s, t = (geometric_sample(ch, pts, use_analytic=False) for ch in (before, after))
+    # rounding of the map, amplified by the FD jets and the f-lattice stencils
+    assert np.allclose(t.f, det * s.f, rtol=1e-8, atol=0)
+    assert np.allclose(t.normA2, s.normA2, rtol=1e-8, atol=0)
+    assert np.allclose(residual(t, params)[0], residual(s, params)[0], rtol=1e-4, atol=0)

@@ -102,3 +102,34 @@ def test_retract_rejects_bad_input():
     with pytest.raises(DomainError):
         SpaceForm(2, -1.0).retract([5.0, 0.0, 1.0])  # spacelike
 
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0, -1.0])
+@pytest.mark.parametrize("k", [2, 3])
+def test_complement_is_the_oriented_unit_normal(c, k):
+    sf = SpaceForm(k + 1, c)
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(5, sf.ambient_dim))
+    if c > 0:
+        P = x / np.linalg.norm(x, axis=-1, keepdims=True)
+    elif c < 0:
+        x[:, -1] = np.sqrt(1.0 + np.sum(x[:, :-1] ** 2, axis=-1))
+        P = x
+    else:
+        P = None
+    V = rng.normal(size=(5, sf.ambient_dim, k))
+    if P is not None:
+        V = np.moveaxis(sf.tangent_project(P[:, None, :], np.moveaxis(V, -1, 1)), 1, -1)
+    w, nrm2 = sf.complement(P, V)
+    assert np.all(nrm2 > 0)
+    assert np.allclose(sf.pair(w, w), 1.0, rtol=0, atol=1e-12)
+    assert np.allclose(np.einsum("nd,nda->na", sf.pairing_signs() * w, V), 0.0, atol=1e-12)
+    cols = [V, w[..., None]]
+    if P is not None:
+        assert np.allclose(sf.pair(w, P), 0.0, atol=1e-12)
+        cols.append(P[..., None])
+    assert np.all(np.linalg.det(np.concatenate(cols, axis=-1)) > 0)
+    if c == 0 and k == 2:
+        cross = np.cross(V[..., 0], V[..., 1])
+        assert np.allclose(w, cross / np.linalg.norm(cross, axis=-1, keepdims=True),
+                           rtol=0, atol=1e-14)
