@@ -130,8 +130,8 @@ def great_sphere(m=2):
     return _sphere(m, 1.0, f"great-sphere(m={m})")
 
 
-def cone(r, u_range=(0.5, 2.0)):
-    """The rotation cone X(u,v) = (r u cos v, r u sin v, u) in R^3.
+def cone(r):
+    """The rotation cone X(u,v) = (r u cos v, r u sin v, u) in R^3, u in (1/2, 2).
 
     With the unit normal (-cos v, -sin v, r)/sqrt(1+r^2) the mean
     curvature is f = 1/(2 r u sqrt(1+r^2)); the only nonzero principal
@@ -185,7 +185,7 @@ def cone(r, u_range=(0.5, 2.0)):
             ricci_eta_top=np.zeros(u.shape + (2,)), g=g)
 
     return ImmersionChart(sf=sf, m=2,
-                          domain=(tuple(u_range), (0.0, 2.0 * math.pi)),
+                          domain=((0.5, 2.0), (0.0, 2.0 * math.pi)),
                           map=chart_map, jacobian=jac, hessian=hess,
                           reference_normal=normal, analytic_geometry=analytic,
                           name=f"cone(r={r:g})")
@@ -203,7 +203,7 @@ def plane():
         name="plane")
 
 
-def circle(rho=1.0, periods=1.0):
+def circle(rho=1.0):
     """The unit-speed round circle of radius rho in R^3 (k = 1/rho, tau = 0)."""
     if rho <= 0:
         raise DomainError(f"radius must be positive, got {rho}")
@@ -212,9 +212,8 @@ def circle(rho=1.0, periods=1.0):
         x = np.asarray(t, dtype=float) / rho
         return np.stack([rho * np.cos(x), rho * np.sin(x), np.zeros(x.shape)], axis=-1)
 
-    return CurveChart(sf=SpaceForm(3, 0.0),
-                      domain=(0.0, periods * 2.0 * math.pi * rho),
-                      map=gamma, unit_speed=True, name=f"circle(rho={rho:g})")
+    return CurveChart(sf=SpaceForm(3, 0.0), domain=(0.0, 2.0 * math.pi * rho), map=gamma,
+                      unit_speed=True, name=f"circle(rho={rho:g})")
 
 
 # -- listing ----------------------------------------------------------------

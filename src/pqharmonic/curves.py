@@ -100,6 +100,7 @@ def frenet(curve: CurveChart, t) -> FrenetApparatus:
 
 # -- arc length -------------------------------------------------------------
 
+SPEED_SCAN = 2048            # intervals of the speed scan; 1/8 as many carry the length
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
 NEWTON_STEPS = 20
 
@@ -119,13 +120,13 @@ def _gauss(curve, a, b):
     return half * _weigh(_speeds(curve, nodes.ravel()).reshape(nodes.shape), GAUSS_WEIGHTS)
 
 
-def reparametrize_arclength(curve: CurveChart, samples=2048) -> CurveChart:
+def reparametrize_arclength(curve: CurveChart) -> CurveChart:
     """Unit-speed reparametrization by inverting the exact length function.
 
-    The speed is scanned on ``samples + 1`` nodes: a vanishing speed raises
+    The speed is scanned on SPEED_SCAN + 1 nodes: a vanishing speed raises
     :class:`~pqharmonic.errors.SingularSpeedError`, and verified-unit-speed
     input is returned unchanged.  Otherwise the length is accumulated by
-    Gauss-Legendre quadrature over ``samples // 8`` coarse intervals.  Each
+    Gauss-Legendre quadrature over SPEED_SCAN // 8 coarse intervals.  Each
     arc length s is inverted from a linear guess (``np.interp``) by Newton
     steps on the length from the nearest coarse node, also by Gauss-Legendre.
     That length is a smooth function of t; a piecewise interpolant of it
@@ -134,13 +135,13 @@ def reparametrize_arclength(curve: CurveChart, samples=2048) -> CurveChart:
     at its own tolerance.
     """
     t0, t1 = curve.domain
-    speeds = _speeds(curve, np.linspace(t0, t1, samples + 1))
+    speeds = _speeds(curve, np.linspace(t0, t1, SPEED_SCAN + 1))
     if np.min(speeds) <= 1e-10:
         raise SingularSpeedError("curve speed vanishes; cannot reparametrize")
     if np.max(np.abs(speeds - 1.0)) < 1e-10:
         return replace(curve, unit_speed=True)
 
-    coarse = np.linspace(t0, t1, max(samples // 8, 1) + 1)
+    coarse = np.linspace(t0, t1, SPEED_SCAN // 8 + 1)
     lengths = np.concatenate([[0.0], np.cumsum(_gauss(curve, coarse[:-1], coarse[1:]))])
     # a Newton step below tol leaves an error of order tol^2 / width
     tol = 1e-9 * (t1 - t0)
@@ -221,7 +222,7 @@ class HelixResult:
     rescaled: bool
 
 
-def helix(alpha, a, b, periods=1.0) -> HelixResult:
+def helix(alpha, a, b) -> HelixResult:
     """The standard helix in S^3 with frequencies (a, b) at latitude alpha.
 
     (a, b) are rescaled onto the unit-speed constraint
@@ -254,7 +255,7 @@ def helix(alpha, a, b, periods=1.0) -> HelixResult:
         return np.stack([ca * np.cos(at), ca * np.sin(at),
                          sa * np.cos(bt), sa * np.sin(bt)], axis=-1)
 
-    curve = CurveChart(sf=SpaceForm(3, 1.0), domain=(0.0, periods * 2 * math.pi),
+    curve = CurveChart(sf=SpaceForm(3, 1.0), domain=(0.0, 2 * math.pi),
                        map=gamma, unit_speed=True,
                        name=f"helix(alpha={alpha:.6g}, a={a:.6g}, b={b:.6g})")
     return HelixResult(curve=curve, alpha=alpha, a=a, b=b, k=k, tau=tau,

@@ -16,8 +16,10 @@ grid points of a call:
   ``hessian`` when the chart has them.  Otherwise they are stencils on the
   map lattice around the point: the centre, +-h_a/2, +-h_a and +-2 h_a per
   axis (deriv1 at h and h/2 with one Richardson level, and deriv2 at h)
-  and (i e_a + j e_b) max(h_a, h_b) for the nested mixed stencil.  The map
-  is called once per batch, on the distinct points of all these lattices;
+  and (i e_a + j e_b) max(h_a, h_b) for the nested mixed stencil.  These
+  offsets around all f points form one pattern around every grid point; it
+  is deduplicated once per batch, and the map is called once, on the grid
+  points plus its distinct offsets;
 * g, det g, g^-1, the unit normal (:meth:`SpaceForm.complement` of the
   tangent columns), B, A, f and |A|^2 = tr(A^2) are computed at all f
   points at once, and every guard is checked at every f point.
@@ -41,6 +43,7 @@ from .spaceform import SpaceForm
 
 RANK_TOL = 1e-10
 KERNEL_POINTS = 1024        # f points per kernel batch; bounds a call's memory
+GRID_POINTS = 2 ** 20       # largest grid sample_grid builds
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,9 @@ class ImmersionChart:
     def steps(self):
         """Per-axis steps of the map-derivative stencils."""
         return 1e-3 * self.widths()
+
+    def f_step(self):      # default step of the f-lattice stencils
+        return 2e-3 * float(np.max(self.widths()))
 
     def flipped(self):
         """Same patch with the opposite orientation: the reference normal, or
@@ -162,17 +168,13 @@ def _f_lattice(m):
     shaped (1 + 4m, m, 4).
     """
     eye = np.eye(m, dtype=int)
-    flux_pts = [np.zeros(m, dtype=int)] + [k * eye[a] for a in range(m)
-                                           for k in numeric.D1_OFFSETS]
-    stencils = [[[tuple(p + l * eye[b]) for l in numeric.D1_OFFSETS]
-                 for b in range(m)] for p in flux_pts]
-    offsets = sorted({tuple(p) for p in flux_pts}
-                     | {pt for per_point in stencils for line in per_point for pt in line})
-    row = {pt: i for i, pt in enumerate(offsets)}
-    flux = np.array([row[tuple(p)] for p in flux_pts])
-    df = np.array([[[row[pt] for pt in line] for line in per_point]
-                   for per_point in stencils])
-    return np.array(offsets, dtype=float), flux, df
+    K = numeric.D1_OFFSETS
+    flux = np.concatenate([np.zeros((1, m), dtype=int), (K[:, None] * eye[:, None]).reshape(-1, m)])
+    reads = flux[:, None, None] + K[:, None] * eye[:, None]         # (1 + 4m, m, 4, m)
+    offsets, inverse = np.unique(np.concatenate([flux, reads.reshape(-1, m)]), axis=0,
+                                 return_inverse=True)
+    inverse = inverse.reshape(-1)
+    return offsets.astype(float), inverse[:len(flux)], inverse[len(flux):].reshape(-1, m, 4)
 
 
 # axis offsets of the map lattice in steps h_a: deriv1 at h and at h/2 (one
@@ -187,7 +189,7 @@ def _map_lattice(h):
 
     The centre; then _AXIS * h_a along each axis a; then, for each pair
     a < b, the 16 points (i e_a + j e_b) max(h_a, h_b) for i, j in
-    D1_OFFSETS.
+    D1_OFFSETS.  Every offset lies within 2 max(h) along each axis.
     """
     m = len(h)
     eye = np.eye(m)
@@ -199,34 +201,36 @@ def _map_lattice(h):
     return np.concatenate(rows)
 
 
-def _sample_map(chart, pts, quantum):
-    """``chart.map`` once per distinct point of ``pts`` (..., m): (..., dim).
+def _reach(chart, h_step, fd):
+    """How far along an axis the stencil path evaluates the chart from a grid
+    point: 4 h_step on the f-lattice, plus 2 max(h) on FD map lattices."""
+    return 4 * h_step + (2 * float(np.max(chart.steps())) if fd else 0.0)
 
-    Points closer than ``quantum`` are one lattice point; they differ only
-    by the rounding of their offsets, as u + 2h and (u + h) + h do.
+
+def _jets(chart, U, D):
+    """Jacobian (n, dim, m), hessian (n, dim, m, m) and map (n, dim) at the
+    n = N L points U + D, for grid points U (N, m) and offsets D (L, m).
+
+    Exact callbacks are called once, on all n points.  Missing ones are
+    stencils on the map lattice around each point.  The pattern D + map
+    lattice is the same around every grid point, so it is deduplicated once
+    and the map is called once, on U plus its distinct offsets.  The map is
+    None when nothing needs it.
     """
-    flat = pts.reshape(-1, pts.shape[-1])
-    _, first, inverse = np.unique(np.rint(flat / quantum), axis=0,
-                                  return_index=True, return_inverse=True)
-    vals = np.asarray(chart.map(flat[first]), dtype=float)
-    return vals[inverse.reshape(-1)].reshape(pts.shape[:-1] + (-1,))
-
-
-def _jets(chart, X, h_step):
-    """Jacobian (n, dim, m), hessian (n, dim, m, m) and map (n, dim) at X (n, m).
-
-    Exact callbacks are called once, on all of X.  Missing ones are stencils
-    on the map lattice around each point, with the map sampled once per
-    distinct point of the map lattices of all X, which lie on the f-lattice
-    of step ``h_step`` (None for unrelated points).  The map is None when
-    nothing needs it.
-    """
-    n, m = X.shape
+    N, m = U.shape
+    X = (U[:, None] + D).reshape(-1, m)
+    n = len(X)
     P = None
     if chart.jacobian is None or chart.hessian is None:
         h = chart.steps()
-        spacing = min(0.5 * float(np.min(h)), h_step or np.inf)
-        S = _sample_map(chart, X[:, None, :] + _map_lattice(h), 1e-7 * spacing)
+        pattern = (D[:, None] + _map_lattice(h)).reshape(-1, m)
+        # 3 h_step - 2 h_a and 2 h_step are one point up to rounding; distinct
+        # points lie at least one spacing apart
+        spacing = min(0.5 * np.min(h), np.min(np.abs(D), where=D != 0, initial=np.inf))
+        _, first, inverse = np.unique(np.rint(pattern / (1e-7 * spacing)), axis=0,
+                                      return_index=True, return_inverse=True)
+        vals = np.asarray(chart.map((U[:, None] + pattern[first]).reshape(-1, m)), dtype=float)
+        S = vals.reshape(N, len(first), -1)[:, inverse.reshape(-1)].reshape(n, -1, vals.shape[-1])
         P = S[:, 0]
         line = np.moveaxis(S[:, 1:1 + 6 * m].reshape(n, m, 6, -1), 3, 1)
     elif chart.sf.c != 0:
@@ -277,9 +281,10 @@ def _unit_normal(chart, X, J, P, det_g):
     return eta
 
 
-def _shape(chart, X, h_step=None):
-    """First fundamental form and shape packet at X (n, m), fields stacked."""
-    J, H, P = _jets(chart, X, h_step)
+def _shape(chart, U, D):
+    """First fundamental form and shape packet at the points U + D, fields stacked."""
+    J, H, P = _jets(chart, U, D)
+    X = (U[:, None] + D).reshape(-1, chart.m)
     signs = chart.sf.pairing_signs()
     g = np.einsum("nka,k,nkb->nab", J, signs, J)
     g = 0.5 * (g + np.swapaxes(g, 1, 2))
@@ -308,7 +313,7 @@ def _row(stacked, i=0):
 
 
 def _one_point(chart, u):
-    return _shape(chart, np.asarray(u, dtype=float)[None])
+    return _shape(chart, np.asarray(u, dtype=float)[None], np.zeros((1, chart.m)))
 
 
 # -- operations -------------------------------------------------------------
@@ -325,7 +330,7 @@ def unit_normal(chart, u):
     otherwise the ambient volume form: det[d_1 X, ..., d_m X, eta(, P)] > 0.
     """
     u = np.asarray(u, dtype=float)
-    eta = _shape(chart, u.reshape(-1, chart.m))[1].eta
+    eta = _shape(chart, u.reshape(-1, chart.m), np.zeros((1, chart.m)))[1].eta
     return eta.reshape(u.shape[:-1] + eta.shape[-1:])
 
 
@@ -343,7 +348,7 @@ def _stencil_sample(chart, U, h_step, lattice):
     n, m = U.shape
     offsets, flux_rows, df_rows = lattice
     L = len(offsets)
-    ff, pk = _shape(chart, (U[:, None, :] + offsets * h_step).reshape(-1, m), h_step)
+    ff, pk = _shape(chart, U, offsets * h_step)
     w = numeric.D1_WEIGHTS
     f = pk.f.reshape(n, L)
     df = _weigh(f[:, df_rows], w) / h_step              # (n, 1 + 4m, m)
@@ -385,10 +390,10 @@ def geometric_sample(chart, u, h_step=None, use_analytic=True):
         sample = chart.analytic_geometry(U)
         return _row(sample) if u.ndim == 1 else sample
 
-    if h_step is None:
-        h_step = 2e-3 * float(np.max(chart.widths()))
+    h_step = chart.f_step() if h_step is None else h_step
+    reach = _reach(chart, h_step, chart.jacobian is None or chart.hessian is None)
     lo, hi = np.array(chart.domain, dtype=float).T
-    near = np.any((U < lo + 2 * h_step) | (U > hi - 2 * h_step), axis=1)
+    near = np.any((U < lo + reach) | (U > hi - reach), axis=1)
     if np.any(near):
         raise BoundaryProximityError(
             f"parameter {U[np.argmax(near)]} outside the stencil-safe region of {chart.name}")
@@ -402,14 +407,14 @@ def geometric_sample(chart, u, h_step=None, use_analytic=True):
     return _row(sample) if u.ndim == 1 else sample
 
 
-def sample_grid(chart, n_per_axis, margin=None):
-    """Uniform interior grid of parameter points respecting stencil margins."""
+def sample_grid(chart, n_per_axis):
+    """Uniform interior grid, clear of each axis's outer 2% and of the widest
+    stencil reach at the default step, so that one grid serves every path."""
     if n_per_axis < 4:
         raise ValueError("need at least 4 points per axis")
-    h = chart.steps()
-    axes = []
-    for a, (lo, hi) in enumerate(chart.domain):
-        mg = margin if margin is not None else max(4 * h[a], 0.02 * (hi - lo))
-        axes.append(np.linspace(lo + mg, hi - mg, n_per_axis))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([ax.ravel() for ax in mesh], axis=1)
+    if n_per_axis ** chart.m > GRID_POINTS:
+        raise ValueError(f"a grid of {n_per_axis}^{chart.m} points exceeds {GRID_POINTS}")
+    lo, hi = np.array(chart.domain, dtype=float).T
+    mg = np.maximum(_reach(chart, chart.f_step(), fd=True), 0.02 * (hi - lo))
+    axes = np.linspace(lo + mg, hi - mg, n_per_axis).T
+    return np.stack([ax.ravel() for ax in np.meshgrid(*axes, indexing="ij")], axis=1)

@@ -212,6 +212,7 @@ def classify(chart, params: PQParams, n_per_axis=8, tol=None,
 
 # the eliminated p carries ~1e-15 of rounding: a p this close to 1 is p = 1
 _P_ROUNDING = 1e-12
+MAX_FAMILY_SAMPLES = 100    # family evaluations solve_param_pair's root search may make
 
 
 @dataclass(frozen=True)
@@ -273,7 +274,7 @@ class PairSolveResult:
 
 
 def solve_param_pair(family: Callable, q, theta_bracket, p_bracket,
-                     n_per_axis=8, tol=1e-8, max_iter=100, use_analytic=True):
+                     n_per_axis=8, tol=1e-8, use_analytic=True):
     """Solve for (p, theta) over a one-parameter chart family.
 
     The grid mean of the scalar equation is affine in p and fixes p(theta).
@@ -286,7 +287,7 @@ def solve_param_pair(family: Callable, q, theta_bracket, p_bracket,
     would reach or cross theta = 0 halves that end instead, so a positive
     family parameter, such as the cone slope, stays positive.
     If the mean vanishes at both ends (constant f), the midpoint is taken.
-    ``max_iter`` caps the family evaluations.  A p outside ``p_bracket``,
+    MAX_FAMILY_SAMPLES caps the family evaluations.  A p outside ``p_bracket``,
     or a minimal chart on the way, raises
     :class:`~pqharmonic.errors.NoRootInBracketError`; a p <= 1 is returned
     with ``admissible=False``.
@@ -298,9 +299,9 @@ def solve_param_pair(family: Callable, q, theta_bracket, p_bracket,
     def reduced(theta):
         """(p(theta), tangential mean at p(theta))."""
         nonlocal evaluations
-        if evaluations >= max_iter:
+        if evaluations >= MAX_FAMILY_SAMPLES:
             raise NonConvergenceError(
-                f"no root of the tangential mean in {max_iter} evaluations")
+                f"no root of the tangential mean in {MAX_FAMILY_SAMPLES} evaluations")
         evaluations += 1
         chart = family(theta)
         batch = geometric_sample(chart, sample_grid(chart, n_per_axis),

@@ -71,9 +71,9 @@ def _tension_p(sf, X, h, p):
     return (s2c ** e)[:, None] * acc + dsp[:, None] * vel, vel, s2c
 
 
-def tension_p(curve: CurveChart, t, p, step=None):
+def tension_p(curve: CurveChart, t, p):
     """tau_p = |g'|^(p-2) nabla_t g' + d/dt(|g'|^(p-2)) g' at parameter t."""
-    h = step if step is not None else curve.frame_step()
+    h = curve.frame_step()
     X = _sample(curve.map, _lattice([t], h))
     return _tension_p(curve.sf, X, h, p)[0][0]
 
@@ -104,24 +104,18 @@ class DiscretizedCurve:
         return numeric.simpson_weights(self.K, self.dt)
 
 
-def energy_pq(dcurve: DiscretizedCurve, params: PQParams, measure=None):
-    """Composite-Simpson value of (1/q) |tau_p|^q against the arc measure.
-
-    ``measure`` overrides the per-node measure factors (used by the
-    variation check to freeze the base-curve measure); by default the speed
-    of the discretized curve itself is used.
-    """
+def energy_pq(dcurve: DiscretizedCurve, params: PQParams):
+    """Composite-Simpson value of (1/q) |tau_p|^q against the arc measure."""
     h = dcurve.curve.frame_step()
     X = _sample(dcurve.curve.map, _lattice(dcurve.ts, h))
-    return _energy(dcurve, X, h, params, measure)
+    return _energy(dcurve, X, h, params, _measure(dcurve.curve, X, h))
 
 
-def _energy(dcurve, X, h, params, measure):
-    """energy_pq from the curve sampled on the (K+1) x 9 energy lattice."""
+def _energy(dcurve, X, h, params, mu):
+    """energy_pq from the curve sampled on the (K+1) x 9 energy lattice,
+    against the per-node measure factors ``mu``."""
     sf, q = dcurve.curve.sf, float(params.q)
     tp = _tension_p(sf, X, h, params.p)[0]
-    mu = _measure(dcurve.curve, X, h) if measure is None \
-        else np.asarray(measure, dtype=float)
     return float(np.sum(dcurve.weights * sf.pair(tp, tp) ** (q / 2.0) * mu)) / q
 
 
@@ -176,7 +170,7 @@ def _tension_pq(curve, ts, params, h1):
     return out
 
 
-def tension_pq_curve(curve: CurveChart, t, params: PQParams, step=None):
+def tension_pq_curve(curve: CurveChart, t, params: PQParams):
     """The (p,q)-tension field of a curve at parameter t.
 
     Three terms: the curvature term -|g'|^(p-2)|tau_p|^(q-2) R(tau_p,g')g',
@@ -184,8 +178,7 @@ def tension_pq_curve(curve: CurveChart, t, params: PQParams, step=None):
     |g'|^(p-2), and the (p-2) correction along g'.  The |tau_p|^(q-2)
     factor is refused (not regularized) near zeros of tau_p when q < 2.
     """
-    h1 = step if step is not None else curve.frame_step()
-    return _tension_pq(curve, [t], params, h1)[0]
+    return _tension_pq(curve, [t], params, curve.frame_step())[0]
 
 
 # -- variation fields -------------------------------------------------------
@@ -230,18 +223,18 @@ def bump_normal_field(curve, direction_fn, support=None, amplitude=1.0):
     return VariationField(fn=fn, support=(lo, hi))
 
 
-def random_bump_field(curve, rng, support=None, amplitude=1.0, n_modes=2):
-    """A random low-frequency ambient field, projected tangentially and bumped."""
+def random_bump_field(curve, rng, support=None, amplitude=1.0):
+    """A random ambient field of two frequencies, projected tangentially and bumped."""
     lo, hi = support if support is not None else _default_support(curve)
     dim = curve.sf.ambient_dim
-    coeffs = rng.standard_normal((n_modes, 2, dim))
+    coeffs = rng.standard_normal((2, 2, dim))
     omega = 2 * math.pi / (hi - lo)
 
     def direction(t):
         x = omega * (np.asarray(t, dtype=float)[..., None] - lo)
         return sum(coeffs[j, 0] * np.cos((j + 1) * x)
                    + coeffs[j, 1] * np.sin((j + 1) * x)
-                   for j in range(n_modes))
+                   for j in range(len(coeffs)))
 
     field = bump_normal_field(curve, direction, support=(lo, hi), amplitude=1.0)
     # normalize to the requested sup amplitude, over the probes inside the support

@@ -73,6 +73,15 @@ def test_verify_hypersurface_bad_config(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_verify_hypersurface_grid_too_large(capsys):
+    # 8^9 grid points: refused before any array is built
+    code = run(["verify-hypersurface", "--builtin", "great-sphere", "--m", "9",
+                "--p", "2", "--q", "3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 CONE_PQ = ["--builtin", "cone", "--p", "4/3", "--q", "3"]
 CIRCLE_PQ = ["--builtin", "circle", "--p", "2", "--q", "2"]
 

@@ -210,6 +210,29 @@ def _pinned_charts(tmp_path):
             "file-h3-sphere": _h3_sphere_file(tmp_path)}
 
 
+@pytest.mark.parametrize("name", ["file-cone", "file-h3-sphere", "jet-cone", "jet-sphere-m3"])
+def test_stencil_classify_stays_inside_the_domain(name, tmp_path):
+    ch = _pinned_charts(tmp_path)[name]
+    points = []
+
+    def recording(fn):
+        def wrapped(w):
+            points.append(np.reshape(w, (-1, ch.m)))
+            return fn(w)
+        return wrapped
+
+    watched = replace(ch, **{cb: recording(getattr(ch, cb))
+                             for cb in ("map", "jacobian", "hessian", "reference_normal")
+                             if getattr(ch, cb) is not None})
+    lo, hi = np.array(ch.domain).T
+    for grid in (4, 8):
+        points.clear()
+        classify(watched, PQParams(2.5, 2.5), n_per_axis=grid, use_analytic=False)
+        X = np.concatenate(points)
+        outside = np.any((X < lo) | (X > hi), axis=1)
+        assert not outside.any(), (grid, int(outside.sum()), len(X))
+
+
 def test_stencil_pinned_values(tmp_path):
     charts = _pinned_charts(tmp_path)
     for name, rows in PINNED.items():
@@ -366,7 +389,7 @@ def test_map_lattice_jets_match_nested_stencils(tmp_path):
     fd_sphere = replace(sphere_in_sphere(3, 0.4), jacobian=None, hessian=None)
     for ch, u in ((_cone_file(tmp_path), U_CONE), (fd_sphere, np.array([1.0, 1.4, 2.0]))):
         h = ch.steps()
-        J, H, P = immersion._jets(ch, u[None], None)
+        J, H, P = immersion._jets(ch, u[None], np.zeros((1, ch.m)))
         assert np.array_equal(P[0], ch.map(u))
         J_ref = np.stack([numeric.partial1(ch.map, u, a, h[a], richardson=True)
                           for a in range(ch.m)], axis=1)
