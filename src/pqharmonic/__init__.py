@@ -17,12 +17,11 @@ from .errors import (BoundaryProximityError, DegenerateImmersionError,
                      NonConvergenceError, SingularFactorError,
                      SingularSpeedError, TangencyError)
 from .immersion import (GeometricSample, ImmersionChart, first_fundamental,
-                        geometric_sample, mean_curvature, sample_grid,
-                        shape_packet, unit_normal)
+                        geometric_sample, sample_grid, shape_packet,
+                        unit_normal)
 from .residual import (Classification, CoefficientSet, PQParams,
                        ResidualReport, classify, coefficients, residual,
-                       residual_einstein, residual_spaceform, solve_p,
-                       solve_param_pair, umbilic_f)
+                       solve_p, solve_param_pair, umbilic_f)
 from .spaceform import SpaceForm
 from .variation import (DiscretizedCurve, VariationField, bump_normal_field,
                         energy_pq, first_variation_check, random_bump_field,
@@ -42,9 +41,8 @@ __all__ = [
     "bump_normal_field", "circle", "classify", "coefficients", "cone",
     "curve_system_residual", "energy_pq", "first_fundamental",
     "first_variation_check", "frenet", "geometric_sample", "great_sphere",
-    "helix", "mean_curvature", "p_closed_form", "plane", "random_bump_field",
-    "reparametrize_arclength", "residual", "residual_einstein",
-    "residual_spaceform", "sample_grid", "shape_packet", "solve_p",
-    "solve_param_pair", "sphere_in_sphere", "tension_p", "tension_pq_curve",
-    "umbilic_f", "unit_normal",
+    "helix", "p_closed_form", "plane", "random_bump_field",
+    "reparametrize_arclength", "residual", "sample_grid", "shape_packet",
+    "solve_p", "solve_param_pair", "sphere_in_sphere", "tension_p",
+    "tension_pq_curve", "umbilic_f", "unit_normal",
 ]

@@ -278,19 +278,13 @@ def cmd_verify_curve(args):
     lo, hi = curve.domain
     pad = 0.05 * (hi - lo)
     ts = np.linspace(lo + pad, hi - pad, args.samples)
-    rows, geodesic = [], True
-    max_res = 0.0
-    for i, t in enumerate(ts):
-        try:
-            fr = crv.frenet(curve, float(t))
-        except crv.FrameUndefinedError:
-            rows.append((i, f"{t:.6g}", 0.0, 0.0, 0.0, 0.0, 0.0))
-            continue
-        geodesic = False
-        r1, r2, r3 = crv.curve_system_residual(fr, params, curve.sf.c)
-        max_res = max(max_res, abs(r1), abs(r2), abs(r3))
-        rows.append((i, f"{t:.6g}", fr.k, fr.tau, r1, r2, r3))
-    if geodesic:
+    fr = crv.frenet(curve, ts)
+    r1, r2, r3 = crv.curve_system_residual(fr, params, curve.sf.c)
+    # a node whose frame is undefined (NaN) prints as a zero row
+    table = np.nan_to_num(np.column_stack([fr.k, fr.tau, r1, r2, r3]))
+    rows = [(i, f"{t:.6g}", *row) for i, (t, row) in enumerate(zip(ts, table.tolist()))]
+    max_res = float(np.max(np.abs(table[:, 2:])))
+    if np.isnan(fr.k).all():
         classification = "Geodesic"
     elif max_res < args.tol:
         classification = Classification.PROPER_PQ_HARMONIC.value
@@ -338,6 +332,11 @@ def cmd_solve(args):
 
 
 def cmd_sweep(args):
+    # a2 and r are the builtin parameters that take a numeric flag value
+    parameters = {e.name: e.parameters for e in cat.CATALOG}.get(args.builtin, ())
+    if not args.chart_file and args.param not in set(parameters) & {"a2", "r"}:
+        raise _CliError(f"{args.builtin} has no sweepable parameter {args.param!r}; "
+                        f"sweep a2 of sphere-in-sphere or r of cone")
     if args.values:
         values = [_num(v) for v in args.values.split(",") if v.strip()]
     elif args.range:

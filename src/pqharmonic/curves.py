@@ -1,13 +1,13 @@
 """Frenet apparatus and the (p,q)-harmonic curve system in 3-D space forms.
 
 Curves live in N^3(c) through the embedded models of
-:mod:`pqharmonic.spaceform`.  :func:`frenet` samples the curve once on the
-stencil lattice t + k h, k = -8..8, of :mod:`pqharmonic.numeric` and nests
-the deriv1 stencil along it: T on the offsets -6..6, then nabla_T T, k and
-N on -4..4, then nabla_T N and tau on -2..2, and finally k', k'' and tau'
-at the centre.  The binormal is T x N in R^3 and, in the embedded models,
-minus the oriented normal of (T, N) (:meth:`SpaceForm.complement`), which
-makes the torsion of the standard sphere helices positive.
+:mod:`pqharmonic.spaceform`.  :func:`frenet` samples a batch of nodes t once
+on their stencil lattices t + k h, k = -8..8, and nests the first-derivative
+stencil along them: T on the offsets -6..6, then nabla_T T, k and N on -4..4,
+then nabla_T N and tau on -2..2, and finally k', k'' and tau' at the centre.
+The binormal is T x N in R^3 and, in the embedded models, minus the oriented
+normal of (T, N) (:meth:`SpaceForm.complement`), which makes the torsion of
+the standard sphere helices positive.  The curve system is elementwise.
 """
 
 from __future__ import annotations
@@ -21,11 +21,13 @@ import numpy as np
 from . import numeric
 from .errors import (DomainError, FrameUndefinedError, NonConvergenceError,
                      SingularFactorError, SingularSpeedError)
+from .immersion import _row
 from .numeric import _lattice, _sample, _stencil, _stencil2, _weigh
 from .spaceform import SpaceForm
 
 K_THRESHOLD = 1e-8
-FRENET_OFFSETS = np.arange(-8, 9)   # T, nabla_T T, nabla_T N and tau': four nested deriv1
+FRENET_OFFSETS = np.arange(-8, 9)   # T, nabla_T T, nabla_T N and tau': four nested stencils
+FRAME_POINTS = 256                  # nodes per map call of frenet; bounds a call's memory
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,8 @@ class CurveChart:
 
 @dataclass(frozen=True)
 class FrenetApparatus:
+    """The frame and its scalars at one node, or at n nodes stacked along axis 0."""
+
     T: np.ndarray
     N: np.ndarray
     B: np.ndarray
@@ -69,33 +73,46 @@ class FrenetApparatus:
 
 # -- the Frenet frame -------------------------------------------------------
 
-def frenet(curve: CurveChart, t) -> FrenetApparatus:
-    """Frenet frame, curvature, torsion and their arc-length derivatives.
-
-    The curve must be (claimed) unit speed.  Its map is called once at each
-    of the 17 points t + k h, k = -8..8, with h = ``curve.frame_step()``;
-    the frame is undefined where the geodesic curvature on the offsets
-    -4..4 drops below 1e-8.
-    """
+def _frames(curve, ts):
+    """Every apparatus field at the nodes ``ts`` (n,), stacked, from one call
+    of the map; NaN at the nodes whose frame is undefined."""
     sf, h = curve.sf, curve.frame_step()
-    X = _sample(curve.map, _lattice([t], h, FRENET_OFFSETS))
+    X = _sample(curve.map, _lattice(ts, h, FRENET_OFFSETS))
     T = _stencil(X, h)                                          # offsets -6..6
     acc = sf.tangent_project(X[:, 4:-4], _stencil(T, h))        # -4..4
     k = np.sqrt(np.maximum(sf.pair(acc, acc), 0.0))
-    if np.min(k) < K_THRESHOLD:
-        raise FrameUndefinedError(
-            f"geodesic curvature {np.min(k):.3e} below {K_THRESHOLD:g}: frame undefined")
+    undefined = np.min(k, axis=1) < K_THRESHOLD
+    T[undefined] = k[undefined] = np.nan                        # and so every field
     N = acc / k[..., None]
     dN = sf.tangent_project(X[:, 6:-6], _stencil(N, h))        # -2..2
     T, N = T[:, 4:-4], N[:, 2:-2]                               # -2..2
     # T x N in R^3, minus the oriented normal of (T, N) in the embedded models
-    B = np.cross(T, N) if sf.c == 0 else -sf.complement(X[:, 6:-6], np.stack([T, N], -1))[0]
+    with np.errstate(invalid="ignore"):                         # det of the NaN rows
+        B = np.cross(T, N) if sf.c == 0 else -sf.complement(X[:, 6:-6], np.stack([T, N], -1))[0]
     tau = sf.pair(dN, B)
-    return FrenetApparatus(T=T[0, 2], N=N[0, 2], B=B[0, 2], k=float(k[0, 4]),
-                           tau=float(tau[0, 2]),
-                           k_prime=float(_stencil(k[:, 2:-2], h)[0, 0]),
-                           k_second=float(_stencil2(k[:, 2:-2], h)[0, 0]),
-                           tau_prime=float(_stencil(tau, h)[0, 0]))
+    return (T[:, 2], N[:, 2], B[:, 2], k[:, 4], tau[:, 2], _stencil(k[:, 2:-2], h)[:, 0],
+            _stencil2(k[:, 2:-2], h)[:, 0], _stencil(tau, h)[:, 0])
+
+
+def frenet(curve: CurveChart, t) -> FrenetApparatus:
+    """Frenet frame, curvature, torsion and their arc-length derivatives.
+
+    The curve must be (claimed) unit speed.  Its map is called at the 17
+    points t + k h, k = -8..8, of each node t, with h = ``curve.frame_step()``,
+    once per FRAME_POINTS nodes; an array t (n,) gives fields stacked along
+    axis 0.  The frame is undefined where the geodesic curvature on the
+    offsets -4..4 drops below 1e-8: a float t there raises
+    FrameUndefinedError, and a node of an array t gets NaN in every field.
+    """
+    flat = np.asarray(t, dtype=float).reshape(-1)
+    parts = [_frames(curve, flat[i:i + FRAME_POINTS]) for i in range(0, len(flat), FRAME_POINTS)]
+    fr = FrenetApparatus(*(np.concatenate(a) for a in zip(*parts)))
+    if np.ndim(t) > 0:
+        return fr
+    if np.isnan(fr.k[0]):
+        raise FrameUndefinedError(
+            f"geodesic curvature below {K_THRESHOLD:g} at t = {float(t):.6g}: frame undefined")
+    return _row(fr)
 
 
 # -- arc length -------------------------------------------------------------
@@ -106,7 +123,7 @@ NEWTON_STEPS = 20
 
 
 def _speeds(curve, ts):
-    """|gamma'| at the parameters ``ts`` by the deriv1 stencil of step frame_step."""
+    """|gamma'| at the parameters ``ts`` by the D1 stencil of step frame_step."""
     h = curve.frame_step()
     X = _sample(curve.map, _lattice(ts, h, numeric.D1_OFFSETS))
     V = _weigh(np.moveaxis(X, 1, -1), numeric.D1_WEIGHTS) / h
@@ -169,30 +186,39 @@ def reparametrize_arclength(curve: CurveChart) -> CurveChart:
 
 # -- the curve system -------------------------------------------------------
 
+# x ** e by the C library's pow, as a float takes it, but inf on overflow:
+# numpy's vectorised power differs in the last bit on some inputs, and r2
+# cancels to about 1e-9 of its terms, so those bits would show
+_pow = np.vectorize(lambda x, e: np.float64(x) ** e, otypes=[float])
+
+
 def curve_system_residual(fr: FrenetApparatus, params, c):
     """The three scalar equations of the (p,q)-harmonic curve system.
 
     r1 multiplies T, r2 multiplies N, r3 multiplies B in the (sign-stripped)
-    tension field of a unit-speed curve with frame ``fr``.
+    tension field of a unit-speed curve with frame ``fr``.  They are taken
+    elementwise: one node gives three floats, stacked fields three arrays,
+    and a node whose frame is undefined (NaN) gets NaN residuals.
     """
     p, q = float(params.p), float(params.q)
-    k, tau = fr.k, fr.tau
-    if k < K_THRESHOLD:
+    k, tau = np.asarray(fr.k, dtype=float), fr.tau
+    if np.any(k < K_THRESHOLD):
         raise SingularFactorError(
-            f"k = {k:.3e} too small for the k^(q-3) factor")
-    with np.errstate(over="raise", divide="raise"):
-        r1 = (p * q - 1.0) * k ** (q - 1) * fr.k_prime
-        r2 = (c * k ** (q - 1)
-              + (q - 1) * (q - 2) * k ** (q - 3) * fr.k_prime ** 2
-              + (q - 1) * k ** (q - 2) * fr.k_second
-              - k ** (q + 1)
-              - k ** (q - 1) * tau ** 2
-              - (p - 2) * k ** (q + 1))
-        r3 = (2 * (q - 1) * k ** (q - 2) * fr.k_prime * tau
-              + k ** (q - 1) * fr.tau_prime)
-    if not all(np.isfinite([r1, r2, r3])):
+            f"k = {np.nanmin(k):.3e} too small for the k^(q-3) factor")
+    with np.errstate(over="ignore", invalid="ignore"):
+        km3, km2, km1, kp1 = (_pow(k, e) for e in (q - 3, q - 2, q - 1, q + 1))
+        r1 = (p * q - 1.0) * km1 * fr.k_prime
+        r2 = (c * km1
+              + (q - 1) * (q - 2) * km3 * _pow(fr.k_prime, 2.0)
+              + (q - 1) * km2 * fr.k_second
+              - kp1
+              - km1 * _pow(tau, 2.0)
+              - (p - 2) * kp1)
+        r3 = (2 * (q - 1) * km2 * fr.k_prime * tau
+              + km1 * fr.tau_prime)
+    if not np.all(np.isfinite([r1, r2, r3]) | np.isnan(k)):
         raise SingularFactorError("overflow in curve residual powers of k")
-    return float(r1), float(r2), float(r3)
+    return r1, r2, r3
 
 
 def p_closed_form(k, tau, c):

@@ -15,7 +15,7 @@ grid points of a call:
 * the jets of the map at each f point come from the exact ``jacobian`` and
   ``hessian`` when the chart has them.  Otherwise they are stencils on the
   map lattice around the point: the centre, +-h_a/2, +-h_a and +-2 h_a per
-  axis (deriv1 at h and h/2 with one Richardson level, and deriv2 at h)
+  axis (D1 at h and h/2 with one Richardson level, and D2 at h)
   and (i e_a + j e_b) max(h_a, h_b) for the nested mixed stencil.  These
   offsets around all f points form one pattern around every grid point; it
   is deduplicated once per batch, and the map is called once, on the grid
@@ -115,8 +115,8 @@ class GeometricSample:
 
     Tangent vectors (grad_f, A_grad_f, ricci_eta_top) are chart-basis
     coefficient arrays of length m; ``g`` is kept so downstream code can
-    take g-norms of tangential residuals.  :func:`stack_samples` stacks
-    samples of one chart along a new axis 0 of every field but ``m``.
+    take g-norms of tangential residuals.  A sample at N points has every
+    field but ``m`` stacked along axis 0.
     """
 
     m: int
@@ -139,18 +139,6 @@ class GeometricSample:
         return np.sqrt(np.maximum(self.g_dot(vec, vec), 0.0))
 
 
-def stack_samples(samples) -> GeometricSample:
-    """Samples of one hypersurface dimension as one sample with stacked fields."""
-    samples = list(samples)
-    m = samples[0].m
-    stacked = {fd.name: np.stack([np.asarray(getattr(s, fd.name), dtype=float)
-                                  for s in samples])
-               for fd in fields(GeometricSample) if fd.name not in ("m", "g")}
-    g = None if all(s.g is None for s in samples) else np.stack(
-        [np.eye(m) if s.g is None else s.g for s in samples])
-    return GeometricSample(m=m, g=g, **stacked)
-
-
 def flip_sample(s: GeometricSample) -> GeometricSample:
     """The sample seen with the opposite unit normal (eta -> -eta)."""
     return replace(s, f=-s.f, grad_f=-s.grad_f, laplacian_f=-s.laplacian_f,
@@ -164,7 +152,7 @@ def _f_lattice(m):
 
     Returns the integer offsets (L, m); the rows of the flux points, which
     are the centre and then k e_a for each axis a and each k in D1_OFFSETS;
-    and, per flux point and axis b, the rows of its deriv1 stencil along b,
+    and, per flux point and axis b, the rows of its D1 stencil along b,
     shaped (1 + 4m, m, 4).
     """
     eye = np.eye(m, dtype=int)
@@ -177,8 +165,8 @@ def _f_lattice(m):
     return offsets.astype(float), inverse[:len(flux)], inverse[len(flux):].reshape(-1, m, 4)
 
 
-# axis offsets of the map lattice in steps h_a: deriv1 at h and at h/2 (one
-# Richardson level) and deriv2 at h, which also reads the centre
+# axis offsets of the map lattice in steps h_a: D1 at h and at h/2 (one
+# Richardson level) and D2 at h, which also reads the centre
 _AXIS = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
 _AT_H = [0, 1, 4, 5]        # -2h, -h, h, 2h
 _AT_HALF = [1, 2, 3, 4]     # -h, -h/2, h/2, h
@@ -337,10 +325,6 @@ def unit_normal(chart, u):
 def shape_packet(chart, u):
     """Second fundamental form, shape operator, mean curvature and |A|^2."""
     return _row(_one_point(chart, u)[1])
-
-
-def mean_curvature(chart, u):
-    return shape_packet(chart, u).f
 
 
 def _stencil_sample(chart, U, h_step, lattice):

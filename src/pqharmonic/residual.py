@@ -10,7 +10,8 @@ f does not vanish:
     eq2 = 2(q-1) A(grad f) - 2 f (Ricci eta)^T + f [m + (p-2) q] grad f
 
 At (p, q) = (2, 2) the coefficients reduce exactly to the classical
-biharmonic-hypersurface system.
+biharmonic-hypersurface system.  :func:`residual` is its one evaluation,
+in a space form (c), an Einstein space (S) or the sample's own ambient.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NoRootInBracketError, NonConvergenceError
-from .immersion import GeometricSample, geometric_sample, sample_grid, stack_samples
+from .immersion import GeometricSample, geometric_sample, sample_grid
 
 
 @dataclass(frozen=True)
@@ -137,19 +138,23 @@ def _system(sample: GeometricSample, p, q, ric_eta_eta, ricci_eta_top):
     return eq1, eq2
 
 
-def residual(sample: GeometricSample, params: PQParams):
-    """(eq1, eq2) of the general-ambient system with the sample's Ricci data."""
-    return _system(sample, params.p, params.q, sample.ric_eta_eta, sample.ricci_eta_top)
+def _ricci(sample, c=None, S=None):
+    """(Ric(eta, eta), (Ricci eta)^T): of the Einstein space of scalar
+    curvature S, else of the space form of curvature c, else the sample's."""
+    if S is not None:
+        return S / (sample.m + 1), 0.0
+    if c is not None:
+        return sample.m * c, 0.0
+    return sample.ric_eta_eta, sample.ricci_eta_top
 
 
-def residual_spaceform(sample: GeometricSample, params: PQParams, c: float):
-    """Residuals with the space-form Ricci data Ric = m c, (Ricci eta)^T = 0."""
-    return _system(sample, params.p, params.q, sample.m * c, 0.0)
+def residual(sample: GeometricSample, params: PQParams, c=None, S=None):
+    """(eq1, eq2) at one sample, or at samples stacked along axis 0.
 
-
-def residual_einstein(sample: GeometricSample, params: PQParams, S: float, m: int):
-    """Residuals in an Einstein ambient of scalar curvature S."""
-    return _system(sample, params.p, params.q, S / (m + 1), 0.0)
+    Ric(eta, eta) is S/(m+1) in an Einstein space of scalar curvature S and
+    m c in the space form of curvature c, with (Ricci eta)^T = 0 in both;
+    without S and c the sample's own Ricci data enter."""
+    return _system(sample, params.p, params.q, *_ricci(sample, c, S))
 
 
 def umbilic_f(params: PQParams, m: int, S: float):
@@ -165,20 +170,11 @@ def umbilic_f(params: PQParams, m: int, S: float):
 
 # -- classification ---------------------------------------------------------
 
-def classify_samples(samples, params: PQParams, c=None, S=None, tol=1e-6,
+def classify_samples(batch: GeometricSample, params: PQParams, c=None, S=None, tol=1e-6,
                      points=None):
-    """Build a :class:`ResidualReport` from precomputed samples.
-
-    ``samples`` is a list of samples or one sample with stacked fields.
-    """
-    batch = samples if isinstance(samples, GeometricSample) else stack_samples(samples)
-    if S is not None:
-        ricci = (S / (batch.m + 1), 0.0)
-    elif c is not None:
-        ricci = (batch.m * c, 0.0)
-    else:
-        ricci = (batch.ric_eta_eta, batch.ricci_eta_top)
-    eq1s, eq2 = _system(batch, params.p, params.q, *ricci)
+    """Build a :class:`ResidualReport` from one sample with stacked fields,
+    in the ambient that ``c`` and ``S`` select as in :func:`residual`."""
+    eq1s, eq2 = residual(batch, params, c, S)
     eq2n = batch.g_norm(eq2)
     fs = batch.f
     max1 = float(np.max(np.abs(eq1s)))
@@ -204,8 +200,7 @@ def classify(chart, params: PQParams, n_per_axis=8, tol=None,
         tol = 1e-6 if (use_analytic and chart.analytic_geometry is not None) else 1e-3
     pts = sample_grid(chart, n_per_axis)
     samples = geometric_sample(chart, pts, h_step=h_step, use_analytic=use_analytic)
-    c = chart.sf.c if S is None else None
-    return classify_samples(samples, params, c=c, S=S, tol=tol, points=pts)
+    return classify_samples(samples, params, c=chart.sf.c, S=S, tol=tol, points=pts)
 
 
 # -- parameter solving ------------------------------------------------------
@@ -228,8 +223,8 @@ def _affine_in_p(batch, q, c):
 
     p enters the system only through c5 = m(p-2) and d3 = m + (p-2)q.
     """
-    a1, a2 = _system(batch, 0.0, q, batch.m * c, 0.0)
-    b1, b2 = _system(batch, 1.0, q, batch.m * c, 0.0)
+    a1, a2 = _system(batch, 0.0, q, *_ricci(batch, c))
+    b1, b2 = _system(batch, 1.0, q, *_ricci(batch, c))
     return (a1, b1 - a1), (a2, b2 - a2)
 
 
@@ -243,14 +238,13 @@ def solve_p(chart, q, bracket, n_per_axis=8, tol=1e-8, use_analytic=True):
     """
     p_lo, p_hi = bracket
     batch = geometric_sample(chart, sample_grid(chart, n_per_axis), use_analytic=use_analytic)
-    c = chart.sf.c
     if np.max(np.abs(batch.f)) < tol:
         return SolveResult(p=None, max_residual=0.0, success=False,
                            reason="chart is minimal; no proper solution in p")
     PQParams(p=min(p_lo, p_hi), q=q)  # the bracket must stay in p > 1
-    (a1, s1), (a2, s2) = _affine_in_p(batch, q, c)
+    (a1, s1), (a2, s2) = _affine_in_p(batch, q, chart.sf.c)
     p = float(-(np.vdot(a1, s1) + np.vdot(a2, s2)) / (np.vdot(s1, s1) + np.vdot(s2, s2)))
-    eq1, eq2 = _system(batch, p, q, batch.m * c, 0.0)
+    eq1, eq2 = _system(batch, p, q, *_ricci(batch, chart.sf.c))
     res = float(max(np.max(np.abs(eq1)), np.max(batch.g_norm(eq2))))
     if min(p_lo, p_hi) <= p <= max(p_lo, p_hi) and res < tol:
         return SolveResult(p=p, max_residual=res, success=True)

@@ -15,8 +15,8 @@ is stated for.  The identity is checked by comparing a Richardson-
 extrapolated central difference of the energy against composite-Simpson
 quadrature of the pairing.
 
-Every derivative is the 4th-order central stencil of
-:func:`numeric.deriv1`, applied along the stencil lattice of
+Every derivative is the 4th-order central stencil
+:func:`numeric._stencil`, applied along the stencil lattice of
 :mod:`numeric`: the curve is sampled once per distinct lattice point, as
 an (N, L, dim) array for N nodes and L offsets k:
 

@@ -29,6 +29,25 @@ x2: 2*sin(t)
 x3: 0
 """
 
+LINE_CHART = """\
+type: curve
+c: 0
+t: 0, 1
+x1: t
+x2: 2*t
+x3: 1/2
+"""
+
+# k vanishes at t = 0 only, the middle of the arc-length domain
+CUBIC_CHART = """\
+type: curve
+c: 0
+t: -1, 1
+x1: t
+x2: t^3
+x3: 0
+"""
+
 
 def run(argv):
     return cli.main(argv)
@@ -92,10 +111,12 @@ CIRCLE_PQ = ["--builtin", "circle", "--p", "2", "--q", "2"]
     ["sweep", *CONE_PQ, "--param", "r", "--values", "0.5", "--tol", "inf"],
     ["verify-curve", *CIRCLE_PQ, "--tol", "0"],
     ["verify-curve", *CIRCLE_PQ, "--samples", "0"],
+    ["verify-curve", "--builtin", "circle", "--rho", "1e-60", "--p", "2", "--q", "8"],
     ["variation-check", *CIRCLE_PQ, "--K", "64", "--amplitude", "nan"],
     ["variation-check", *CIRCLE_PQ, "--K", "64", "--max-rel", "nan"],
     ["variation-check", *CIRCLE_PQ, "--K", "64", "--fields", "0"],
 ], ids=["tol-nan", "tol-negative", "sweep-tol-inf", "curve-tol-zero", "samples-0",
+        "curve-residual-overflow",
         "amplitude-nan", "max-rel-nan", "fields-0"])
 def test_bad_numeric_flag_is_config_error(argv, capsys):
     assert run(argv) == 2
@@ -177,6 +198,18 @@ def test_sweep_csv(tmp_path):
     assert lines[1].endswith("NotPQHarmonic")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--builtin", "cone", "--param", "a2", "--values", "0.3,0.6"],
+    ["--builtin", "sphere-in-sphere", "--param", "m", "--values", "2.5"],
+    ["--builtin", "plane", "--param", "r", "--values", "0.5"],
+], ids=["cone-a2", "sphere-m", "plane-r"])
+def test_sweep_rejects_a_parameter_the_builtin_lacks(argv, capsys):
+    assert run(["sweep", *argv, "--p", "2", "--q", "3", "--grid", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_chart_file_hypersurface(tmp_path, capsys):
     path = tmp_path / "cone.txt"
     path.write_text(CONE_CHART)
@@ -216,6 +249,39 @@ def test_chart_file_curve(tmp_path, capsys):
     assert "classification: NotPQHarmonic" in out
 
 
+def _curve_rows(out):
+    lines = out.split("points:\n", 1)[1].splitlines()
+    assert lines[0].split() == ["index", "t", "k", "tau", "r1", "r2", "r3"]
+    return [[float(x) for x in line.split()[2:]] for line in lines[1:]]
+
+
+def test_verify_curve_straight_line_is_geodesic(tmp_path, capsys):
+    path = tmp_path / "line.txt"
+    path.write_text(LINE_CHART)
+    code = run(["verify-curve", "--chart-file", str(path), "--p", "2", "--q", "3",
+                "--samples", "8", "--expect", "geodesic"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "classification: Geodesic" in out and "max_residual: 0\n" in out
+    rows = _curve_rows(out)
+    assert len(rows) == 8 and all(row == [0.0] * 5 for row in rows)
+
+
+def test_verify_curve_zero_row_only_where_the_frame_is_undefined(tmp_path, capsys):
+    path = tmp_path / "cubic.txt"
+    path.write_text(CUBIC_CHART)
+    code = run(["verify-curve", "--chart-file", str(path), "--p", "2", "--q", "2",
+                "--samples", "9"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "classification: NotPQHarmonic" in out
+    rows = _curve_rows(out)
+    assert len(rows) == 9 and rows[4] == [0.0] * 5
+    for i, (k, tau, r1, r2, r3) in enumerate(rows):
+        if i != 4:
+            assert k > 0.2 and tau == 0.0 and r1 != 0.0 and r2 != 0.0, i
+
+
 def test_chart_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("type: hypersurface\nc: 0\nx1: u\n")
@@ -251,6 +317,14 @@ def test_threads_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("PQHARM_THREADS", "zebra")
     assert run(["verify-hypersurface", "--builtin", "sphere-in-sphere",
                 "--a2", "0.5", "--p", "2", "--q", "2"]) == 2
+
+
+def test_public_names_resolve():
+    for name in pqharmonic.__all__:
+        assert hasattr(pqharmonic, name), name
+    namespace = {}
+    exec("from pqharmonic import *", namespace)
+    assert set(pqharmonic.__all__) <= set(namespace)
 
 
 def test_import_loads_no_scipy():

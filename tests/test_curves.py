@@ -1,14 +1,16 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from pqharmonic import (CurveChart, PQParams, circle, cli, curve_system_residual,
-                        frenet, helix, numeric, p_closed_form, reparametrize_arclength)
+                        frenet, helix, p_closed_form, reparametrize_arclength)
+from pqharmonic import curves
 from pqharmonic.curves import FrenetApparatus
 from pqharmonic.errors import DomainError, FrameUndefinedError, SingularFactorError
 from pqharmonic.spaceform import SpaceForm
+from nested_stencils import deriv1
 
 SQ7 = math.sqrt(7.0)
 
@@ -97,7 +99,7 @@ def test_frenet_equations_hold_on_helix():
         # t +- h and t +- 2h, projected onto the tangent space at t
         dT, dN, dB = (sf.tangent_project(
             curve.map(float(t)),
-            numeric.deriv1(lambda s: getattr(frenet(curve, s), field), float(t), h))
+            deriv1(lambda s: getattr(frenet(curve, s), field), float(t), h))
             for field in "TNB")
         assert np.allclose(dT, fr.k * fr.N, atol=1e-6)
         assert np.allclose(dN, -fr.k * fr.T + fr.tau * fr.B, atol=1e-6)
@@ -130,6 +132,58 @@ def test_frenet_samples_the_lattice_once():
     assert len(calls) == 1 and calls[0].shape == (17,)
     rows = calls[0]
     assert len(rows) == 17 and len(set(rows.tolist())) == 17
+
+
+def _batch_cases(tmp_path):
+    yield helix(math.pi / 4, SQ7 / 2, 0.5).curve
+    yield circle(1.3)
+    for name, text in (("helix.txt", HELIX_FILE), ("h3-circle.txt", H3_CIRCLE_FILE)):
+        path = tmp_path / name
+        path.write_text(text)
+        yield cli.load_chart_file(str(path))
+
+
+def test_frenet_over_an_array_matches_each_point(tmp_path):
+    for curve in _batch_cases(tmp_path):
+        lo, hi = curve.domain
+        ts = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 11)
+        batch = frenet(curve, ts)
+        singles = [frenet(curve, float(t)) for t in ts]
+        for fd in fields(FrenetApparatus):
+            stacked = np.stack([getattr(fr, fd.name) for fr in singles])
+            assert np.array_equal(getattr(batch, fd.name), stacked), (curve.name, fd.name)
+
+
+def test_frenet_calls_the_map_once_per_frame_points_nodes(monkeypatch):
+    curve = helix(math.pi / 4, SQ7 / 2, 0.5).curve
+    calls = []
+
+    def counted(t):
+        calls.append(np.size(t))
+        return curve.map(t)
+
+    fr = frenet(replace(curve, map=counted), np.linspace(0.5, 5.5, 32))
+    assert calls == [32 * 17]
+    assert fr.k.shape == (32,) and fr.T.shape == (32, 4)
+
+    ts = np.linspace(0.5, 5.5, 10)
+    whole = frenet(curve, ts)
+    monkeypatch.setattr(curves, "FRAME_POINTS", 4)
+    calls.clear()
+    fr = frenet(replace(curve, map=counted), ts)
+    assert calls == [4 * 17, 4 * 17, 2 * 17]
+    for fd in fields(FrenetApparatus):
+        assert np.array_equal(getattr(fr, fd.name), getattr(whole, fd.name)), fd.name
+
+
+def test_frenet_over_an_array_marks_undefined_frames_nan():
+    sf = SpaceForm(3, 1.0)
+    curve = CurveChart(sf=sf, domain=(0.0, 2 * math.pi), unit_speed=True,
+                       map=lambda t: np.stack([np.cos(t), np.sin(t), 0.0 * t, 0.0 * t], axis=-1))
+    fr = frenet(curve, np.array([1.0, 2.0]))
+    for fd in fields(FrenetApparatus):
+        assert np.all(np.isnan(getattr(fr, fd.name))), fd.name
+    assert all(np.isnan(r).all() for r in curve_system_residual(fr, PQParams(2, 2), 1.0))
 
 
 def test_curve_maps_act_over_the_last_axis(tmp_path, monkeypatch):

@@ -7,12 +7,13 @@ import pytest
 from pqharmonic import (PQParams, classify, cone, first_fundamental, geometric_sample,
                         great_sphere, plane, sample_grid, shape_packet, sphere_in_sphere,
                         unit_normal)
-from pqharmonic import immersion, numeric
+from pqharmonic import immersion
 from pqharmonic.cli import load_chart_file
 from pqharmonic.errors import BoundaryProximityError, DegenerateImmersionError
 from pqharmonic.immersion import GeometricSample, ImmersionChart, flip_sample
 from pqharmonic.residual import residual
 from pqharmonic.spaceform import SpaceForm
+from nested_stencils import partial1, partial2
 
 U_SPHERE = np.array([1.1, 2.3])
 U_CONE = np.array([1.3, 2.0])
@@ -384,19 +385,19 @@ def test_flipped_chart_negates_stencil_quantities(make, tmp_path):
 
 
 def test_map_lattice_jets_match_nested_stencils(tmp_path):
-    # the nested numeric.partial1 / partial2 stencils are the reference; the
+    # the nested partial1 / partial2 stencils are the reference; the
     # lattice applies the same weights, so only rounding may differ
     fd_sphere = replace(sphere_in_sphere(3, 0.4), jacobian=None, hessian=None)
     for ch, u in ((_cone_file(tmp_path), U_CONE), (fd_sphere, np.array([1.0, 1.4, 2.0]))):
         h = ch.steps()
         J, H, P = immersion._jets(ch, u[None], np.zeros((1, ch.m)))
         assert np.array_equal(P[0], ch.map(u))
-        J_ref = np.stack([numeric.partial1(ch.map, u, a, h[a], richardson=True)
+        J_ref = np.stack([partial1(ch.map, u, a, h[a], richardson=True)
                           for a in range(ch.m)], axis=1)
         assert np.allclose(J[0], J_ref, rtol=0, atol=1e-12)
         for a in range(ch.m):
             for b in range(ch.m):
-                H_ref = numeric.partial2(ch.map, u, a, b, max(h[a], h[b]))
+                H_ref = partial2(ch.map, u, a, b, max(h[a], h[b]))
                 assert np.allclose(H[0, :, a, b], H_ref, rtol=0, atol=1e-9), (ch.name, a, b)
 
 

@@ -4,41 +4,41 @@ import numpy as np
 import pytest
 
 from pqharmonic import numeric
+from nested_stencils import deriv1, deriv1_richardson, deriv2, partial2
 
 
 def test_deriv1_polynomial_exact():
     # 4th-order stencil is exact on quartics
     fn = lambda x: x ** 4 - 2 * x ** 2 + 3 * x
-    assert numeric.deriv1(fn, 1.3, 0.1) == pytest.approx(4 * 1.3 ** 3 - 4 * 1.3 + 3,
-                                                         abs=1e-11)
+    assert deriv1(fn, 1.3, 0.1) == pytest.approx(4 * 1.3 ** 3 - 4 * 1.3 + 3, abs=1e-11)
 
 
 def test_deriv1_trig_accuracy():
-    err = abs(numeric.deriv1(math.sin, 0.7, 1e-2) - math.cos(0.7))
+    err = abs(deriv1(math.sin, 0.7, 1e-2) - math.cos(0.7))
     assert err < 1e-9
 
 
 def test_deriv1_richardson_improves():
-    plain = abs(numeric.deriv1(math.exp, 0.3, 5e-2) - math.exp(0.3))
-    rich = abs(numeric.deriv1_richardson(math.exp, 0.3, 5e-2) - math.exp(0.3))
+    plain = abs(deriv1(math.exp, 0.3, 5e-2) - math.exp(0.3))
+    rich = abs(deriv1_richardson(math.exp, 0.3, 5e-2) - math.exp(0.3))
     assert rich < plain / 10
 
 
 def test_deriv2_trig():
-    err = abs(numeric.deriv2(math.sin, 0.4, 1e-2) + math.sin(0.4))
+    err = abs(deriv2(math.sin, 0.4, 1e-2) + math.sin(0.4))
     assert err < 1e-8
 
 
 def test_deriv1_vector_valued():
     fn = lambda t: np.array([math.cos(t), math.sin(t)])
-    out = numeric.deriv1(fn, 0.2, 1e-3)
+    out = deriv1(fn, 0.2, 1e-3)
     assert np.allclose(out, [-math.sin(0.2), math.cos(0.2)], atol=1e-10)
 
 
 def test_partials_mixed():
     fn = lambda u: math.sin(u[0]) * math.cos(2 * u[1])
     u = np.array([0.5, 0.3])
-    d01 = numeric.partial2(fn, u, 0, 1, 1e-2)
+    d01 = partial2(fn, u, 0, 1, 1e-2)
     exact = -2 * math.cos(0.5) * math.sin(0.6)
     assert d01 == pytest.approx(exact, abs=1e-7)
 
@@ -76,7 +76,7 @@ def test_smooth_bump_support_and_peak():
 
 def test_smooth_bump_vanishing_edge_derivative():
     h = 1e-4
-    d = numeric.deriv1(lambda t: numeric.smooth_bump(t, 0.0, 1.0), 1.0 - 2 * h, h)
+    d = deriv1(lambda t: numeric.smooth_bump(t, 0.0, 1.0), 1.0 - 2 * h, h)
     assert abs(d) < 1e-10
 
 
@@ -86,5 +86,5 @@ def test_stencil_weights_match_deriv1_and_deriv2():
              for k, w in zip(numeric.D1_OFFSETS, numeric.D1_WEIGHTS)) / h
     d2 = sum(w * math.exp(x + k * h)
              for k, w in zip(numeric.D2_OFFSETS, numeric.D2_WEIGHTS)) / (h * h)
-    assert d1 == pytest.approx(numeric.deriv1(math.exp, x, h), rel=1e-13)
-    assert d2 == pytest.approx(numeric.deriv2(math.exp, x, h), rel=1e-11)
+    assert d1 == pytest.approx(deriv1(math.exp, x, h), rel=1e-13)
+    assert d2 == pytest.approx(deriv2(math.exp, x, h), rel=1e-11)

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from pqharmonic import (Classification, PQParams, classify, coefficients,
-                        cone, plane, residual, residual_einstein,
-                        residual_spaceform, solve_p, solve_param_pair,
+                        cone, plane, residual, solve_p, solve_param_pair,
                         sphere_in_sphere, umbilic_f)
 from pqharmonic.errors import NoRootInBracketError
-from pqharmonic.immersion import GeometricSample, ImmersionChart, stack_samples
+from pqharmonic.immersion import GeometricSample, ImmersionChart, _row
 from pqharmonic.residual import classify_samples
 from pqharmonic.spaceform import SpaceForm
 
@@ -80,43 +79,43 @@ def test_residual_einstein_matches_spaceform():
                             A_grad_f=rng.standard_normal(m),
                             ric_eta_eta=0.0, ricci_eta_top=np.zeros(m))
         params = PQParams(rng.uniform(1.1, 4), rng.uniform(1.1, 4))
-        e1a, e2a = residual_spaceform(s, params, c)
-        e1b, e2b = residual_einstein(s, params, m * (m + 1) * c, m)
+        e1a, e2a = residual(s, params, c=c)
+        e1b, e2b = residual(s, params, S=m * (m + 1) * c)
         assert e1a == pytest.approx(e1b, rel=1e-13, abs=1e-13)
         assert np.allclose(e2a, e2b, atol=1e-13)
 
 
-def _random_sample(rng, m, with_g):
+def _random_batch(rng, m, with_g, n):
     g = None
     if with_g:
-        a = rng.standard_normal((m, m))
-        g = a @ a.T + m * np.eye(m)
-    return GeometricSample(m=m, f=rng.uniform(-2, 2),
-                           grad_f=rng.standard_normal(m),
-                           grad_f_norm2=rng.uniform(0, 2),
-                           laplacian_f=rng.uniform(-2, 2),
-                           normA2=rng.uniform(0, 4),
-                           A_grad_f=rng.standard_normal(m),
-                           ric_eta_eta=rng.uniform(-3, 3),
-                           ricci_eta_top=rng.standard_normal(m), g=g)
+        a = rng.standard_normal((n, m, m))
+        g = a @ np.swapaxes(a, 1, 2) + m * np.eye(m)
+    return GeometricSample(m=m, f=rng.uniform(-2, 2, n),
+                           grad_f=rng.standard_normal((n, m)),
+                           grad_f_norm2=rng.uniform(0, 2, n),
+                           laplacian_f=rng.uniform(-2, 2, n),
+                           normA2=rng.uniform(0, 4, n),
+                           A_grad_f=rng.standard_normal((n, m)),
+                           ric_eta_eta=rng.uniform(-3, 3, n),
+                           ricci_eta_top=rng.standard_normal((n, m)), g=g)
 
 
 def test_batched_kernel_matches_per_sample():
     rng = np.random.default_rng(11)
     for m in range(1, 5):
         for with_g in (False, True):
-            samples = [_random_sample(rng, m, with_g) for _ in range(6)]
-            batch = stack_samples(samples)
+            batch = _random_batch(rng, m, with_g, 6)
+            samples = [_row(batch, i) for i in range(6)]
             params = PQParams(rng.uniform(1.1, 4), rng.uniform(1.1, 4))
             c, S = float(rng.uniform(-2, 2)), float(rng.uniform(-6, 6))
             # (batched call, per-sample calls, classify_samples Ricci choice)
             cases = [
                 (residual(batch, params),
                  [residual(s, params) for s in samples], {}),
-                (residual_spaceform(batch, params, c),
-                 [residual_spaceform(s, params, c) for s in samples], {"c": c}),
-                (residual_einstein(batch, params, S, m),
-                 [residual_einstein(s, params, S, m) for s in samples], {"S": S}),
+                (residual(batch, params, c=c),
+                 [residual(s, params, c=c) for s in samples], {"c": c}),
+                (residual(batch, params, S=S),
+                 [residual(s, params, S=S) for s in samples], {"S": S}),
             ]
             for (eq1, eq2), per_sample, ambient in cases:
                 assert eq1.shape == (6,) and eq2.shape == (6, m)
@@ -127,7 +126,7 @@ def test_batched_kernel_matches_per_sample():
                 norms = [s.g_norm(e2) for s, (_, e2) in zip(samples, per_sample)]
                 np.testing.assert_allclose(batch.g_norm(eq2), norms,
                                            rtol=1e-13, atol=1e-13)
-                report = classify_samples(samples, params, **ambient)
+                report = classify_samples(batch, params, **ambient)
                 np.testing.assert_allclose(report.eq1, eq1, rtol=1e-13, atol=1e-13)
                 np.testing.assert_allclose(report.eq2_norm, norms,
                                            rtol=1e-13, atol=1e-13)
