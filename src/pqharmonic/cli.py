@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import math
 import os
 import sys
@@ -199,6 +200,14 @@ def _fmt(x):
     return str(x)
 
 
+def _rows(coords, values):
+    """Table rows of index, ``coords`` (n, k) and ``values`` (n, l), each row
+    rendered by one % template into a single cell: coordinates as .6g, and
+    values as .12g, the text :func:`_fmt` gives a float."""
+    template = " ".join(["%d"] + ["%.6g"] * coords.shape[1] + ["%.12g"] * values.shape[1])
+    return [(template % (i, *row),) for i, row in enumerate(np.hstack([coords, values]).tolist())]
+
+
 def render_report(command, config, summary, table=None):
     lines = [f"schema_version: {SCHEMA_VERSION}",
              f"timestamp: {datetime.datetime.now(datetime.timezone.utc).isoformat()}",
@@ -264,8 +273,7 @@ def cmd_verify_hypersurface(args):
                "max_abs_eq1": report.max_abs_eq1,
                "max_eq2_norm": report.max_eq2_norm,
                "n_points": len(pts)}
-    rows = [(i, *(f"{x:.6g}" for x in pts[i]), report.f_values[i],
-             report.eq1[i], report.eq2_norm[i]) for i in range(len(pts))]
+    rows = _rows(pts, np.column_stack([report.f_values, report.eq1, report.eq2_norm]))
     header = ["index"] + [f"u{a+1}" for a in range(chart.m)] + ["f", "eq1", "eq2_norm"]
     _emit(render_report("verify-hypersurface", config, summary, (header, rows)),
           args.out)
@@ -282,7 +290,7 @@ def cmd_verify_curve(args):
     r1, r2, r3 = crv.curve_system_residual(fr, params, curve.sf.c)
     # a node whose frame is undefined (NaN) prints as a zero row
     table = np.nan_to_num(np.column_stack([fr.k, fr.tau, r1, r2, r3]))
-    rows = [(i, f"{t:.6g}", *row) for i, (t, row) in enumerate(zip(ts, table.tolist()))]
+    rows = _rows(ts[:, None], table)
     max_res = float(np.max(np.abs(table[:, 2:])))
     if np.isnan(fr.k).all():
         classification = "Geodesic"
@@ -416,7 +424,6 @@ def build_parser():
 
     sp = sub.add_parser("catalog", help="list builtin charts")
     _add_common(sp)
-    sp.set_defaults(fn=cmd_catalog)
 
     sp = sub.add_parser("verify-hypersurface")
     _add_hypersurface_selector(sp)
@@ -428,7 +435,6 @@ def build_parser():
                     help="force the finite-difference path")
     sp.add_argument("--expect", default=None)
     _add_common(sp)
-    sp.set_defaults(fn=cmd_verify_hypersurface)
 
     sp = sub.add_parser("verify-curve")
     _add_curve_selector(sp)
@@ -438,7 +444,6 @@ def build_parser():
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--expect", default=None)
     _add_common(sp)
-    sp.set_defaults(fn=cmd_verify_curve)
 
     sp = sub.add_parser("solve")
     _add_hypersurface_selector(sp)
@@ -449,7 +454,6 @@ def build_parser():
     sp.add_argument("--r-bracket", default="0.3,0.7")
     sp.add_argument("--grid", type=int, default=8)
     _add_common(sp)
-    sp.set_defaults(fn=cmd_solve)
 
     sp = sub.add_parser("sweep")
     _add_hypersurface_selector(sp)
@@ -461,7 +465,6 @@ def build_parser():
     sp.add_argument("--grid", type=int, default=8)
     sp.add_argument("--tol", type=float, default=None)
     _add_common(sp)
-    sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("variation-check")
     _add_curve_selector(sp)
@@ -474,15 +477,20 @@ def build_parser():
     sp.add_argument("--max-rel", type=float, default=None,
                     help="exit 1 when the worst relative error exceeds this")
     _add_common(sp)
-    sp.set_defaults(fn=cmd_variation_check)
 
     return parser
 
 
+@functools.cache
+def _shared_parser():
+    """The parser :func:`main` builds on its first call and then reuses;
+    parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         if args.command != "catalog" and getattr(args, "builtin", None) is None \
                 and getattr(args, "chart_file", None) is None:
             raise _CliError("select a chart with --builtin or --chart-file")
@@ -490,7 +498,8 @@ def main(argv=None):
             value = getattr(args, flag, None)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise _CliError(f"--{flag.replace('_', '-')} must be finite and > 0, got {value}")
-        return args.fn(args)
+        # looked up per call, so a cmd_* rebound on the module is the one that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (_CliError, GeometryError, ExpressionError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -56,7 +56,8 @@ class ImmersionChart:
     (..., dim).  Optional exact ``jacobian`` (..., dim, m) and ``hessian``
     (..., dim, m, m) callbacks are preferred over finite differences when
     present.  ``reference_normal`` (..., dim) fixes the orientation;
-    without it the sign comes from the ambient volume form.
+    without it the sign comes from the ambient volume form, times
+    ``orientation`` (+1 or -1).
     ``analytic_geometry`` supplies closed-form samples for catalog
     entries, as one :class:`GeometricSample` with its fields stacked along
     axis 0.  The engine calls each callback once per batch, on a flat
@@ -72,6 +73,7 @@ class ImmersionChart:
     reference_normal: Optional[Callable] = None
     analytic_geometry: Optional[Callable] = None
     name: str = "chart"
+    orientation: int = 1
 
     def widths(self):
         return np.array([hi - lo for lo, hi in self.domain], dtype=float)
@@ -85,12 +87,14 @@ class ImmersionChart:
 
     def flipped(self):
         """Same patch with the opposite orientation: the reference normal, or
-        without one the volume-form normal of this chart, negated."""
-        ref = self.reference_normal or (lambda u: unit_normal(self, u))
-        ana = self.analytic_geometry
+        without one the orientation sign, negated."""
+        ref, ana = self.reference_normal, self.analytic_geometry
+        if ref is None:
+            flip = {"orientation": -self.orientation}
+        else:
+            flip = {"reference_normal": lambda u: -ref(u)}
         new_ana = (lambda u: flip_sample(ana(u))) if ana is not None else None
-        return replace(self, reference_normal=lambda u: -ref(u), analytic_geometry=new_ana,
-                       name=self.name + "(flipped)")
+        return replace(self, analytic_geometry=new_ana, name=self.name + "(flipped)", **flip)
 
 
 @dataclass(frozen=True)
@@ -266,6 +270,8 @@ def _unit_normal(chart, X, J, P, det_g):
     if chart.reference_normal is not None:
         ref = np.asarray(chart.reference_normal(X), dtype=float)
         eta = np.where((sf.pair(eta, ref) < 0)[:, None], -eta, eta)
+    elif chart.orientation < 0:
+        eta = -eta
     return eta
 
 
@@ -315,7 +321,8 @@ def unit_normal(chart, u):
     """Unit ambient vectors (..., dim) at u (..., m), orthogonal to the patch (and P).
 
     Orientation follows the chart's declared reference normal when present,
-    otherwise the ambient volume form: det[d_1 X, ..., d_m X, eta(, P)] > 0.
+    otherwise the ambient volume form, det[d_1 X, ..., d_m X, eta(, P)] > 0,
+    with eta negated on a chart of orientation -1.
     """
     u = np.asarray(u, dtype=float)
     eta = _shape(chart, u.reshape(-1, chart.m), np.zeros((1, chart.m)))[1].eta

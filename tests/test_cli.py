@@ -4,9 +4,11 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import pqharmonic
+import report_reference as reference
 from pqharmonic import cli
 
 CONE_CHART = """\
@@ -335,3 +337,121 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+# -- one parser per process, one template per report row ---------------------
+
+PARITY_RUNS = {
+    "sphere-m2-grid16": ["verify-hypersurface", "--builtin", "sphere-in-sphere", "--m", "2",
+                         "--p", "2", "--q", "2", "--grid", "16"],
+    "sphere-m3-grid8": ["verify-hypersurface", "--builtin", "sphere-in-sphere", "--m", "3",
+                        "--a2", "0.3", "--p", "3", "--q", "2", "--grid", "8"],
+    "stencil-cone-grid4": ["verify-hypersurface", "--builtin", "cone", "--r", "1/sqrt(6)",
+                           "--p", "4/3", "--q", "3", "--stencil", "--grid", "4"],
+    "cone-chart-file": ["verify-hypersurface", "--chart-file", "{cone}",
+                        "--p", "4/3", "--q", "3"],
+    "helix": ["verify-curve", "--builtin", "helix", "--p", "2", "--q", "3"],
+    "line-chart-file": ["verify-curve", "--chart-file", "{line}", "--p", "2", "--q", "2"],
+    "variation-check": ["variation-check", "--builtin", "circle", "--p", "2", "--q", "2",
+                        "--K", "64", "--fields", "2"],
+}
+
+
+def _record(monkeypatch, owner, name, log):
+    fn = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        log.setdefault(name, []).append((args, out))
+        return out
+    monkeypatch.setattr(owner, name, recorded)
+
+
+@pytest.mark.parametrize("name", PARITY_RUNS)
+def test_points_block_matches_the_per_cell_renderer(name, tmp_path, monkeypatch):
+    files = {"cone": tmp_path / "cone.txt", "line": tmp_path / "line.txt"}
+    files["cone"].write_text(CONE_CHART)
+    files["line"].write_text(LINE_CHART)
+    argv = [arg.format(**files) for arg in PARITY_RUNS[name]]
+    log = {}
+    for owner, fn in ((cli, "classify"), (cli.crv, "frenet"),
+                      (cli.crv, "curve_system_residual"),
+                      (cli.variation, "first_variation_check")):
+        _record(monkeypatch, owner, fn, log)
+    out = tmp_path / "report.txt"
+    assert run(argv + ["--out", str(out)]) == 0
+    if argv[0] == "verify-hypersurface":
+        (_, report), = log["classify"]
+        table = reference.hypersurface_table(report)
+    elif argv[0] == "verify-curve":
+        ((_, ts), fr), = log["frenet"]
+        (_, residuals), = log["curve_system_residual"]
+        table = reference.curve_table(ts, fr, residuals)
+    else:
+        table = reference.variation_table([rep for _, rep in log["first_variation_check"]])
+    text, want = out.read_text(), reference.render_report(argv[0], {}, {}, table)
+    assert len(table[1]) > 1
+    block = "\npoints:\n"
+    assert text[text.index(block):] == want[want.index(block):]
+
+
+def test_row_template_matches_fmt_cell_for_cell():
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300,
+               1 / 3, -2 / 3, 123456.789, 1e-7, 2.5e16]
+    coords = np.array([special, special[::-1]]).T
+    values = np.array([special[3:] + special[:3], special[::-1], special[5:] + special[:5]]).T
+    rows = cli._rows(coords, values)
+    assert all(len(row) == 1 for row in rows)
+    for i, (row,) in enumerate(rows):
+        # verify-hypersurface passed numpy scalars, verify-curve Python floats
+        cells = (*values[i, :2], *values[i, 2:].tolist())
+        old = (i, *(f"{x:.6g}" for x in coords[i]), *cells)
+        assert [type(x) for x in cells] == [np.float64, np.float64, float]
+        assert row == " ".join(reference._fmt(x) for x in old)
+
+    # render_report keeps the per-cell output for any table
+    mixed = (["a", "b", "c"], [(0, np.float64(-0.0), 1e300), ("x", None, True),
+                               (math.nan, np.float64(5e-324), 3)])
+    config, summary = {"p": 4 / 3, "grid": 8}, {"ok": False, "max": np.float64(1e-7)}
+    assert _strip_timestamp(cli.render_report("cmd", config, summary, mixed)) == \
+        _strip_timestamp(reference.render_report("cmd", config, summary, mixed))
+
+
+def test_parser_reuse_leaks_no_value_between_calls(tmp_path):
+    assert cli.build_parser() is not cli.build_parser()
+    pair, out = tmp_path / "pair.txt", tmp_path / "p.txt"
+    # the p,r solve sets args.p_bracket to its default '0.5,2.5'
+    assert run(["solve", "--builtin", "cone", "--q", "3", "--unknowns", "p,r",
+                "--out", str(pair)]) == 0
+    assert "p_bracket: 0.5,2.5" in pair.read_text()
+    argv = ["solve", "--builtin", "sphere-in-sphere", "--a2", "0.3", "--q", "2",
+            "--unknowns", "p"]
+    assert run(argv + ["--out", str(out)]) == 0
+    src = os.path.dirname(os.path.dirname(pqharmonic.__file__))
+    fresh = subprocess.run([sys.executable, "-m", "pqharmonic.cli"] + argv,
+                           env=dict(os.environ, PYTHONPATH=src), check=True,
+                           capture_output=True, text=True).stdout
+    assert "p_bracket: 1.1,8" in fresh
+    assert _strip_timestamp(out.read_text()) == _strip_timestamp(fresh)
+
+
+def test_bad_flag_then_good_call(capsys):
+    argv = ["verify-hypersurface", "--builtin", "plane", "--p", "2", "--q", "2", "--grid", "4"]
+    assert run(argv + ["--no-such-flag"]) == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert "classification: Minimal" in captured.out and captured.err == ""
+
+
+def test_main_runs_the_command_bound_at_call_time(monkeypatch, capsys):
+    argv = ["verify-hypersurface", "--builtin", "plane", "--p", "2", "--q", "2", "--grid", "4"]
+    assert run(argv) == 0
+    seen = []
+
+    def rebound(args):
+        seen.append(args.builtin)
+        return 1
+    monkeypatch.setattr(cli, "cmd_verify_hypersurface", rebound)
+    assert run(argv) == 1
+    assert seen == ["plane"]

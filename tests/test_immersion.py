@@ -384,6 +384,31 @@ def test_flipped_chart_negates_stencil_quantities(make, tmp_path):
     assert np.allclose(t.normA2, s.normA2, rtol=1e-13)
 
 
+def test_flipped_map_only_chart_samples_its_lattice_once(tmp_path):
+    ch = _cone_file(tmp_path)
+    rows = []
+
+    def counted(w):
+        rows.append(len(w))
+        return ch.map(w)
+
+    watched = replace(ch, map=counted)
+    pts = sample_grid(ch, 4)
+    s = geometric_sample(watched, pts, use_analytic=False)
+    for flipped in (watched.flipped(), watched.flipped().flipped()):
+        rows.clear()
+        t = geometric_sample(flipped, pts, use_analytic=False)
+        # a reference normal from unit_normal of the unflipped chart cost 15,312 rows more
+        assert rows == [8112]
+        rows.clear()
+        geometric_sample(flipped, U_CONE, use_analytic=False)
+        assert rows == [507]
+    t = geometric_sample(watched.flipped(), pts, use_analytic=False)
+    _same_sample(t, flip_sample(s), slice(None))
+    assert np.array_equal(unit_normal(watched.flipped(), pts), -unit_normal(watched, pts))
+    assert np.array_equal(unit_normal(watched.flipped().flipped(), pts), unit_normal(watched, pts))
+
+
 def test_map_lattice_jets_match_nested_stencils(tmp_path):
     # the nested partial1 / partial2 stencils are the reference; the
     # lattice applies the same weights, so only rounding may differ
