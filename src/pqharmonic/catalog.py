@@ -210,7 +210,10 @@ def circle(rho=1.0):
 
     def gamma(t):
         x = np.asarray(t, dtype=float) / rho
-        return np.stack([rho * np.cos(x), rho * np.sin(x), np.zeros(x.shape)], axis=-1)
+        X = np.zeros(x.shape + (3,))
+        X[..., 0], X[..., 1] = np.cos(x), np.sin(x)
+        X[..., :2] *= rho
+        return X
 
     return CurveChart(sf=SpaceForm(3, 0.0), domain=(0.0, 2.0 * math.pi * rho), map=gamma,
                       unit_speed=True, name=f"circle(rho={rho:g})")

@@ -56,19 +56,29 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-def _num(text):
-    """Numeric flag value: decimal literal or expression like 7/4, 2*pi."""
+def _num(text, flag=None):
+    """Numeric value: decimal literal or expression like 7/4, 2*pi; an
+    expression error names ``flag``, the option it came from."""
     try:
         return evaluate_literal(str(text))
     except ExpressionError as exc:
-        raise _CliError(str(exc))
+        raise _CliError(f"{flag}: {exc}" if flag else str(exc))
 
 
-def _pair(text):
+def _pair(text, flag=None):
     parts = [p for p in str(text).split(",") if p.strip()]
     if len(parts) != 2:
         raise _CliError(f"expected 'lo,hi', got {text!r}")
-    return _num(parts[0]), _num(parts[1])
+    return _num(parts[0], flag), _num(parts[1], flag)
+
+
+def _flag(args, name):
+    """The numeric flag --name of ``args``."""
+    return _num(getattr(args, name), "--" + name.replace("_", "-"))
+
+
+def _params(args):
+    return PQParams(p=_flag(args, "p"), q=_flag(args, "q"))
 
 
 def thread_count():
@@ -168,11 +178,11 @@ def build_hypersurface(args):
         return chart
     name = args.builtin
     if name == "sphere-in-sphere":
-        return cat.sphere_in_sphere(m=args.m, a2=_num(args.a2))
+        return cat.sphere_in_sphere(m=args.m, a2=_flag(args, "a2"))
     if name == "great-sphere":
         return cat.great_sphere(m=args.m)
     if name == "cone":
-        return cat.cone(r=_num(args.r))
+        return cat.cone(r=_flag(args, "r"))
     if name == "plane":
         return cat.plane()
     raise _CliError(f"unknown hypersurface builtin {name!r}")
@@ -186,9 +196,9 @@ def build_curve(args):
         return curve
     name = args.builtin
     if name == "helix":
-        return crv.helix(_num(args.alpha), _num(args.a), _num(args.b)).curve
+        return crv.helix(_flag(args, "alpha"), _flag(args, "a"), _flag(args, "b")).curve
     if name == "circle":
-        return cat.circle(rho=_num(args.rho))
+        return cat.circle(rho=_flag(args, "rho"))
     raise _CliError(f"unknown curve builtin {name!r}")
 
 
@@ -236,13 +246,8 @@ def _emit(text, out_path):
 
 
 def _expect_exit(expect, classification):
-    if expect is None:
-        return 0
-    want = EXPECT_ALIASES.get(expect.lower())
-    if want is None:
-        raise _CliError(f"unknown --expect value {expect!r}; "
-                        f"choose from {sorted(set(EXPECT_ALIASES))}")
-    return 0 if want == classification else 1
+    """Exit code of a run whose --expect value :func:`main` has validated."""
+    return 0 if expect is None or EXPECT_ALIASES[expect.lower()] == classification else 1
 
 
 # -- subcommands ------------------------------------------------------------
@@ -259,7 +264,7 @@ def cmd_catalog(args):
 
 def cmd_verify_hypersurface(args):
     chart = build_hypersurface(args)
-    params = PQParams(p=_num(args.p), q=_num(args.q))
+    params = _params(args)
     thread_count()  # validation only
     use_analytic = not args.stencil
     report = classify(chart, params, n_per_axis=args.grid, tol=args.tol,
@@ -282,7 +287,7 @@ def cmd_verify_hypersurface(args):
 
 def cmd_verify_curve(args):
     curve = build_curve(args)
-    params = PQParams(p=_num(args.p), q=_num(args.q))
+    params = _params(args)
     lo, hi = curve.domain
     pad = 0.05 * (hi - lo)
     ts = np.linspace(lo + pad, hi - pad, args.samples)
@@ -309,12 +314,12 @@ def cmd_verify_curve(args):
 
 def cmd_solve(args):
     unknowns = tuple(u.strip() for u in args.unknowns.split(","))
-    q = _num(args.q)
+    q = _flag(args, "q")
     if args.p_bracket is None:
         args.p_bracket = "1.1,8" if unknowns == ("p",) else "0.5,2.5"
     if unknowns == ("p",):
         chart = build_hypersurface(args)
-        result = solve_p(chart, q, _pair(args.p_bracket), n_per_axis=args.grid)
+        result = solve_p(chart, q, _pair(args.p_bracket, "--p-bracket"), n_per_axis=args.grid)
         config = {"chart": chart.name, "q": q, "unknowns": "p",
                   "p_bracket": args.p_bracket, "grid": args.grid}
         summary = {"success": result.success, "p": result.p,
@@ -325,7 +330,8 @@ def cmd_solve(args):
         if args.builtin != "cone":
             raise _CliError("the p,r solve runs on the cone family (--builtin cone)")
         result = solve_param_pair(lambda r: cat.cone(r), q,
-                                  _pair(args.r_bracket), _pair(args.p_bracket),
+                                  _pair(args.r_bracket, "--r-bracket"),
+                                  _pair(args.p_bracket, "--p-bracket"),
                                   n_per_axis=args.grid)
         config = {"family": "cone", "q": q, "unknowns": "p,r",
                   "p_bracket": args.p_bracket, "r_bracket": args.r_bracket,
@@ -346,16 +352,17 @@ def cmd_sweep(args):
         raise _CliError(f"{args.builtin} has no sweepable parameter {args.param!r}; "
                         f"sweep a2 of sphere-in-sphere or r of cone")
     if args.values:
-        values = [_num(v) for v in args.values.split(",") if v.strip()]
+        values = [_num(v, "--values") for v in args.values.split(",") if v.strip()]
     elif args.range:
         parts = args.range.split(",")
         if len(parts) != 3:
             raise _CliError("--range expects 'lo,hi,count'")
-        values = list(np.linspace(_num(parts[0]), _num(parts[1]), int(parts[2])))
+        values = list(np.linspace(_num(parts[0], "--range"), _num(parts[1], "--range"),
+                                  int(parts[2])))
     else:
         raise _CliError("sweep needs --values or --range")
 
-    params = PQParams(p=_num(args.p), q=_num(args.q))
+    params = _params(args)
     thread_count()  # validation only
     csv_lines = ["param,max_eq1,max_eq2,classification"]
     for value in values:
@@ -370,7 +377,7 @@ def cmd_sweep(args):
 
 def cmd_variation_check(args):
     curve = build_curve(args)
-    params = PQParams(p=_num(args.p), q=_num(args.q))
+    params = _params(args)
     dcurve = variation.DiscretizedCurve(curve=curve, K=args.K)
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -498,6 +505,10 @@ def main(argv=None):
             value = getattr(args, flag, None)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise _CliError(f"--{flag.replace('_', '-')} must be finite and > 0, got {value}")
+        expect = getattr(args, "expect", None)
+        if expect is not None and expect.lower() not in EXPECT_ALIASES:
+            raise _CliError(f"unknown --expect value {expect!r}; "
+                            f"choose from {sorted(set(EXPECT_ALIASES))}")
         # looked up per call, so a cmd_* rebound on the module is the one that runs
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (_CliError, GeometryError, ExpressionError, OSError, ValueError) as exc:

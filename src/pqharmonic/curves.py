@@ -117,7 +117,7 @@ def frenet(curve: CurveChart, t) -> FrenetApparatus:
 
 # -- arc length -------------------------------------------------------------
 
-SPEED_SCAN = 2048            # intervals of the speed scan; 1/8 as many carry the length
+COARSE_INTERVALS = 256       # intervals of the length table
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
 NEWTON_STEPS = 20
 
@@ -130,20 +130,26 @@ def _speeds(curve, ts):
     return np.sqrt(np.maximum(curve.sf.pair(V, V), 0.0))
 
 
+def _gauss_nodes(a, b):
+    """The Gauss-Legendre nodes of the intervals [a, b] (n, 4), and their half widths."""
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b))[:, None] + half[:, None] * GAUSS_NODES, half
+
+
 def _gauss(curve, a, b):
     """Gauss-Legendre lengths of the curve over the intervals [a, b], elementwise."""
-    half = 0.5 * (b - a)
-    nodes = (0.5 * (a + b))[:, None] + half[:, None] * GAUSS_NODES
+    nodes, half = _gauss_nodes(a, b)
     return half * _weigh(_speeds(curve, nodes.ravel()).reshape(nodes.shape), GAUSS_WEIGHTS)
 
 
 def reparametrize_arclength(curve: CurveChart) -> CurveChart:
     """Unit-speed reparametrization by inverting the exact length function.
 
-    The speed is scanned on SPEED_SCAN + 1 nodes: a vanishing speed raises
-    :class:`~pqharmonic.errors.SingularSpeedError`, and verified-unit-speed
-    input is returned unchanged.  Otherwise the length is accumulated by
-    Gauss-Legendre quadrature over SPEED_SCAN // 8 coarse intervals.  Each
+    The speed is taken once, at the Gauss-Legendre nodes of COARSE_INTERVALS
+    coarse intervals and at both ends of the domain.  A vanishing speed there
+    raises :class:`~pqharmonic.errors.SingularSpeedError`, and verified-unit-
+    speed input is returned unchanged.  Otherwise the node speeds give the
+    length at the coarse nodes by Gauss-Legendre quadrature.  Each
     arc length s is inverted from a linear guess (``np.interp``) by Newton
     steps on the length from the nearest coarse node, also by Gauss-Legendre.
     That length is a smooth function of t; a piecewise interpolant of it
@@ -152,14 +158,16 @@ def reparametrize_arclength(curve: CurveChart) -> CurveChart:
     at its own tolerance.
     """
     t0, t1 = curve.domain
-    speeds = _speeds(curve, np.linspace(t0, t1, SPEED_SCAN + 1))
+    coarse = np.linspace(t0, t1, COARSE_INTERVALS + 1)
+    nodes, half = _gauss_nodes(coarse[:-1], coarse[1:])
+    speeds = _speeds(curve, np.append(nodes.ravel(), [t0, t1]))
     if np.min(speeds) <= 1e-10:
         raise SingularSpeedError("curve speed vanishes; cannot reparametrize")
     if np.max(np.abs(speeds - 1.0)) < 1e-10:
         return replace(curve, unit_speed=True)
 
-    coarse = np.linspace(t0, t1, SPEED_SCAN // 8 + 1)
-    lengths = np.concatenate([[0.0], np.cumsum(_gauss(curve, coarse[:-1], coarse[1:]))])
+    pieces = half * _weigh(speeds[:-2].reshape(nodes.shape), GAUSS_WEIGHTS)
+    lengths = np.concatenate([[0.0], np.cumsum(pieces)])
     # a Newton step below tol leaves an error of order tol^2 / width
     tol = 1e-9 * (t1 - t0)
 
@@ -195,10 +203,10 @@ _pow = np.vectorize(lambda x, e: np.float64(x) ** e, otypes=[float])
 def curve_system_residual(fr: FrenetApparatus, params, c):
     """The three scalar equations of the (p,q)-harmonic curve system.
 
-    r1 multiplies T, r2 multiplies N, r3 multiplies B in the (sign-stripped)
-    tension field of a unit-speed curve with frame ``fr``.  They are taken
-    elementwise: one node gives three floats, stacked fields three arrays,
-    and a node whose frame is undefined (NaN) gets NaN residuals.
+    The (p,q)-tension field of a unit-speed curve with frame ``fr`` in N^3(c)
+    is tau_{p,q} = -(r1 T + r2 N + r3 B).  They are taken elementwise: one
+    node gives three floats, stacked fields three arrays, and a node whose
+    frame is undefined (NaN) gets NaN residuals.
     """
     p, q = float(params.p), float(params.q)
     k, tau = np.asarray(fr.k, dtype=float), fr.tau
@@ -207,7 +215,7 @@ def curve_system_residual(fr: FrenetApparatus, params, c):
             f"k = {np.nanmin(k):.3e} too small for the k^(q-3) factor")
     with np.errstate(over="ignore", invalid="ignore"):
         km3, km2, km1, kp1 = (_pow(k, e) for e in (q - 3, q - 2, q - 1, q + 1))
-        r1 = (p * q - 1.0) * km1 * fr.k_prime
+        r1 = (1.0 - p * q) * km1 * fr.k_prime + 0.0     # + 0.0: r1 = +0 where k' = 0
         r2 = (c * km1
               + (q - 1) * (q - 2) * km3 * _pow(fr.k_prime, 2.0)
               + (q - 1) * km2 * fr.k_second
@@ -276,10 +284,15 @@ def helix(alpha, a, b) -> HelixResult:
     p = (a * a + b * b - 2.0 * a * a * b * b) / ((a * a - 1.0) * (1.0 - b * b))
     admissible = (tau * tau < 1.0) and (p > 1.0)
 
+    radii = np.array([ca, ca, sa, sa])
+
     def gamma(t):
-        at, bt = a * np.asarray(t, dtype=float), b * np.asarray(t, dtype=float)
-        return np.stack([ca * np.cos(at), ca * np.sin(at),
-                         sa * np.cos(bt), sa * np.sin(bt)], axis=-1)
+        t = np.asarray(t, dtype=float)
+        at, bt = a * t, b * t
+        X = np.empty(t.shape + (4,))
+        X[..., 0], X[..., 1], X[..., 2], X[..., 3] = np.cos(at), np.sin(at), np.cos(bt), np.sin(bt)
+        X *= radii
+        return X
 
     curve = CurveChart(sf=SpaceForm(3, 1.0), domain=(0.0, 2 * math.pi),
                        map=gamma, unit_speed=True,

@@ -94,9 +94,9 @@ def smooth_bump(t, lo, hi):
     tamer high derivatives than the classical exp(-1/(1-x^2)) bump, which
     keeps Simpson quadrature of bump-weighted integrands accurate.
     """
-    scalar = np.ndim(t) == 0
-    x = 2.0 * (np.atleast_1d(t).astype(float) - lo) / (hi - lo) - 1.0
-    out = np.zeros_like(x)
-    inside = np.abs(x) < 1.0
-    out[inside] = (1.0 - x[inside] ** 2) ** 6
-    return float(out[0]) if scalar else out
+    t = np.asarray(t, dtype=float)
+    # on a flat array even for one point: power on a numpy scalar differs
+    # from the array loop in the last bit; |x| clipped to 1 gives 0 outside
+    x = np.fmin(np.abs(2.0 * (t.reshape(-1) - lo) / (hi - lo) - 1.0), 1.0)
+    out = (1.0 - x ** 2) ** 6
+    return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)

@@ -39,6 +39,9 @@ class SpaceForm:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("ambient dimension must be >= 2")
+        # the pairing signs of the hyperboloid model, taken once; None where
+        # every sign is +1 and the pairing is the plain dot product
+        object.__setattr__(self, "_signs", self.pairing_signs() if self.c < 0 else None)
 
     @property
     def model(self):
@@ -61,7 +64,8 @@ class SpaceForm:
 
     def pair(self, X, Y):
         """Raw coordinate pairing (Euclidean dot or Minkowski product) over the last axis."""
-        return np.sum(np.asarray(X) * self.pairing_signs() * Y, axis=-1)
+        X = np.asarray(X, dtype=float)
+        return np.add.reduce(X * Y if self._signs is None else X * self._signs * Y, axis=-1)
 
     # -- model membership ---------------------------------------------------
 
@@ -115,7 +119,7 @@ class SpaceForm:
                                                     axis=-1)
         cof = np.stack([(-1) ** (j + k) * np.linalg.det(np.delete(cols, j, axis=-2))
                         for j in range(self.ambient_dim)], axis=-1)
-        w = self.pairing_signs() * cof
+        w = cof if self._signs is None else self._signs * cof
         nrm2 = self.pair(w, w)
         with np.errstate(invalid="ignore", divide="ignore"):
             return w / np.sqrt(nrm2)[..., None], nrm2

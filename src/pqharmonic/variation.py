@@ -23,8 +23,12 @@ an (N, L, dim) array for N nodes and L offsets k:
 * tau_p at a node uses the offsets k = -4..4 of the step h;
 * tau_{p,q} uses tau_p at the nine nodes t + 4 j h1 (j = -4..4), so the
   offsets -20..20 of h1, and stencils of step h2 = 4 h1 over those nodes;
-* the first-variation check samples the base curve and the field once on
-  the (K+1) x 9 energy lattice and forms every varied energy from them.
+* the first-variation check samples the base curve once on the (K+1) x 9
+  energy lattice and takes the field from those samples.  tau_p of the base
+  is computed once; the six varied curves differ from it only on the windows
+  that meet the field's support, so their tau_p is one batch over those
+  windows, and the six energies are one batch too.  tau_{p,q} at the Simpson
+  nodes samples only its offsets beyond -4..4, which the energy lattice holds.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ TP_OFFSETS = numeric.NESTED_OFFSETS     # the lattice of one tau_p, in steps h
 OUTER = 4                               # h2 = OUTER * h1 for the tau_pq stencils
 PQ_OFFSETS = np.arange(-20, 21)         # the lattice of one tau_pq, in steps h1
 PQ_NODES = 20 + OUTER * TP_OFFSETS      # indices of its nine tau_p nodes
+PQ_OUTER = np.abs(PQ_OFFSETS) > TP_OFFSETS[-1]   # its offsets beyond the energy lattice
 
 
 # -- p-tension field --------------------------------------------------------
@@ -108,15 +113,15 @@ def energy_pq(dcurve: DiscretizedCurve, params: PQParams):
     """Composite-Simpson value of (1/q) |tau_p|^q against the arc measure."""
     h = dcurve.curve.frame_step()
     X = _sample(dcurve.curve.map, _lattice(dcurve.ts, h))
-    return _energy(dcurve, X, h, params, _measure(dcurve.curve, X, h))
+    tp = _tension_p(dcurve.curve.sf, X, h, params.p)[0]
+    return float(_energy(dcurve, tp, params, _measure(dcurve.curve, X, h)))
 
 
-def _energy(dcurve, X, h, params, mu):
-    """energy_pq from the curve sampled on the (K+1) x 9 energy lattice,
-    against the per-node measure factors ``mu``."""
+def _energy(dcurve, tp, params, mu):
+    """energy_pq from tau_p at the Simpson nodes (..., K+1, dim), against the
+    per-node measure factors ``mu``: one energy per leading index."""
     sf, q = dcurve.curve.sf, float(params.q)
-    tp = _tension_p(sf, X, h, params.p)[0]
-    return float(np.sum(dcurve.weights * sf.pair(tp, tp) ** (q / 2.0) * mu)) / q
+    return np.sum(dcurve.weights * sf.pair(tp, tp) ** (q / 2.0) * mu, axis=-1) / q
 
 
 def _measure(curve, X, h):
@@ -129,14 +134,25 @@ def _measure(curve, X, h):
 
 # -- (p,q)-tension field ----------------------------------------------------
 
-def _tension_pq(curve, ts, params, h1):
-    """The (p,q)-tension field at the nodes ``ts`` from one sampled lattice."""
+def _tension_pq(curve, ts, params, h1, base=None):
+    """The (p,q)-tension field at the nodes ``ts`` from one sampled lattice.
+
+    ``base``, when given, holds the curve at the offsets -4..4 of ``ts``
+    (an energy lattice, (n, 9, dim)), and only the other offsets are sampled.
+    """
     sf = curve.sf
     p, q = float(params.p), float(params.q)
     h2 = OUTER * h1
-    X = _sample(curve.map, _lattice(ts, h1, PQ_OFFSETS))
+    if base is None:
+        X = _sample(curve.map, _lattice(ts, h1, PQ_OFFSETS))
+    else:
+        X = np.empty((len(base), len(PQ_OFFSETS), base.shape[-1]))
+        X[:, ~PQ_OUTER] = base
+        X[:, PQ_OUTER] = _sample(curve.map, _lattice(ts, h1, PQ_OFFSETS[PQ_OUTER]))
     n, dim = len(X), X.shape[-1]
-    windows = X[:, PQ_NODES[:, None] + TP_OFFSETS].reshape(-1, len(TP_OFFSETS), dim)
+    # the tau_p window of each of the nine nodes, as views: every OUTER-th run of 9 offsets
+    windows = np.lib.stride_tricks.sliding_window_view(X, len(TP_OFFSETS), axis=1)[:, ::OUTER]
+    windows = np.moveaxis(windows, -1, 2).reshape(-1, len(TP_OFFSETS), dim)
     tp, vel, s2 = (a.reshape((n, len(PQ_NODES)) + a.shape[1:])
                    for a in _tension_p(sf, windows, h1, p))
     P = X[:, PQ_NODES]                      # the nine tau_p nodes; P[:, 4] is t
@@ -188,39 +204,48 @@ class VariationField:
     """A tangent field along a curve, compactly supported inside its domain.
 
     ``fn`` acts over the last axis, like a curve map: parameters (...,)
-    inside the open ``support`` go to vectors (..., dim).
+    inside the open ``support`` go to vectors (..., dim).  ``along``, where
+    given, is the same field from the curve's points: ``along(t, X)`` with
+    X = curve.map(t), for callers that have sampled the curve at t already.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     support: tuple
+    along: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, t):
         lo, hi = self.support
         if t <= lo or t >= hi:
             return None  # identically zero outside the support
-        return np.asarray(self.fn(t), dtype=float)
+        # one point as a one-point batch, so v(t) is the row values([t]) gives
+        return np.asarray(self.fn(np.array([t], dtype=float)), dtype=float)[0]
 
-    def values(self, ts, dim):
-        """The field at ``ts`` (n,), zero outside the support, by one call of fn: (n, dim)."""
+    def values(self, ts, dim, points=None):
+        """The field at ``ts`` (n,), zero outside the support, by one call of
+        fn: (n, dim); by one call of ``along`` instead where the curve's
+        ``points`` (n, dim) at ts are given."""
         ts = np.asarray(ts, dtype=float)
         lo, hi = self.support
         inside = (ts > lo) & (ts < hi)
         out = np.zeros((len(ts), dim))
         if inside.any():
-            out[inside] = self.fn(ts[inside])
+            out[inside] = (self.fn(ts[inside]) if points is None or self.along is None
+                           else self.along(ts[inside], points[inside]))
         return out
 
 
 def bump_normal_field(curve, direction_fn, support=None, amplitude=1.0):
     """A smooth bump times a tangent direction field (over the last axis) along the curve."""
     lo, hi = support if support is not None else _default_support(curve)
+    sf = curve.sf
 
-    def fn(t):
+    def along(t, X):
         bump = amplitude * numeric.smooth_bump(t, lo, hi)
         return np.asarray(bump)[..., None] \
-            * curve.sf.tangent_project(np.asarray(curve.map(t), dtype=float),
-                                       np.asarray(direction_fn(t), dtype=float))
-    return VariationField(fn=fn, support=(lo, hi))
+            * sf.tangent_project(X, np.asarray(direction_fn(t), dtype=float))
+
+    return VariationField(fn=lambda t: along(t, np.asarray(curve.map(t), dtype=float)),
+                          support=(lo, hi), along=along)
 
 
 def random_bump_field(curve, rng, support=None, amplitude=1.0):
@@ -229,12 +254,13 @@ def random_bump_field(curve, rng, support=None, amplitude=1.0):
     dim = curve.sf.ambient_dim
     coeffs = rng.standard_normal((2, 2, dim))
     omega = 2 * math.pi / (hi - lo)
+    harmonics = np.arange(1, len(coeffs) + 1)[:, None]
+    cos_coeffs, sin_coeffs = coeffs[:, 0], coeffs[:, 1]
 
     def direction(t):
-        x = omega * (np.asarray(t, dtype=float)[..., None] - lo)
-        return sum(coeffs[j, 0] * np.cos((j + 1) * x)
-                   + coeffs[j, 1] * np.sin((j + 1) * x)
-                   for j in range(len(coeffs)))
+        x = omega * (np.asarray(t, dtype=float)[..., None, None] - lo) * harmonics
+        # one term per harmonic, then their sum: (..., harmonic, dim) -> (..., dim)
+        return np.add.reduce(cos_coeffs * np.cos(x) + sin_coeffs * np.sin(x), axis=-2)
 
     field = bump_normal_field(curve, direction, support=(lo, hi), amplitude=1.0)
     # normalize to the requested sup amplitude, over the probes inside the support
@@ -273,7 +299,8 @@ def varied_curve(curve, v: VariationField, t):
         if t == 0.0:
             return base
         s = np.asarray(s, dtype=float)
-        w = v.values(s.ravel(), base.shape[-1]).reshape(base.shape)
+        dim = base.shape[-1]
+        w = v.values(s.ravel(), dim, base.reshape(-1, dim)).reshape(base.shape)
         inside = ((s > lo) & (s < hi))[..., None]
         return np.where(inside, sf.retract(base + t * w), base)
 
@@ -289,9 +316,9 @@ def first_variation_check(dcurve: DiscretizedCurve, v: VariationField,
     The left side is a central finite difference of the energy of the
     retracted variation (per step, with a Richardson estimate from the two
     smallest steps); the right side is Simpson quadrature of the pairing
-    against tau_pq of the base curve.  The base curve and the field are
-    sampled once on the energy lattice; each varied curve is
-    retract(base + t v) on those samples, as in :func:`varied_curve`.
+    against tau_pq of the base curve.  The base curve is sampled once on the
+    energy lattice, and the field is taken from those samples; each varied
+    curve is retract(base + t v) on them, as in :func:`varied_curve`.
     The curve must have constant speed (to MEASURE_SPREAD relative);
     otherwise DomainError is raised.
     """
@@ -299,7 +326,8 @@ def first_variation_check(dcurve: DiscretizedCurve, v: VariationField,
     h = curve.frame_step()
     pts = _lattice(dcurve.ts, h)
     B = _sample(curve.map, pts)
-    V = v.values(pts.ravel(), sf.ambient_dim).reshape(B.shape)
+    dim = B.shape[-1]
+    V = v.values(pts.ravel(), dim, B.reshape(-1, dim)).reshape(B.shape)
     lo, hi = v.support
     inside = (pts > lo) & (pts < hi)
     base_measure = _measure(curve, B, h)
@@ -312,11 +340,6 @@ def first_variation_check(dcurve: DiscretizedCurve, v: VariationField,
             f"{curve.name} varies by {spread:.2e} (relative) over the nodes: "
             f"reparametrize it with curves.reparametrize_arclength")
 
-    def energy_at(t):
-        X = B.copy()
-        X[inside] = sf.retract(B[inside] + t * V[inside])
-        return _energy(dcurve, X, h, params, base_measure)
-
     # steps scale inversely with the field size so the perturbation of
     # tau_p stays small compared to its base value
     nodes = inside[:, 4]                    # offset 0: the Simpson nodes themselves
@@ -324,13 +347,25 @@ def first_variation_check(dcurve: DiscretizedCurve, v: VariationField,
     sup_v = float(np.max(np.sqrt(np.maximum(sf.pair(vv, vv), 0.0)), initial=0.0))
     scale = 1.0 / max(1.0, sup_v)
     steps = tuple(s * scale for s in steps)
-    fd = np.array([(energy_at(s) - energy_at(-s)) / (2.0 * s) for s in steps])
+
+    # the varied curves at t = +s, -s for each step equal the base outside the
+    # windows that meet the support: their tau_p is one batch over those windows
+    signed = np.array([x for s in steps for x in (s, -s)])
+    rows = inside.any(axis=1)
+    win = B[rows]
+    varied = np.where(inside[rows, :, None],
+                      sf.retract(win + signed[:, None, None, None] * V[rows]), win)
+    tp = np.repeat(_tension_p(sf, B, h, params.p)[0][None], len(signed), axis=0)
+    tp[:, rows] = _tension_p(sf, varied.reshape((-1,) + win.shape[1:]), h,
+                             params.p)[0].reshape(len(signed), -1, dim)
+    energies = _energy(dcurve, tp, params, base_measure)
+    fd = (energies[0::2] - energies[1::2]) / (2.0 * np.array(steps))
     lhs = float(numeric.richardson(fd[-2], fd[-1], order=2))
     order = numeric.observed_order(fd) if len(fd) >= 3 else float("nan")
 
     rhs = 0.0
     if nodes.any():
-        tpq = _tension_pq(curve, dcurve.ts[nodes], params, h)
+        tpq = _tension_pq(curve, dcurve.ts[nodes], params, h, base=B[nodes])
         rhs = -float(np.sum(dcurve.weights[nodes] * base_measure[nodes] * sf.pair(vv, tpq)))
 
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-14)

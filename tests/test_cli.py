@@ -126,6 +126,29 @@ def test_bad_numeric_flag_is_config_error(argv, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_unknown_expect_fails_before_any_work(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("classified before --expect was checked")
+
+    monkeypatch.setattr(cli, "classify", unreachable)
+    assert run(["verify-hypersurface", *CONE_PQ, "--expect", "whatever"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: unknown --expect value 'whatever'") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify-hypersurface", "--builtin", "cone", "--p", "2+", "--q", "2"], "--p"),
+    (["verify-hypersurface", "--builtin", "cone", "--r", "1/", "--p", "2", "--q", "3"], "--r"),
+    (["verify-curve", "--builtin", "helix", "--alpha", "pi/", "--p", "2", "--q", "2"], "--alpha"),
+    (["solve", "--builtin", "cone", "--q", "3", "--p-bracket", "1,8*"], "--p-bracket"),
+], ids=["p", "r", "alpha", "p-bracket"])
+def test_expression_error_names_its_flag(argv, flag, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: unexpected token") and err.count("\n") == 1
+
+
 def test_missing_selector_is_config_error(capsys):
     assert run(["verify-hypersurface", "--p", "2", "--q", "2"]) == 2
 

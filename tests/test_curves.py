@@ -8,7 +8,8 @@ from pqharmonic import (CurveChart, PQParams, circle, cli, curve_system_residual
                         frenet, helix, p_closed_form, reparametrize_arclength)
 from pqharmonic import curves
 from pqharmonic.curves import FrenetApparatus
-from pqharmonic.errors import DomainError, FrameUndefinedError, SingularFactorError
+from pqharmonic.errors import (DomainError, FrameUndefinedError, SingularFactorError,
+                               SingularSpeedError)
 from pqharmonic.spaceform import SpaceForm
 from nested_stencils import deriv1
 
@@ -224,6 +225,26 @@ def test_arclength_newton_stops_each_s_at_its_tolerance():
     assert np.array_equal(batch, single)
 
 
+def test_reparametrize_takes_each_speed_once():
+    # the speed at the Gauss-Legendre nodes of the length table and at both
+    # ends serves the singular-speed check, the unit-speed check and the lengths
+    rows = []
+
+    def gamma(t):
+        rows.append(np.size(t))
+        return np.stack([2.0 * np.cos(t), 2.0 * np.sin(t), 0.0 * t], axis=-1)
+
+    reparametrize_arclength(CurveChart(sf=SpaceForm(3, 0.0), domain=(0.0, 6.0), map=gamma))
+    assert sum(rows) == 4 * (4 * curves.COARSE_INTERVALS + 2)
+
+
+def test_reparametrize_refuses_a_speed_that_vanishes_at_an_end():
+    cusp = CurveChart(sf=SpaceForm(3, 0.0), domain=(0.0, 1.0),
+                      map=lambda t: np.stack([t * t, 0.0 * t, 0.0 * t], axis=-1))
+    with pytest.raises(SingularSpeedError):
+        reparametrize_arclength(cusp)
+
+
 def test_reparametrize_identity_on_unit_speed():
     c = circle(1.0)
     assert reparametrize_arclength(c) is not c  # frozen replace, same map
@@ -251,6 +272,8 @@ def test_curve_system_constant_apparatus():
                 T=np.zeros(3), N=np.zeros(3), B=np.zeros(3))
     fr = FrenetApparatus(k=1.0, tau=0.0, **dims)
     assert curve_system_residual(fr, PQParams(2, 2.7), 1.0) == (0.0, 0.0, 0.0)
+    # r1 = (1 - pq) k^(q-1) k' is +0, not -0, where k' = 0, so reports print 0
+    assert not np.signbit(curve_system_residual(fr, PQParams(2, 2.7), 1.0)[0])
     r1, r2, r3 = curve_system_residual(fr, PQParams(2, 2), 0.0)
     assert (r1, r3) == (0.0, 0.0)
     assert r2 == pytest.approx(-1.0)

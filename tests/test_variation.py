@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 import pathlib
@@ -8,13 +9,26 @@ import pytest
 from pqharmonic import (CurveChart, DiscretizedCurve, PQParams, circle,
                         bump_normal_field, curve_system_residual, energy_pq,
                         first_variation_check, frenet, helix,
-                        random_bump_field, tension_p, tension_pq_curve)
-from pqharmonic import variation
+                        random_bump_field, reparametrize_arclength, tension_p,
+                        tension_pq_curve)
+from pqharmonic import cli, variation
 from pqharmonic.errors import DomainError, SingularFactorError, SingularSpeedError
 from pqharmonic.spaceform import SpaceForm
 from pqharmonic.variation import VariationField, varied_curve
 
 SQ7 = math.sqrt(7.0)
+CRITERION_7_PQ = ((2.0, 2.0), (3.0, 2.0), (2.0, 3.0), (1.5, 2.5))
+
+# the helix(pi/4, sqrt(7)/2, 1/2) of S^3 traced at constant speed 1.6
+SPEEDY_HELIX_FILE = """\
+type: curve
+c: 1
+t: 0, 2*pi/1.6
+x1: cos(pi/4)*cos(1.6*sqrt(7)/2*t)
+x2: cos(pi/4)*sin(1.6*sqrt(7)/2*t)
+x3: sin(pi/4)*cos(0.8*t)
+x4: sin(pi/4)*sin(0.8*t)
+"""
 
 
 def _line(speed=1.0):
@@ -89,6 +103,24 @@ def test_tension_pq_matches_frenet_system():
         assert np.allclose(got, expected, atol=2e-6)
 
 
+def test_tension_pq_matches_frenet_system_at_varying_curvature():
+    # an elliptic helix by arc length: k, tau and their derivatives all vary,
+    # so every component of tau_pq = -(r1 T + r2 N + r3 B) is tested
+    raw = CurveChart(sf=SpaceForm(3, 0.0), domain=(0.0, 2 * math.pi),
+                     map=lambda t: np.stack([2.0 * np.cos(t), np.sin(t), 0.5 * t], axis=-1))
+    curve = reparametrize_arclength(raw)
+    for s in curve.domain[1] * np.array([0.1, 0.2, 0.45]):
+        fr = frenet(curve, float(s))
+        for (p, q) in CRITERION_7_PQ:
+            got = tension_pq_curve(curve, float(s), PQParams(p, q))
+            size = np.linalg.norm(got)
+            r = curve_system_residual(fr, PQParams(p, q), 0.0)
+            for axis, ri in zip((fr.T, fr.N, fr.B), r):
+                # each component is large enough that a wrong sign would show
+                assert abs(ri) > 5e-2 * size
+                assert abs(np.dot(got, axis) + ri) <= 1e-3 * size, (s, p, q)
+
+
 def test_tension_pq_geodesic_zero():
     out = tension_pq_curve(_line(), 2.0, PQParams(2, 2))
     assert np.linalg.norm(out) < 1e-10
@@ -108,16 +140,26 @@ def test_variation_field_support():
     assert np.allclose(vals[0], 0) and np.allclose(vals[2], 0)
 
 
-def test_field_values_match_pointwise_calls():
-    hr = helix(math.pi / 4, SQ7 / 2, 0.5)
-    v = random_bump_field(hr.curve, np.random.default_rng(2), amplitude=0.5)
-    ts = np.linspace(*hr.curve.domain, 41)
-    vals = v.values(ts, 4)
-    for t, row in zip(ts, vals):
-        w = v(float(t))
-        assert np.array_equal(row, np.zeros(4) if w is None else w)
-    gt = varied_curve(hr.curve, v, 0.05)
-    assert np.array_equal(gt.map(ts), np.stack([gt.map(float(t)) for t in ts]))
+def test_field_values_match_pointwise_calls(tmp_path):
+    # v(t) is the row of values([t]) and of a batch, bit for bit, on the
+    # helix and circle maps and on an arc-length chart-file curve
+    path = tmp_path / "helix.txt"
+    path.write_text(SPEEDY_HELIX_FILE)
+    for curve, points in ((helix(math.pi / 4, SQ7 / 2, 0.5).curve, 1500), (circle(1.3), 1500),
+                          (cli.load_chart_file(str(path)), 300)):
+        dim = curve.sf.ambient_dim
+        v = random_bump_field(curve, np.random.default_rng(2), amplitude=0.5)
+        lo, hi = curve.domain
+        ts = lo + (hi - lo) * np.random.default_rng(3).random(points)
+        vals = v.values(ts, dim)
+        for t, row in zip(ts, vals):
+            w = v(float(t))
+            assert w is not None or not v.support[0] < t < v.support[1]
+            w = np.zeros(dim) if w is None else w
+            assert np.array_equal(w, row) and np.array_equal(w, v.values([t], dim)[0]), \
+                (curve.name, t)
+        gt = varied_curve(curve, v, 0.05)
+        assert np.array_equal(gt.map(ts[:41]), np.stack([gt.map(float(t)) for t in ts[:41]]))
 
 
 def test_varied_curve_stays_on_model():
@@ -222,6 +264,71 @@ def test_first_variation_pinned_values():
         rep = first_variation_check(DiscretizedCurve(curve=curve, K=128), v, PQParams(3, 2))
         for got, want in zip((rep.lhs, rep.rhs, rep.v_norm), VARIATION_PINS[name]):
             assert got == pytest.approx(want, rel=1e-6), (name, got, want)
+
+
+# repr of lhs, rhs and fd_values for the first default_rng(9) field, from the
+# code before the energies were batched: the batching must leave every bit
+FIRST_VARIATION_BITS = {
+    ("circle", 2.0, 2.0): (0.048023653099097764, 0.04802368747207963,
+                           (0.04802365319966917, 0.04802365321237012, 0.048023653127415855)),
+    ("circle", 3.0, 2.0): (0.09604734140521802, 0.09604737510876256,
+                           (0.09797371704125535, 0.0965289354018406, 0.09616773990437366)),
+    ("circle", 2.0, 3.0): (0.0480236552542479, 0.04802368739825158,
+                           (0.048610221836709044, 0.04817032129853516, 0.04806032176531971)),
+    ("circle", 1.5, 2.5): (0.02401181000843226, 0.02401184365847168,
+                           (0.02387820880058733, 0.023978421798487304, 0.02400346295594602)),
+    ("helix", 2.0, 2.0): (-0.009724148926952095, -0.00972412131240946,
+                          (-0.009752107742128091, -0.009731138865964883,
+                           -0.009725896411705293)),
+    ("helix", 3.0, 2.0): (-0.02139309897346564, -0.021393070148258017,
+                          (-0.022781609198280206, -0.021740226703315102,
+                           -0.021479880905928006)),
+    ("helix", 2.0, 3.0): (-0.004763842660001257, -0.004763827065567776,
+                          (-0.005107379685774516, -0.004849750978497269,
+                           -0.00478531973962526)),
+    ("helix", 1.5, 2.5): (-0.0027224874821318856, -0.0027224694179179836,
+                          (-0.002687801535508627, -0.002713808353294045,
+                           -0.0027203176999224254)),
+}
+
+
+def _loops_round_as_pinned():
+    """True where numpy's power, cos and sin loops give the bits they gave when
+    the pins were taken: the AVX-512 power loop, and the C library's cos and
+    sin.  Other loops round some values the other way."""
+    x = np.linspace(0.1, 7.0, 1001)
+    return ((np.array([0.43981766800214817]) ** 1.37)[0] == 0.32455145462585805
+            and np.array_equal(np.cos(x), [math.cos(a) for a in x])
+            and np.array_equal(np.sin(x), [math.sin(a) for a in x]))
+
+
+@pytest.mark.skipif(not _loops_round_as_pinned(),
+                    reason="numpy's power, cos or sin loop here rounds unlike the pinned ones")
+def test_first_variation_bits_are_pinned():
+    for name, curve in _pin_curves().items():
+        v = random_bump_field(curve, np.random.default_rng(9), amplitude=0.5)
+        for (p, q) in CRITERION_7_PQ:
+            rep = first_variation_check(DiscretizedCurve(curve=curve, K=128), v, PQParams(p, q))
+            assert (rep.lhs, rep.rhs, rep.fd_values) == FIRST_VARIATION_BITS[(name, p, q)], \
+                (name, p, q)
+
+
+def test_first_variation_samples_each_point_once():
+    # the base lattice (129 x 9) once, the field from it, and each tau_pq
+    # node only at its offsets beyond -4..4: 1,161 + 89 x 32 points
+    curve = _pin_curves()["helix"]
+    rows = []
+
+    def counted(t):
+        rows.append(np.array(t, dtype=float).ravel())
+        return curve.map(t)
+
+    base = dataclasses.replace(curve, map=counted)
+    v = random_bump_field(base, np.random.default_rng(9), amplitude=0.5)
+    rows.clear()
+    first_variation_check(DiscretizedCurve(curve=base, K=128), v, PQParams(3, 2))
+    ts = np.concatenate(rows)
+    assert len(ts) == len(np.unique(ts)) == 4009
 
 
 def test_batched_tension_equals_per_node_calls():
