@@ -8,9 +8,9 @@ variation of the (p,q)-energy directly against the (p,q)-tension field.
 
 from .catalog import (CATALOG, CatalogEntry, circle, cone, great_sphere,
                       plane, sphere_in_sphere)
-from .curves import (CurveChart, FrenetApparatus, HelixResult,
-                     curve_system_residual, frenet, helix, p_closed_form,
-                     reparametrize_arclength)
+from .curves import (CurveChart, CurveReport, FrenetApparatus, HelixResult,
+                     classify_curve, curve_system_residual, frenet, helix,
+                     p_closed_form, reparametrize_arclength)
 from .errors import (BoundaryProximityError, DegenerateImmersionError,
                      DomainError, FrameUndefinedError, GeometryError,
                      ModelConstraintError, NoRootInBracketError,
@@ -31,15 +31,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CATALOG", "CatalogEntry", "Classification", "CoefficientSet",
-    "CurveChart", "DiscretizedCurve", "FrenetApparatus", "GeometricSample",
-    "HelixResult", "ImmersionChart", "PQParams", "ResidualReport",
-    "SpaceForm", "VariationField",
+    "CurveChart", "CurveReport", "DiscretizedCurve", "FrenetApparatus",
+    "GeometricSample", "HelixResult", "ImmersionChart", "PQParams",
+    "ResidualReport", "SpaceForm", "VariationField",
     "BoundaryProximityError", "DegenerateImmersionError", "DomainError",
     "FrameUndefinedError", "GeometryError", "ModelConstraintError",
     "NoRootInBracketError", "NonConvergenceError", "SingularFactorError",
     "SingularSpeedError", "TangencyError",
-    "bump_normal_field", "circle", "classify", "coefficients", "cone",
-    "curve_system_residual", "energy_pq", "first_fundamental",
+    "bump_normal_field", "circle", "classify", "classify_curve", "coefficients",
+    "cone", "curve_system_residual", "energy_pq", "first_fundamental",
     "first_variation_check", "frenet", "geometric_sample", "great_sphere",
     "helix", "p_closed_form", "plane", "random_bump_field",
     "reparametrize_arclength", "residual", "sample_grid", "shape_packet",

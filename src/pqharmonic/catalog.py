@@ -24,10 +24,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .curves import CurveChart
+from .curves import CurveChart, helix
 from .errors import DomainError
 from .immersion import GeometricSample, ImmersionChart
 from .spaceform import SpaceForm
@@ -223,24 +224,41 @@ def circle(rho=1.0):
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A builtin chart or curve: ``build(**values)`` takes one value per
+    parameter, and ``parameters`` maps each name to its command-line
+    default, an int for the dimension m and an expression text otherwise."""
     name: str
     kind: str          # "hypersurface" or "curve"
-    parameters: tuple
+    parameters: dict
     expectation: str
+    build: Callable
+
+    @property
+    def sweepable(self):
+        """The parameters a sweep can vary: the real ones, not the dimension."""
+        return {name for name, default in self.parameters.items() if isinstance(default, str)}
 
 
+# each builder looks its constructor up when called, so a rebound name is the one that runs
 CATALOG = (
-    CatalogEntry("sphere-in-sphere", "hypersurface", ("m", "a2"),
-                 "proper exactly at p = 1/b^2 with b^2 = 1 - a2, for every q"),
-    CatalogEntry("great-sphere", "hypersurface", ("m",),
-                 "Minimal for every (p, q)"),
-    CatalogEntry("cone", "hypersurface", ("r",),
-                 "proper at p = 2(1 - 1/q), r = 1/sqrt(q(q-1)); needs q > 2"),
-    CatalogEntry("plane", "hypersurface", (),
-                 "Minimal for every (p, q)"),
-    CatalogEntry("helix", "curve", ("alpha", "a", "b"),
+    CatalogEntry("sphere-in-sphere", "hypersurface", {"m": 2, "a2": "0.5"},
+                 "proper exactly at p = 1/b^2 with b^2 = 1 - a2, for every q",
+                 lambda m, a2: sphere_in_sphere(m=m, a2=a2)),
+    CatalogEntry("great-sphere", "hypersurface", {"m": 2},
+                 "Minimal for every (p, q)",
+                 lambda m: great_sphere(m=m)),
+    CatalogEntry("cone", "hypersurface", {"r": "0.5"},
+                 "proper at p = 2(1 - 1/q), r = 1/sqrt(q(q-1)); needs q > 2",
+                 lambda r: cone(r=r)),
+    CatalogEntry("plane", "hypersurface", {},
+                 "Minimal for every (p, q)",
+                 lambda: plane()),
+    CatalogEntry("helix", "curve",
+                 {"alpha": "0.785398163397448", "a": "1.32287565553230", "b": "0.5"},
                  "k = sqrt((a^2-1)(1-b^2)), tau = ab; proper at "
-                 "p = (a^2+b^2-2a^2b^2)/((a^2-1)(1-b^2)) when admissible"),
-    CatalogEntry("circle", "curve", ("rho",),
-                 "k = 1/rho, tau = 0; no admissible p in flat space"),
+                 "p = (a^2+b^2-2a^2b^2)/((a^2-1)(1-b^2)) when admissible",
+                 lambda alpha, a, b: helix(alpha, a, b).curve),
+    CatalogEntry("circle", "curve", {"rho": "1"},
+                 "k = 1/rho, tau = 0; no admissible p in flat space",
+                 lambda rho: circle(rho=rho)),
 )

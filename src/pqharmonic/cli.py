@@ -4,15 +4,20 @@ Subcommands
 -----------
 catalog               list the built-in charts and their expected behavior
 verify-hypersurface   classify a hypersurface chart at given (p, q)
-verify-curve          evaluate the curve system residuals along a curve
+verify-curve          classify a curve by its curve system residuals
 solve                 solve for unknown parameters (p, or the pair p,r)
 sweep                 classify across a swept parameter, emitting CSV
 variation-check       compare dE/dt against the tension-field pairing
 
+Verdicts come from the engine, and builtin names and flags from
+``catalog.CATALOG``.  Each ``cmd_*`` returns a :class:`Report` (or its text),
+which :func:`main` renders, writes once and maps to the exit code.
+
 Exit codes: 0 on success (and on a matching --expect), 1 when --expect
-does not match the computed classification, 2 on configuration or engine
-errors.  The PQHARM_THREADS environment variable must be an integer; it is
-validated and has no other effect.
+does not match the computed classification or the worst relative error
+exceeds --max-rel, 2 on configuration or engine errors.  The
+PQHARM_THREADS environment variable must be an integer; it is validated
+and has no other effect.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import functools
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +49,7 @@ EXPECT_ALIASES = {
     "not-pq-harmonic": Classification.NOT_PQ_HARMONIC.value,
     "notpq": Classification.NOT_PQ_HARMONIC.value,
     "mixed": Classification.MIXED_SIGN_F.value,
-    "geodesic": "Geodesic",
+    "geodesic": Classification.GEODESIC.value,
 }
 
 
@@ -93,7 +99,14 @@ def thread_count():
 
 # -- chart files ------------------------------------------------------------
 
-def _parse_chart_file(path):
+def load_chart_file(path):
+    """Load a hypersurface chart or curve from an expression file.
+
+    Keys: ``type`` (hypersurface or curve), ``c``, domain intervals ``u``
+    and ``v`` (or ``t`` for curves) as 'lo, hi', and ambient coordinates
+    ``x1`` .. ``xN`` as expressions in the domain variables.  The maps act
+    over the last axis, like every chart callback.
+    """
     entries = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -104,24 +117,6 @@ def _parse_chart_file(path):
                 raise _CliError(f"{path}:{lineno}: expected 'key: value'")
             key, value = line.split(":", 1)
             entries[key.strip()] = value.strip()
-    return entries
-
-
-def _coordinates(exprs, shape, **variables):
-    """Each coordinate expression once, on arrays of ``shape``: (*shape, N)."""
-    return np.stack([np.broadcast_to(ex.evaluate(**variables), shape) for ex in exprs],
-                    axis=-1)
-
-
-def load_chart_file(path):
-    """Load a hypersurface chart or curve from an expression file.
-
-    Keys: ``type`` (hypersurface or curve), ``c``, domain intervals ``u``
-    and ``v`` (or ``t`` for curves) as 'lo, hi', and ambient coordinates
-    ``x1`` .. ``xN`` as expressions in the domain variables.  The maps act
-    over the last axis, like every chart callback.
-    """
-    entries = _parse_chart_file(path)
     kind = entries.get("type")
     if kind not in ("hypersurface", "curve"):
         raise _CliError(f"{path}: 'type' must be hypersurface or curve")
@@ -137,69 +132,53 @@ def load_chart_file(path):
         raise _CliError(
             f"{path}: need exactly {sf.ambient_dim} coordinates x1..x{sf.ambient_dim} "
             f"for c = {c:g}, found {len(coords)}")
+    variables = ("u", "v") if kind == "hypersurface" else ("t",)
+    for var in variables:
+        if var not in entries:
+            raise _CliError(f"{path}: missing domain line '{var}: lo, hi'")
+    domain = tuple(_pair(entries[var]) for var in variables)
+    exprs = [expressions.parse(entries[k], allowed_variables=variables) for k in coords]
+    name = os.path.basename(path)
 
-    if kind == "hypersurface":
-        variables = ("u", "v")
-        for var in variables:
-            if var not in entries:
-                raise _CliError(f"{path}: missing domain line '{var}: lo, hi'")
-        domain = tuple(_pair(entries[var]) for var in variables)
-        exprs = [expressions.parse(entries[k], allowed_variables=variables)
-                 for k in coords]
+    def chart_map(x):
+        """Each coordinate expression once: a chart point carries (u, v) on its
+        last axis, a curve point is t."""
+        x = np.asarray(x, dtype=float)
+        values = np.moveaxis(x, -1, 0) if kind == "hypersurface" else x[None]
+        named = dict(zip(variables, values))
+        return np.stack([np.broadcast_to(ex.evaluate(**named), values.shape[1:])
+                         for ex in exprs], axis=-1)
 
-        def chart_map(w):
-            w = np.asarray(w, dtype=float)
-            return _coordinates(exprs, w.shape[:-1], u=w[..., 0], v=w[..., 1])
-
-        return ImmersionChart(sf=sf, m=2, domain=domain, map=chart_map,
-                              name=os.path.basename(path))
-
-    if "t" not in entries:
-        raise _CliError(f"{path}: missing domain line 't: lo, hi'")
-    domain = _pair(entries["t"])
-    exprs = [expressions.parse(entries[k], allowed_variables=("t",))
-             for k in coords]
-
-    def curve_map(t):
-        return _coordinates(exprs, np.shape(t), t=t)
-
-    curve = crv.CurveChart(sf=sf, domain=domain, map=curve_map,
-                           name=os.path.basename(path))
-    return crv.reparametrize_arclength(curve)
+    if kind == "curve":
+        curve = crv.CurveChart(sf=sf, domain=domain[0], map=chart_map, name=name)
+        return crv.reparametrize_arclength(curve)
+    return ImmersionChart(sf=sf, m=2, domain=domain, map=chart_map, name=name)
 
 
 # -- builtins ---------------------------------------------------------------
 
-def build_hypersurface(args):
+def _build(args, kind):
+    """The ``kind`` chart of --chart-file, or the builtin --builtin at its flags."""
     if getattr(args, "chart_file", None):
         chart = load_chart_file(args.chart_file)
-        if not isinstance(chart, ImmersionChart):
-            raise _CliError(f"{args.chart_file} describes a curve, not a hypersurface")
+        found = "hypersurface" if isinstance(chart, ImmersionChart) else "curve"
+        if found != kind:
+            raise _CliError(f"{args.chart_file} describes a {found}, not a {kind}")
         return chart
-    name = args.builtin
-    if name == "sphere-in-sphere":
-        return cat.sphere_in_sphere(m=args.m, a2=_flag(args, "a2"))
-    if name == "great-sphere":
-        return cat.great_sphere(m=args.m)
-    if name == "cone":
-        return cat.cone(r=_flag(args, "r"))
-    if name == "plane":
-        return cat.plane()
-    raise _CliError(f"unknown hypersurface builtin {name!r}")
+    entry = next((e for e in cat.CATALOG if e.kind == kind and e.name == args.builtin), None)
+    if entry is None:
+        raise _CliError(f"unknown {kind} builtin {args.builtin!r}")
+    return entry.build(**{name: getattr(args, name) if isinstance(default, int)
+                          else _flag(args, name)
+                          for name, default in entry.parameters.items()})
+
+
+def build_hypersurface(args):
+    return _build(args, "hypersurface")
 
 
 def build_curve(args):
-    if getattr(args, "chart_file", None):
-        curve = load_chart_file(args.chart_file)
-        if isinstance(curve, ImmersionChart):
-            raise _CliError(f"{args.chart_file} describes a hypersurface, not a curve")
-        return curve
-    name = args.builtin
-    if name == "helix":
-        return crv.helix(_flag(args, "alpha"), _flag(args, "a"), _flag(args, "b")).curve
-    if name == "circle":
-        return cat.circle(rho=_flag(args, "rho"))
-    raise _CliError(f"unknown curve builtin {name!r}")
+    return _build(args, "curve")
 
 
 # -- reports ----------------------------------------------------------------
@@ -218,16 +197,21 @@ def _rows(coords, values):
     return [(template % (i, *row),) for i, row in enumerate(np.hstack([coords, values]).tolist())]
 
 
+class Report(NamedTuple):
+    """What a subcommand computed; :func:`render_report` takes its fields."""
+    command: str
+    config: dict
+    summary: dict
+    table: tuple = None
+
+
 def render_report(command, config, summary, table=None):
     lines = [f"schema_version: {SCHEMA_VERSION}",
              f"timestamp: {datetime.datetime.now(datetime.timezone.utc).isoformat()}",
-             f"command: {command}",
-             "config:"]
-    for key, value in config.items():
-        lines.append(f"  {key}: {_fmt(value)}")
-    lines.append("summary:")
-    for key, value in summary.items():
-        lines.append(f"  {key}: {_fmt(value)}")
+             f"command: {command}"]
+    for title, block in (("config", config), ("summary", summary)):
+        lines.append(title + ":")
+        lines.extend(f"  {key}: {_fmt(value)}" for key, value in block.items())
     if table is not None:
         header, rows = table
         lines.append("points:")
@@ -235,19 +219,6 @@ def render_report(command, config, summary, table=None):
         for row in rows:
             lines.append("  " + " ".join(_fmt(x) for x in row))
     return "\n".join(lines) + "\n"
-
-
-def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _expect_exit(expect, classification):
-    """Exit code of a run whose --expect value :func:`main` has validated."""
-    return 0 if expect is None or EXPECT_ALIASES[expect.lower()] == classification else 1
 
 
 # -- subcommands ------------------------------------------------------------
@@ -258,8 +229,7 @@ def cmd_catalog(args):
         params = ", ".join(entry.parameters) if entry.parameters else "-"
         lines.append(f"  {entry.name} [{entry.kind}] parameters: {params}")
         lines.append(f"      expected: {entry.expectation}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def cmd_verify_hypersurface(args):
@@ -280,36 +250,23 @@ def cmd_verify_hypersurface(args):
                "n_points": len(pts)}
     rows = _rows(pts, np.column_stack([report.f_values, report.eq1, report.eq2_norm]))
     header = ["index"] + [f"u{a+1}" for a in range(chart.m)] + ["f", "eq1", "eq2_norm"]
-    _emit(render_report("verify-hypersurface", config, summary, (header, rows)),
-          args.out)
-    return _expect_exit(args.expect, report.classification.value)
+    return Report("verify-hypersurface", config, summary, (header, rows))
 
 
 def cmd_verify_curve(args):
     curve = build_curve(args)
     params = _params(args)
-    lo, hi = curve.domain
-    pad = 0.05 * (hi - lo)
-    ts = np.linspace(lo + pad, hi - pad, args.samples)
-    fr = crv.frenet(curve, ts)
-    r1, r2, r3 = crv.curve_system_residual(fr, params, curve.sf.c)
+    report = crv.classify_curve(curve, params, samples=args.samples, tol=args.tol)
+    fr = report.frames
     # a node whose frame is undefined (NaN) prints as a zero row
-    table = np.nan_to_num(np.column_stack([fr.k, fr.tau, r1, r2, r3]))
-    rows = _rows(ts[:, None], table)
-    max_res = float(np.max(np.abs(table[:, 2:])))
-    if np.isnan(fr.k).all():
-        classification = "Geodesic"
-    elif max_res < args.tol:
-        classification = Classification.PROPER_PQ_HARMONIC.value
-    else:
-        classification = Classification.NOT_PQ_HARMONIC.value
-
+    rows = _rows(report.ts[:, None],
+                 np.nan_to_num(np.column_stack([fr.k, fr.tau, *report.residuals])))
     config = {"curve": curve.name, "p": params.p, "q": params.q,
-              "c": curve.sf.c, "samples": args.samples, "tol": args.tol}
-    summary = {"classification": classification, "max_residual": max_res}
+              "c": curve.sf.c, "samples": args.samples, "tol": report.tol}
+    summary = {"classification": report.classification.value,
+               "max_residual": report.max_residual}
     header = ["index", "t", "k", "tau", "r1", "r2", "r3"]
-    _emit(render_report("verify-curve", config, summary, (header, rows)), args.out)
-    return _expect_exit(args.expect, classification)
+    return Report("verify-curve", config, summary, (header, rows))
 
 
 def cmd_solve(args):
@@ -324,8 +281,7 @@ def cmd_solve(args):
                   "p_bracket": args.p_bracket, "grid": args.grid}
         summary = {"success": result.success, "p": result.p,
                    "max_residual": result.max_residual, "reason": result.reason}
-        _emit(render_report("solve", config, summary), args.out)
-        return 0
+        return Report("solve", config, summary)
     if unknowns == ("p", "r"):
         if args.builtin != "cone":
             raise _CliError("the p,r solve runs on the cone family (--builtin cone)")
@@ -340,17 +296,17 @@ def cmd_solve(args):
                    "p": result.p, "r": result.theta,
                    "iterations": result.iterations,
                    "max_residual": result.max_residual, "reason": result.reason}
-        _emit(render_report("solve", config, summary), args.out)
-        return 0
+        return Report("solve", config, summary)
     raise _CliError(f"unsupported --unknowns {args.unknowns!r}; use 'p' or 'p,r'")
 
 
 def cmd_sweep(args):
-    # a2 and r are the builtin parameters that take a numeric flag value
-    parameters = {e.name: e.parameters for e in cat.CATALOG}.get(args.builtin, ())
-    if not args.chart_file and args.param not in set(parameters) & {"a2", "r"}:
+    sweepable = {e.name: e.sweepable for e in cat.CATALOG if e.kind == "hypersurface"}
+    if not args.chart_file and args.param not in sweepable.get(args.builtin, ()):
+        offers = " or ".join(f"{p} of {name}" for name, ps in sweepable.items()
+                             for p in sorted(ps))
         raise _CliError(f"{args.builtin} has no sweepable parameter {args.param!r}; "
-                        f"sweep a2 of sphere-in-sphere or r of cone")
+                        f"sweep {offers}")
     if args.values:
         values = [_num(v, "--values") for v in args.values.split(",") if v.strip()]
     elif args.range:
@@ -371,8 +327,7 @@ def cmd_sweep(args):
                           tol=args.tol)
         csv_lines.append(f"{value:.12g},{report.max_abs_eq1:.6e},"
                          f"{report.max_eq2_norm:.6e},{report.classification.value}")
-    _emit("\n".join(csv_lines) + "\n", args.out)
-    return 0
+    return "\n".join(csv_lines) + "\n"
 
 
 def cmd_variation_check(args):
@@ -392,36 +347,23 @@ def cmd_variation_check(args):
               "amplitude": args.amplitude}
     summary = {"worst_rel_error": worst}
     header = ["index", "lhs", "rhs", "rel_error", "observed_order"]
-    _emit(render_report("variation-check", config, summary, (header, rows)),
-          args.out)
-    if args.max_rel is not None and worst > args.max_rel:
-        return 1
-    return 0
+    return Report("variation-check", config, summary, (header, rows))
 
 
 # -- argument wiring --------------------------------------------------------
 
-def _add_common(sp):
-    sp.add_argument("--out", default=None, help="write the report to this path")
-
-
-def _add_hypersurface_selector(sp):
-    sp.add_argument("--builtin", default=None,
-                    choices=["sphere-in-sphere", "great-sphere", "cone", "plane"])
+def _add_selector(sp, kind):
+    """--builtin, --chart-file and one flag per parameter of the ``kind`` builtins."""
+    entries = [e for e in cat.CATALOG if e.kind == kind]
+    sp.add_argument("--builtin", default=None, choices=[e.name for e in entries])
     sp.add_argument("--chart-file", default=None,
-                    help="expression file describing the chart")
-    sp.add_argument("--m", type=int, default=2)
-    sp.add_argument("--a2", default="0.5", help="a^2 of the sphere-in-sphere")
-    sp.add_argument("--r", default="0.5", help="slope parameter of the cone")
-
-
-def _add_curve_selector(sp):
-    sp.add_argument("--builtin", default=None, choices=["helix", "circle"])
-    sp.add_argument("--chart-file", default=None)
-    sp.add_argument("--alpha", default="0.785398163397448")
-    sp.add_argument("--a", default="1.32287565553230")
-    sp.add_argument("--b", default="0.5")
-    sp.add_argument("--rho", default="1")
+                    help="expression file describing the chart" if kind == "hypersurface"
+                    else None)
+    flags = {name: default for e in entries for name, default in e.parameters.items()}
+    for name, default in flags.items():
+        owners = ", ".join(e.name for e in entries if name in e.parameters)
+        sp.add_argument("--" + name, type=type(default), default=default,
+                        help="parameter of " + owners)
 
 
 def build_parser():
@@ -429,11 +371,10 @@ def build_parser():
                      description="(p,q)-harmonic hypersurface and curve verification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("catalog", help="list builtin charts")
-    _add_common(sp)
+    sub.add_parser("catalog", help="list builtin charts")
 
     sp = sub.add_parser("verify-hypersurface")
-    _add_hypersurface_selector(sp)
+    _add_selector(sp, "hypersurface")
     sp.add_argument("--p", required=True)
     sp.add_argument("--q", required=True)
     sp.add_argument("--grid", type=int, default=8)
@@ -441,29 +382,26 @@ def build_parser():
     sp.add_argument("--stencil", action="store_true",
                     help="force the finite-difference path")
     sp.add_argument("--expect", default=None)
-    _add_common(sp)
 
     sp = sub.add_parser("verify-curve")
-    _add_curve_selector(sp)
+    _add_selector(sp, "curve")
     sp.add_argument("--p", required=True)
     sp.add_argument("--q", required=True)
     sp.add_argument("--samples", type=int, default=32)
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--expect", default=None)
-    _add_common(sp)
 
     sp = sub.add_parser("solve")
-    _add_hypersurface_selector(sp)
+    _add_selector(sp, "hypersurface")
     sp.add_argument("--q", required=True)
     sp.add_argument("--unknowns", default="p", help="'p' or 'p,r'")
     sp.add_argument("--p-bracket", default=None,
                     help="defaults: '1.1,8' for --unknowns p, '0.5,2.5' for p,r")
     sp.add_argument("--r-bracket", default="0.3,0.7")
     sp.add_argument("--grid", type=int, default=8)
-    _add_common(sp)
 
     sp = sub.add_parser("sweep")
-    _add_hypersurface_selector(sp)
+    _add_selector(sp, "hypersurface")
     sp.add_argument("--param", required=True, help="builtin parameter to sweep (a2 or r)")
     sp.add_argument("--values", default=None, help="comma separated values")
     sp.add_argument("--range", default=None, help="'lo,hi,count'")
@@ -471,10 +409,9 @@ def build_parser():
     sp.add_argument("--q", required=True)
     sp.add_argument("--grid", type=int, default=8)
     sp.add_argument("--tol", type=float, default=None)
-    _add_common(sp)
 
     sp = sub.add_parser("variation-check")
-    _add_curve_selector(sp)
+    _add_selector(sp, "curve")
     sp.add_argument("--p", required=True)
     sp.add_argument("--q", required=True)
     sp.add_argument("--K", type=int, default=128)
@@ -483,8 +420,9 @@ def build_parser():
     sp.add_argument("--amplitude", type=float, default=0.5)
     sp.add_argument("--max-rel", type=float, default=None,
                     help="exit 1 when the worst relative error exceeds this")
-    _add_common(sp)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--out", default=None, help="write the report to this path")
     return parser
 
 
@@ -510,10 +448,22 @@ def main(argv=None):
             raise _CliError(f"unknown --expect value {expect!r}; "
                             f"choose from {sorted(set(EXPECT_ALIASES))}")
         # looked up per call, so a cmd_* rebound on the module is the one that runs
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        result = globals()["cmd_" + args.command.replace("-", "_")](args)
+        text = result if isinstance(result, str) else render_report(*result)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (_CliError, GeometryError, ExpressionError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if expect is not None and EXPECT_ALIASES[expect.lower()] != result.summary["classification"]:
+        return 1
+    max_rel = getattr(args, "max_rel", None)
+    if max_rel is not None and result.summary["worst_rel_error"] > max_rel:
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

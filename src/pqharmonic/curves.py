@@ -7,7 +7,8 @@ stencil along them: T on the offsets -6..6, then nabla_T T, k and N on -4..4,
 then nabla_T N and tau on -2..2, and finally k', k'' and tau' at the centre.
 The binormal is T x N in R^3 and, in the embedded models, minus the oriented
 normal of (T, N) (:meth:`SpaceForm.complement`), which makes the torsion of
-the standard sphere helices positive.  The curve system is elementwise.
+the standard sphere helices positive.  The curve system is elementwise, and
+:func:`classify_curve` gives the curve verdict from it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (DomainError, FrameUndefinedError, NonConvergenceError,
                      SingularFactorError, SingularSpeedError)
 from .immersion import _row
 from .numeric import _lattice, _sample, _stencil, _stencil2, _weigh
+from .residual import Classification
 from .spaceform import SpaceForm
 
 K_THRESHOLD = 1e-8
@@ -194,12 +196,6 @@ def reparametrize_arclength(curve: CurveChart) -> CurveChart:
 
 # -- the curve system -------------------------------------------------------
 
-# x ** e by the C library's pow, as a float takes it, but inf on overflow:
-# numpy's vectorised power differs in the last bit on some inputs, and r2
-# cancels to about 1e-9 of its terms, so those bits would show
-_pow = np.vectorize(lambda x, e: np.float64(x) ** e, otypes=[float])
-
-
 def curve_system_residual(fr: FrenetApparatus, params, c):
     """The three scalar equations of the (p,q)-harmonic curve system.
 
@@ -213,20 +209,52 @@ def curve_system_residual(fr: FrenetApparatus, params, c):
     if np.any(k < K_THRESHOLD):
         raise SingularFactorError(
             f"k = {np.nanmin(k):.3e} too small for the k^(q-3) factor")
+    # np.float_power is the C library's pow, inf on overflow; numpy's ** differs
+    # in the last bit on some inputs, and r2 cancels to about 1e-9 of its terms
     with np.errstate(over="ignore", invalid="ignore"):
-        km3, km2, km1, kp1 = (_pow(k, e) for e in (q - 3, q - 2, q - 1, q + 1))
+        km3, km2, km1, kp1 = (np.float_power(k, e) for e in (q - 3, q - 2, q - 1, q + 1))
         r1 = (1.0 - p * q) * km1 * fr.k_prime + 0.0     # + 0.0: r1 = +0 where k' = 0
         r2 = (c * km1
-              + (q - 1) * (q - 2) * km3 * _pow(fr.k_prime, 2.0)
+              + (q - 1) * (q - 2) * km3 * np.float_power(fr.k_prime, 2.0)
               + (q - 1) * km2 * fr.k_second
               - kp1
-              - km1 * _pow(tau, 2.0)
+              - km1 * np.float_power(tau, 2.0)
               - (p - 2) * kp1)
         r3 = (2 * (q - 1) * km2 * fr.k_prime * tau
               + km1 * fr.tau_prime)
     if not np.all(np.isfinite([r1, r2, r3]) | np.isnan(k)):
         raise SingularFactorError("overflow in curve residual powers of k")
     return r1, r2, r3
+
+
+@dataclass(frozen=True)
+class CurveReport:
+    ts: np.ndarray
+    frames: FrenetApparatus
+    residuals: tuple            # (r1, r2, r3), NaN where the frame is undefined
+    max_residual: float
+    classification: Classification
+    tol: float
+
+
+def classify_curve(curve: CurveChart, params, samples=32, tol=1e-6) -> CurveReport:
+    """The curve verdict at ``samples`` nodes over the domain less 5% at each
+    end: Geodesic when no node has a frame, else ProperPQHarmonic when every
+    residual (0 where the frame is undefined) is below ``tol``."""
+    lo, hi = curve.domain
+    pad = 0.05 * (hi - lo)
+    ts = np.linspace(lo + pad, hi - pad, samples)
+    fr = frenet(curve, ts)
+    residuals = curve_system_residual(fr, params, curve.sf.c)
+    max_residual = float(np.max(np.abs(np.nan_to_num(residuals))))
+    if np.isnan(fr.k).all():
+        classification = Classification.GEODESIC
+    elif max_residual < tol:
+        classification = Classification.PROPER_PQ_HARMONIC
+    else:
+        classification = Classification.NOT_PQ_HARMONIC
+    return CurveReport(ts=ts, frames=fr, residuals=residuals, max_residual=max_residual,
+                       classification=classification, tol=tol)
 
 
 def p_closed_form(k, tau, c):

@@ -101,6 +101,7 @@ class Classification(enum.Enum):
     PROPER_PQ_HARMONIC = "ProperPQHarmonic"
     NOT_PQ_HARMONIC = "NotPQHarmonic"
     MIXED_SIGN_F = "MixedSignF"
+    GEODESIC = "Geodesic"
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import argparse
+import itertools
 import math
 import os
 import re
@@ -468,13 +470,155 @@ def test_bad_flag_then_good_call(capsys):
 
 
 def test_main_runs_the_command_bound_at_call_time(monkeypatch, capsys):
-    argv = ["verify-hypersurface", "--builtin", "plane", "--p", "2", "--q", "2", "--grid", "4"]
+    argv = ["verify-hypersurface", "--builtin", "plane", "--p", "2", "--q", "2", "--grid", "4",
+            "--expect", "minimal"]
     assert run(argv) == 0
     seen = []
 
     def rebound(args):
         seen.append(args.builtin)
-        return 1
+        return cli.Report("verify-hypersurface", {}, {"classification": "NotPQHarmonic"})
     monkeypatch.setattr(cli, "cmd_verify_hypersurface", rebound)
     assert run(argv) == 1
     assert seen == ["plane"]
+
+
+# -- the curve verdict in the engine, one builtin table, one report path -------
+
+def _report(argv, tmp_path):
+    """Exit code and report text of one run written with --out."""
+    out = tmp_path / "report.txt"
+    code = run(argv + ["--out", str(out)])
+    return code, out.read_text()
+
+
+@pytest.mark.parametrize("argv, classification", [
+    (["--builtin", "helix", "--p", "2", "--q", "2"], "ProperPQHarmonic"),
+    (["--builtin", "circle", "--rho", "2", "--p", "2", "--q", "2"], "NotPQHarmonic"),
+    (["--chart-file", "{line}", "--p", "2", "--q", "3"], "Geodesic"),
+], ids=["helix", "circle-rho2", "line-chart-file"])
+def test_classify_curve_is_the_verify_curve_verdict(argv, classification, tmp_path):
+    line = tmp_path / "line.txt"
+    line.write_text(LINE_CHART)
+    argv = [arg.format(line=line) for arg in argv]
+    args = cli.build_parser().parse_args(["verify-curve", *argv])
+    report = pqharmonic.classify_curve(cli.build_curve(args), cli._params(args))
+    assert report.classification.value == classification
+    assert report.tol == 1e-6 and len(report.ts) == 32 and len(report.residuals) == 3
+    if classification == "Geodesic":
+        assert report.max_residual == 0.0
+        assert np.isnan(report.frames.k).all()
+    code, text = _report(["verify-curve", *argv], tmp_path)
+    assert code == 0
+    assert f"  classification: {report.classification.value}\n" in text
+    assert f"  max_residual: {report.max_residual:.12g}\n" in text
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    action, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _flags(subparser):
+    return {opt: action for action in subparser._actions for opt in action.option_strings}
+
+
+SELECTOR_KIND = {"verify-hypersurface": "hypersurface", "solve": "hypersurface",
+                 "sweep": "hypersurface", "verify-curve": "curve", "variation-check": "curve"}
+
+
+def test_builtin_choices_and_flags_come_from_the_catalog():
+    subparsers = _subparsers()
+    assert set(subparsers) == set(SELECTOR_KIND) | {"catalog"}
+    for command, kind in SELECTOR_KIND.items():
+        entries = [e for e in pqharmonic.CATALOG if e.kind == kind]
+        flags = _flags(subparsers[command])
+        assert flags["--builtin"].choices == [e.name for e in entries]
+        for entry in entries:
+            for name, default in entry.parameters.items():
+                assert flags["--" + name].default == default, (command, name)
+    for command, subparser in subparsers.items():
+        assert "--out" in _flags(subparser), command
+
+
+@pytest.mark.parametrize("entry", pqharmonic.CATALOG, ids=lambda e: e.name)
+def test_every_builtin_builds_from_its_defaults(entry):
+    command = "verify-hypersurface" if entry.kind == "hypersurface" else "verify-curve"
+    args = cli.build_parser().parse_args([command, "--builtin", entry.name,
+                                          "--p", "2", "--q", "2"])
+    build = cli.build_hypersurface if entry.kind == "hypersurface" else cli.build_curve
+    chart = build(args)
+    assert isinstance(chart, pqharmonic.ImmersionChart if entry.kind == "hypersurface"
+                      else pqharmonic.CurveChart)
+    values = {name: default if isinstance(default, int) else cli._num(default)
+              for name, default in entry.parameters.items()}
+    assert chart.name == build(argparse.Namespace(chart_file=None, builtin=entry.name,
+                                                  **values)).name
+
+
+def test_sweepable_parameters():
+    assert {e.name: e.sweepable for e in pqharmonic.CATALOG if e.kind == "hypersurface"} == {
+        "sphere-in-sphere": {"a2"}, "great-sphere": set(), "cone": {"r"}, "plane": set()}
+
+
+def test_unknown_builtin_is_a_config_error(capsys):
+    assert run(["verify-curve", "--builtin", "cone", "--p", "2", "--q", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    for build in (cli.build_hypersurface, cli.build_curve):
+        with pytest.raises(cli._CliError, match="unknown .* builtin 'nosuch'"):
+            build(argparse.Namespace(chart_file=None, builtin="nosuch"))
+
+
+def _keys(text, block):
+    """The keys of one indented ``block:`` of a report, in order."""
+    lines = text.split(f"\n{block}:\n", 1)[1].splitlines()
+    return [line.split(":")[0].strip() for line in
+            itertools.takewhile(lambda line: line.startswith("  "), lines)]
+
+
+REPORT_KEYS = {
+    "verify-hypersurface": (
+        ["verify-hypersurface", "--builtin", "cone", "--p", "4/3", "--q", "3",
+         "--expect", "proper"], 1,
+        ["chart", "p", "q", "grid", "tol", "path"],
+        ["classification", "max_abs_eq1", "max_eq2_norm", "n_points"]),
+    "verify-curve": (
+        ["verify-curve", "--builtin", "helix", "--p", "2", "--q", "2", "--expect", "proper"], 0,
+        ["curve", "p", "q", "c", "samples", "tol"], ["classification", "max_residual"]),
+    "solve": (
+        ["solve", "--builtin", "sphere-in-sphere", "--a2", "0.7", "--q", "2"], 0,
+        ["chart", "q", "unknowns", "p_bracket", "grid"],
+        ["success", "p", "max_residual", "reason"]),
+    "solve-pair": (
+        ["solve", "--builtin", "cone", "--q", "3", "--unknowns", "p,r"], 0,
+        ["family", "q", "unknowns", "p_bracket", "r_bracket", "grid"],
+        ["converged", "admissible", "p", "r", "iterations", "max_residual", "reason"]),
+    "variation-check": (
+        ["variation-check", "--builtin", "circle", "--p", "2", "--q", "2", "--K", "64",
+         "--fields", "1", "--max-rel", "1e-30"], 1,
+        ["curve", "p", "q", "K", "seed", "fields", "amplitude"], ["worst_rel_error"]),
+}
+
+
+@pytest.mark.parametrize("name", REPORT_KEYS)
+def test_report_keys_and_exit_code(name, tmp_path):
+    argv, code, config, summary = REPORT_KEYS[name]
+    got, text = _report(argv, tmp_path)
+    assert got == code
+    assert text.startswith("schema_version: 1\ntimestamp: ")
+    assert f"\ncommand: {argv[0]}\n" in text
+    assert _keys(text, "config") == config
+    assert _keys(text, "summary") == summary
+
+
+def test_catalog_and_sweep_text_and_exit_code(tmp_path):
+    code, text = _report(["catalog"], tmp_path)
+    assert code == 0 and text.startswith("builtin charts and curves:\n")
+    assert text.count("[hypersurface]") == 4 and text.count("[curve]") == 2
+    code, text = _report(["sweep", "--builtin", "cone", "--param", "r", "--values", "0.4,0.5",
+                          "--p", "4/3", "--q", "3", "--grid", "4"], tmp_path)
+    assert code == 0
+    assert text.splitlines()[0] == "param,max_eq1,max_eq2,classification"
+    assert len(text.splitlines()) == 3
