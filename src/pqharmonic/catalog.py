@@ -21,6 +21,7 @@ Entries:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,6 +37,27 @@ from .spaceform import SpaceForm
 
 # -- callbacks over the last axis ---------------------------------------------
 
+# derivative k of the factors (sin, cos, 1), as columns of (s, c, 1, -s, 0, -c)
+_FACTOR_DERIVATIVES = np.array([[0, 1, 2], [1, 3, 4], [3, 5, 4]])
+
+
+@functools.lru_cache(maxsize=None)
+def _omega_columns(m, order):
+    """For each partial derivative of the given order (in ``itertools.product``
+    order), each component j and each factor i, the column of (s, c, 1, -s,
+    0, -c) that holds that factor's derivative: an (m+1, m^order, m) table.
+
+    Factor i of component j is sin(u_i) for i < j, cos(u_i) for i = j and 1
+    for i > j; a partial differentiates factor i once per occurrence of i.
+    """
+    kind = 1 - np.sign(np.arange(m + 1)[:, None] - np.arange(m))            # (m+1, m)
+    counts = np.array([[axes.count(i) for i in range(m)]
+                       for axes in itertools.product(range(m), repeat=order)]).reshape(-1, m)
+    table = _FACTOR_DERIVATIVES[counts[None], kind[:, None]]                  # (m+1, P, m)
+    table.flags.writeable = False
+    return table
+
+
 def _omega(u, order=0):
     """The unit-sphere map omega : (0,pi)^(m-1) x (0,2pi) -> S^m and its derivatives.
 
@@ -43,24 +65,19 @@ def _omega(u, order=0):
     sin(u_0)...sin(u_{m-1}) are products of univariate factors, so each
     partial derivative is the product of the factors' own derivatives.
     At u (..., m), order 0, 1 and 2 give omega (..., m+1), its Jacobian
-    (..., m+1, m) and its Hessian (..., m+1, m, m).
+    (..., m+1, m) and its Hessian (..., m+1, m, m).  The factors of every
+    partial are one gather from the stacked derivative columns
+    (:func:`_omega_columns`), built only up to the order asked for.
     """
     u = np.asarray(u, dtype=float)
     m = u.shape[-1]
-    s, c = np.sin(u)[..., None, :], np.cos(u)[..., None, :]
-    j_minus_i = np.arange(m + 1)[:, None] - np.arange(m)
-    # F[k][..., j, i]: derivative k of factor i of component j (sin, cos or 1)
-    F = [np.where(j_minus_i > 0, d_sin, np.where(j_minus_i == 0, d_cos, float(k == 0)))
-         for k, (d_sin, d_cos) in enumerate(((s, c), (c, -s), (-s, -c)))]
-
-    def partial(*axes):
-        out = 1.0
-        for i in range(m):
-            out = out * F[axes.count(i)][..., i]
-        return out
-
-    parts = [partial(*axes) for axes in itertools.product(range(m), repeat=order)]
-    return np.stack(parts, axis=-1).reshape(u.shape[:-1] + (m + 1,) + (m,) * order)
+    s, c = np.sin(u), np.cos(u)
+    columns = (s, c, np.ones(u.shape), -s, np.zeros(u.shape), -c)[:(3, 5, 6)[order]]
+    F = np.stack(columns, axis=-1)[..., np.arange(m), _omega_columns(m, order)]
+    out = F[..., 0]
+    for i in range(1, m):
+        out = out * F[..., i]
+    return out.reshape(u.shape[:-1] + (m + 1,) + (m,) * order)
 
 
 def _append(X, value, axis=-1):

@@ -58,6 +58,13 @@ class _CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Fails with _CliError, and takes every flag by its full name only: an
+    abbreviation could turn ambiguous, or name another flag, once a builtin
+    gains a parameter.  Subparsers are built with the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _CliError(message)
 
@@ -313,8 +320,10 @@ def cmd_sweep(args):
         parts = args.range.split(",")
         if len(parts) != 3:
             raise _CliError("--range expects 'lo,hi,count'")
-        values = list(np.linspace(_num(parts[0], "--range"), _num(parts[1], "--range"),
-                                  int(parts[2])))
+        count = int(parts[2]) if parts[2].strip().isdecimal() else 0
+        if count < 1:
+            raise _CliError(f"--range: count must be a positive integer, got {parts[2]!r}")
+        values = list(np.linspace(_num(parts[0], "--range"), _num(parts[1], "--range"), count))
     else:
         raise _CliError("sweep needs --values or --range")
 

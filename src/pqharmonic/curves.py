@@ -89,8 +89,7 @@ def _frames(curve, ts):
     dN = sf.tangent_project(X[:, 6:-6], _stencil(N, h))        # -2..2
     T, N = T[:, 4:-4], N[:, 2:-2]                               # -2..2
     # T x N in R^3, minus the oriented normal of (T, N) in the embedded models
-    with np.errstate(invalid="ignore"):                         # det of the NaN rows
-        B = np.cross(T, N) if sf.c == 0 else -sf.complement(X[:, 6:-6], np.stack([T, N], -1))[0]
+    B = np.cross(T, N) if sf.c == 0 else -sf.complement(X[:, 6:-6], np.stack([T, N], -1))[0]
     tau = sf.pair(dN, B)
     return (T[:, 2], N[:, 2], B[:, 2], k[:, 4], tau[:, 2], _stencil(k[:, 2:-2], h)[:, 0],
             _stencil2(k[:, 2:-2], h)[:, 0], _stencil(tau, h)[:, 0])

@@ -22,7 +22,11 @@ grid points of a call:
   points plus its distinct offsets;
 * g, det g, g^-1, the unit normal (:meth:`SpaceForm.complement` of the
   tangent columns), B, A, f and |A|^2 = tr(A^2) are computed at all f
-  points at once, and every guard is checked at every f point.
+  points at once, and every guard is checked at every f point.  det g and
+  g^-1 = adj g / det g are elementwise Laplace expansions over the batch
+  (:func:`numeric._adjugate`): a LAPACK call per 2x2 to 5x5 metric costs
+  far more in call overhead than in arithmetic.  det g is checked before
+  it divides.
 
 Catalog entries with closed-form geometry double as cross-checks of the
 stencil path.
@@ -30,6 +34,7 @@ stencil path.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
@@ -151,13 +156,15 @@ def flip_sample(s: GeometricSample) -> GeometricSample:
 
 # -- the lattices -----------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _f_lattice(m):
     """The f-lattice in steps of h_step, and the rows its stencils read.
 
     Returns the integer offsets (L, m); the rows of the flux points, which
     are the centre and then k e_a for each axis a and each k in D1_OFFSETS;
     and, per flux point and axis b, the rows of its D1 stencil along b,
-    shaped (1 + 4m, m, 4).
+    shaped (1 + 4m, m, 4).  Built once per m, on first use; the arrays are
+    read-only, since every caller shares them.
     """
     eye = np.eye(m, dtype=int)
     K = numeric.D1_OFFSETS
@@ -166,7 +173,10 @@ def _f_lattice(m):
     offsets, inverse = np.unique(np.concatenate([flux, reads.reshape(-1, m)]), axis=0,
                                  return_inverse=True)
     inverse = inverse.reshape(-1)
-    return offsets.astype(float), inverse[:len(flux)], inverse[len(flux):].reshape(-1, m, 4)
+    lattice = (offsets.astype(float), inverse[:len(flux)], inverse[len(flux):].reshape(-1, m, 4))
+    for a in lattice:
+        a.flags.writeable = False
+    return lattice
 
 
 # axis offsets of the map lattice in steps h_a: D1 at h and at h/2 (one
@@ -282,10 +292,10 @@ def _shape(chart, U, D):
     signs = chart.sf.pairing_signs()
     g = np.einsum("nka,k,nkb->nab", J, signs, J)
     g = 0.5 * (g + np.swapaxes(g, 1, 2))
-    det_g = np.linalg.det(g)
+    det_g, adj_g = numeric._adjugate(g)
     _first_guard(det_g <= RANK_TOL, X,
                  lambda i, x: f"degenerate immersion at {x}: det g = {det_g[i]:.3e}")
-    g_inv = np.linalg.inv(g)
+    g_inv = adj_g / det_g[:, None, None]
     eta = _unit_normal(chart, X, J, P, det_g)
     # h(nabla_{d_i} d_j X, eta) = h(d^2 X / du_i du_j, eta): the model-normal
     # part of the coordinate second derivative pairs to zero with eta

@@ -9,9 +9,20 @@ sampled once per lattice point, in one call of its map on all N x L
 points, as an (N, L, dim) array for N nodes and L offsets k
 (:func:`_lattice`, :func:`_sample`), and the stencils :func:`_stencil` and
 :func:`_stencil2` act along the lattice axis.
+
+The small matrices of the pointwise geometry (a 2x2 to 5x5 metric, the
+tangent columns of a normal) come one per lattice point, a thousand at a
+time.  A LAPACK factorisation per matrix costs far more in call overhead
+than its arithmetic, so determinants, adjugates and the cofactors of a
+normal are Laplace expansions over the whole batch (:func:`_cofactors`,
+:func:`_adjugate`): elementwise products and sums in a fixed order, which
+also give a matrix the same bits in a batch of any size.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
 
 import numpy as np
 
@@ -47,6 +58,63 @@ def _weigh(F, weights):
     for k in range(1, F.shape[-1]):
         out = out + F[..., k] * weights[..., k]
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _laplace_tables(d):
+    """Per column c < d - 1 of a (d, d-1) matrix, the Laplace expansion that
+    takes the minors on its first c columns to those on its first c + 1.
+
+    The minors on c columns are indexed by the c-row subsets in
+    ``itertools.combinations`` order.  Term t of the expansion of subset S
+    along column c is (-1)^(t+c) M[S_t, c] times the minor of S minus S_t;
+    the table of column c holds, per t, the rows S_t and the indices of
+    those smaller minors, both over all (c+1)-row subsets.
+    """
+    tables = []
+    for c in range(d - 1):
+        index = {S: i for i, S in enumerate(itertools.combinations(range(d), c))}
+        grown = list(itertools.combinations(range(d), c + 1))
+        terms = []
+        for t in range(c + 1):
+            rows = np.array([S[t] for S in grown])
+            sub = np.array([index[S[:t] + S[t + 1:]] for S in grown])
+            rows.flags.writeable = sub.flags.writeable = False
+            terms.append((rows, sub))
+        tables.append(tuple(terms))
+    return tuple(tables)
+
+
+def _cofactors(M):
+    """The d cofactors det[M, e_j], j = 0..d-1, of a (..., d, d-1) matrix M.
+
+    The minors of M grow column by column (:func:`_laplace_tables`), so each
+    sub-minor is computed once and shared by the larger ones; the last
+    level holds the d maximal minors, det[M, e_j] = (-1)^(j+d-1) times the
+    one without row j.  det[M, v] = sum_j v_j det[M, e_j] for any column v.
+    """
+    d = M.shape[-2]
+    D = np.ones(M.shape[:-2] + (1,))
+    for c, terms in enumerate(_laplace_tables(d)):
+        for t, (rows, sub) in enumerate(terms):
+            term = M[..., rows, c] * D[..., sub]
+            grown = term if t == 0 else (grown - term if t % 2 else grown + term)
+        D = -grown if c % 2 else grown
+    # the maximal minors come in the order that omits row d-1 first
+    return D[..., ::-1] * (-1.0) ** (np.arange(d) + d - 1)
+
+
+def _adjugate(A):
+    """det A and the adjugate of a square (..., m, m) matrix A.
+
+    Row i of adj A is (-1)^(m-1-i) times the cofactors of A without column
+    i; det A expands along the last column.  A^-1 = adj A / det A.
+    """
+    m = A.shape[-1]
+    adj = np.stack([(-1.0) ** (m - 1 - i) * _cofactors(A[..., np.arange(m) != i])
+                    for i in range(m)], axis=-2)
+    det = _weigh(A[..., :, -1], adj[..., -1, :])
+    return det, adj
 
 
 def _stencil(F, h):

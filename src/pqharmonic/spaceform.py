@@ -15,6 +15,10 @@ of a field V along a curve is ``tangent_project(P, dV/dt)``.  The pairing,
 the projection, the oriented unit normal of tangent vectors (``complement``),
 the curvature tensor, the model checks and the retraction act over the last
 axis, so they take one point or a whole stencil lattice of points at once.
+The normal's cofactors are one elementwise Laplace expansion over the
+batch that shares its sub-minors (:func:`numeric._cofactors`): a LAPACK
+determinant per cofactor and point cost far more in call overhead than in
+arithmetic.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ModelConstraintError, TangencyError
+from .numeric import _cofactors
 
 MODEL_TOL = 1e-12
 TANGENT_TOL = 1e-10
@@ -112,13 +117,14 @@ class SpaceForm:
         in the embedded models), is pairing-orthogonal to V and P with
         det[V, w(, P)] = <w, w>.  Returns (w / sqrt(<w, w>), <w, w>); the
         first is nan where <w, w> <= 0, and in R^3 it is V_1 x V_2 normalised.
+        The cofactors are one elementwise Laplace expansion over the batch
+        (:func:`numeric._cofactors`), with det[V, e_j, P] = -det[V, P, e_j].
         """
         V = np.asarray(V, dtype=float)
-        k = V.shape[-1]
-        cols = V if self.c == 0 else np.concatenate([V, np.asarray(P, dtype=float)[..., None]],
-                                                    axis=-1)
-        cof = np.stack([(-1) ** (j + k) * np.linalg.det(np.delete(cols, j, axis=-2))
-                        for j in range(self.ambient_dim)], axis=-1)
+        if self.c == 0:
+            cof = _cofactors(V)
+        else:
+            cof = -_cofactors(np.concatenate([V, np.asarray(P, dtype=float)[..., None]], axis=-1))
         w = cof if self._signs is None else self._signs * cof
         nrm2 = self.pair(w, w)
         with np.errstate(invalid="ignore", divide="ignore"):

@@ -237,6 +237,26 @@ def test_sweep_rejects_a_parameter_the_builtin_lacks(argv, capsys):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("count", ["x", "-1", "0"])
+def test_sweep_range_count_must_be_a_positive_integer(count, capsys):
+    argv = ["sweep", "--builtin", "sphere-in-sphere", "--param", "a2",
+            "--range", f"0.3,0.6,{count}", "--p", "2", "--q", "2", "--grid", "4"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --range: ") and captured.err.count("\n") == 1
+
+
+def test_abbreviated_flag_is_a_config_error(capsys):
+    argv = ["verify-curve", "--builtin", "helix", "--p", "3", "--q", "2"]
+    assert run(argv + ["--al", "0.7"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unrecognized arguments: --al") and err.count("\n") == 1
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert not any(p.allow_abbrev for p in [parser, *subparsers.choices.values()])
+
+
 def test_chart_file_hypersurface(tmp_path, capsys):
     path = tmp_path / "cone.txt"
     path.write_text(CONE_CHART)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import fields, replace
 
@@ -8,6 +9,7 @@ from pqharmonic import (PQParams, classify, cone, first_fundamental, geometric_s
                         great_sphere, plane, sample_grid, shape_packet, sphere_in_sphere,
                         unit_normal)
 from pqharmonic import immersion
+from pqharmonic.catalog import _omega
 from pqharmonic.cli import load_chart_file
 from pqharmonic.errors import BoundaryProximityError, DegenerateImmersionError
 from pqharmonic.immersion import GeometricSample, ImmersionChart, flip_sample
@@ -443,3 +445,39 @@ def test_rigid_motion_keeps_eq1_and_orients_f_by_det(seed, det):
     assert np.allclose(t.f, det * s.f, rtol=1e-8, atol=0)
     assert np.allclose(t.normA2, s.normA2, rtol=1e-8, atol=0)
     assert np.allclose(residual(t, params)[0], residual(s, params)[0], rtol=1e-4, atol=0)
+
+
+def test_f_lattice_is_built_once_and_read_only():
+    lattice = immersion._f_lattice(2)
+    assert immersion._f_lattice(2) is lattice
+    for a in lattice:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 0
+
+
+def _omega_partial(u, j, axes):
+    """d/du_axes of omega_j at one point, from sin^(k)(x) = sin(x + k pi/2)."""
+    m = len(u)
+    out = 1.0
+    for i in range(m):
+        k = axes.count(i)
+        if i < j or j == m:
+            out *= math.sin(u[i] + k * math.pi / 2)
+        elif i == j:
+            out *= math.cos(u[i] + k * math.pi / 2)
+        elif k:
+            out = 0.0
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_omega_is_the_product_of_its_factors(m):
+    u = np.random.default_rng(m).uniform(0.3, 2.8, size=(5, m))
+    for order in range(3):
+        got = _omega(u, order)
+        assert got.shape == (5, m + 1) + (m,) * order
+        for n in range(len(u)):
+            for j in range(m + 1):
+                for axes in itertools.product(range(m), repeat=order):
+                    assert got[(n, j) + axes] == pytest.approx(
+                        _omega_partial(u[n], j, axes), rel=1e-14, abs=1e-15)

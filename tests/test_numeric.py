@@ -88,3 +88,39 @@ def test_stencil_weights_match_deriv1_and_deriv2():
              for k, w in zip(numeric.D2_OFFSETS, numeric.D2_WEIGHTS)) / (h * h)
     assert d1 == pytest.approx(deriv1(math.exp, x, h), rel=1e-13)
     assert d2 == pytest.approx(deriv2(math.exp, x, h), rel=1e-11)
+
+
+def _well_conditioned(rng, n, k):
+    """n diagonally dominant k x k matrices: condition numbers of a few units."""
+    return 3.0 * np.eye(k) + rng.uniform(-0.5, 0.5, size=(n, k, k))
+
+
+def _close(got, want):
+    return np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_small_matrix_kernels_match_linalg(k):
+    rng = np.random.default_rng(k)
+    A = _well_conditioned(rng, 40, k)
+    det, adj = numeric._adjugate(A)
+    assert _close(det, np.linalg.det(A))
+    assert _close(adj / det[:, None, None], np.linalg.inv(A))
+    # det[M, e_j] for the (k, k-1) matrix M of the first k - 1 columns
+    M = A[..., :-1]
+    unit = np.broadcast_to(np.eye(k)[:, None, :, None], (k,) + M.shape[:-1] + (1,))
+    want = np.stack([np.linalg.det(np.concatenate([M, unit[j]], axis=-1)) for j in range(k)],
+                    axis=-1)
+    assert _close(numeric._cofactors(M), want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_small_matrix_kernels_give_a_row_the_same_bits_in_any_batch(k):
+    A = _well_conditioned(np.random.default_rng(10 + k), 17, k)
+    det, adj = numeric._adjugate(A)
+    cof = numeric._cofactors(A[..., :-1])
+    for i in range(len(A)):
+        one_det, one_adj = numeric._adjugate(A[i])
+        assert one_det == det[i] and np.array_equal(one_adj, adj[i])
+        assert np.array_equal(numeric._cofactors(A[i, :, :-1]), cof[i])
+        assert np.array_equal(numeric._adjugate(A[i:i + 1])[1], adj[i:i + 1])

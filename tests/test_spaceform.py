@@ -106,7 +106,7 @@ def test_retract_rejects_bad_input():
 
 
 @pytest.mark.parametrize("c", [0.0, 1.0, -1.0])
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
 def test_complement_is_the_oriented_unit_normal(c, k):
     sf = SpaceForm(k + 1, c)
     rng = np.random.default_rng(11)
