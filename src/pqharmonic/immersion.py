@@ -141,8 +141,9 @@ class GeometricSample:
 
     def g_dot(self, a, b):
         """g(a, b) of tangent vectors, per sample for a stacked sample."""
-        g = np.eye(self.m) if self.g is None else self.g
-        return np.einsum("...i,...ij,...j->...", a, g, b)
+        if self.g is None:
+            return np.sum(a * b, axis=-1)
+        return np.einsum("...i,...ij,...j->...", a, self.g, b)
 
     def g_norm(self, vec):
         return np.sqrt(np.maximum(self.g_dot(vec, vec), 0.0))
@@ -408,6 +409,37 @@ def geometric_sample(chart, u, h_step=None, use_analytic=True):
     return _row(sample) if u.ndim == 1 else sample
 
 
+def _grid_margin(chart):
+    """(lo, hi, margin) per axis: the grid keeps clear of each axis's outer 2%
+    and of the widest stencil reach at the default step."""
+    lo, hi = np.array(chart.domain, dtype=float).T
+    return lo, hi, np.maximum(_reach(chart, chart.f_step(), fd=True), 0.02 * (hi - lo))
+
+
+def _check_grid_step(chart, h_step):
+    """Refuse, before anything is sampled, an ``h_step`` whose stencils would
+    leave the domain from the edge of :func:`sample_grid`."""
+    fd = chart.jacobian is None or chart.hessian is None
+    lo, hi, mg = _grid_margin(chart)
+    reach = _reach(chart, h_step, fd)
+    # geometric_sample's guard, at the grid's first and last coordinates
+    if np.any((lo + mg < lo + reach) | (hi - mg > hi - reach)):
+        largest = (float(np.min(mg)) - _reach(chart, 0.0, fd)) / 4
+        raise BoundaryProximityError(
+            f"h_step={h_step:g} reaches outside {chart.name} from the edge of the grid, "
+            f"which admits h_step up to {largest:g}")
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_index(n, m):
+    """Flat indices into an (n, m) axis table that gather the n^m grid
+    points in meshgrid "ij" order, shaped (n^m, m).  Built once per (n, m),
+    on first use; read-only, since every caller shares it."""
+    index = np.indices((n,) * m).reshape(m, -1).T * m + np.arange(m)
+    index.flags.writeable = False
+    return index
+
+
 def sample_grid(chart, n_per_axis):
     """Uniform interior grid, clear of each axis's outer 2% and of the widest
     stencil reach at the default step, so that one grid serves every path."""
@@ -415,7 +447,9 @@ def sample_grid(chart, n_per_axis):
         raise ValueError("need at least 4 points per axis")
     if n_per_axis ** chart.m > GRID_POINTS:
         raise ValueError(f"a grid of {n_per_axis}^{chart.m} points exceeds {GRID_POINTS}")
-    lo, hi = np.array(chart.domain, dtype=float).T
-    mg = np.maximum(_reach(chart, chart.f_step(), fd=True), 0.02 * (hi - lo))
-    axes = np.linspace(lo + mg, hi - mg, n_per_axis).T
-    return np.stack([ax.ravel() for ax in np.meshgrid(*axes, indexing="ij")], axis=1)
+    lo, hi, mg = _grid_margin(chart)
+    start, stop = lo + mg, hi - mg
+    # the points of np.linspace(start, stop, n_per_axis), bit for bit
+    axes = np.arange(n_per_axis, dtype=float)[:, None] * ((stop - start) / (n_per_axis - 1)) + start
+    axes[-1] = stop
+    return axes.ravel()[_grid_index(n_per_axis, chart.m)]

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NoRootInBracketError, NonConvergenceError
-from .immersion import GeometricSample, geometric_sample, sample_grid
+from .immersion import GeometricSample, _check_grid_step, geometric_sample, sample_grid
 
 
 @dataclass(frozen=True)
@@ -197,8 +197,11 @@ def classify_samples(batch: GeometricSample, params: PQParams, c=None, S=None, t
 def classify(chart, params: PQParams, n_per_axis=8, tol=None,
              use_analytic=True, S=None, h_step=None):
     """Sample a chart on a uniform interior grid and classify it."""
+    analytic = use_analytic and chart.analytic_geometry is not None
     if tol is None:
-        tol = 1e-6 if (use_analytic and chart.analytic_geometry is not None) else 1e-3
+        tol = 1e-6 if analytic else 1e-3
+    if h_step is not None and not analytic:
+        _check_grid_step(chart, h_step)
     pts = sample_grid(chart, n_per_axis)
     samples = geometric_sample(chart, pts, h_step=h_step, use_analytic=use_analytic)
     return classify_samples(samples, params, c=chart.sf.c, S=S, tol=tol, points=pts)
@@ -209,6 +212,7 @@ def classify(chart, params: PQParams, n_per_axis=8, tol=None,
 # the eliminated p carries ~1e-15 of rounding: a p this close to 1 is p = 1
 _P_ROUNDING = 1e-12
 MAX_FAMILY_SAMPLES = 100    # family evaluations solve_param_pair's root search may make
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -222,11 +226,12 @@ class SolveResult:
 def _affine_in_p(batch, q, c):
     """((a1, s1), (a2, s2)) with eq1 = a1 + s1 p, eq2 = a2 + s2 p exactly.
 
-    p enters the system only through c5 = m(p-2) and d3 = m + (p-2)q.
+    p enters the system only through c5 = m(p-2) and d3 = m + (p-2)q, so the
+    slopes are s1 = m f^4 and s2 = q f grad f.
     """
     a1, a2 = _system(batch, 0.0, q, *_ricci(batch, c))
-    b1, b2 = _system(batch, 1.0, q, *_ricci(batch, c))
-    return (a1, b1 - a1), (a2, b2 - a2)
+    f = np.asarray(batch.f, dtype=float)
+    return (a1, batch.m * f ** 4), (a2, q * f[..., None] * batch.grad_f)
 
 
 def solve_p(chart, q, bracket, n_per_axis=8, tol=1e-8, use_analytic=True):
@@ -256,8 +261,8 @@ def solve_p(chart, q, bracket, n_per_axis=8, tol=1e-8, use_analytic=True):
 
 @dataclass(frozen=True)
 class PairSolveResult:
-    """Outcome of :func:`solve_param_pair`; ``iterations`` counts the family
-    evaluations of the root search (widening included, post-verification not)."""
+    """Outcome of :func:`solve_param_pair`; ``iterations`` counts every family
+    evaluation (widening included; post-verification makes none)."""
 
     p: float
     theta: float
@@ -282,18 +287,22 @@ def solve_param_pair(family: Callable, q, theta_bracket, p_bracket,
     would reach or cross theta = 0 halves that end instead, so a positive
     family parameter, such as the cone slope, stays positive.
     If the mean vanishes at both ends (constant f), the midpoint is taken.
-    MAX_FAMILY_SAMPLES caps the family evaluations.  A p outside ``p_bracket``,
-    or a minimal chart on the way, raises
-    :class:`~pqharmonic.errors.NoRootInBracketError`; a p <= 1 is returned
-    with ``admissible=False``.
+    The search stops at the newest iterate when the mean vanishes there, when
+    the next step does not move theta, or when that step is within rounding
+    of it: |dtheta| <= 4 eps |theta|.  MAX_FAMILY_SAMPLES caps the family
+    evaluations.  A p outside ``p_bracket``, or a minimal chart on the way,
+    raises :class:`~pqharmonic.errors.NoRootInBracketError`; a p <= 1 is
+    returned with ``admissible=False``.  Otherwise the residual at (p, theta)
+    is verified on the grid of the last sampling, which is that of theta.
     """
     if not (math.isfinite(q) and q > 1):
         raise ValueError(f"need finite q > 1, got q={q}")
     evaluations = 0
+    newest = None   # (chart, batch) of the last family evaluation
 
     def reduced(theta):
         """(p(theta), tangential mean at p(theta))."""
-        nonlocal evaluations
+        nonlocal evaluations, newest
         if evaluations >= MAX_FAMILY_SAMPLES:
             raise NonConvergenceError(
                 f"no root of the tangential mean in {MAX_FAMILY_SAMPLES} evaluations")
@@ -301,6 +310,7 @@ def solve_param_pair(family: Callable, q, theta_bracket, p_bracket,
         chart = family(theta)
         batch = geometric_sample(chart, sample_grid(chart, n_per_axis),
                                  use_analytic=use_analytic)
+        newest = chart, batch
         (a1, s1), (a2, s2) = _affine_in_p(batch, q, chart.sf.c)
         if np.mean(s1) == 0:
             # the mean of eq1 does not depend on p: f vanishes on the grid
@@ -334,8 +344,9 @@ def solve_param_pair(family: Callable, q, theta_bracket, p_bracket,
         p_sol = reduced(th_sol)[0]
     else:
         # Illinois: x1 is the newest point; an x0 kept once more has its value halved
+        step = g1 * (x1 - x0) / (g1 - g0)
         while True:
-            th_sol = x1 - g1 * (x1 - x0) / (g1 - g0)
+            th_sol = x1 - step
             p_sol, g = reduced(th_sol)
             if g == 0 or th_sol in (x0, x1):
                 break
@@ -344,6 +355,9 @@ def solve_param_pair(family: Callable, q, theta_bracket, p_bracket,
             else:
                 g0 *= 0.5
             x1, g1 = th_sol, g
+            step = g1 * (x1 - x0) / (g1 - g0)
+            if abs(step) <= 4 * _EPS * abs(x1):
+                break
 
     if not min(p_bracket) <= p_sol <= max(p_bracket):
         raise NoRootInBracketError(
@@ -354,8 +368,8 @@ def solve_param_pair(family: Callable, q, theta_bracket, p_bracket,
                                converged=True, admissible=False,
                                max_residual=float("nan"),
                                reason="solution has p <= 1: outside the admissible range")
-    report = classify(family(th_sol), PQParams(p=p_sol, q=q), n_per_axis=n_per_axis,
-                      tol=tol, use_analytic=use_analytic)
+    chart, batch = newest
+    report = classify_samples(batch, PQParams(p=p_sol, q=q), c=chart.sf.c, tol=tol)
     res = max(report.max_abs_eq1, report.max_eq2_norm)
     if res >= tol:
         raise NonConvergenceError(

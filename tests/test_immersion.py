@@ -481,3 +481,78 @@ def test_omega_is_the_product_of_its_factors(m):
                 for axes in itertools.product(range(m), repeat=order):
                     assert got[(n, j) + axes] == pytest.approx(
                         _omega_partial(u[n], j, axes), rel=1e-14, abs=1e-15)
+
+
+def _linspace_grid(chart, n):
+    """The grid as np.linspace and np.meshgrid build it: the reference for sample_grid."""
+    lo, hi = np.array(chart.domain, dtype=float).T
+    mg = np.maximum(immersion._reach(chart, chart.f_step(), fd=True), 0.02 * (hi - lo))
+    axes = np.linspace(lo + mg, hi - mg, n).T
+    return np.stack([ax.ravel() for ax in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 12, 16])
+def test_sample_grid_is_the_linspace_meshgrid_grid_bit_for_bit(n, tmp_path):
+    charts = [sphere_in_sphere(m, 0.4) for m in (1, 2, 3, 4)]
+    charts += [great_sphere(3), cone(0.45), plane(), _cone_file(tmp_path)]
+    for ch in charts:
+        pts, ref = sample_grid(ch, n), _linspace_grid(ch, n)
+        assert pts.shape == ref.shape == (n ** ch.m, ch.m)
+        assert pts.dtype == ref.dtype and pts.tobytes() == ref.tobytes(), (ch.name, n)
+
+
+def test_grid_index_is_built_once_and_read_only():
+    index = immersion._grid_index(5, 3)
+    assert immersion._grid_index(5, 3) is index
+    assert index.shape == (125, 3)
+    with pytest.raises(ValueError):
+        index[0, 0] = 1
+    # the grid a caller gets is its own
+    ch = cone(0.45)
+    pts = sample_grid(ch, 5)
+    pts[0, 0] = -1.0
+    assert sample_grid(ch, 5)[0, 0] > 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_euclidean_g_dot_is_the_identity_einsum_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    a, b = rng.standard_normal((2, 4096, m))
+    s = GeometricSample(m=m, f=np.zeros(4096), grad_f=a, grad_f_norm2=np.zeros(4096),
+                        laplacian_f=np.zeros(4096), normA2=np.zeros(4096), A_grad_f=b,
+                        ric_eta_eta=np.zeros(4096), ricci_eta_top=np.zeros((4096, m)))
+    ref = np.einsum("...i,...ij,...j->...", a, np.eye(m), b)
+    assert s.g_dot(a, b).tobytes() == ref.tobytes()
+    ref_norm = np.sqrt(np.maximum(np.einsum("...i,...ij,...j->...", a, np.eye(m), a), 0.0))
+    assert s.g_norm(a).tobytes() == ref_norm.tobytes()
+    assert s.g_dot(a[0], b[0]) == ref[0]
+
+
+def _counted_jets(ch, calls):
+    def jac(w):
+        calls.append(len(w))
+        return ch.jacobian(w)
+    return replace(ch, jacobian=jac)
+
+
+@pytest.mark.parametrize("k", [1.3, 1.5, 2.0])
+def test_classify_refuses_a_step_the_grid_cannot_hold(k):
+    ch = cone(R6)
+    calls = []
+    h_step = k * ch.f_step()
+    with pytest.raises(BoundaryProximityError) as err:
+        classify(_counted_jets(ch, calls), PQParams(4 / 3, 3.0), use_analytic=False,
+                 h_step=h_step)
+    message = str(err.value)
+    assert f"h_step={h_step:g}" in message and "\n" not in message
+    # the grid keeps the FD reach at the default step from the edge of u,
+    # 4 f_step + 2 max(steps) = 5 f_step: exact jets admit 4 h_step <= 5 f_step
+    assert f"up to {1.25 * ch.f_step():g}" in message
+    assert calls == []     # nothing was sampled
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 1.2])
+def test_classify_takes_a_step_the_grid_holds(k):
+    ch = cone(R6)
+    report = classify(ch, PQParams(4 / 3, 3.0), use_analytic=False, h_step=k * ch.f_step())
+    assert report.classification.value == "ProperPQHarmonic"

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from pqharmonic import (Classification, PQParams, classify, coefficients,
-                        cone, plane, residual, solve_p, solve_param_pair,
-                        sphere_in_sphere, umbilic_f)
+                        cone, geometric_sample, plane, residual, sample_grid, solve_p,
+                        solve_param_pair, sphere_in_sphere, umbilic_f)
+from pqharmonic.cli import load_chart_file
 from pqharmonic.errors import NoRootInBracketError
 from pqharmonic.immersion import GeometricSample, ImmersionChart, _row
-from pqharmonic.residual import classify_samples
+from pqharmonic.residual import _affine_in_p, _ricci, _system, classify_samples
 from pqharmonic.spaceform import SpaceForm
 
 
@@ -294,3 +295,58 @@ def test_solve_param_pair_minimal_family():
         warnings.simplefilter("error")
         with pytest.raises(NoRootInBracketError, match="minimal"):
             solve_param_pair(lambda r: plane(), 3.0, (0.3, 0.7), (0.5, 2.5))
+
+
+def _cone_solves(qs):
+    """(q, result, family calls) of the cone pair solve at each q."""
+    for q in qs:
+        calls = []
+
+        def family(r):
+            calls.append(r)
+            return cone(r)
+
+        yield q, solve_param_pair(family, float(q), (0.3, 0.7), (0.5, 2.5)), len(calls)
+
+
+def test_solve_param_pair_recovers_the_cone_pair_to_rounding():
+    # (p, r) = (2(1 - 1/q), 1/sqrt(q(q-1))); q = 2 gives the inadmissible p = 1
+    for q, result, _ in _cone_solves(np.arange(2.0, 12.0 + 1e-9, 0.05)):
+        assert result.converged and result.admissible == (q > 2.0 + 1e-9), q
+        assert abs(result.p - 2 * (1 - 1 / q)) <= 1e-12, q
+        assert abs(result.theta - 1 / math.sqrt(q * (q - 1))) <= 1e-12, q
+
+
+def test_solve_param_pair_counts_every_family_call():
+    # post-verification reuses the last sampling; the rounding stop takes
+    # the total to 1,662 calls (2,115 without it and with a resampling check)
+    total = 0
+    for q, result, calls in _cone_solves(np.linspace(2.3, 3.0, 141)):
+        assert calls == result.iterations, q
+        total += calls
+    assert total <= 1750
+
+
+def _h3_sphere_file(tmp_path):
+    path = tmp_path / "h3.txt"
+    path.write_text("type: hypersurface\nc: -1\nu: 0.45, 2.65\nv: 0, 2*pi\n"
+                    "x1: sinh(0.8)*sin(u)*cos(v)\nx2: sinh(0.8)*sin(u)*sin(v)\n"
+                    "x3: sinh(0.8)*cos(u)\nx4: cosh(0.8)\n")
+    return load_chart_file(str(path))
+
+
+@pytest.mark.parametrize("make, use_analytic", [
+    (lambda tmp_path: cone(0.45), True),
+    (lambda tmp_path: sphere_in_sphere(2, 0.4), True),
+    (lambda tmp_path: sphere_in_sphere(3, 0.55), True),
+    (_h3_sphere_file, False),
+], ids=["cone", "sphere2", "sphere3", "file-h3-sphere"])
+def test_affine_in_p_slopes_reproduce_the_system_at_p1(make, use_analytic, tmp_path):
+    ch = make(tmp_path)
+    batch = geometric_sample(ch, sample_grid(ch, 6), use_analytic=use_analytic)
+    for q in (1.5, 2.0, 3.7):
+        (a1, s1), (a2, s2) = _affine_in_p(batch, q, ch.sf.c)
+        e1, e2 = _system(batch, 1.0, q, *_ricci(batch, ch.sf.c))
+        for affine, direct in ((a1 + s1, e1), (a2 + s2, e2)):
+            scale = max(np.max(np.abs(direct)), np.max(np.abs(affine)))
+            assert np.max(np.abs(affine - direct)) <= 1e-14 * scale, (ch.name, q)
