@@ -49,6 +49,7 @@ from .spaceform import SpaceForm
 RANK_TOL = 1e-10
 KERNEL_POINTS = 1024        # f points per kernel batch; bounds a call's memory
 GRID_POINTS = 2 ** 20       # largest grid sample_grid builds
+_INDEXED_GRID_POINTS = 4096  # grids up to this size keep their index table
 
 
 @dataclass(frozen=True)
@@ -393,12 +394,18 @@ def geometric_sample(chart, u, h_step=None, use_analytic=True):
         return _row(sample) if u.ndim == 1 else sample
 
     h_step = chart.f_step() if h_step is None else h_step
-    reach = _reach(chart, h_step, chart.jacobian is None or chart.hessian is None)
+    fd = chart.jacobian is None or chart.hessian is None
+    reach = _reach(chart, h_step, fd)
     lo, hi = np.array(chart.domain, dtype=float).T
     near = np.any((U < lo + reach) | (U > hi - reach), axis=1)
     if np.any(near):
+        # the reach grows by 4 per unit of h_step from its value at h_step = 0
+        edge = min(float(np.min(U - lo)), float(np.min(hi - U)))
+        largest = (edge - _reach(chart, 0.0, fd)) / 4
+        admits = f"h_step up to {largest:g}" if largest > 0 else "no h_step"
         raise BoundaryProximityError(
-            f"parameter {U[np.argmax(near)]} outside the stencil-safe region of {chart.name}")
+            f"h_step={h_step:g} reaches outside {chart.name} from parameter "
+            f"{U[np.argmax(near)]}; the points given admit {admits}")
 
     lattice = _f_lattice(chart.m)
     per = max(1, KERNEL_POINTS // len(lattice[0]))
@@ -409,32 +416,12 @@ def geometric_sample(chart, u, h_step=None, use_analytic=True):
     return _row(sample) if u.ndim == 1 else sample
 
 
-def _grid_margin(chart):
-    """(lo, hi, margin) per axis: the grid keeps clear of each axis's outer 2%
-    and of the widest stencil reach at the default step."""
-    lo, hi = np.array(chart.domain, dtype=float).T
-    return lo, hi, np.maximum(_reach(chart, chart.f_step(), fd=True), 0.02 * (hi - lo))
-
-
-def _check_grid_step(chart, h_step):
-    """Refuse, before anything is sampled, an ``h_step`` whose stencils would
-    leave the domain from the edge of :func:`sample_grid`."""
-    fd = chart.jacobian is None or chart.hessian is None
-    lo, hi, mg = _grid_margin(chart)
-    reach = _reach(chart, h_step, fd)
-    # geometric_sample's guard, at the grid's first and last coordinates
-    if np.any((lo + mg < lo + reach) | (hi - mg > hi - reach)):
-        largest = (float(np.min(mg)) - _reach(chart, 0.0, fd)) / 4
-        raise BoundaryProximityError(
-            f"h_step={h_step:g} reaches outside {chart.name} from the edge of the grid, "
-            f"which admits h_step up to {largest:g}")
-
-
 @functools.lru_cache(maxsize=None)
 def _grid_index(n, m):
     """Flat indices into an (n, m) axis table that gather the n^m grid
-    points in meshgrid "ij" order, shaped (n^m, m).  Built once per (n, m),
-    on first use; read-only, since every caller shares it."""
+    points in meshgrid "ij" order, shaped (n^m, m).  Built once per (n, m)
+    of at most _INDEXED_GRID_POINTS points, on first use; read-only, since
+    every caller shares it."""
     index = np.indices((n,) * m).reshape(m, -1).T * m + np.arange(m)
     index.flags.writeable = False
     return index
@@ -447,9 +434,14 @@ def sample_grid(chart, n_per_axis):
         raise ValueError("need at least 4 points per axis")
     if n_per_axis ** chart.m > GRID_POINTS:
         raise ValueError(f"a grid of {n_per_axis}^{chart.m} points exceeds {GRID_POINTS}")
-    lo, hi, mg = _grid_margin(chart)
+    lo, hi = np.array(chart.domain, dtype=float).T
+    mg = np.maximum(_reach(chart, chart.f_step(), fd=True), 0.02 * (hi - lo))
     start, stop = lo + mg, hi - mg
     # the points of np.linspace(start, stop, n_per_axis), bit for bit
     axes = np.arange(n_per_axis, dtype=float)[:, None] * ((stop - start) / (n_per_axis - 1)) + start
     axes[-1] = stop
-    return axes.ravel()[_grid_index(n_per_axis, chart.m)]
+    if n_per_axis ** chart.m > _INDEXED_GRID_POINTS:
+        index = _grid_index.__wrapped__(n_per_axis, chart.m)    # built, not kept
+    else:
+        index = _grid_index(n_per_axis, chart.m)
+    return axes.ravel()[index]

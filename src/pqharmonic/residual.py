@@ -17,6 +17,7 @@ in a space form (c), an Einstein space (S) or the sample's own ambient.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NoRootInBracketError, NonConvergenceError
-from .immersion import GeometricSample, _check_grid_step, geometric_sample, sample_grid
+from .immersion import GeometricSample, geometric_sample, sample_grid
 
 
 @dataclass(frozen=True)
@@ -197,11 +198,8 @@ def classify_samples(batch: GeometricSample, params: PQParams, c=None, S=None, t
 def classify(chart, params: PQParams, n_per_axis=8, tol=None,
              use_analytic=True, S=None, h_step=None):
     """Sample a chart on a uniform interior grid and classify it."""
-    analytic = use_analytic and chart.analytic_geometry is not None
     if tol is None:
-        tol = 1e-6 if analytic else 1e-3
-    if h_step is not None and not analytic:
-        _check_grid_step(chart, h_step)
+        tol = 1e-6 if (use_analytic and chart.analytic_geometry is not None) else 1e-3
     pts = sample_grid(chart, n_per_axis)
     samples = geometric_sample(chart, pts, h_step=h_step, use_analytic=use_analytic)
     return classify_samples(samples, params, c=chart.sf.c, S=S, tol=tol, points=pts)
@@ -223,15 +221,23 @@ class SolveResult:
     reason: str = ""
 
 
+@functools.lru_cache(maxsize=64)
+def _p_slopes(q, m):
+    """(dc5/dp, dd3/dp) of the coefficient formula, in exact arithmetic."""
+    at0, at1 = (_coefficients(Fraction(p), Fraction(q), m) for p in (0, 1))
+    return float(at1.c5 - at0.c5), float(at1.d3 - at0.d3)
+
+
 def _affine_in_p(batch, q, c):
     """((a1, s1), (a2, s2)) with eq1 = a1 + s1 p, eq2 = a2 + s2 p exactly.
 
     p enters the system only through c5 = m(p-2) and d3 = m + (p-2)q, so the
-    slopes are s1 = m f^4 and s2 = q f grad f.
+    slopes are dc5/dp f^4 and dd3/dp f grad f.
     """
     a1, a2 = _system(batch, 0.0, q, *_ricci(batch, c))
+    dc5, dd3 = _p_slopes(q, batch.m)
     f = np.asarray(batch.f, dtype=float)
-    return (a1, batch.m * f ** 4), (a2, q * f[..., None] * batch.grad_f)
+    return (a1, dc5 * f ** 4), (a2, dd3 * f[..., None] * batch.grad_f)
 
 
 def solve_p(chart, q, bracket, n_per_axis=8, tol=1e-8, use_analytic=True):

@@ -514,6 +514,16 @@ def test_grid_index_is_built_once_and_read_only():
     assert sample_grid(ch, 5)[0, 0] > 0
 
 
+def test_grid_index_keeps_only_small_grids():
+    # 65^2 = 4225 points is past the cutoff: built for the call, not kept
+    kept = immersion._grid_index.cache_info().currsize
+    pts = sample_grid(cone(0.45), 65)
+    assert pts.tobytes() == _linspace_grid(cone(0.45), 65).tobytes()
+    assert immersion._grid_index.cache_info().currsize == kept
+    sample_grid(cone(0.45), 64)
+    assert immersion._grid_index.cache_info().currsize <= kept + 1
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_euclidean_g_dot_is_the_identity_einsum_bit_for_bit(m):
     rng = np.random.default_rng(m)
@@ -549,6 +559,25 @@ def test_classify_refuses_a_step_the_grid_cannot_hold(k):
     # 4 f_step + 2 max(steps) = 5 f_step: exact jets admit 4 h_step <= 5 f_step
     assert f"up to {1.25 * ch.f_step():g}" in message
     assert calls == []     # nothing was sampled
+    # geometric_sample on the same grid says the same
+    with pytest.raises(BoundaryProximityError) as direct:
+        geometric_sample(ch, sample_grid(ch, 8), h_step=h_step, use_analytic=False)
+    assert str(direct.value) == message
+
+
+def test_a_map_only_chart_file_admits_the_default_step(tmp_path):
+    # the FD map lattice reaches 2 max(steps) further: the grid holds f_step
+    ch = _cone_file(tmp_path)
+    pts = sample_grid(ch, 4)
+    geometric_sample(ch, pts, h_step=ch.f_step(), use_analytic=False)
+    with pytest.raises(BoundaryProximityError, match=f"up to {ch.f_step():g}$"):
+        geometric_sample(ch, pts, h_step=1.5 * ch.f_step(), use_analytic=False)
+
+
+def test_a_point_at_the_edge_admits_no_step():
+    ch = cone(0.5)
+    with pytest.raises(BoundaryProximityError, match="admit no h_step"):
+        geometric_sample(ch, np.array([[1.0, 2.0], [0.5, 1.0]]), use_analytic=False)
 
 
 @pytest.mark.parametrize("k", [0.5, 1.0, 1.2])
