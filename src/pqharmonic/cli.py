@@ -16,8 +16,8 @@ which :func:`main` renders, writes once and maps to the exit code.
 Exit codes: 0 on success (and on a matching --expect), 1 when --expect
 does not match the computed classification or the worst relative error
 exceeds --max-rel, 2 on configuration or engine errors.  The
-PQHARM_THREADS environment variable must be an integer; it is validated
-and has no other effect.
+PQHARM_THREADS environment variable must be an integer; :func:`main`
+validates it before any subcommand runs, and it has no other effect.
 """
 
 from __future__ import annotations
@@ -94,14 +94,13 @@ def _params(args):
     return PQParams(p=_flag(args, "p"), q=_flag(args, "q"))
 
 
-def thread_count():
-    """PQHARM_THREADS, validated; sampling runs in one thread whatever its value."""
+def _check_threads():
+    """PQHARM_THREADS must be an integer; sampling runs in one thread whatever its value."""
     raw = os.environ.get("PQHARM_THREADS", "1")
     try:
-        n = int(raw)
+        int(raw)
     except ValueError:
         raise _CliError(f"PQHARM_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 # -- chart files ------------------------------------------------------------
@@ -242,7 +241,6 @@ def cmd_catalog(args):
 def cmd_verify_hypersurface(args):
     chart = build_hypersurface(args)
     params = _params(args)
-    thread_count()  # validation only
     use_analytic = not args.stencil
     report = classify(chart, params, n_per_axis=args.grid, tol=args.tol,
                       use_analytic=use_analytic)
@@ -328,7 +326,6 @@ def cmd_sweep(args):
         raise _CliError("sweep needs --values or --range")
 
     params = _params(args)
-    thread_count()  # validation only
     csv_lines = ["param,max_eq1,max_eq2,classification"]
     for value in values:
         setattr(args, args.param, value)
@@ -445,6 +442,7 @@ def _shared_parser():
 def main(argv=None):
     try:
         args = _shared_parser().parse_args(argv)
+        _check_threads()
         if args.command != "catalog" and getattr(args, "builtin", None) is None \
                 and getattr(args, "chart_file", None) is None:
             raise _CliError("select a chart with --builtin or --chart-file")

@@ -13,13 +13,13 @@ grid points of a call:
   flux sqrt(det g) g^-1 df takes it at u + (k e_a + l e_b) h, for k, l in
   {-2, -1, 1, 2} and h = ``h_step``: 33 points for m = 2, 73 for m = 3;
 * the jets of the map at each f point come from the exact ``jacobian`` and
-  ``hessian`` when the chart has them.  Otherwise they are stencils on the
-  map lattice around the point: the centre, +-h_a/2, +-h_a and +-2 h_a per
-  axis (D1 at h and h/2 with one Richardson level, and D2 at h)
-  and (i e_a + j e_b) max(h_a, h_b) for the nested mixed stencil.  These
-  offsets around all f points form one pattern around every grid point; it
-  is deduplicated once per batch, and the map is called once, on the grid
-  points plus its distinct offsets;
+  ``hessian`` when the chart has them.  Otherwise they are stencils of
+  step h = h_step/2 on the same integer lattice, in units of h, where the f
+  points sit at even offsets: D1 and D2 read the centre, +-h and +-2h along
+  each axis, and the nested mixed stencil reads (i e_a + j e_b) h for i, j
+  in {-2, -1, 1, 2}.  The distinct offsets around all f points, and the
+  rows each f point reads, are built once per m; the map is called once
+  per batch, on the grid points plus those offsets;
 * g, det g, g^-1, the unit normal (:meth:`SpaceForm.complement` of the
   tangent columns), B, A, f and |A|^2 = tr(A^2) are computed at all f
   points at once, and every guard is checked at every f point.  det g and
@@ -83,10 +83,6 @@ class ImmersionChart:
 
     def widths(self):
         return np.array([hi - lo for lo, hi in self.domain], dtype=float)
-
-    def steps(self):
-        """Per-axis steps of the map-derivative stencils."""
-        return 1e-3 * self.widths()
 
     def f_step(self):      # default step of the f-lattice stencils
         return 2e-3 * float(np.max(self.widths()))
@@ -175,68 +171,70 @@ def _f_lattice(m):
     offsets, inverse = np.unique(np.concatenate([flux, reads.reshape(-1, m)]), axis=0,
                                  return_inverse=True)
     inverse = inverse.reshape(-1)
-    lattice = (offsets.astype(float), inverse[:len(flux)], inverse[len(flux):].reshape(-1, m, 4))
+    lattice = (offsets, inverse[:len(flux)], inverse[len(flux):].reshape(-1, m, 4))
     for a in lattice:
         a.flags.writeable = False
     return lattice
 
 
-# axis offsets of the map lattice in steps h_a: D1 at h and at h/2 (one
-# Richardson level) and D2 at h, which also reads the centre
-_AXIS = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
-_AT_H = [0, 1, 4, 5]        # -2h, -h, h, 2h
-_AT_HALF = [1, 2, 3, 4]     # -h, -h/2, h/2, h
+@functools.lru_cache(maxsize=None)
+def _jet_lattice(m, stencil):
+    """The FD map lattice in steps of h = h_step/2, and the rows its jets read.
 
-
-def _map_lattice(h):
-    """Offsets of the map lattice around one point, one row each.
-
-    The centre; then _AXIS * h_a along each axis a; then, for each pair
-    a < b, the 16 points (i e_a + j e_b) max(h_a, h_b) for i, j in
-    D1_OFFSETS.  Every offset lies within 2 max(h) along each axis.
+    The f points are the origin, or with ``stencil`` the f-lattice at even
+    offsets.  Around each, the map stencils read the centre, then k e_a for
+    each axis a and each k in D1_OFFSETS, then (i e_a + j e_b) for each
+    pair a < b and i, j in D1_OFFSETS.  Returns the distinct offsets (R, m)
+    and, per f point, the rows of those reads (L, 1 + 4m + 16 m(m-1)/2).
+    Built once per (m, stencil), on first use; the arrays are read-only,
+    since every caller shares them.
     """
-    m = len(h)
-    eye = np.eye(m)
+    f_offsets, flux_rows, _ = _f_lattice(m)
+    eye = np.eye(m, dtype=int)
     K = numeric.D1_OFFSETS
-    rows = [np.zeros((1, m))] + [_AXIS[:, None] * h[a] * eye[a] for a in range(m)]
-    for a, b in itertools.combinations(range(m), 2):
-        ij = K[:, None, None] * eye[a] + K[None, :, None] * eye[b]
-        rows.append(max(h[a], h[b]) * ij.reshape(-1, m))
-    return np.concatenate(rows)
+    pairs = [(K[:, None, None] * eye[a] + K[None, :, None] * eye[b]).reshape(-1, m)
+             for a, b in itertools.combinations(range(m), 2)]
+    # the centre and the k e_a are the f-lattice's flux points, in order
+    reads = np.concatenate([f_offsets[flux_rows]] + pairs)
+    f_points = 2 * f_offsets if stencil else np.zeros((1, m), dtype=int)
+    offsets, rows = np.unique((f_points[:, None] + reads).reshape(-1, m), axis=0,
+                              return_inverse=True)
+    lattice = (offsets, rows.reshape(len(f_points), -1))
+    for arr in lattice:
+        arr.flags.writeable = False
+    return lattice
 
 
 def _reach(chart, h_step, fd):
     """How far along an axis the stencil path evaluates the chart from a grid
-    point: 4 h_step on the f-lattice, plus 2 max(h) on FD map lattices."""
-    return 4 * h_step + (2 * float(np.max(chart.steps())) if fd else 0.0)
+    point: 4 h_step on the f-lattice, and 2 h = h_step more on an FD map lattice."""
+    return (5 if fd else 4) * h_step
 
 
-def _jets(chart, U, D):
-    """Jacobian (n, dim, m), hessian (n, dim, m, m) and map (n, dim) at the
-    n = N L points U + D, for grid points U (N, m) and offsets D (L, m).
+def _jets(chart, U, h_step, stencil):
+    """The n = N L f points X (n, m) around the grid points U (N, m), with
+    the jacobian (n, dim, m), hessian (n, dim, m, m) and map (n, dim) there.
+    The f points are the f-lattice at h_step with ``stencil``, else U itself.
 
     Exact callbacks are called once, on all n points.  Missing ones are
-    stencils on the map lattice around each point.  The pattern D + map
-    lattice is the same around every grid point, so it is deduplicated once
-    and the map is called once, on U plus its distinct offsets.  The map is
-    None when nothing needs it.
+    stencils of step h = h_step/2 on the lattice of :func:`_jet_lattice`:
+    the map is called once, on U plus its distinct offsets, and each f
+    point gathers its rows.  J is D1 at h, the diagonal of H is D2 at h and
+    its mixed entries are nested D1 at h.  The map is None when nothing
+    needs it.
     """
     N, m = U.shape
+    D = _f_lattice(m)[0] * h_step if stencil else np.zeros((1, m))
     X = (U[:, None] + D).reshape(-1, m)
     n = len(X)
     P = None
     if chart.jacobian is None or chart.hessian is None:
-        h = chart.steps()
-        pattern = (D[:, None] + _map_lattice(h)).reshape(-1, m)
-        # 3 h_step - 2 h_a and 2 h_step are one point up to rounding; distinct
-        # points lie at least one spacing apart
-        spacing = min(0.5 * np.min(h), np.min(np.abs(D), where=D != 0, initial=np.inf))
-        _, first, inverse = np.unique(np.rint(pattern / (1e-7 * spacing)), axis=0,
-                                      return_index=True, return_inverse=True)
-        vals = np.asarray(chart.map((U[:, None] + pattern[first]).reshape(-1, m)), dtype=float)
-        S = vals.reshape(N, len(first), -1)[:, inverse.reshape(-1)].reshape(n, -1, vals.shape[-1])
+        h = h_step / 2.0
+        offsets, rows = _jet_lattice(m, stencil)
+        vals = np.asarray(chart.map((U[:, None] + offsets * h).reshape(-1, m)), dtype=float)
+        S = vals.reshape(N, len(offsets), -1)[:, rows].reshape(n, rows.shape[1], -1)
         P = S[:, 0]
-        line = np.moveaxis(S[:, 1:1 + 6 * m].reshape(n, m, 6, -1), 3, 1)
+        line = np.moveaxis(S[:, 1:1 + 4 * m].reshape(n, m, 4, -1), 3, 1)   # (n, dim, m, 4)
     elif chart.sf.c != 0:
         P = np.asarray(chart.map(X), dtype=float)
 
@@ -244,23 +242,20 @@ def _jets(chart, U, D):
     if chart.jacobian is not None:
         J = np.asarray(chart.jacobian(X), dtype=float)
     else:
-        d_h = _weigh(line[..., _AT_H], w) / h
-        d_h2 = _weigh(line[..., _AT_HALF], w) / (h / 2.0)
-        J = numeric.richardson(d_h, d_h2, order=4)
+        J = _weigh(line, w) / h
 
     if chart.hessian is not None:
         H = np.asarray(chart.hessian(X), dtype=float)
     else:
         centre = np.broadcast_to(P[:, :, None, None], line.shape[:3] + (1,))
-        five = np.concatenate([line[..., :2], centre, line[..., 4:]], axis=-1)
+        five = np.concatenate([line[..., :2], centre, line[..., 2:]], axis=-1)
         H = np.zeros(P.shape + (m, m))
         H[:, :, range(m), range(m)] = _weigh(five, numeric.D2_WEIGHTS) / (h * h)
-        cross = S[:, 1 + 6 * m:].reshape(n, -1, 4, 4, P.shape[1])
+        cross = S[:, 1 + 4 * m:].reshape(n, -1, 4, 4, P.shape[1])
         for c, (a, b) in enumerate(itertools.combinations(range(m), 2)):
-            s = max(h[a], h[b])
             inner = _weigh(np.moveaxis(cross[:, c], 1, -1), w)     # along b
-            H[:, :, a, b] = H[:, :, b, a] = _weigh(np.moveaxis(inner, 1, -1), w) / (s * s)
-    return J, H, P
+            H[:, :, a, b] = H[:, :, b, a] = _weigh(np.moveaxis(inner, 1, -1), w) / (h * h)
+    return X, J, H, P
 
 
 # -- the batched kernel -------------------------------------------------------
@@ -287,10 +282,10 @@ def _unit_normal(chart, X, J, P, det_g):
     return eta
 
 
-def _shape(chart, U, D):
-    """First fundamental form and shape packet at the points U + D, fields stacked."""
-    J, H, P = _jets(chart, U, D)
-    X = (U[:, None] + D).reshape(-1, chart.m)
+def _shape(chart, U, h_step, stencil):
+    """First fundamental form and shape packet at the f points of :func:`_jets`,
+    fields stacked."""
+    X, J, H, P = _jets(chart, U, h_step, stencil)
     signs = chart.sf.pairing_signs()
     g = np.einsum("nka,k,nkb->nab", J, signs, J)
     g = 0.5 * (g + np.swapaxes(g, 1, 2))
@@ -319,7 +314,7 @@ def _row(stacked, i=0):
 
 
 def _one_point(chart, u):
-    return _shape(chart, np.asarray(u, dtype=float)[None], np.zeros((1, chart.m)))
+    return _shape(chart, np.asarray(u, dtype=float)[None], chart.f_step(), False)
 
 
 # -- operations -------------------------------------------------------------
@@ -337,7 +332,7 @@ def unit_normal(chart, u):
     with eta negated on a chart of orientation -1.
     """
     u = np.asarray(u, dtype=float)
-    eta = _shape(chart, u.reshape(-1, chart.m), np.zeros((1, chart.m)))[1].eta
+    eta = _shape(chart, u.reshape(-1, chart.m), chart.f_step(), False)[1].eta
     return eta.reshape(u.shape[:-1] + eta.shape[-1:])
 
 
@@ -351,7 +346,7 @@ def _stencil_sample(chart, U, h_step, lattice):
     n, m = U.shape
     offsets, flux_rows, df_rows = lattice
     L = len(offsets)
-    ff, pk = _shape(chart, U, offsets * h_step)
+    ff, pk = _shape(chart, U, h_step, True)
     w = numeric.D1_WEIGHTS
     f = pk.f.reshape(n, L)
     df = _weigh(f[:, df_rows], w) / h_step              # (n, 1 + 4m, m)
@@ -386,6 +381,9 @@ def geometric_sample(chart, u, h_step=None, use_analytic=True):
     and ``use_analytic`` is true that path is used, in one call on all the
     points; pass ``use_analytic=False`` to force the stencil path, which
     evaluates the points on one lattice, KERNEL_POINTS f points at a time.
+    ``h_step`` (default ``chart.f_step()``) is the step of the f-lattice; on
+    a chart without exact jets the map stencils step at h_step/2, so a
+    caller-given h_step moves them too.
     """
     u = np.asarray(u, dtype=float)
     U = np.atleast_2d(u)
@@ -399,9 +397,8 @@ def geometric_sample(chart, u, h_step=None, use_analytic=True):
     lo, hi = np.array(chart.domain, dtype=float).T
     near = np.any((U < lo + reach) | (U > hi - reach), axis=1)
     if np.any(near):
-        # the reach grows by 4 per unit of h_step from its value at h_step = 0
         edge = min(float(np.min(U - lo)), float(np.min(hi - U)))
-        largest = (edge - _reach(chart, 0.0, fd)) / 4
+        largest = edge / (5 if fd else 4)
         admits = f"h_step up to {largest:g}" if largest > 0 else "no h_step"
         raise BoundaryProximityError(
             f"h_step={h_step:g} reaches outside {chart.name} from parameter "

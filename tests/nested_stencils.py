@@ -41,12 +41,9 @@ def _shifted(u, a, delta):
     return w
 
 
-def partial1(fn, u, a, h, richardson=False):
+def partial1(fn, u, a, h):
     """First partial derivative of ``fn(u)`` in coordinate ``a``."""
-    g = lambda s: fn(_shifted(u, a, s))
-    if richardson:
-        return deriv1_richardson(g, 0.0, h)
-    return deriv1(g, 0.0, h)
+    return deriv1(lambda s: fn(_shifted(u, a, s)), 0.0, h)
 
 
 def partial2(fn, u, a, b, h):

@@ -354,7 +354,7 @@ def test_variation_check_circle(capsys):
     assert "worst_rel_error" in out
 
 
-def test_threads_env_var(tmp_path, monkeypatch):
+def test_threads_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PQHARM_THREADS", "2")
     out = tmp_path / "r.txt"
     assert run(["verify-hypersurface", "--builtin", "sphere-in-sphere",
@@ -362,8 +362,20 @@ def test_threads_env_var(tmp_path, monkeypatch):
                 "--out", str(out)]) == 0
     assert "ProperPQHarmonic" in out.read_text()
     monkeypatch.setenv("PQHARM_THREADS", "zebra")
-    assert run(["verify-hypersurface", "--builtin", "sphere-in-sphere",
-                "--a2", "0.5", "--p", "2", "--q", "2"]) == 2
+    # every subcommand checks the variable before it runs
+    for argv in (["catalog"],
+                 ["verify-hypersurface", "--builtin", "sphere-in-sphere",
+                  "--a2", "0.5", "--p", "2", "--q", "2"],
+                 ["verify-curve", *CIRCLE_PQ],
+                 ["solve", "--builtin", "sphere-in-sphere", "--a2", "0.5", "--q", "3"],
+                 ["sweep", "--builtin", "sphere-in-sphere", "--param", "a2",
+                  "--values", "0.5", "--p", "2", "--q", "2"],
+                 ["variation-check", *CIRCLE_PQ, "--K", "64"]):
+        capsys.readouterr()
+        assert run(argv) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert captured.out == "", argv[0]
+        assert captured.err.startswith("error: PQHARM_THREADS") and captured.err.count("\n") == 1
 
 
 def test_public_names_resolve():
