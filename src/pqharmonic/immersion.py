@@ -14,12 +14,11 @@ grid points of a call:
   {-2, -1, 1, 2} and h = ``h_step``: 33 points for m = 2, 73 for m = 3;
 * the jets of the map at each f point come from the exact ``jacobian`` and
   ``hessian`` when the chart has them.  Otherwise they are stencils of
-  step h = h_step/2 on the same integer lattice, in units of h, where the f
-  points sit at even offsets: D1 and D2 read the centre, +-h and +-2h along
-  each axis, and the nested mixed stencil reads (i e_a + j e_b) h for i, j
-  in {-2, -1, 1, 2}.  The distinct offsets around all f points, and the
-  rows each f point reads, are built once per m; the map is called once
-  per batch, on the grid points plus those offsets;
+  step h = h_step/2 along straight lines through each f point, on the same
+  integer lattice (the f points sit at even offsets): D1 along e_a gives
+  J, D2 along e_a gives H_aa, and D2 along e_a + e_b gives
+  H_aa + 2 H_ab + H_bb.  The lattice is built once per m, and the map is
+  called once per batch;
 * g, det g, g^-1, the unit normal (:meth:`SpaceForm.complement` of the
   tangent columns), B, A, f and |A|^2 = tr(A^2) are computed at all f
   points at once, and every guard is checked at every f point.  det g and
@@ -35,7 +34,6 @@ stencil path.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
@@ -182,21 +180,18 @@ def _jet_lattice(m, stencil):
     """The FD map lattice in steps of h = h_step/2, and the rows its jets read.
 
     The f points are the origin, or with ``stencil`` the f-lattice at even
-    offsets.  Around each, the map stencils read the centre, then k e_a for
-    each axis a and each k in D1_OFFSETS, then (i e_a + j e_b) for each
-    pair a < b and i, j in D1_OFFSETS.  Returns the distinct offsets (R, m)
-    and, per f point, the rows of those reads (L, 1 + 4m + 16 m(m-1)/2).
-    Built once per (m, stencil), on first use; the arrays are read-only,
-    since every caller shares them.
+    offsets.  Each reads its centre, then k d for k in D1_OFFSETS along the
+    lines d = e_a and then d = e_a + e_b, a < b, in ``np.triu_indices``
+    order.  Returns the distinct offsets (R, m) and, per f point, the rows
+    of its reads (L, 1 + 4 m(m+1)/2).  Built once per (m, stencil), on first
+    use; the arrays are read-only, since every caller shares them.
     """
-    f_offsets, flux_rows, _ = _f_lattice(m)
     eye = np.eye(m, dtype=int)
-    K = numeric.D1_OFFSETS
-    pairs = [(K[:, None, None] * eye[a] + K[None, :, None] * eye[b]).reshape(-1, m)
-             for a, b in itertools.combinations(range(m), 2)]
-    # the centre and the k e_a are the f-lattice's flux points, in order
-    reads = np.concatenate([f_offsets[flux_rows]] + pairs)
-    f_points = 2 * f_offsets if stencil else np.zeros((1, m), dtype=int)
+    a, b = np.triu_indices(m, 1)
+    lines = np.concatenate([eye, eye[a] + eye[b]])
+    reads = np.concatenate([np.zeros((1, m), dtype=int),
+                            (numeric.D1_OFFSETS[:, None] * lines[:, None]).reshape(-1, m)])
+    f_points = 2 * _f_lattice(m)[0] if stencil else np.zeros((1, m), dtype=int)
     offsets, rows = np.unique((f_points[:, None] + reads).reshape(-1, m), axis=0,
                               return_inverse=True)
     lattice = (offsets, rows.reshape(len(f_points), -1))
@@ -211,17 +206,30 @@ def _reach(chart, h_step, fd):
     return (5 if fd else 4) * h_step
 
 
+def _guard_reach(chart, U, h_step, units):
+    """Refuse the points U (N, m) unless each keeps ``units`` h_step from the
+    domain's edges; the message names h_step and the largest step they admit."""
+    lo, hi = np.array(chart.domain, dtype=float).T
+    near = np.any((U < lo + units * h_step) | (U > hi - units * h_step), axis=1)
+    if np.any(near):
+        largest = min(float(np.min(U - lo)), float(np.min(hi - U))) / units
+        admits = f"h_step up to {largest:g}" if largest > 0 else "no h_step"
+        raise BoundaryProximityError(
+            f"h_step={h_step:g} reaches outside {chart.name} from parameter "
+            f"{U[np.argmax(near)]}; the points given admit {admits}")
+
+
 def _jets(chart, U, h_step, stencil):
     """The n = N L f points X (n, m) around the grid points U (N, m), with
     the jacobian (n, dim, m), hessian (n, dim, m, m) and map (n, dim) there.
     The f points are the f-lattice at h_step with ``stencil``, else U itself.
 
     Exact callbacks are called once, on all n points.  Missing ones are
-    stencils of step h = h_step/2 on the lattice of :func:`_jet_lattice`:
+    stencils of step h = h_step/2 along the lines of :func:`_jet_lattice`:
     the map is called once, on U plus its distinct offsets, and each f
-    point gathers its rows.  J is D1 at h, the diagonal of H is D2 at h and
-    its mixed entries are nested D1 at h.  The map is None when nothing
-    needs it.
+    point gathers its rows.  J is D1 along the axes, and D2 along every
+    line gives H by polarization: H_aa + 2 H_ab + H_bb along e_a + e_b.
+    The map is None when nothing needs it.
     """
     N, m = U.shape
     D = _f_lattice(m)[0] * h_step if stencil else np.zeros((1, m))
@@ -234,27 +242,24 @@ def _jets(chart, U, h_step, stencil):
         vals = np.asarray(chart.map((U[:, None] + offsets * h).reshape(-1, m)), dtype=float)
         S = vals.reshape(N, len(offsets), -1)[:, rows].reshape(n, rows.shape[1], -1)
         P = S[:, 0]
-        line = np.moveaxis(S[:, 1:1 + 4 * m].reshape(n, m, 4, -1), 3, 1)   # (n, dim, m, 4)
+        line = np.moveaxis(S[:, 1:].reshape(n, -1, 4, P.shape[1]), 3, 1)   # (n, dim, lines, 4)
     elif chart.sf.c != 0:
         P = np.asarray(chart.map(X), dtype=float)
 
-    w = numeric.D1_WEIGHTS
     if chart.jacobian is not None:
         J = np.asarray(chart.jacobian(X), dtype=float)
     else:
-        J = _weigh(line, w) / h
+        J = _weigh(line[:, :, :m], numeric.D1_WEIGHTS) / h
 
     if chart.hessian is not None:
         H = np.asarray(chart.hessian(X), dtype=float)
     else:
-        centre = np.broadcast_to(P[:, :, None, None], line.shape[:3] + (1,))
-        five = np.concatenate([line[..., :2], centre, line[..., 2:]], axis=-1)
-        H = np.zeros(P.shape + (m, m))
-        H[:, :, range(m), range(m)] = _weigh(five, numeric.D2_WEIGHTS) / (h * h)
-        cross = S[:, 1 + 4 * m:].reshape(n, -1, 4, 4, P.shape[1])
-        for c, (a, b) in enumerate(itertools.combinations(range(m), 2)):
-            inner = _weigh(np.moveaxis(cross[:, c], 1, -1), w)     # along b
-            H[:, :, a, b] = H[:, :, b, a] = _weigh(np.moveaxis(inner, 1, -1), w) / (h * h)
+        five = np.insert(line, 2, P[:, :, None], axis=-1)      # offsets -2..2
+        D2 = _weigh(five, numeric.D2_WEIGHTS) / (h * h)
+        H = np.empty(P.shape + (m, m))
+        H[:, :, range(m), range(m)] = D2[:, :, :m]
+        a, b = np.triu_indices(m, 1)
+        H[:, :, a, b] = H[:, :, b, a] = (D2[:, :, m:] - D2[:, :, a] - D2[:, :, b]) / 2.0
     return X, J, H, P
 
 
@@ -314,7 +319,11 @@ def _row(stacked, i=0):
 
 
 def _one_point(chart, u):
-    return _shape(chart, np.asarray(u, dtype=float)[None], chart.f_step(), False)
+    """:func:`_shape` at u (..., m); FD map lines reach 2h = f_step from u."""
+    U = np.asarray(u, dtype=float).reshape(-1, chart.m)
+    if chart.jacobian is None or chart.hessian is None:
+        _guard_reach(chart, U, chart.f_step(), 1)
+    return _shape(chart, U, chart.f_step(), False)
 
 
 # -- operations -------------------------------------------------------------
@@ -331,9 +340,8 @@ def unit_normal(chart, u):
     otherwise the ambient volume form, det[d_1 X, ..., d_m X, eta(, P)] > 0,
     with eta negated on a chart of orientation -1.
     """
-    u = np.asarray(u, dtype=float)
-    eta = _shape(chart, u.reshape(-1, chart.m), chart.f_step(), False)[1].eta
-    return eta.reshape(u.shape[:-1] + eta.shape[-1:])
+    eta = _one_point(chart, u)[1].eta
+    return eta.reshape(np.shape(u)[:-1] + eta.shape[-1:])
 
 
 def shape_packet(chart, u):
@@ -393,16 +401,7 @@ def geometric_sample(chart, u, h_step=None, use_analytic=True):
 
     h_step = chart.f_step() if h_step is None else h_step
     fd = chart.jacobian is None or chart.hessian is None
-    reach = _reach(chart, h_step, fd)
-    lo, hi = np.array(chart.domain, dtype=float).T
-    near = np.any((U < lo + reach) | (U > hi - reach), axis=1)
-    if np.any(near):
-        edge = min(float(np.min(U - lo)), float(np.min(hi - U)))
-        largest = edge / (5 if fd else 4)
-        admits = f"h_step up to {largest:g}" if largest > 0 else "no h_step"
-        raise BoundaryProximityError(
-            f"h_step={h_step:g} reaches outside {chart.name} from parameter "
-            f"{U[np.argmax(near)]}; the points given admit {admits}")
+    _guard_reach(chart, U, h_step, 5 if fd else 4)
 
     lattice = _f_lattice(chart.m)
     per = max(1, KERNEL_POINTS // len(lattice[0]))

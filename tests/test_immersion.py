@@ -129,6 +129,20 @@ def test_boundary_proximity_guard():
         geometric_sample(ch, np.array([0.5, 1.0]), use_analytic=False)
 
 
+@pytest.mark.parametrize("fn", [shape_packet, first_fundamental, unit_normal])
+def test_single_point_callers_guard_the_fd_reach(fn, tmp_path):
+    # the FD map lines reach f_step = 2e-3 from u, past u = 0 where sqrt(u) fails
+    path = tmp_path / "sqrt.txt"
+    path.write_text("type: hypersurface\nc: 0\nu: 0, 1\nv: 0, 1\nx1: u\nx2: v\nx3: sqrt(u)\n")
+    ch = load_chart_file(str(path))
+    with pytest.raises(BoundaryProximityError,
+                       match=f"^h_step={ch.f_step():g} reaches outside .* admit h_step up to 0.001$"):
+        fn(ch, np.array([0.001, 0.5]))
+    fn(ch, np.array([0.5, 0.5]))
+    # exact jets read only u itself, so they need no margin
+    fn(cone(0.5), np.array([0.5 + 1e-9, 1.0]))
+
+
 def test_sample_grid_respects_margins():
     ch = cone(0.5)
     pts = sample_grid(ch, 6)
@@ -280,7 +294,7 @@ def test_stencil_samples_each_lattice_point_once(tmp_path):
     assert len(calls) == 1 and calls[0].ndim == 2
     rows = calls[0]
     # nested per-point stencils made 5,619 map calls here
-    assert len(rows) == 249
+    assert len(rows) == 197
     assert len(rows) <= 700
     assert len(np.unique(np.round(rows, 9), axis=0)) == len(rows)
 
@@ -346,8 +360,8 @@ def test_chart_file_classify_calls_the_map_once_per_batch(tmp_path):
 
     counting = replace(ch, map=counted)
     classify(counting, PQParams(4 / 3, 3), n_per_axis=4)
-    # 249 lattice points per grid point, in one call
-    assert calls == [(3984, 2)]
+    # 197 lattice points per grid point, in one call
+    assert calls == [(3152, 2)]
     calls.clear()
     classify(counting, PQParams(4 / 3, 3), n_per_axis=8)
     # one call per KERNEL_POINTS batch of f points
@@ -401,10 +415,10 @@ def test_flipped_map_only_chart_samples_its_lattice_once(tmp_path):
         rows.clear()
         t = geometric_sample(flipped, pts, use_analytic=False)
         # a reference normal from unit_normal of the unflipped chart cost 15,312 rows more
-        assert rows == [3984]
+        assert rows == [3152]
         rows.clear()
         geometric_sample(flipped, U_CONE, use_analytic=False)
-        assert rows == [249]
+        assert rows == [197]
     t = geometric_sample(watched.flipped(), pts, use_analytic=False)
     _same_sample(t, flip_sample(s), slice(None))
     assert np.array_equal(unit_normal(watched.flipped(), pts), -unit_normal(watched, pts))
@@ -413,8 +427,10 @@ def test_flipped_map_only_chart_samples_its_lattice_once(tmp_path):
 
 def test_map_lattice_jets_match_nested_stencils(tmp_path):
     # the nested partial1 / partial2 stencils at h = f_step / 2 on every
-    # axis are the reference; the lattice applies the same weights, so only
-    # rounding may differ
+    # axis are the reference.  J and the diagonal of H apply the same
+    # weights, so only rounding may differ there; the mixed entries of H
+    # come from D2 along e_a + e_b by polarization, an independent scheme of
+    # the same order, so they differ by its truncation error as well
     fd_sphere = replace(sphere_in_sphere(3, 0.4), jacobian=None, hessian=None)
     for ch, u in ((_cone_file(tmp_path), U_CONE), (fd_sphere, np.array([1.0, 1.4, 2.0]))):
         h = ch.f_step() / 2
@@ -426,6 +442,59 @@ def test_map_lattice_jets_match_nested_stencils(tmp_path):
             for b in range(ch.m):
                 H_ref = partial2(ch.map, u, a, b, h)
                 assert np.allclose(H[0, :, a, b], H_ref, rtol=0, atol=1e-9), (ch.name, a, b)
+
+
+def _skew(u):
+    """X = (u + 0.4v, v - 0.3u^2, sin(u + 0.7v) cos(uv/2) + 0.2uv): g_uv and
+    B_uv are far from 0, so the mixed entries of H reach f."""
+    u, v = u[..., 0], u[..., 1]
+    return np.stack([u + 0.4 * v, v - 0.3 * u * u,
+                     np.sin(u + 0.7 * v) * np.cos(0.5 * u * v) + 0.2 * u * v], axis=-1)
+
+
+def _skew_jacobian(u):
+    u, v = u[..., 0], u[..., 1]
+    cs, ss = np.cos(u + 0.7 * v), np.sin(u + 0.7 * v)
+    ct, st = np.cos(0.5 * u * v), np.sin(0.5 * u * v)
+    one = np.ones_like(u)
+    return np.stack([np.stack([one, 0.4 * one], -1), np.stack([-0.6 * u, one], -1),
+                     np.stack([cs * ct - 0.5 * v * ss * st + 0.2 * v,
+                               0.7 * cs * ct - 0.5 * u * ss * st + 0.2 * u], -1)], axis=-2)
+
+
+def _skew_hessian(u):
+    u, v = u[..., 0], u[..., 1]
+    cs, ss = np.cos(u + 0.7 * v), np.sin(u + 0.7 * v)
+    ct, st = np.cos(0.5 * u * v), np.sin(0.5 * u * v)
+    H = np.zeros(u.shape + (3, 2, 2))
+    H[..., 1, 0, 0] = -0.6
+    H[..., 2, 0, 0] = -ss * ct - v * cs * st - 0.25 * v * v * ss * ct
+    H[..., 2, 1, 1] = -0.49 * ss * ct - 0.7 * u * cs * st - 0.25 * u * u * ss * ct
+    H[..., 2, 0, 1] = H[..., 2, 1, 0] = (-0.7 * ss * ct - 0.5 * u * cs * st - 0.5 * ss * st
+                                         - 0.35 * v * cs * st - 0.25 * u * v * ss * ct + 0.2)
+    return H
+
+
+def test_fd_jets_and_samples_match_exact_jets_on_a_skew_chart():
+    fd = ImmersionChart(sf=SpaceForm(3, 0.0), m=2, domain=((0.2, 1.8), (-0.7, 0.9)),
+                        map=_skew, name="skew")
+    exact = replace(fd, jacobian=_skew_jacobian, hessian=_skew_hessian)
+    pts = sample_grid(fd, 4)
+    assert np.max(np.abs(geometric_sample(exact, pts, use_analytic=False).g[:, 0, 1])) > 0.5
+    # measured (the larger of the nested D1 and the polarized mixed stencil):
+    # J 1.3e-12, H 5.8e-10 on every entry, mixed 3.2e-10
+    for stencil in (False, True):
+        X, J, H, _ = immersion._jets(fd, pts, fd.f_step(), stencil)
+        assert np.allclose(J, _skew_jacobian(X), rtol=0, atol=2e-11), stencil
+        for a in range(2):
+            for b in range(2):
+                assert np.allclose(H[..., a, b], _skew_hessian(X)[..., a, b],
+                                   rtol=0, atol=6e-9), (stencil, a, b)
+    s = geometric_sample(fd, pts, use_analytic=False)
+    t = geometric_sample(exact, pts, use_analytic=False)
+    # measured: f 1.9e-10, grad f 2.5e-8, lap f 3.0e-5, |A|^2 5.1e-10
+    for name, atol in (("f", 2e-9), ("grad_f", 3e-7), ("laplacian_f", 4e-4), ("normA2", 6e-9)):
+        assert np.allclose(getattr(s, name), getattr(t, name), rtol=0, atol=atol), name
 
 
 @pytest.mark.parametrize("det", [1, -1])
@@ -518,9 +587,11 @@ def test_f_lattice_is_built_once_and_read_only(tmp_path, monkeypatch):
     assert immersion._f_lattice(2) is lattice
     jets = immersion._jet_lattice(2, True)
     assert immersion._jet_lattice(2, True) is jets
-    # 249 distinct map points around 33 f points, each reading 1 + 4m + 16 rows
-    assert jets[0].shape == (249, 2) and jets[1].shape == (33, 25)
-    assert immersion._jet_lattice(2, False)[1].shape == (1, 25)
+    # 197 distinct map points around 33 f points, each reading the centre
+    # and 4 rows on each of the lines e_0, e_1 and e_0 + e_1
+    assert jets[0].shape == (197, 2) and jets[1].shape == (33, 13)
+    assert immersion._jet_lattice(2, False)[0].shape == (13, 2)
+    assert immersion._jet_lattice(2, False)[1].shape == (1, 13)
     for a in lattice + jets + immersion._jet_lattice(2, False):
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 0
