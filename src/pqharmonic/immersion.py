@@ -9,16 +9,16 @@ lattice (Fornberg, Math. Comp. 51 (1988) 699-706).  So the stencil path
 samples each quantity once per distinct lattice point, batched over all
 grid points of a call:
 
-* the f-lattice: grad f takes f at u + k h e_a, and the divergence of the
-  flux sqrt(det g) g^-1 df takes it at u + (k e_a + l e_b) h, for k, l in
-  {-2, -1, 1, 2} and h = ``h_step``: 33 points for m = 2, 73 for m = 3;
+* the f-lattice: u and u + k h d for k in {-2, -1, 1, 2}, h = ``h_step``,
+  along the straight lines d = e_a and e_a + e_b, a < b: 13 points for
+  m = 2, 25 for m = 3, 41 for m = 4.  grad f is D1 along the axes.  Lap f
+  is g^ij (f_ij - Gamma^k_ij f_k): f_ij is D2 along each line, the mixed
+  entries by polarization, and Gamma comes from the jets at u;
 * the jets of the map at each f point come from the exact ``jacobian`` and
-  ``hessian`` when the chart has them.  Otherwise they are stencils of
-  step h = h_step/2 along straight lines through each f point, on the same
-  integer lattice (the f points sit at even offsets): D1 along e_a gives
-  J, D2 along e_a gives H_aa, and D2 along e_a + e_b gives
-  H_aa + 2 H_ab + H_bb.  The lattice is built once per m, and the map is
-  called once per batch;
+  ``hessian`` when the chart has them.  Otherwise they are the same
+  straight-line stencils at step h = h_step/2 around each f point, on one
+  integer lattice (the f points sit at even offsets), built once per m;
+  the map is called once per batch;
 * g, det g, g^-1, the unit normal (:meth:`SpaceForm.complement` of the
   tangent columns), B, A, f and |A|^2 = tr(A^2) are computed at all f
   points at once, and every guard is checked at every f point.  det g and
@@ -154,25 +154,21 @@ def flip_sample(s: GeometricSample) -> GeometricSample:
 
 @functools.lru_cache(maxsize=None)
 def _f_lattice(m):
-    """The f-lattice in steps of h_step, and the rows its stencils read.
-
-    Returns the integer offsets (L, m); the rows of the flux points, which
-    are the centre and then k e_a for each axis a and each k in D1_OFFSETS;
-    and, per flux point and axis b, the rows of its D1 stencil along b,
-    shaped (1 + 4m, m, 4).  Built once per m, on first use; the arrays are
-    read-only, since every caller shares them.
+    """The straight-line lattice of the stencil path, as integer offsets
+    (1 + 4 m(m+1)/2, m): the centre, then k d for k in D1_OFFSETS along the
+    lines d = e_a and then d = e_a + e_b, a < b, in ``np.triu_indices``
+    order.  That is 13 points for m = 2, 25 for m = 3 and 41 for m = 4, all
+    distinct.  The f points sit on it in steps of h_step, and each FD map
+    jet reads it around its f point in steps of h_step/2.  Built once per m,
+    on first use; read-only, since every caller shares it.
     """
     eye = np.eye(m, dtype=int)
-    K = numeric.D1_OFFSETS
-    flux = np.concatenate([np.zeros((1, m), dtype=int), (K[:, None] * eye[:, None]).reshape(-1, m)])
-    reads = flux[:, None, None] + K[:, None] * eye[:, None]         # (1 + 4m, m, 4, m)
-    offsets, inverse = np.unique(np.concatenate([flux, reads.reshape(-1, m)]), axis=0,
-                                 return_inverse=True)
-    inverse = inverse.reshape(-1)
-    lattice = (offsets, inverse[:len(flux)], inverse[len(flux):].reshape(-1, m, 4))
-    for a in lattice:
-        a.flags.writeable = False
-    return lattice
+    a, b = np.triu_indices(m, 1)
+    lines = np.concatenate([eye, eye[a] + eye[b]])
+    offsets = np.concatenate([np.zeros((1, m), dtype=int),
+                              (numeric.D1_OFFSETS[:, None] * lines[:, None]).reshape(-1, m)])
+    offsets.flags.writeable = False
+    return offsets
 
 
 @functools.lru_cache(maxsize=None)
@@ -180,18 +176,12 @@ def _jet_lattice(m, stencil):
     """The FD map lattice in steps of h = h_step/2, and the rows its jets read.
 
     The f points are the origin, or with ``stencil`` the f-lattice at even
-    offsets.  Each reads its centre, then k d for k in D1_OFFSETS along the
-    lines d = e_a and then d = e_a + e_b, a < b, in ``np.triu_indices``
-    order.  Returns the distinct offsets (R, m) and, per f point, the rows
-    of its reads (L, 1 + 4 m(m+1)/2).  Built once per (m, stencil), on first
-    use; the arrays are read-only, since every caller shares them.
+    offsets, and each reads the f-lattice around itself.  Returns the
+    distinct offsets (R, m) and, per f point, the rows of its reads.  Built
+    once per (m, stencil), on first use; read-only, since callers share them.
     """
-    eye = np.eye(m, dtype=int)
-    a, b = np.triu_indices(m, 1)
-    lines = np.concatenate([eye, eye[a] + eye[b]])
-    reads = np.concatenate([np.zeros((1, m), dtype=int),
-                            (numeric.D1_OFFSETS[:, None] * lines[:, None]).reshape(-1, m)])
-    f_points = 2 * _f_lattice(m)[0] if stencil else np.zeros((1, m), dtype=int)
+    reads = _f_lattice(m)
+    f_points = 2 * reads if stencil else np.zeros((1, m), dtype=int)
     offsets, rows = np.unique((f_points[:, None] + reads).reshape(-1, m), axis=0,
                               return_inverse=True)
     lattice = (offsets, rows.reshape(len(f_points), -1))
@@ -200,9 +190,25 @@ def _jet_lattice(m, stencil):
     return lattice
 
 
+def _second_partials(centre, line, m, h):
+    """The second partials (..., m, m) by D2 of step h along the lines of
+    :func:`_f_lattice`, from the values at the centre (...) and at k d on
+    each line d (..., lines, 4).  D2 along e_a gives H_aa, and the mixed
+    entries come by polarization: D2 along e_a + e_b gives H_aa + 2 H_ab + H_bb.
+    """
+    five = np.insert(line, 2, centre[..., None], axis=-1)      # offsets -2..2
+    D2 = _weigh(five, numeric.D2_WEIGHTS) / (h * h)
+    H = np.empty(centre.shape + (m, m))
+    H[..., range(m), range(m)] = D2[..., :m]
+    a, b = np.triu_indices(m, 1)
+    H[..., a, b] = H[..., b, a] = (D2[..., m:] - D2[..., a] - D2[..., b]) / 2.0
+    return H
+
+
 def _reach(chart, h_step, fd):
-    """How far along an axis the stencil path evaluates the chart from a grid
-    point: 4 h_step on the f-lattice, and 2 h = h_step more on an FD map lattice."""
+    """The margin a grid point keeps from the domain's edges: 4 h_step, and
+    h_step more with an FD map lattice.  It is conservative: the f-lattice
+    reaches 2 h_step along an axis, the FD map lattice h_step further."""
     return (5 if fd else 4) * h_step
 
 
@@ -222,17 +228,18 @@ def _guard_reach(chart, U, h_step, units):
 def _jets(chart, U, h_step, stencil):
     """The n = N L f points X (n, m) around the grid points U (N, m), with
     the jacobian (n, dim, m), hessian (n, dim, m, m) and map (n, dim) there.
-    The f points are the f-lattice at h_step with ``stencil``, else U itself.
+    The f points are the f-lattice at h_step with ``stencil``, else U itself;
+    the rows of each grid point are consecutive, its centre first.
 
     Exact callbacks are called once, on all n points.  Missing ones are
-    stencils of step h = h_step/2 along the lines of :func:`_jet_lattice`:
-    the map is called once, on U plus its distinct offsets, and each f
-    point gathers its rows.  J is D1 along the axes, and D2 along every
-    line gives H by polarization: H_aa + 2 H_ab + H_bb along e_a + e_b.
-    The map is None when nothing needs it.
+    stencils of step h = h_step/2 along the lines of :func:`_f_lattice`:
+    the map is called once, on U plus the distinct offsets of
+    :func:`_jet_lattice`, and each f point gathers its rows.  J is D1 along
+    the axes, and H comes from :func:`_second_partials`.  The map is None
+    when nothing needs it.
     """
     N, m = U.shape
-    D = _f_lattice(m)[0] * h_step if stencil else np.zeros((1, m))
+    D = _f_lattice(m) * h_step if stencil else np.zeros((1, m))
     X = (U[:, None] + D).reshape(-1, m)
     n = len(X)
     P = None
@@ -254,12 +261,7 @@ def _jets(chart, U, h_step, stencil):
     if chart.hessian is not None:
         H = np.asarray(chart.hessian(X), dtype=float)
     else:
-        five = np.insert(line, 2, P[:, :, None], axis=-1)      # offsets -2..2
-        D2 = _weigh(five, numeric.D2_WEIGHTS) / (h * h)
-        H = np.empty(P.shape + (m, m))
-        H[:, :, range(m), range(m)] = D2[:, :, :m]
-        a, b = np.triu_indices(m, 1)
-        H[:, :, a, b] = H[:, :, b, a] = (D2[:, :, m:] - D2[:, :, a] - D2[:, :, b]) / 2.0
+        H = _second_partials(P, line, m, h)
     return X, J, H, P
 
 
@@ -287,10 +289,9 @@ def _unit_normal(chart, X, J, P, det_g):
     return eta
 
 
-def _shape(chart, U, h_step, stencil):
-    """First fundamental form and shape packet at the f points of :func:`_jets`,
-    fields stacked."""
-    X, J, H, P = _jets(chart, U, h_step, stencil)
+def _shape(chart, X, J, H, P):
+    """First fundamental form and shape packet at the f points X from their
+    jets (:func:`_jets`), fields stacked."""
     signs = chart.sf.pairing_signs()
     g = np.einsum("nka,k,nkb->nab", J, signs, J)
     g = 0.5 * (g + np.swapaxes(g, 1, 2))
@@ -323,7 +324,7 @@ def _one_point(chart, u):
     U = np.asarray(u, dtype=float).reshape(-1, chart.m)
     if chart.jacobian is None or chart.hessian is None:
         _guard_reach(chart, U, chart.f_step(), 1)
-    return _shape(chart, U, chart.f_step(), False)
+    return _shape(chart, *_jets(chart, U, chart.f_step(), False))
 
 
 # -- operations -------------------------------------------------------------
@@ -349,33 +350,33 @@ def shape_packet(chart, u):
     return _row(_one_point(chart, u)[1])
 
 
-def _stencil_sample(chart, U, h_step, lattice):
-    """The stencil path at the grid points U (n, m): one stacked sample."""
+def _stencil_sample(chart, U, h_step):
+    """The stencil path at the grid points U (n, m): one stacked sample.
+
+    df is D1 along the axes of the f-lattice, f_ij is :func:`_second_partials`,
+    and Lap f = g^ij (f_ij - Gamma^k_ij f_k) in non-divergence form.  Each
+    model's metric is induced from the flat pairing h, so the Gauss formula
+    gives Gamma^k_ij = g^kl h(H_ij, J_l) from the centre's jets, and
+    Gamma^k_ij f_k = h(H_ij, J grad f).
+    """
     n, m = U.shape
-    offsets, flux_rows, df_rows = lattice
-    L = len(offsets)
-    ff, pk = _shape(chart, U, h_step, True)
-    w = numeric.D1_WEIGHTS
+    L = len(_f_lattice(m))
+    jets = _jets(chart, U, h_step, True)
+    ff, pk = _shape(chart, *jets)
     f = pk.f.reshape(n, L)
-    df = _weigh(f[:, df_rows], w) / h_step              # (n, 1 + 4m, m)
-
-    def at_flux(a):
-        return a.reshape((n, L) + a.shape[1:])[:, flux_rows]
-
-    g_inv, det_g = at_flux(ff.g_inv), at_flux(ff.det_g)
-    grad_f = _weigh(g_inv[:, 0], df[:, 0, None, :])
-    # divergence form of the Laplace-Beltrami operator: the flux
-    # W^a = sqrt(det g) g^{ab} d_b f is differentiated once more
-    W = np.sqrt(det_g)[..., None] * _weigh(g_inv, df[:, :, None, :])
-    W_along = np.einsum("naka->nak", W[:, 1:].reshape(n, m, 4, m))
-    div = _weigh(_weigh(W_along, w), np.ones(m)) / h_step
-
-    g, A, eta = (at_flux(a)[:, 0] for a in (ff.g, pk.A, pk.eta))
+    line = f[:, 1:].reshape(n, -1, 4)
+    df = _weigh(line[:, :m], numeric.D1_WEIGHTS) / h_step
+    f_ij = _second_partials(f[:, 0], line, m, h_step)
+    # the centre of each grid point is the first of its L rows
+    J, H, g, g_inv, A, eta = (a[::L] for a in jets[1:3] + (ff.g, ff.g_inv, pk.A, pk.eta))
+    grad_f = _weigh(g_inv, df[:, None, :])
+    tangent = chart.sf.pairing_signs() * _weigh(J, grad_f[:, None, :])      # J grad f, paired
+    christoffel_df = _weigh(np.moveaxis(H, 1, -1), tangent[:, None, None, :])
+    laplacian_f = _weigh(_weigh(g_inv, f_ij - christoffel_df), np.ones(m))
     ric_eta_eta, _ = chart.sf.ricci_data(eta)
     return GeometricSample(
-        m=m, f=f[:, flux_rows[0]], grad_f=grad_f,
-        grad_f_norm2=_weigh(df[:, 0], grad_f),
-        laplacian_f=div / np.sqrt(det_g[:, 0]), normA2=at_flux(pk.normA2)[:, 0],
+        m=m, f=f[:, 0], grad_f=grad_f, grad_f_norm2=_weigh(df, grad_f),
+        laplacian_f=laplacian_f, normA2=pk.normA2[::L],
         A_grad_f=_weigh(A, grad_f[:, None, :]),
         ric_eta_eta=np.full(n, float(ric_eta_eta)),
         ricci_eta_top=np.zeros((n, m)), g=g)
@@ -403,9 +404,8 @@ def geometric_sample(chart, u, h_step=None, use_analytic=True):
     fd = chart.jacobian is None or chart.hessian is None
     _guard_reach(chart, U, h_step, 5 if fd else 4)
 
-    lattice = _f_lattice(chart.m)
-    per = max(1, KERNEL_POINTS // len(lattice[0]))
-    parts = [_stencil_sample(chart, U[i:i + per], h_step, lattice)
+    per = max(1, KERNEL_POINTS // len(_f_lattice(chart.m)))
+    parts = [_stencil_sample(chart, U[i:i + per], h_step)
              for i in range(0, len(U), per)]
     sample = replace(parts[0], **{fd.name: np.concatenate([getattr(s, fd.name) for s in parts])
                                   for fd in fields(GeometricSample) if fd.name != "m"})

@@ -192,7 +192,10 @@ def _h3_sphere_file(tmp_path):
 
 
 # stencil-path values recorded with the nested per-point stencils this
-# lattice replaced: (u, f, grad f, lap f, |A|^2, A(grad f))
+# lattice replaced: (u, f, grad f, lap f, |A|^2, A(grad f)); the jet-cone
+# lap f is recorded from the non-divergence Laplacian on the straight-line
+# f-lattice, whose truncation error is within JET_CONE_LAP_ERROR of the
+# closed form (the divergence scheme's was 9.3e-8 and 2.8e-6)
 PINNED = {
     "file-cone": [
         ((1.3, 2.0), 0.8722257069204891, (-0.5750938539921523, 8.929628779622479e-09),
@@ -202,9 +205,9 @@ PINNED = {
     ],
     "jet-cone": [
         ((1.3, 2.0), 0.8722257069443703, (-0.5750938526165209, 1.305118373096309e-14),
-         0.4423798093333482, 3.0431107354184275, (0.0, 2.2823825951142474e-14)),
+         0.44237988665988204, 3.0431107354184275, (0.0, 2.2823825951142474e-14)),
         ((0.8, 4.5), 1.4173667737846019, (-1.518606887354244, 2.0703166994159483e-13),
-         1.8982562938604994, 8.035714285714281, (0.0, 5.864844657399725e-13)),
+         1.898258609254369, 8.035714285714281, (0.0, 5.864844657399725e-13)),
     ],
     "jet-sphere": [
         ((1.1, 2.3), -0.6546536707079771, (0.0, 0.0), 0.0, 0.8571428571428572, (0.0, 0.0)),
@@ -219,6 +222,10 @@ PINNED = {
          2.2732314789104495e-07, 4.535714796312484, (3.8634119556675034e-09, 7.428210826428801e-09)),
     ],
 }
+
+
+# measured: 1.5e-8 and 4.6e-7 from f1/(s^2 u^3)
+JET_CONE_LAP_ERROR = {(1.3, 2.0): 5e-8, (0.8, 4.5): 1e-6}
 
 
 def _pinned_charts(tmp_path):
@@ -263,16 +270,33 @@ def test_stencil_pinned_values(tmp_path):
             assert np.allclose(s.grad_f, grad_f, rtol=0, atol=tol_grad), name
             assert s.laplacian_f == pytest.approx(lap, abs=tol_lap), name
             assert np.allclose(s.A_grad_f, A_grad_f, rtol=0, atol=tol_grad), name
+            if name == "jet-cone":
+                closed = geometric_sample(charts[name], np.array(u)).laplacian_f
+                assert abs(s.laplacian_f - closed) < JET_CONE_LAP_ERROR[u], u
 
 
 def test_batched_sample_equals_per_point_calls(tmp_path):
-    # 36 and 16 grid points: more than one kernel batch (KERNEL_POINTS)
+    # 100 and 64 grid points: two kernel batches (KERNEL_POINTS) of 78 and
+    # of 40 grid points, whose f-lattices have 13 and 25 points
     fd_sphere = replace(sphere_in_sphere(3, 0.4), jacobian=None, hessian=None)
-    for ch, pts in ((_cone_file(tmp_path), sample_grid(cone(R6), 6)),
-                    (cone(R6), sample_grid(cone(R6), 6)),
-                    (_h3_sphere_file(tmp_path), sample_grid(great_sphere(2), 6)),
-                    (fd_sphere, sample_grid(fd_sphere, 4)[::4])):
-        batch = geometric_sample(ch, pts, use_analytic=False)
+    calls = []
+
+    def counted(fn):
+        def wrapped(w):
+            calls.append(len(w))
+            return fn(w)
+        return wrapped
+
+    for ch, pts in ((_cone_file(tmp_path), sample_grid(cone(R6), 10)),
+                    (cone(R6), sample_grid(cone(R6), 10)),
+                    (_h3_sphere_file(tmp_path), sample_grid(great_sphere(2), 10)),
+                    (fd_sphere, sample_grid(fd_sphere, 4))):
+        # the map reads the lattice of an FD chart, the jacobian that of exact jets
+        lattice_cb = "map" if ch.hessian is None else "jacobian"
+        calls.clear()
+        batch = geometric_sample(replace(ch, **{lattice_cb: counted(getattr(ch, lattice_cb))}),
+                                 pts, use_analytic=False)
+        assert len(calls) == 2, (ch.name, calls)
         assert batch.f.shape == (len(pts),)
         for i in (0, len(pts) // 2, len(pts) - 1):
             one = geometric_sample(ch, pts[i], use_analytic=False)
@@ -294,7 +318,7 @@ def test_stencil_samples_each_lattice_point_once(tmp_path):
     assert len(calls) == 1 and calls[0].ndim == 2
     rows = calls[0]
     # nested per-point stencils made 5,619 map calls here
-    assert len(rows) == 197
+    assert len(rows) == 97
     assert len(rows) <= 700
     assert len(np.unique(np.round(rows, 9), axis=0)) == len(rows)
 
@@ -313,7 +337,7 @@ def test_stencil_samples_each_lattice_point_once(tmp_path):
                              hessian=counting("hessian")),
                      np.array([1.3, 2.0]), use_analytic=False)
     # one call each, one row per f-lattice point
-    assert jets == {"jacobian": [(33, 2)], "hessian": [(33, 2)]}
+    assert jets == {"jacobian": [(13, 2)], "hessian": [(13, 2)]}
 
 
 def _same_sample(a, b, i):
@@ -360,12 +384,13 @@ def test_chart_file_classify_calls_the_map_once_per_batch(tmp_path):
 
     counting = replace(ch, map=counted)
     classify(counting, PQParams(4 / 3, 3), n_per_axis=4)
-    # 197 lattice points per grid point, in one call
-    assert calls == [(3152, 2)]
+    # 97 lattice points per grid point, in one call
+    assert calls == [(1552, 2)]
     calls.clear()
-    classify(counting, PQParams(4 / 3, 3), n_per_axis=8)
-    # one call per KERNEL_POINTS batch of f points
-    assert len(calls) == 3 and all(len(s) == 2 for s in calls)
+    classify(counting, PQParams(4 / 3, 3), n_per_axis=10)
+    # one call per KERNEL_POINTS batch of f points: 100 grid points of 13
+    assert immersion.KERNEL_POINTS // 13 < 100
+    assert len(calls) == 2 and all(len(s) == 2 for s in calls)
 
 
 def test_guards_raise_inside_a_batch():
@@ -415,10 +440,10 @@ def test_flipped_map_only_chart_samples_its_lattice_once(tmp_path):
         rows.clear()
         t = geometric_sample(flipped, pts, use_analytic=False)
         # a reference normal from unit_normal of the unflipped chart cost 15,312 rows more
-        assert rows == [3152]
+        assert rows == [1552]
         rows.clear()
         geometric_sample(flipped, U_CONE, use_analytic=False)
-        assert rows == [197]
+        assert rows == [97]
     t = geometric_sample(watched.flipped(), pts, use_analytic=False)
     _same_sample(t, flip_sample(s), slice(None))
     assert np.array_equal(unit_normal(watched.flipped(), pts), -unit_normal(watched, pts))
@@ -495,6 +520,107 @@ def test_fd_jets_and_samples_match_exact_jets_on_a_skew_chart():
     # measured: f 1.9e-10, grad f 2.5e-8, lap f 3.0e-5, |A|^2 5.1e-10
     for name, atol in (("f", 2e-9), ("grad_f", 3e-7), ("laplacian_f", 4e-4), ("normA2", 6e-9)):
         assert np.allclose(getattr(s, name), getattr(t, name), rtol=0, atol=atol), name
+
+
+# the linear reparametrization (u, v) = M (s, t) of the cone: g_st and the
+# Christoffel symbols of (s, t) are far from 0, so the non-divergence
+# Laplacian reads every term
+_SKEW_M = np.array([[0.8, 0.05], [0.4, 1.0]])
+
+
+def _reparametrized_cone():
+    """cone(1/sqrt 6) over (s, t) in (0.7, 1.9) x (0.5, 4.5), with exact jets
+    by the chain rule: J M, and M^T H M per ambient component."""
+    base = cone(R6)
+
+    def uv(w):
+        return np.asarray(w, dtype=float) @ _SKEW_M.T
+
+    return ImmersionChart(
+        sf=base.sf, m=2, domain=((0.7, 1.9), (0.5, 4.5)),
+        map=lambda w: base.map(uv(w)), jacobian=lambda w: base.jacobian(uv(w)) @ _SKEW_M,
+        hessian=lambda w: _SKEW_M.T @ base.hessian(uv(w)) @ _SKEW_M,
+        reference_normal=lambda w: base.reference_normal(uv(w)), name="skew-cone")
+
+
+@pytest.mark.parametrize("fd", [False, True], ids=["exact-jets", "map-only"])
+def test_laplacian_of_a_skew_reparametrized_cone_matches_the_closed_form(fd):
+    ch = _reparametrized_cone()
+    if fd:
+        ch = replace(ch, jacobian=None, hessian=None, reference_normal=None)
+    assert abs(geometric_sample(ch, np.array([1.3, 2.5]), use_analytic=False).g[0, 1]) > 0.05
+    # measured at grids 4 and 8: exact jets 2.5e-8 (1.1e-6 in divergence
+    # form), map-only 4.4e-5 (2.6e-5 in divergence form); each bound is at
+    # least 10x the larger
+    bound = 5e-4 if fd else 2e-5
+    for grid in (4, 8):
+        pts = sample_grid(ch, grid)
+        closed = cone(R6).analytic_geometry(pts @ _SKEW_M.T).laplacian_f
+        lap = geometric_sample(ch, pts, use_analytic=False).laplacian_f
+        assert np.max(np.abs(lap - closed)) < bound, grid
+    report = classify(ch, PQParams(4 / 3, 3.0), n_per_axis=4, use_analytic=False)
+    assert report.classification.value == "ProperPQHarmonic", report.max_abs_eq1
+
+
+def _lifted_cone(c, scale):
+    """The cone scale * X_cone(u, v) of R^3 lifted into the model of curvature
+    c = +-1 as (Y, sqrt(1 - c |Y|^2)), with exact jets by the chain rule: f
+    varies, and the last coordinate enters the pairing with the sign of c."""
+    base = cone(R6)
+
+    def jets(w):
+        Y, J = scale * base.map(w), scale * base.jacobian(w)
+        x0 = np.sqrt(1.0 - c * np.sum(Y * Y, axis=-1))
+        d0 = -c * np.einsum("...k,...ka->...a", Y, J) / x0[..., None]
+        return Y, J, x0, d0
+
+    def chart_map(w):
+        Y, _, x0, _ = jets(w)
+        return np.concatenate([Y, x0[..., None]], axis=-1)
+
+    def jacobian(w):
+        _, J, _, d0 = jets(w)
+        return np.concatenate([J, d0[..., None, :]], axis=-2)
+
+    def hessian(w):
+        Y, J, x0, d0 = jets(w)
+        H = scale * base.hessian(w)
+        H0 = (-c * (np.einsum("...ka,...kb->...ab", J, J) + np.einsum("...k,...kab->...ab", Y, H))
+              - d0[..., :, None] * d0[..., None, :]) / x0[..., None, None]
+        return np.concatenate([H, H0[..., None, :, :]], axis=-3)
+
+    return ImmersionChart(sf=SpaceForm(3, float(c)), m=2, domain=base.domain, map=chart_map,
+                          jacobian=jacobian, hessian=hessian, name=f"lifted-cone(c={c})")
+
+
+def _divergence_laplacian(chart, u, h):
+    """Lap f = (1/sqrt det g) d_a (sqrt(det g) g^ab d_b f) at u, by nested
+    per-point stencils of step h over the single-point f and g."""
+    def flux(a):
+        def W(w):
+            ff = first_fundamental(chart, w)
+            df = [partial1(lambda x: shape_packet(chart, x).f, w, b, h) for b in range(chart.m)]
+            return math.sqrt(ff.det_g) * (ff.g_inv[a] @ df)
+        return W
+    div = sum(partial1(flux(a), u, a, h) for a in range(chart.m))
+    return div / math.sqrt(first_fundamental(chart, u).det_g)
+
+
+# measured against the reference at h = 0.01: S^3 (|Lap f| up to 85)
+# exact jets 1.1e-4 and map-only 1.4e-4 (2.9e-4 and 2.7e-4 with the
+# engine's Lap f in divergence form), H^3 (|Lap f| up to 5.5) 1.1e-5 and
+# 1.1e-5 (2.5e-5 and 2.4e-5); each bound is at least 10x the larger.
+# Dropping the Minkowski signs from the Christoffel term moves the H^3
+# Lap f by 4.0
+@pytest.mark.parametrize("c, scale, atol", [(1, 0.4, 3e-3), (-1, 1.0, 3e-4)], ids=["S3", "H3"])
+def test_laplacian_in_curved_models_matches_the_divergence_form(c, scale, atol):
+    ch = _lifted_cone(c, scale)
+    pts = sample_grid(ch, 4)[::5]
+    ref = np.array([_divergence_laplacian(ch, u, 0.01) for u in pts])
+    for chart in (ch, replace(ch, jacobian=None, hessian=None)):
+        s = geometric_sample(chart, pts, use_analytic=False)
+        assert np.max(np.abs(s.grad_f)) > 1.0
+        assert np.allclose(s.laplacian_f, ref, rtol=0, atol=atol), chart.jacobian is None
 
 
 @pytest.mark.parametrize("det", [1, -1])
@@ -577,7 +703,9 @@ _ROUNDING_LIMITED = pytest.mark.xfail(
 @pytest.mark.parametrize("m, q", [(3, 4.0), pytest.param(3, 5.5, marks=_ROUNDING_LIMITED),
                                   pytest.param(3, 8.0, marks=_ROUNDING_LIMITED)])
 def test_map_only_m_cone_classifies_proper_on_the_stencil_path(m, q):
-    # max |eq1| at grid 4: 5.0e-4 at q = 4, 2.7e-3 at q = 5.5, 1.7e-2 at q = 8
+    # max |eq1| at grid 4: 4.0e-4 at q = 4, 2.9e-3 at q = 5.5, 2.3e-2 at q = 8
+    # (5.0e-4, 2.7e-3 and 1.7e-2 with Lap f in divergence form: D2 of f
+    # amplifies the rounding of the FD jets more than the nested D1 did)
     report = classify(_m_cone(m, q), PQParams(2 - m / q, q), n_per_axis=4, use_analytic=False)
     assert report.classification.value == "ProperPQHarmonic", report.max_abs_eq1
 
@@ -587,12 +715,16 @@ def test_f_lattice_is_built_once_and_read_only(tmp_path, monkeypatch):
     assert immersion._f_lattice(2) is lattice
     jets = immersion._jet_lattice(2, True)
     assert immersion._jet_lattice(2, True) is jets
-    # 197 distinct map points around 33 f points, each reading the centre
-    # and 4 rows on each of the lines e_0, e_1 and e_0 + e_1
-    assert jets[0].shape == (197, 2) and jets[1].shape == (33, 13)
+    # the centre and 4 points on each of the lines e_0, e_1 and e_0 + e_1:
+    # 13 for m = 2, 25 for m = 3 and 41 for m = 4, all distinct
+    for m, size in ((2, 13), (3, 25), (4, 41)):
+        offsets = immersion._f_lattice(m)
+        assert offsets.shape == (size, m) and len(np.unique(offsets, axis=0)) == size
+    # 97 distinct map points around 13 f points, each reading the f-lattice
+    assert jets[0].shape == (97, 2) and jets[1].shape == (13, 13)
     assert immersion._jet_lattice(2, False)[0].shape == (13, 2)
     assert immersion._jet_lattice(2, False)[1].shape == (1, 13)
-    for a in lattice + jets + immersion._jet_lattice(2, False):
+    for a in (lattice,) + jets + immersion._jet_lattice(2, False):
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 0
     # a second map-only chart of the same m builds nothing
