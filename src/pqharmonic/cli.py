@@ -248,7 +248,7 @@ def cmd_verify_hypersurface(args):
 
     config = {"chart": chart.name, "p": params.p, "q": params.q,
               "grid": args.grid, "tol": report.tol,
-              "path": "analytic" if (use_analytic and chart.analytic_geometry) else "stencil"}
+              "path": "analytic" if chart.analytic_path(use_analytic) else "stencil"}
     summary = {"classification": report.classification.value,
                "max_abs_eq1": report.max_abs_eq1,
                "max_eq2_norm": report.max_eq2_norm,

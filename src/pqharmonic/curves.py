@@ -50,6 +50,7 @@ class CurveChart:
     def __post_init__(self):
         if self.sf.n != 3:
             raise ValueError("curve module requires a 3-dimensional space form")
+        numeric._check_domain([self.domain], self.name)
 
     @property
     def width(self):

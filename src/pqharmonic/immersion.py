@@ -19,6 +19,9 @@ grid points of a call:
   straight-line stencils at step h = h_step/2 around each f point, on one
   integer lattice (the f points sit at even offsets), built once per m;
   the map is called once per batch;
+* no callback runs unless all that the lattices read lies in the domain:
+  2 h_step around each grid point with exact jets, 3 h_step with FD jets,
+  and at a single point f_step with FD jets and nothing with exact ones;
 * g, det g, g^-1, the unit normal (:meth:`SpaceForm.complement` of the
   tangent columns), B, A, f and |A|^2 = tr(A^2) are computed at all f
   points at once, and every guard is checked at every f point.  det g and
@@ -48,6 +51,7 @@ RANK_TOL = 1e-10
 KERNEL_POINTS = 1024        # f points per kernel batch; bounds a call's memory
 GRID_POINTS = 2 ** 20       # largest grid sample_grid builds
 _INDEXED_GRID_POINTS = 4096  # grids up to this size keep their index table
+GRID_MARGIN = 5             # f_steps sample_grid keeps from each edge
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,8 @@ class ImmersionChart:
     ``analytic_geometry`` supplies closed-form samples for catalog
     entries, as one :class:`GeometricSample` with its fields stacked along
     axis 0.  The engine calls each callback once per batch, on a flat
-    (n, m) array.
+    (n, m) array.  ``jacobian`` and ``hessian`` come together or not at
+    all; ``domain`` holds m intervals (lo, hi), each with finite lo < hi.
     """
 
     sf: SpaceForm
@@ -79,11 +84,24 @@ class ImmersionChart:
     name: str = "chart"
     orientation: int = 1
 
+    def __post_init__(self):
+        if (self.jacobian is None) != (self.hessian is None):
+            raise ValueError(f"{self.name}: give jacobian and hessian together, or neither")
+        if len(self.domain) != self.m:
+            raise ValueError(f"{self.name}: need {self.m} domain intervals, got {len(self.domain)}")
+        numeric._check_domain(self.domain, self.name)
+
     def widths(self):
         return np.array([hi - lo for lo, hi in self.domain], dtype=float)
 
     def f_step(self):      # default step of the f-lattice stencils
         return 2e-3 * float(np.max(self.widths()))
+
+    def exact_jets(self):  # the map's jets from jacobian and hessian, not stencils
+        return self.jacobian is not None
+
+    def analytic_path(self, use_analytic=True):    # geometric_sample takes closed forms
+        return use_analytic and self.analytic_geometry is not None
 
     def flipped(self):
         """Same patch with the opposite orientation: the reference normal, or
@@ -196,8 +214,9 @@ def _second_partials(centre, line, m, h):
     each line d (..., lines, 4).  D2 along e_a gives H_aa, and the mixed
     entries come by polarization: D2 along e_a + e_b gives H_aa + 2 H_ab + H_bb.
     """
-    five = np.insert(line, 2, centre[..., None], axis=-1)      # offsets -2..2
-    D2 = _weigh(five, numeric.D2_WEIGHTS) / (h * h)
+    w = numeric.D2_WEIGHTS                     # offsets -2..2, term by term as _weigh
+    D2 = (_weigh(line[..., :2], w[:2]) + centre[..., None] * w[2]
+          + line[..., 2] * w[3] + line[..., 3] * w[4]) / (h * h)
     H = np.empty(centre.shape + (m, m))
     H[..., range(m), range(m)] = D2[..., :m]
     a, b = np.triu_indices(m, 1)
@@ -205,16 +224,16 @@ def _second_partials(centre, line, m, h):
     return H
 
 
-def _reach(chart, h_step, fd):
-    """The margin a grid point keeps from the domain's edges: 4 h_step, and
-    h_step more with an FD map lattice.  It is conservative: the f-lattice
-    reaches 2 h_step along an axis, the FD map lattice h_step further."""
-    return (5 if fd else 4) * h_step
-
-
-def _guard_reach(chart, U, h_step, units):
-    """Refuse the points U (N, m) unless each keeps ``units`` h_step from the
-    domain's edges; the message names h_step and the largest step they admit."""
+def _guard_reach(chart, U, h_step, stencil):
+    """Refuse the points U (N, m) unless all that :func:`_jets` reads around
+    them lies in the domain, naming h_step and the largest step they admit.
+    The reach is read off the lattices: 2 h_step of the f-lattice with
+    ``stencil``, plus 2 h_step/2 of the FD jets (:func:`_jet_lattice`)."""
+    m = chart.m
+    units = (np.max(_f_lattice(m)) * stencil if chart.exact_jets()
+             else np.max(_jet_lattice(m, stencil)[0]) / 2)
+    if not units:
+        return
     lo, hi = np.array(chart.domain, dtype=float).T
     near = np.any((U < lo + units * h_step) | (U > hi - units * h_step), axis=1)
     if np.any(near):
@@ -231,38 +250,29 @@ def _jets(chart, U, h_step, stencil):
     The f points are the f-lattice at h_step with ``stencil``, else U itself;
     the rows of each grid point are consecutive, its centre first.
 
-    Exact callbacks are called once, on all n points.  Missing ones are
+    Exact jets are called once, on all n points.  Without them the jets are
     stencils of step h = h_step/2 along the lines of :func:`_f_lattice`:
     the map is called once, on U plus the distinct offsets of
     :func:`_jet_lattice`, and each f point gathers its rows.  J is D1 along
     the axes, and H comes from :func:`_second_partials`.  The map is None
-    when nothing needs it.
+    when nothing needs it.  Every callback value must be finite.
     """
     N, m = U.shape
     D = _f_lattice(m) * h_step if stencil else np.zeros((1, m))
     X = (U[:, None] + D).reshape(-1, m)
     n = len(X)
-    P = None
-    if chart.jacobian is None or chart.hessian is None:
-        h = h_step / 2.0
-        offsets, rows = _jet_lattice(m, stencil)
-        vals = np.asarray(chart.map((U[:, None] + offsets * h).reshape(-1, m)), dtype=float)
-        S = vals.reshape(N, len(offsets), -1)[:, rows].reshape(n, rows.shape[1], -1)
-        P = S[:, 0]
-        line = np.moveaxis(S[:, 1:].reshape(n, -1, 4, P.shape[1]), 3, 1)   # (n, dim, lines, 4)
-    elif chart.sf.c != 0:
-        P = np.asarray(chart.map(X), dtype=float)
-
-    if chart.jacobian is not None:
-        J = np.asarray(chart.jacobian(X), dtype=float)
-    else:
-        J = _weigh(line[:, :, :m], numeric.D1_WEIGHTS) / h
-
-    if chart.hessian is not None:
-        H = np.asarray(chart.hessian(X), dtype=float)
-    else:
-        H = _second_partials(P, line, m, h)
-    return X, J, H, P
+    if chart.exact_jets():
+        P = numeric._finite(chart.map(X)) if chart.sf.c != 0 else None
+        J = numeric._finite(chart.jacobian(X), "jacobian")
+        return X, J, numeric._finite(chart.hessian(X), "hessian"), P
+    h = h_step / 2.0
+    offsets, rows = _jet_lattice(m, stencil)
+    vals = numeric._finite(chart.map((U[:, None] + offsets * h).reshape(-1, m)))
+    S = vals.reshape(N, len(offsets), -1)[:, rows].reshape(n, rows.shape[1], -1)
+    P = S[:, 0]
+    line = np.moveaxis(S[:, 1:].reshape(n, -1, 4, P.shape[1]), 3, 1)   # (n, dim, lines, 4)
+    J = _weigh(line[:, :, :m], numeric.D1_WEIGHTS) / h
+    return X, J, _second_partials(P, line, m, h), P
 
 
 # -- the batched kernel -------------------------------------------------------
@@ -320,10 +330,9 @@ def _row(stacked, i=0):
 
 
 def _one_point(chart, u):
-    """:func:`_shape` at u (..., m); FD map lines reach 2h = f_step from u."""
+    """:func:`_shape` at u (..., m), the jets taken at h_step = f_step."""
     U = np.asarray(u, dtype=float).reshape(-1, chart.m)
-    if chart.jacobian is None or chart.hessian is None:
-        _guard_reach(chart, U, chart.f_step(), 1)
+    _guard_reach(chart, U, chart.f_step(), False)
     return _shape(chart, *_jets(chart, U, chart.f_step(), False))
 
 
@@ -396,13 +405,12 @@ def geometric_sample(chart, u, h_step=None, use_analytic=True):
     """
     u = np.asarray(u, dtype=float)
     U = np.atleast_2d(u)
-    if use_analytic and chart.analytic_geometry is not None:
+    if chart.analytic_path(use_analytic):
         sample = chart.analytic_geometry(U)
         return _row(sample) if u.ndim == 1 else sample
 
     h_step = chart.f_step() if h_step is None else h_step
-    fd = chart.jacobian is None or chart.hessian is None
-    _guard_reach(chart, U, h_step, 5 if fd else 4)
+    _guard_reach(chart, U, h_step, True)
 
     per = max(1, KERNEL_POINTS // len(_f_lattice(chart.m)))
     parts = [_stencil_sample(chart, U[i:i + per], h_step)
@@ -424,14 +432,15 @@ def _grid_index(n, m):
 
 
 def sample_grid(chart, n_per_axis):
-    """Uniform interior grid, clear of each axis's outer 2% and of the widest
-    stencil reach at the default step, so that one grid serves every path."""
+    """Uniform interior grid, clear of each axis's outer 2% and of GRID_MARGIN
+    f_step: the stencil path reads up to 3 f_step out at the default step, but
+    a tighter margin would move every grid point, and so every report."""
     if n_per_axis < 4:
         raise ValueError("need at least 4 points per axis")
     if n_per_axis ** chart.m > GRID_POINTS:
         raise ValueError(f"a grid of {n_per_axis}^{chart.m} points exceeds {GRID_POINTS}")
     lo, hi = np.array(chart.domain, dtype=float).T
-    mg = np.maximum(_reach(chart, chart.f_step(), fd=True), 0.02 * (hi - lo))
+    mg = np.maximum(GRID_MARGIN * chart.f_step(), 0.02 * (hi - lo))
     start, stop = lo + mg, hi - mg
     # the points of np.linspace(start, stop, n_per_axis), bit for bit
     axes = np.arange(n_per_axis, dtype=float)[:, None] * ((stop - start) / (n_per_axis - 1)) + start

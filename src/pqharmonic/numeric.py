@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -43,12 +44,25 @@ def _lattice(ts, h, offsets=NESTED_OFFSETS):
     return np.asarray(ts, dtype=float)[:, None] + offsets[None, :] * h
 
 
+def _finite(vals, what="map"):
+    """A callback's values as a float array, refused unless all are finite."""
+    vals = np.asarray(vals, dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise DomainError(f"non-finite {what} value on the stencil lattice")
+    return vals
+
+
+def _check_domain(intervals, name):
+    """Refuse a chart's domain unless each interval (lo, hi) has lo < hi and
+    a finite width."""
+    for lo, hi in intervals:
+        if not (lo < hi and math.isfinite(hi - lo)):
+            raise ValueError(f"{name}: domain interval ({lo:g}, {hi:g}) needs finite lo < hi")
+
+
 def _sample(fn, pts):
     """The curve map ``fn`` on the flat lattice, in one call: an (N, L, dim) array."""
-    vals = np.asarray(fn(pts.ravel()), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("non-finite map value on the stencil lattice")
-    return vals.reshape(pts.shape + (-1,))
+    return _finite(fn(pts.ravel())).reshape(pts.shape + (-1,))
 
 
 def _weigh(F, weights):

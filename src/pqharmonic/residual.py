@@ -199,7 +199,7 @@ def classify(chart, params: PQParams, n_per_axis=8, tol=None,
              use_analytic=True, S=None, h_step=None):
     """Sample a chart on a uniform interior grid and classify it."""
     if tol is None:
-        tol = 1e-6 if (use_analytic and chart.analytic_geometry is not None) else 1e-3
+        tol = 1e-6 if chart.analytic_path(use_analytic) else 1e-3
     pts = sample_grid(chart, n_per_axis)
     samples = geometric_sample(chart, pts, h_step=h_step, use_analytic=use_analytic)
     return classify_samples(samples, params, c=chart.sf.c, S=S, tol=tol, points=pts)

@@ -336,6 +336,21 @@ def test_chart_file_errors(tmp_path, capsys):
                 "--p", "2", "--q", "2"]) == 2
 
 
+@pytest.mark.parametrize("chart, command", [
+    (CONE_CHART.replace("u: 1/2, 2", "u: 2, 1/2"), "verify-hypersurface"),
+    (CIRCLE_CHART.replace("t: 0, 2*pi", "t: 2*pi, 0"), "verify-curve"),
+    (CONE_CHART.replace("u: 1/2, 2", "u: 1/2, 1e400"), "verify-hypersurface"),
+], ids=["reversed-hypersurface", "reversed-curve", "infinite-hypersurface"])
+def test_a_bad_domain_is_a_config_error(chart, command, tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text(chart)
+    assert run([command, "--chart-file", str(path), "--p", "2", "--q", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: bad\.txt: domain interval \(\S+, \S+\) "
+                        r"needs finite lo < hi\n", captured.err)
+
+
 def test_determinism_modulo_timestamp(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     argv = ["verify-hypersurface", "--builtin", "cone", "--r", "0.5",

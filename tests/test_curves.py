@@ -69,6 +69,12 @@ def test_helix_rescaling():
     assert hr.a ** 2 * ca2 + hr.b ** 2 * sa2 == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("domain", [(2 * math.pi, 0.0), (1.0, 1.0), (0.0, math.inf)])
+def test_a_curve_domain_needs_finite_lo_below_hi(domain):
+    with pytest.raises(ValueError, match=r"^reversed: domain interval .* needs finite lo < hi$"):
+        CurveChart(sf=SpaceForm(3, 0.0), domain=domain, map=circle().map, name="reversed")
+
+
 def test_helix_domain_errors():
     with pytest.raises(DomainError):
         helix(0.0, SQ7 / 2, 0.5)

@@ -11,7 +11,7 @@ from pqharmonic import (PQParams, classify, cone, first_fundamental, geometric_s
 from pqharmonic import immersion
 from pqharmonic.catalog import _omega
 from pqharmonic.cli import load_chart_file
-from pqharmonic.errors import BoundaryProximityError, DegenerateImmersionError
+from pqharmonic.errors import BoundaryProximityError, DegenerateImmersionError, DomainError
 from pqharmonic.immersion import GeometricSample, ImmersionChart, flip_sample
 from pqharmonic.residual import residual
 from pqharmonic.spaceform import SpaceForm
@@ -774,7 +774,7 @@ def test_omega_is_the_product_of_its_factors(m):
 def _linspace_grid(chart, n):
     """The grid as np.linspace and np.meshgrid build it: the reference for sample_grid."""
     lo, hi = np.array(chart.domain, dtype=float).T
-    mg = np.maximum(immersion._reach(chart, chart.f_step(), fd=True), 0.02 * (hi - lo))
+    mg = np.maximum(immersion.GRID_MARGIN * chart.f_step(), 0.02 * (hi - lo))
     axes = np.linspace(lo + mg, hi - mg, n).T
     return np.stack([ax.ravel() for ax in np.meshgrid(*axes, indexing="ij")], axis=1)
 
@@ -835,17 +835,18 @@ def _counted_jets(ch, calls):
 
 @pytest.mark.parametrize("k", [1.3, 1.5, 2.0])
 def test_classify_refuses_a_step_the_grid_cannot_hold(k):
+    # k times the largest step the grid holds: the grid keeps GRID_MARGIN =
+    # 5 f_step from the edge of u, and the f-lattice of exact jets reaches
+    # 2 h_step, so it admits h_step up to 2.5 f_step
     ch = cone(R6)
     calls = []
-    h_step = k * ch.f_step()
+    h_step = k * 2.5 * ch.f_step()
     with pytest.raises(BoundaryProximityError) as err:
         classify(_counted_jets(ch, calls), PQParams(4 / 3, 3.0), use_analytic=False,
                  h_step=h_step)
     message = str(err.value)
     assert f"h_step={h_step:g}" in message and "\n" not in message
-    # the grid keeps the FD reach at the default step from the edge of u,
-    # 4 f_step + 2 max(steps) = 5 f_step: exact jets admit 4 h_step <= 5 f_step
-    assert f"up to {1.25 * ch.f_step():g}" in message
+    assert f"up to {2.5 * ch.f_step():g}" in message
     assert calls == []     # nothing was sampled
     # geometric_sample on the same grid says the same
     with pytest.raises(BoundaryProximityError) as direct:
@@ -854,12 +855,14 @@ def test_classify_refuses_a_step_the_grid_cannot_hold(k):
 
 
 def test_a_map_only_chart_file_admits_the_default_step(tmp_path):
-    # the FD map lattice reaches 2 max(steps) further: the grid holds f_step
+    # the FD map lattice reads h_step further, 3 h_step in all: the grid's
+    # 5 f_step from the edge of u hold steps up to 5/3 f_step
     ch = _cone_file(tmp_path)
     pts = sample_grid(ch, 4)
-    geometric_sample(ch, pts, h_step=ch.f_step(), use_analytic=False)
-    with pytest.raises(BoundaryProximityError, match=f"up to {ch.f_step():g}$"):
-        geometric_sample(ch, pts, h_step=1.5 * ch.f_step(), use_analytic=False)
+    for k in (1.0, 1.6):
+        geometric_sample(ch, pts, h_step=k * ch.f_step(), use_analytic=False)
+    with pytest.raises(BoundaryProximityError, match=f"up to {5 / 3 * ch.f_step():g}$"):
+        geometric_sample(ch, pts, h_step=1.7 * ch.f_step(), use_analytic=False)
 
 
 def test_a_point_at_the_edge_admits_no_step():
@@ -868,7 +871,101 @@ def test_a_point_at_the_edge_admits_no_step():
         geometric_sample(ch, np.array([[1.0, 2.0], [0.5, 1.0]]), use_analytic=False)
 
 
-@pytest.mark.parametrize("k", [0.5, 1.0, 1.2])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("exact, stencil, units", [
+    (True, True, 2.0),      # the f-lattice, 2 h_step out
+    (False, True, 3.0),     # and the FD jets around each f point, h_step more
+    (False, False, 1.0),    # the FD jets of a single point, at h_step = f_step
+    (True, False, 0.0),     # exact jets at a single point read only the point
+], ids=["stencil-exact", "stencil-fd", "point-fd", "point-exact"])
+def test_the_guard_admits_exactly_the_reach_of_the_lattice(m, exact, stencil, units):
+    ch = sphere_in_sphere(m, 0.4)
+    ch = ch if exact else replace(ch, jacobian=None, hessian=None)
+    h_step = ch.f_step()
+    lo, hi = np.array(ch.domain).T
+
+    def sample_at(k):
+        """Sample the middle of the domain moved to k h_step from the lower
+        edge of its last axis, the azimuth, where the patch is regular."""
+        u = (lo + hi) / 2
+        u[-1] = lo[-1] + k * h_step
+        return geometric_sample(ch, u, use_analytic=False) if stencil else shape_packet(ch, u)
+
+    sample_at(1.01 * units if units else 1e-9)
+    if units:
+        with pytest.raises(BoundaryProximityError,
+                           match=f"^h_step={h_step:g} reaches outside .* "
+                                 f"admit h_step up to {0.99 * h_step:g}$"):
+            sample_at(0.99 * units)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_second_partials_weigh_the_five_point_rows_bit_for_bit(m):
+    # the centre weighed in place, in the order of _weigh over the offsets -2..2
+    rng = np.random.default_rng(m)
+    centre = rng.standard_normal((7, 3))
+    line = rng.standard_normal((7, 3, m * (m + 1) // 2, 4))
+    five = np.insert(line, 2, centre[..., None], axis=-1)
+    D2 = immersion._weigh(five, immersion.numeric.D2_WEIGHTS) / (0.01 * 0.01)
+    H = immersion._second_partials(centre, line, m, 0.01)
+    a, b = np.triu_indices(m, 1)
+    assert H[..., range(m), range(m)].tobytes() == D2[..., :m].tobytes()
+    assert H[..., a, b].tobytes() == ((D2[..., m:] - D2[..., a] - D2[..., b]) / 2).tobytes()
+    assert np.array_equal(H, np.swapaxes(H, -1, -2))
+
+
+@pytest.mark.parametrize("lone", ["jacobian", "hessian"])
+def test_a_chart_with_a_lone_exact_jet_is_refused(lone):
+    ch = cone(0.5)
+    other = "hessian" if lone == "jacobian" else "jacobian"
+    with pytest.raises(ValueError, match="give jacobian and hessian together, or neither"):
+        replace(ch, **{other: None})
+    with pytest.raises(ValueError, match="together"):
+        ImmersionChart(sf=ch.sf, m=2, domain=ch.domain, map=ch.map,
+                       **{lone: getattr(ch, lone)})
+
+
+def _nan_past_1_2(fn):
+    """The callback fn (on a flat batch), NaN at the points with u > 1.2."""
+    def nan_fn(w):
+        out = np.array(fn(w), dtype=float)
+        out[w[:, 0] > 1.2] = np.nan
+        return out
+    return nan_fn
+
+
+def test_a_non_finite_callback_value_is_a_domain_error():
+    # the grid reaches u > 1.2: refused before any arithmetic on the values
+    base = cone(R6)
+    fd = ImmersionChart(sf=base.sf, m=2, domain=base.domain, map=_nan_past_1_2(base.map))
+    with pytest.raises(DomainError, match="^non-finite map value on the stencil lattice$"):
+        classify(fd, PQParams(4 / 3, 3.0), use_analytic=False)
+    with pytest.raises(DomainError, match="non-finite map value"):
+        shape_packet(fd, np.array([1.5, 1.0]))
+    shape_packet(fd, np.array([1.0, 1.0]))
+    for name in ("jacobian", "hessian"):
+        exact = replace(base, **{name: _nan_past_1_2(getattr(base, name))})
+        with pytest.raises(DomainError, match=f"non-finite {name} value"):
+            classify(exact, PQParams(4 / 3, 3.0), use_analytic=False)
+
+
+@pytest.mark.parametrize("domain", [((2.0, 0.5), (0.0, 1.0)), ((0.5, 2.0), (1.0, 1.0)),
+                                    ((0.5, 2.0), (0.0, float("nan"))),
+                                    ((0.5, float("inf")), (0.0, 1.0)), ((-1e308, 1e308), (0, 1))])
+def test_a_domain_needs_finite_lo_below_hi(domain):
+    with pytest.raises(ValueError,
+                       match=r"^cone\(r=0.5\): domain interval .* needs finite lo < hi$"):
+        replace(cone(0.5), domain=domain)
+
+
+@pytest.mark.parametrize("domain", [((0.5, 2.0),), ((0.5, 2.0), (0.0, 1.0), (0.0, 1.0))])
+def test_a_domain_needs_one_interval_per_parameter(domain):
+    with pytest.raises(ValueError, match=rf"^cone\(r=0.5\): need 2 domain intervals, "
+                                         rf"got {len(domain)}$"):
+        replace(cone(0.5), domain=domain)
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 1.2, 1.3, 1.5])
 def test_classify_takes_a_step_the_grid_holds(k):
     ch = cone(R6)
     report = classify(ch, PQParams(4 / 3, 3.0), use_analytic=False, h_step=k * ch.f_step())
