@@ -234,7 +234,7 @@ def circle(rho=1.0):
         return X
 
     return CurveChart(sf=SpaceForm(3, 0.0), domain=(0.0, 2.0 * math.pi * rho), map=gamma,
-                      unit_speed=True, name=f"circle(rho={rho:g})")
+                      name=f"circle(rho={rho:g})")
 
 
 # -- listing ----------------------------------------------------------------

@@ -111,7 +111,8 @@ def load_chart_file(path):
     Keys: ``type`` (hypersurface or curve), ``c``, domain intervals ``u``
     and ``v`` (or ``t`` for curves) as 'lo, hi', and ambient coordinates
     ``x1`` .. ``xN`` as expressions in the domain variables.  The maps act
-    over the last axis, like every chart callback.
+    over the last axis, like every chart callback, and a curve keeps the
+    parameter t of its file.
     """
     entries = {}
     with open(path) as fh:
@@ -156,8 +157,7 @@ def load_chart_file(path):
                          for ex in exprs], axis=-1)
 
     if kind == "curve":
-        curve = crv.CurveChart(sf=sf, domain=domain[0], map=chart_map, name=name)
-        return crv.reparametrize_arclength(curve)
+        return crv.CurveChart(sf=sf, domain=domain[0], map=chart_map, name=name)
     return ImmersionChart(sf=sf, m=2, domain=domain, map=chart_map, name=name)
 
 

@@ -1,10 +1,10 @@
 """Frenet apparatus and the (p,q)-harmonic curve system in 3-D space forms.
 
-Curves live in N^3(c) through the embedded models of
-:mod:`pqharmonic.spaceform`.  :func:`frenet` samples a batch of nodes t once
-on their stencil lattices t + k h, k = -8..8, and nests the first-derivative
-stencil along them: T on the offsets -6..6, then nabla_T T, k and N on -4..4,
-then nabla_T N and tau on -2..2, and finally k', k'' and tau' at the centre.
+Curves live in N^3(c) through the embedded models of :mod:`pqharmonic.spaceform`,
+at any regular speed.  :func:`frenet` samples a batch of nodes t once on
+their stencil lattices t + k h, k = -8..8, and nests d/ds = |gamma'|^-1 D1
+along them: T on the offsets -6..6, then nabla_T T, k and N on -4..4, then
+nabla_T N and tau on -2..2, and finally k', k'' and tau' at the centre.
 The binormal is T x N in R^3 and, in the embedded models, minus the oriented
 normal of (T, N) (:meth:`SpaceForm.complement`), which makes the torsion of
 the standard sphere helices positive.  The curve system is elementwise, and
@@ -14,7 +14,7 @@ the standard sphere helices positive.  The curve system is elementwise, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,13 +28,14 @@ from .residual import Classification
 from .spaceform import SpaceForm
 
 K_THRESHOLD = 1e-8
+SPEED_FLOOR = 1e-10                 # |gamma'| at or below this is singular
 FRENET_OFFSETS = np.arange(-8, 9)   # T, nabla_T T, nabla_T N and tau': four nested stencils
 FRAME_POINTS = 256                  # nodes per map call of frenet; bounds a call's memory
 
 
 @dataclass(frozen=True)
 class CurveChart:
-    """A C^4 curve t -> N^3(c) in ambient embedding coordinates.
+    """A regular C^4 curve t -> N^3(c) in ambient embedding coordinates, at any speed.
 
     ``map`` acts over the last axis: parameters of shape (...,) go to
     coordinates (..., dim), so a float gives one point (dim,).  The engine
@@ -44,7 +45,6 @@ class CurveChart:
     sf: SpaceForm
     domain: tuple
     map: Callable[[np.ndarray], np.ndarray]
-    unit_speed: bool = False
     name: str = "curve"
 
     def __post_init__(self):
@@ -80,31 +80,39 @@ def _frames(curve, ts):
     """Every apparatus field at the nodes ``ts`` (n,), stacked, from one call
     of the map; NaN at the nodes whose frame is undefined."""
     sf, h = curve.sf, curve.frame_step()
-    X = _sample(curve.map, _lattice(ts, h, FRENET_OFFSETS))
-    T = _stencil(X, h)                                          # offsets -6..6
-    acc = sf.tangent_project(X[:, 4:-4], _stencil(T, h))        # -4..4
+    X = sf.check_point(_sample(curve.map, _lattice(ts, h, FRENET_OFFSETS)))
+    V = _stencil(X, h)                                          # offsets -6..6
+    speed = np.sqrt(np.maximum(sf.pair(V, V), 0.0))
+    if np.any(speed <= SPEED_FLOOR):
+        raise SingularSpeedError(f"curve speed {np.min(speed):.3e} at or below {SPEED_FLOOR:g} "
+                                 f"near t = {ts[np.argmin(np.min(speed, axis=1))]:.6g}")
+    T = V / speed[..., None]
+    acc = sf.tangent_project(X[:, 4:-4], _stencil(T, h)) / speed[:, 2:-2, None]   # -4..4
     k = np.sqrt(np.maximum(sf.pair(acc, acc), 0.0))
     undefined = np.min(k, axis=1) < K_THRESHOLD
     T[undefined] = k[undefined] = np.nan                        # and so every field
     N = acc / k[..., None]
-    dN = sf.tangent_project(X[:, 6:-6], _stencil(N, h))        # -2..2
+    dN = sf.tangent_project(X[:, 6:-6], _stencil(N, h)) / speed[:, 4:-4, None]    # -2..2
     T, N = T[:, 4:-4], N[:, 2:-2]                               # -2..2
     # T x N in R^3, minus the oriented normal of (T, N) in the embedded models
     B = np.cross(T, N) if sf.c == 0 else -sf.complement(X[:, 6:-6], np.stack([T, N], -1))[0]
     tau = sf.pair(dN, B)
-    return (T[:, 2], N[:, 2], B[:, 2], k[:, 4], tau[:, 2], _stencil(k[:, 2:-2], h)[:, 0],
-            _stencil2(k[:, 2:-2], h)[:, 0], _stencil(tau, h)[:, 0])
+    s, k_t = speed[:, 6], _stencil(k[:, 2:-2], h)[:, 0]
+    k_tt, s_t = _stencil2(k[:, 2:-2], h)[:, 0], _stencil(speed[:, 4:-4], h)[:, 0]
+    return (T[:, 2], N[:, 2], B[:, 2], k[:, 4], tau[:, 2], k_t / s, (k_tt - s_t * k_t / s) / s**2,
+            _stencil(tau, h)[:, 0] / s)
 
 
 def frenet(curve: CurveChart, t) -> FrenetApparatus:
     """Frenet frame, curvature, torsion and their arc-length derivatives.
 
-    The curve must be (claimed) unit speed.  Its map is called at the 17
-    points t + k h, k = -8..8, of each node t, with h = ``curve.frame_step()``,
-    once per FRAME_POINTS nodes; an array t (n,) gives fields stacked along
-    axis 0.  The frame is undefined where the geodesic curvature on the
-    offsets -4..4 drops below 1e-8: a float t there raises
-    FrameUndefinedError, and a node of an array t gets NaN in every field.
+    At any speed they are those of the curve by arc length; a speed at or
+    below SPEED_FLOOR on the lattice raises SingularSpeedError.  The map is
+    called at the 17 points t + k h, k = -8..8, of each node t, with
+    h = ``curve.frame_step()``, once per FRAME_POINTS nodes; an array t (n,)
+    gives fields stacked along axis 0.  The frame is undefined where the
+    geodesic curvature on the offsets -4..4 drops below 1e-8: a float t there
+    raises FrameUndefinedError, and a node of an array t gets NaN in every field.
     """
     flat = np.asarray(t, dtype=float).reshape(-1)
     parts = [_frames(curve, flat[i:i + FRAME_POINTS]) for i in range(0, len(flat), FRAME_POINTS)]
@@ -148,10 +156,10 @@ def reparametrize_arclength(curve: CurveChart) -> CurveChart:
     """Unit-speed reparametrization by inverting the exact length function.
 
     The speed is taken once, at the Gauss-Legendre nodes of COARSE_INTERVALS
-    coarse intervals and at both ends of the domain.  A vanishing speed there
-    raises :class:`~pqharmonic.errors.SingularSpeedError`, and verified-unit-
-    speed input is returned unchanged.  Otherwise the node speeds give the
-    length at the coarse nodes by Gauss-Legendre quadrature.  Each
+    coarse intervals and at both ends of the domain.  A speed at or below
+    SPEED_FLOOR there raises :class:`~pqharmonic.errors.SingularSpeedError`,
+    and a unit-speed curve is itself returned.  Otherwise the node speeds give
+    the length at the coarse nodes by Gauss-Legendre quadrature.  Each
     arc length s is inverted from a linear guess (``np.interp``) by Newton
     steps on the length from the nearest coarse node, also by Gauss-Legendre.
     That length is a smooth function of t; a piecewise interpolant of it
@@ -163,10 +171,10 @@ def reparametrize_arclength(curve: CurveChart) -> CurveChart:
     coarse = np.linspace(t0, t1, COARSE_INTERVALS + 1)
     nodes, half = _gauss_nodes(coarse[:-1], coarse[1:])
     speeds = _speeds(curve, np.append(nodes.ravel(), [t0, t1]))
-    if np.min(speeds) <= 1e-10:
+    if np.min(speeds) <= SPEED_FLOOR:
         raise SingularSpeedError("curve speed vanishes; cannot reparametrize")
     if np.max(np.abs(speeds - 1.0)) < 1e-10:
-        return replace(curve, unit_speed=True)
+        return curve
 
     pieces = half * _weigh(speeds[:-2].reshape(nodes.shape), GAUSS_WEIGHTS)
     lengths = np.concatenate([[0.0], np.cumsum(pieces)])
@@ -191,7 +199,7 @@ def reparametrize_arclength(curve: CurveChart) -> CurveChart:
             f"arc length {flat[active[0]]:.6g} not inverted in {NEWTON_STEPS} steps")
 
     return CurveChart(sf=curve.sf, domain=(0.0, float(lengths[-1])), map=new_map,
-                      unit_speed=True, name=curve.name + "(arclength)")
+                      name=curve.name + "(arclength)")
 
 
 # -- the curve system -------------------------------------------------------
@@ -240,7 +248,8 @@ class CurveReport:
 def classify_curve(curve: CurveChart, params, samples=32, tol=1e-6) -> CurveReport:
     """The curve verdict at ``samples`` nodes over the domain less 5% at each
     end: Geodesic when no node has a frame, else ProperPQHarmonic when every
-    residual (0 where the frame is undefined) is below ``tol``."""
+    residual (0 where the frame is undefined) is below ``tol``: the verdict
+    of the curve by arc length, as its frames are (:func:`frenet`)."""
     lo, hi = curve.domain
     pad = 0.05 * (hi - lo)
     ts = np.linspace(lo + pad, hi - pad, samples)
@@ -322,8 +331,7 @@ def helix(alpha, a, b) -> HelixResult:
         X *= radii
         return X
 
-    curve = CurveChart(sf=SpaceForm(3, 1.0), domain=(0.0, 2 * math.pi),
-                       map=gamma, unit_speed=True,
+    curve = CurveChart(sf=SpaceForm(3, 1.0), domain=(0.0, 2 * math.pi), map=gamma,
                        name=f"helix(alpha={alpha:.6g}, a={a:.6g}, b={b:.6g})")
     return HelixResult(curve=curve, alpha=alpha, a=a, b=b, k=k, tau=tau,
                        p=p, admissible=admissible, rescaled=rescaled)

@@ -255,21 +255,22 @@ def _jets(chart, U, h_step, stencil):
     the map is called once, on U plus the distinct offsets of
     :func:`_jet_lattice`, and each f point gathers its rows.  J is D1 along
     the axes, and H comes from :func:`_second_partials`.  The map is None
-    when nothing needs it.  Every callback value must be finite.
+    when nothing needs it.  Every callback value must be finite, and the map
+    values at the f points on the model (:meth:`SpaceForm.check_point`).
     """
     N, m = U.shape
     D = _f_lattice(m) * h_step if stencil else np.zeros((1, m))
     X = (U[:, None] + D).reshape(-1, m)
     n = len(X)
     if chart.exact_jets():
-        P = numeric._finite(chart.map(X)) if chart.sf.c != 0 else None
+        P = chart.sf.check_point(numeric._finite(chart.map(X))) if chart.sf.c != 0 else None
         J = numeric._finite(chart.jacobian(X), "jacobian")
         return X, J, numeric._finite(chart.hessian(X), "hessian"), P
     h = h_step / 2.0
     offsets, rows = _jet_lattice(m, stencil)
     vals = numeric._finite(chart.map((U[:, None] + offsets * h).reshape(-1, m)))
     S = vals.reshape(N, len(offsets), -1)[:, rows].reshape(n, rows.shape[1], -1)
-    P = S[:, 0]
+    P = chart.sf.check_point(S[:, 0])
     line = np.moveaxis(S[:, 1:].reshape(n, -1, 4, P.shape[1]), 3, 1)   # (n, dim, lines, 4)
     J = _weigh(line[:, :, :m], numeric.D1_WEIGHTS) / h
     return X, J, _second_partials(P, line, m, h), P

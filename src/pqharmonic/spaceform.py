@@ -80,14 +80,19 @@ class SpaceForm:
         return abs(self.pair(P, P) - 1.0 / self.c)
 
     def check_point(self, P, tol=MODEL_TOL):
+        """P (..., dim), refused unless each point's defect |<P,P> - 1/c| is
+        within ``tol`` of its Euclidean |P|^2 (a large hyperboloid radius
+        cancels in <P,P>) and, on the hyperboloid, it lies on the upper sheet."""
         P = np.asarray(P, dtype=float)
         if P.shape[-1:] != (self.ambient_dim,):
             raise ModelConstraintError(
                 f"expected coordinate arrays of length {self.ambient_dim}, "
                 f"got shape {P.shape}")
-        defect = np.max(self.constraint_defect(P))
-        if defect > tol:
-            raise ModelConstraintError(f"point off the {self.model} model by {defect:.3e}")
+        off = self.constraint_defect(P) > tol * np.add.reduce(P * P, axis=-1)
+        if np.any(off):
+            i = np.unravel_index(np.argmax(off), off.shape)
+            raise ModelConstraintError(f"point {P[i]} off the {self.model} model: <P,P> = "
+                                       f"{self.pair(P[i], P[i]):.6g}, not 1/c = {1 / self.c:.6g}")
         if self.c < 0 and np.any(P[..., -1] <= 0):
             raise ModelConstraintError("hyperboloid points need positive last coordinate")
         return P

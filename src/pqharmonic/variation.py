@@ -4,10 +4,10 @@ The energy of a curve gamma : I -> N is
 
     E_{p,q}(gamma) = (1/q) int_I |tau_p(gamma)|^q dmu ,
 
-with tau_p the p-tension field of the map from (I, dt^2).  For unit-speed
-curves the arc measure and the flat parameter measure coincide; variations
-gamma_t = retract(gamma + t v) are always weighed with the measure of the
-base curve, which is what the first-variation identity
+with tau_p the p-tension field of the map from (I, dt^2) and dmu = dt, the
+volume of that metric, in whatever parametrization the curve comes.  So the
+energy of the variations gamma_t = retract(gamma + t v) is over dt too, and
+that is what the first-variation identity
 
     d/dt E_{p,q}(gamma_t)|_0 = - int <v, tau_{p,q}(gamma)>
 
@@ -40,14 +40,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import numeric
-from .curves import CurveChart
+from .curves import SPEED_FLOOR, CurveChart
 from .errors import DomainError, SingularFactorError, SingularSpeedError
 from .numeric import _lattice, _sample, _stencil
 from .residual import PQParams
 
-SPEED_FLOOR = 1e-10
 TAU_P_FLOOR = 1e-6
-MEASURE_SPREAD = 1e-6   # relative spread of the base speed the first-variation check allows
 
 TP_OFFSETS = numeric.NESTED_OFFSETS     # the lattice of one tau_p, in steps h
 OUTER = 4                               # h2 = OUTER * h1 for the tau_pq stencils
@@ -110,26 +108,18 @@ class DiscretizedCurve:
 
 
 def energy_pq(dcurve: DiscretizedCurve, params: PQParams):
-    """Composite-Simpson value of (1/q) |tau_p|^q against the arc measure."""
+    """Composite-Simpson value of (1/q) |tau_p|^q over the parameter t."""
     h = dcurve.curve.frame_step()
     X = _sample(dcurve.curve.map, _lattice(dcurve.ts, h))
     tp = _tension_p(dcurve.curve.sf, X, h, params.p)[0]
-    return float(_energy(dcurve, tp, params, _measure(dcurve.curve, X, h)))
+    return float(_energy(dcurve, tp, params))
 
 
-def _energy(dcurve, tp, params, mu):
-    """energy_pq from tau_p at the Simpson nodes (..., K+1, dim), against the
-    per-node measure factors ``mu``: one energy per leading index."""
+def _energy(dcurve, tp, params):
+    """energy_pq from tau_p at the Simpson nodes (..., K+1, dim): one energy
+    per leading index."""
     sf, q = dcurve.curve.sf, float(params.q)
-    return np.sum(dcurve.weights * sf.pair(tp, tp) ** (q / 2.0) * mu, axis=-1) / q
-
-
-def _measure(curve, X, h):
-    """Speed of the curve at the nodes of its energy lattice (1 if unit speed)."""
-    if curve.unit_speed:
-        return np.ones(len(X))
-    vel = _stencil(X, h)[:, 2]
-    return np.sqrt(np.maximum(curve.sf.pair(vel, vel), 0.0))
+    return np.sum(dcurve.weights * sf.pair(tp, tp) ** (q / 2.0), axis=-1) / q
 
 
 # -- (p,q)-tension field ----------------------------------------------------
@@ -281,7 +271,7 @@ def _default_support(curve):
 @dataclass(frozen=True)
 class VariationCheckReport:
     lhs: float                 # Richardson-extrapolated dE/dt at 0
-    rhs: float                 # -int <v, tau_pq> against the base measure
+    rhs: float                 # -int <v, tau_pq> dt
     rel_error: float
     observed_order: float
     fd_values: tuple           # central differences per step
@@ -305,7 +295,7 @@ def varied_curve(curve, v: VariationField, t):
         return np.where(inside, sf.retract(base + t * w), base)
 
     return CurveChart(sf=sf, domain=curve.domain, map=mapped,
-                      unit_speed=False, name=curve.name + f"(varied t={t:g})")
+                      name=curve.name + f"(varied t={t:g})")
 
 
 def first_variation_check(dcurve: DiscretizedCurve, v: VariationField,
@@ -319,8 +309,7 @@ def first_variation_check(dcurve: DiscretizedCurve, v: VariationField,
     against tau_pq of the base curve.  The base curve is sampled once on the
     energy lattice, and the field is taken from those samples; each varied
     curve is retract(base + t v) on them, as in :func:`varied_curve`.
-    The curve must have constant speed (to MEASURE_SPREAD relative);
-    otherwise DomainError is raised.
+    Both sides are integrals over the curve's own parameter, at any speed.
     """
     curve, sf = dcurve.curve, dcurve.curve.sf
     h = curve.frame_step()
@@ -330,15 +319,6 @@ def first_variation_check(dcurve: DiscretizedCurve, v: VariationField,
     V = v.values(pts.ravel(), dim, B.reshape(-1, dim)).reshape(B.shape)
     lo, hi = v.support
     inside = (pts > lo) & (pts < hi)
-    base_measure = _measure(curve, B, h)
-    spread = float(np.ptp(base_measure) / np.max(base_measure))
-    if spread > MEASURE_SPREAD:
-        # the identity pairs v with tau_pq of the flat parameter measure, so the
-        # mu' terms of a varying arc measure would be missing from the right side
-        raise DomainError(
-            f"first_variation_check needs a constant-speed curve; the speed of "
-            f"{curve.name} varies by {spread:.2e} (relative) over the nodes: "
-            f"reparametrize it with curves.reparametrize_arclength")
 
     # steps scale inversely with the field size so the perturbation of
     # tau_p stays small compared to its base value
@@ -358,7 +338,7 @@ def first_variation_check(dcurve: DiscretizedCurve, v: VariationField,
     tp = np.repeat(_tension_p(sf, B, h, params.p)[0][None], len(signed), axis=0)
     tp[:, rows] = _tension_p(sf, varied.reshape((-1,) + win.shape[1:]), h,
                              params.p)[0].reshape(len(signed), -1, dim)
-    energies = _energy(dcurve, tp, params, base_measure)
+    energies = _energy(dcurve, tp, params)
     fd = (energies[0::2] - energies[1::2]) / (2.0 * np.array(steps))
     lhs = float(numeric.richardson(fd[-2], fd[-1], order=2))
     order = numeric.observed_order(fd) if len(fd) >= 3 else float("nan")
@@ -366,7 +346,7 @@ def first_variation_check(dcurve: DiscretizedCurve, v: VariationField,
     rhs = 0.0
     if nodes.any():
         tpq = _tension_pq(curve, dcurve.ts[nodes], params, h, base=B[nodes])
-        rhs = -float(np.sum(dcurve.weights[nodes] * base_measure[nodes] * sf.pair(vv, tpq)))
+        rhs = -float(np.sum(dcurve.weights[nodes] * sf.pair(vv, tpq)))
 
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-14)
     return VariationCheckReport(lhs=lhs, rhs=float(rhs), rel_error=float(rel),

@@ -21,7 +21,7 @@ Q = [2.0, 2.5, 3.0]
 
 def _small_circle(a2):
     a, b = math.sqrt(a2), math.sqrt(1.0 - a2)
-    return CurveChart(sf=SpaceForm(3, 1.0), domain=(0.0, 2.0 * math.pi * a), unit_speed=True,
+    return CurveChart(sf=SpaceForm(3, 1.0), domain=(0.0, 2.0 * math.pi * a),
                       map=lambda t: np.stack([a * np.cos(t / a), a * np.sin(t / a),
                                               b + 0.0 * t, 0.0 * t], axis=-1),
                       name=f"small-circle(a2={a2:g})")

@@ -11,7 +11,7 @@ import pytest
 
 import pqharmonic
 import report_reference as reference
-from pqharmonic import cli
+from pqharmonic import cli, expressions
 
 CONE_CHART = """\
 # rotation cone with slope 1/sqrt(6)
@@ -42,7 +42,7 @@ x2: 2*t
 x3: 1/2
 """
 
-# k vanishes at t = 0 only, the middle of the arc-length domain
+# k vanishes at t = 0 only, the middle of the domain
 CUBIC_CHART = """\
 type: curve
 c: 0
@@ -292,7 +292,7 @@ def test_chart_file_curve(tmp_path, capsys):
                 "--q", "2", "--samples", "6"])
     assert code == 0
     out = capsys.readouterr().out
-    # radius-2 circle: k = 1/2 after arclength reparametrization
+    # radius-2 circle at speed 2: k = 1/2
     assert "classification: NotPQHarmonic" in out
 
 
@@ -327,6 +327,90 @@ def test_verify_curve_zero_row_only_where_the_frame_is_undefined(tmp_path, capsy
     for i, (k, tau, r1, r2, r3) in enumerate(rows):
         if i != 4:
             assert k > 0.2 and tau == 0.0 and r1 != 0.0 and r2 != 0.0, i
+
+
+def test_verify_curve_calls_the_raw_map_once_per_lattice_point(tmp_path, monkeypatch):
+    # a chart-file curve is used as written: no arc-length inversion calls it
+    path = tmp_path / "circle.txt"
+    path.write_text(CIRCLE_CHART)
+    rows = []
+    evaluate = expressions.Expression.evaluate
+
+    def counted(self, **values):
+        if "t" in values:
+            rows.append(np.size(values["t"]))
+        return evaluate(self, **values)
+
+    monkeypatch.setattr(expressions.Expression, "evaluate", counted)
+    assert run(["verify-curve", "--chart-file", str(path), "--p", "2", "--q", "2",
+                "--samples", "16", "--out", str(tmp_path / "r.txt")]) == 0
+    assert rows == [16 * 17] * 3        # one call of x1, x2 and x3 each
+    assert "curve: circle.txt\n" in (tmp_path / "r.txt").read_text()
+
+
+def test_verify_curve_refuses_a_cusp(tmp_path, capsys):
+    path = tmp_path / "cusp.txt"
+    path.write_text("type: curve\nc: 0\nt: -1, 1\nx1: t^2\nx2: t^3\nx3: 0\n")
+    assert run(["verify-curve", "--chart-file", str(path), "--p", "2", "--q", "2",
+                "--samples", "33"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: curve speed \S+ at or below 1e-10 near t = \S+\n", captured.err)
+
+
+@pytest.mark.parametrize("chart, argv", [
+    # |P|^2 = u^2 + 1/4, 0.74 at u = 0.7; both sampling paths read P
+    ("type: hypersurface\nc: 1\nu: 0.5, 0.9\nv: 0, 2*pi\n"
+     "x1: u*cos(v)\nx2: u*sin(v)\nx3: 0\nx4: 1/2\n", ["verify-hypersurface"]),
+    ("type: hypersurface\nc: 1\nu: 0.5, 0.9\nv: 0, 2*pi\n"
+     "x1: u*cos(v)\nx2: u*sin(v)\nx3: 0\nx4: 1/2\n", ["verify-hypersurface", "--stencil"]),
+    ("type: curve\nc: 1\nt: 0, 1\nx1: t\nx2: t\nx3: 0\nx4: 1\n", ["verify-curve"]),
+], ids=["hypersurface", "hypersurface-stencil", "curve"])
+def test_chart_maps_off_the_model_are_refused(chart, argv, tmp_path, capsys):
+    path = tmp_path / "off.txt"
+    path.write_text(chart)
+    assert run(argv + ["--chart-file", str(path), "--p", "2", "--q", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: point \[.*\] off the SphereEmbedded model: "
+                        r"<P,P> = \S+, not 1/c = 1\n", captured.err)
+
+
+SPHERE = ["--builtin", "sphere-in-sphere"]
+CONE_SWEEP = ["sweep", "--builtin", "cone", "--param", "r", "--p", "2", "--q", "3"]
+
+
+@pytest.mark.parametrize("chart, argv, message", [
+    ("type: curve\nc 0\n", ["verify-curve"], "expected 'key: value'"),
+    (CIRCLE_CHART.replace("type: curve", "type: surface"), ["verify-curve"],
+     "'type' must be hypersurface or curve"),
+    (CONE_CHART.replace("v: 0, 2*pi\n", ""), ["verify-hypersurface"],
+     "missing domain line 'v: lo, hi'"),
+    (CONE_CHART.replace("u: 1/2, 2", "u: 1/2"), ["verify-hypersurface"], "expected 'lo,hi'"),
+    (CIRCLE_CHART, ["verify-hypersurface"], "describes a curve, not a hypersurface"),
+    (None, ["solve", *SPHERE, "--q", "3", "--unknowns", "p,r"], "runs on the cone family"),
+    (None, ["solve", *SPHERE, "--q", "3", "--unknowns", "r"], "unsupported --unknowns 'r'"),
+    (None, CONE_SWEEP + ["--range", "0.3,0.5"], "--range expects 'lo,hi,count'"),
+    (None, CONE_SWEEP, "sweep needs --values or --range"),
+    (None, ["verify-hypersurface", "--builtin", "cone", "--r", "0", "--p", "2", "--q", "3"],
+     "cone slope parameter must be positive"),
+    (None, ["verify-curve", "--builtin", "circle", "--rho", "0", "--p", "2", "--q", "2"],
+     "radius must be positive"),
+    (None, ["verify-hypersurface", *SPHERE, "--m", "0", "--p", "2", "--q", "2"],
+     "dimension must be >= 1"),
+], ids=["no-colon", "bad-type", "missing-v", "one-bound", "curve-as-hypersurface",
+        "pr-off-cone", "unknowns-r", "range-two-parts", "sweep-no-values", "r-0", "rho-0",
+        "m-0"])
+def test_config_refusals_exit_2_with_one_error_line(chart, argv, message, tmp_path, capsys):
+    if chart is not None:
+        path = tmp_path / "chart.txt"
+        path.write_text(chart)
+        argv = argv + ["--chart-file", str(path), "--p", "2", "--q", "2"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
 
 
 def test_chart_file_errors(tmp_path, capsys):

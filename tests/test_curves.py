@@ -8,8 +8,8 @@ from pqharmonic import (CurveChart, PQParams, circle, cli, curve_system_residual
                         frenet, helix, p_closed_form, reparametrize_arclength)
 from pqharmonic import curves
 from pqharmonic.curves import FrenetApparatus
-from pqharmonic.errors import (DomainError, FrameUndefinedError, SingularFactorError,
-                               SingularSpeedError)
+from pqharmonic.errors import (DomainError, FrameUndefinedError, ModelConstraintError,
+                               SingularFactorError, SingularSpeedError)
 from pqharmonic.spaceform import SpaceForm
 from nested_stencils import deriv1
 
@@ -62,6 +62,60 @@ def test_helix_frenet_closed_form():
     assert fr.tau == pytest.approx(SQ7 / 4, abs=1e-8)
 
 
+def _retraced(curve, speed):
+    """``curve`` traced at ``speed`` times its own speed."""
+    return CurveChart(sf=curve.sf, domain=(0.0, curve.domain[1] / speed),
+                      map=lambda t: curve.map(speed * np.asarray(t)), name="retraced")
+
+
+def test_frenet_at_constant_non_unit_speed():
+    fr = frenet(_retraced(circle(2.0), 1.5), np.linspace(0.3, 8.0, 7))
+    assert np.allclose(fr.k, 0.5, atol=1e-8) and np.allclose(fr.tau, 0.0, atol=1e-8)
+    fr = frenet(_retraced(helix(math.pi / 4, SQ7 / 2, 0.5).curve, 1.7), np.linspace(0.3, 3.3, 7))
+    assert np.allclose(fr.k, 0.75, atol=1e-8) and np.allclose(fr.tau, SQ7 / 4, atol=1e-8)
+
+
+def _elliptic_helix_closed_forms(t, a, b, c):
+    """k, tau, k', tau' (by arc length) and the speed of t -> (a cos t, b sin t, c t)."""
+    s, co = np.sin(t), np.cos(t)
+    S, dS = a * a * s * s + b * b * co * co + c * c, 2 * s * co * (a * a - b * b)
+    C = b * b * c * c * s * s + a * a * c * c * co * co + a * a * b * b   # |g' x g''|^2
+    dC = 2 * s * co * (b * b - a * a) * c * c
+    k, tau = np.sqrt(C) / S ** 1.5, a * b * c / C
+    return k, tau, k * (dC / (2 * C) - 1.5 * dS / S) / np.sqrt(S), \
+        -a * b * c * dC / (C * C * np.sqrt(S)), np.sqrt(S)
+
+
+def test_frenet_of_a_raw_elliptic_helix_matches_its_closed_forms():
+    # (2 cos t, sin t, t/2) has speed between 1.1 and 2.1, and k, tau vary
+    a, b, c = 2.0, 1.0, 0.5
+    raw = CurveChart(sf=SpaceForm(3, 0.0), domain=(0.0, 2 * math.pi),
+                     map=lambda t: np.stack([a * np.cos(t), b * np.sin(t), c * t], axis=-1))
+    ts = np.linspace(0.3, 6.0, 12)
+    fr = frenet(raw, ts)
+    k, tau, k_prime, tau_prime, speed = _elliptic_helix_closed_forms(ts, a, b, c)
+    # k'' = d/ds k', by the deriv1 stencil of the closed form at a small step
+    k_second = deriv1(lambda t: _elliptic_helix_closed_forms(t, a, b, c)[2], ts, 1e-3) / speed
+    for got, want, bound in ((fr.k, k, 1e-6), (fr.tau, tau, 1e-6), (fr.k_prime, k_prime, 1e-6),
+                             (fr.k_second, k_second, 1e-5), (fr.tau_prime, tau_prime, 1e-5)):
+        assert np.max(np.abs(got - want)) < bound
+
+
+def test_frenet_refuses_a_vanishing_speed():
+    cusp = CurveChart(sf=SpaceForm(3, 0.0), domain=(-1.0, 1.0),
+                      map=lambda t: np.stack([t * t, t ** 3, 0.0 * t], axis=-1))
+    with pytest.raises(SingularSpeedError, match=r"^curve speed 0\.000e\+00 at or below 1e-10 "):
+        frenet(cusp, 0.0)
+    assert np.all(np.isfinite(frenet(cusp, 0.5).T))
+
+
+def test_frenet_refuses_a_curve_off_the_model():
+    off = CurveChart(sf=SpaceForm(3, 1.0), domain=(0.0, 1.0),
+                     map=lambda t: np.stack([t, t, 0.0 * t, 1.0 + 0.0 * t], axis=-1))
+    with pytest.raises(ModelConstraintError, match="off the SphereEmbedded model"):
+        frenet(off, 0.5)
+
+
 def test_helix_rescaling():
     hr = helix(math.pi / 4, 2.0, 0.7)  # violates the unit-speed constraint
     assert hr.rescaled
@@ -88,7 +142,7 @@ def test_helix_domain_errors():
 
 def test_great_circle_frame_undefined():
     sf = SpaceForm(3, 1.0)
-    curve = CurveChart(sf=sf, domain=(0.0, 2 * math.pi), unit_speed=True,
+    curve = CurveChart(sf=sf, domain=(0.0, 2 * math.pi),
                        map=lambda t: np.stack([np.cos(t), np.sin(t), 0.0 * t, 0.0 * t], axis=-1))
     with pytest.raises(FrameUndefinedError):
         frenet(curve, 1.0)
@@ -185,7 +239,7 @@ def test_frenet_calls_the_map_once_per_frame_points_nodes(monkeypatch):
 
 def test_frenet_over_an_array_marks_undefined_frames_nan():
     sf = SpaceForm(3, 1.0)
-    curve = CurveChart(sf=sf, domain=(0.0, 2 * math.pi), unit_speed=True,
+    curve = CurveChart(sf=sf, domain=(0.0, 2 * math.pi),
                        map=lambda t: np.stack([np.cos(t), np.sin(t), 0.0 * t, 0.0 * t], axis=-1))
     fr = frenet(curve, np.array([1.0, 2.0]))
     for fd in fields(FrenetApparatus):
@@ -193,12 +247,11 @@ def test_frenet_over_an_array_marks_undefined_frames_nan():
     assert all(np.isnan(r).all() for r in curve_system_residual(fr, PQParams(2, 2), 1.0))
 
 
-def test_curve_maps_act_over_the_last_axis(tmp_path, monkeypatch):
+def test_curve_maps_act_over_the_last_axis(tmp_path):
     path = tmp_path / "curve.txt"
     path.write_text(HELIX_FILE)
-    arclength = cli.load_chart_file(str(path))
-    monkeypatch.setattr(cli.crv, "reparametrize_arclength", lambda curve: curve)
     raw = cli.load_chart_file(str(path))
+    arclength = reparametrize_arclength(raw)
     assert arclength.map is not raw.map
     for curve in (helix(math.pi / 4, SQ7 / 2, 0.5).curve, circle(1.3), raw, arclength):
         lo, hi = curve.domain
@@ -253,11 +306,7 @@ def test_reparametrize_refuses_a_speed_that_vanishes_at_an_end():
 
 def test_reparametrize_identity_on_unit_speed():
     c = circle(1.0)
-    assert reparametrize_arclength(c) is not c  # frozen replace, same map
-    out = reparametrize_arclength(c)
-    assert out.unit_speed
-    for t in (0.5, 2.0):
-        assert np.allclose(out.map(t), c.map(t), atol=1e-10)
+    assert reparametrize_arclength(c) is c
 
 
 def test_reparametrize_nonunit_circle():
@@ -266,7 +315,6 @@ def test_reparametrize_nonunit_circle():
     raw = CurveChart(sf=sf, domain=(0.0, 2 * math.pi),
                      map=lambda t: np.stack([rho * np.cos(t), rho * np.sin(t), 0.0 * t], axis=-1))
     out = reparametrize_arclength(raw)
-    assert out.unit_speed
     assert out.domain[1] == pytest.approx(2 * math.pi * rho, abs=1e-8)
     for s in (1.0, 4.0, 9.0):
         v = (out.map(s + 1e-4) - out.map(s - 1e-4)) / 2e-4

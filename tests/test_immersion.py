@@ -11,7 +11,8 @@ from pqharmonic import (PQParams, classify, cone, first_fundamental, geometric_s
 from pqharmonic import immersion
 from pqharmonic.catalog import _omega
 from pqharmonic.cli import load_chart_file
-from pqharmonic.errors import BoundaryProximityError, DegenerateImmersionError, DomainError
+from pqharmonic.errors import (BoundaryProximityError, DegenerateImmersionError, DomainError,
+                               ModelConstraintError)
 from pqharmonic.immersion import GeometricSample, ImmersionChart, flip_sample
 from pqharmonic.residual import residual
 from pqharmonic.spaceform import SpaceForm
@@ -110,16 +111,18 @@ def test_degenerate_immersion_raises():
         first_fundamental(ch, np.array([0.5, 0.5]))
 
 
-@pytest.mark.parametrize("c, coords", [
-    # P = u d_u X, so d_u X, d_v X and P span only a plane
-    (1.0, lambda u, v: (u * np.cos(v), u * np.sin(v), 0.0 * u, 0.0 * u)),
-    # P is spacelike in the hyperboloid model, so the complement is timelike
-    (-1.0, lambda u, v: (u, v, 2.0 + 0.0 * u, 0.0 * u)),
+@pytest.mark.parametrize("c, coords, error", [
+    # P = u d_u X, so d_u X, d_v X and P span only a plane; P is on the
+    # sphere at u = 1, the only f point of a single-point call
+    (1.0, lambda u, v: (u * np.cos(v), u * np.sin(v), 0.0 * u, 0.0 * u),
+     DegenerateImmersionError),
+    # P is spacelike, so off the hyperboloid model: refused before any normal
+    (-1.0, lambda u, v: (u, v, 2.0 + 0.0 * u, 0.0 * u), ModelConstraintError),
 ], ids=["radial-in-S3", "spacelike-P-in-H3"])
-def test_normal_guards_raise(c, coords):
+def test_normal_guards_raise(c, coords, error):
     ch = ImmersionChart(sf=SpaceForm(3, c), m=2, domain=((0.5, 1.5), (0.0, 2.0)),
                         map=lambda u: np.stack(coords(u[..., 0], u[..., 1]), axis=-1))
-    with pytest.raises(DegenerateImmersionError):
+    with pytest.raises(error):
         unit_normal(ch, np.array([1.0, 1.0]))
 
 

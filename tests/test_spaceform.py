@@ -31,6 +31,21 @@ def test_check_point_hyperboloid_sheet():
         sf.check_point([0.0, 0.0, -1.0])
 
 
+def test_check_point_is_relative_to_the_size_of_the_point():
+    sf = SpaceForm(3, -1.0)
+    # a hyperboloid point at distance 12.2 from the base point: <P,P> = -1
+    # cancels from terms near 1e10, and misses it by 1.9e-6 after rounding
+    x = np.array([[1e5, 0.0, 0.0, math.sqrt(1.0 + 1e10)]])
+    assert abs(sf.pair(x, x)[0] + 1.0) > 1e-6
+    sf.check_point(x)
+    with pytest.raises(ModelConstraintError, match=r"^point \[.*\] off the Hyperboloid model: "
+                                                   r"<P,P> = -0\.75, not 1/c = -1$"):
+        sf.check_point(np.array([[0.5, 0.0, 0.0, 1.0]]))
+    with pytest.raises(ModelConstraintError, match="off the SphereEmbedded model"):
+        SpaceForm(3, 1.0).check_point(np.zeros((2, 5, 4)))
+    SpaceForm(3, 0.0).check_point(np.zeros((2, 3)))
+
+
 def test_tangency():
     sf = SpaceForm(2, 1.0)
     P = np.array([1.0, 0.0, 0.0])

@@ -12,7 +12,7 @@ from pqharmonic import (CurveChart, DiscretizedCurve, PQParams, circle,
                         random_bump_field, reparametrize_arclength, tension_p,
                         tension_pq_curve)
 from pqharmonic import cli, variation
-from pqharmonic.errors import DomainError, SingularFactorError, SingularSpeedError
+from pqharmonic.errors import SingularFactorError, SingularSpeedError
 from pqharmonic.spaceform import SpaceForm
 from pqharmonic.variation import VariationField, varied_curve
 
@@ -35,7 +35,7 @@ def _line(speed=1.0):
     sf = SpaceForm(3, 0.0)
     return CurveChart(sf=sf, domain=(0.0, 4.0),
                       map=lambda t: np.stack([speed * t, 0.0 * t + 1.0, 0.0 * t + 2.0], axis=-1),
-                      unit_speed=(speed == 1.0), name="line")
+                      name="line")
 
 
 def test_tension_p_unit_speed_norm_is_k():
@@ -70,6 +70,16 @@ def test_energy_circle_closed_forms():
     # (1/q) rho^(1-q) 2 pi for a unit-speed circle of radius rho
     assert energy_pq(dc2, PQParams(2, 3)) == pytest.approx(
         (1 / 3) * rho ** (1 - 3) * 2 * math.pi, abs=1e-8)
+
+
+@pytest.mark.parametrize("p, q", CRITERION_7_PQ)
+def test_energy_at_constant_speed_is_over_the_parameter(p, q):
+    # circle of radius rho at speed s: |tau_p| = s^p / rho over a domain of width 2 pi rho / s
+    rho, s = 2.0, 1.5
+    curve = CurveChart(sf=SpaceForm(3, 0.0), domain=(0.0, 2 * math.pi * rho / s),
+                       map=lambda t: circle(rho).map(s * np.asarray(t)))
+    energy = energy_pq(DiscretizedCurve(curve=curve, K=256), PQParams(p, q))
+    assert energy == pytest.approx((s ** p / rho) ** q * 2 * math.pi * rho / s / q, rel=1e-8)
 
 
 def test_energy_geodesic_zero():
@@ -379,18 +389,18 @@ def _circle_traced_by(phi, name):
     """The unit circle in R^3 traced as t -> phi(t) on (0, 2)."""
     return CurveChart(sf=SpaceForm(3, 0.0), domain=(0.0, 2.0),
                       map=lambda t: np.stack([np.cos(phi(t)), np.sin(phi(t)), 0.0 * t], axis=-1),
-                      unit_speed=False, name=name)
+                      name=name)
 
 
-def test_first_variation_refuses_non_constant_speed():
-    # the check weighs tau_pq with the flat measure, which is only right at
-    # constant speed: on t + 0.3 t^2 it gave rel_error 0.18 and 0.45 silently
+def test_first_variation_holds_at_non_constant_speed():
+    # energy and pairing are both over dt: with the arc measure on the left
+    # side, t + 0.3 t^2 gave rel_error 0.18 and 0.45
     accelerating = _circle_traced_by(lambda t: t + 0.3 * t * t, "accelerating")
     steady = _circle_traced_by(lambda t: 2.0 * t, "speed 2")
     for params in (PQParams(2.0, 2.0), PQParams(3.0, 2.0)):
         v = random_bump_field(accelerating, np.random.default_rng(1))
-        with pytest.raises(DomainError, match="reparametrize_arclength"):
-            first_variation_check(DiscretizedCurve(accelerating, 128), v, params)
+        rep = first_variation_check(DiscretizedCurve(accelerating, 128), v, params)
+        assert rep.rel_error < 1e-4
         v = random_bump_field(steady, np.random.default_rng(1))
         rep = first_variation_check(DiscretizedCurve(steady, 128), v, params)
         assert rep.rel_error < 1e-6
