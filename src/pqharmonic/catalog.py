@@ -82,9 +82,12 @@ def _omega(u, order=0):
 
 def _append(X, value, axis=-1):
     """X with one more entry, the constant ``value``, along ``axis``."""
-    pad = [(0, 0)] * X.ndim
-    pad[axis] = (0, 1)
-    return np.pad(X, pad, constant_values=value)
+    shape = list(X.shape)
+    shape[axis] += 1
+    out = np.empty(shape)
+    ends = np.moveaxis(out, axis, 0)
+    ends[:-1], ends[-1] = np.moveaxis(X, axis, 0), value
+    return out
 
 
 def _constant(value, u):

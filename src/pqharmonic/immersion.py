@@ -23,12 +23,19 @@ grid points of a call:
   2 h_step around each grid point with exact jets, 3 h_step with FD jets,
   and at a single point f_step with FD jets and nothing with exact ones;
 * g, det g, g^-1, the unit normal (:meth:`SpaceForm.complement` of the
-  tangent columns), B, A, f and |A|^2 = tr(A^2) are computed at all f
-  points at once, and every guard is checked at every f point.  det g and
-  g^-1 = adj g / det g are elementwise Laplace expansions over the batch
-  (:func:`numeric._adjugate`): a LAPACK call per 2x2 to 5x5 metric costs
-  far more in call overhead than in arithmetic.  det g is checked before
-  it divides.
+  tangent columns), B and f = g^ij B_ij / m are computed at all f points
+  at once, so every guard is checked at every f point.  A = g^-1 B and
+  |A|^2 = tr(A^2) are taken only at the rows the caller reads: the grid
+  points on the stencil path, every point of a single-point call.  det g
+  and g^-1 = adj g / det g are elementwise Laplace expansions over the
+  batch (:func:`numeric._adjugate`): a LAPACK call per 2x2 to 5x5 metric
+  costs far more in call overhead than in arithmetic.  det g is checked
+  before it divides;
+* the contractions act per matrix: g = (s J)^T J and A by stacked matmul,
+  B by a two-operand einsum (which times below a matmul for it), and f,
+  |A|^2 and :meth:`GeometricSample.g_dot` term by term
+  (:func:`numeric._weigh`).  None sums in an order that depends on the
+  batch, so a point gets the same bits in a batch of any size.
 
 Catalog entries with closed-form geometry double as cross-checks of the
 stencil path.
@@ -48,7 +55,10 @@ from .errors import BoundaryProximityError, DegenerateImmersionError
 from .spaceform import SpaceForm
 
 RANK_TOL = 1e-10
-KERNEL_POINTS = 1024        # f points per kernel batch; bounds a call's memory
+# f points per kernel batch; bounds a call's memory.  The m = 3 grid-4 sample
+# (64 x 25 f points) runs in one batch; the largest batch, m = 4 with FD jets
+# (49 x 41 f points), peaks at 21 MiB of numpy arrays (tracemalloc)
+KERNEL_POINTS = 2048
 GRID_POINTS = 2 ** 20       # largest grid sample_grid builds
 _INDEXED_GRID_POINTS = 4096  # grids up to this size keep their index table
 GRID_MARGIN = 5             # f_steps sample_grid keeps from each edge
@@ -156,7 +166,7 @@ class GeometricSample:
         """g(a, b) of tangent vectors, per sample for a stacked sample."""
         if self.g is None:
             return np.sum(a * b, axis=-1)
-        return np.einsum("...i,...ij,...j->...", a, self.g, b)
+        return _weigh(a, _weigh(self.g, b[..., None, :]))
 
     def g_norm(self, vec):
         return np.sqrt(np.maximum(self.g_dot(vec, vec), 0.0))
@@ -301,10 +311,11 @@ def _unit_normal(chart, X, J, P, det_g):
 
 
 def _shape(chart, X, J, H, P):
-    """First fundamental form and shape packet at the f points X from their
-    jets (:func:`_jets`), fields stacked."""
+    """First fundamental form, unit normal, B and f at the f points X from
+    their jets (:func:`_jets`), fields stacked."""
+    n, m = X.shape
     signs = chart.sf.pairing_signs()
-    g = np.einsum("nka,k,nkb->nab", J, signs, J)
+    g = np.swapaxes(signs[:, None] * J, 1, 2) @ J
     g = 0.5 * (g + np.swapaxes(g, 1, 2))
     det_g, adj_g = numeric._adjugate(g)
     _first_guard(det_g <= RANK_TOL, X,
@@ -315,12 +326,17 @@ def _shape(chart, X, J, H, P):
     # part of the coordinate second derivative pairs to zero with eta
     B = np.einsum("nk,nkab->nab", signs * eta, H)
     B = 0.5 * (B + np.swapaxes(B, 1, 2))
+    # f = tr(g^-1 B)/m = g^ij B_ij/m, as B is symmetric
+    f = _weigh(g_inv.reshape(n, -1), B.reshape(n, -1)) / m
+    return FirstFundamental(g=g, g_inv=g_inv, det_g=det_g), eta, B, f
+
+
+def _shape_operator(g_inv, B):
+    """A = g^-1 B and |A|^2 = tr(A^2), the sum of squared principal
+    curvatures, at the rows given."""
     A = g_inv @ B
-    f = np.trace(A, axis1=1, axis2=2) / chart.m
-    # sum of squared principal curvatures: the eigenvalues of A = g^-1 B
-    normA2 = np.einsum("nab,nba->n", A, A)
-    return (FirstFundamental(g=g, g_inv=g_inv, det_g=det_g),
-            ShapePacket(eta=eta, B=B, A=A, f=f, normA2=normA2))
+    n = len(A)
+    return A, _weigh(A.reshape(n, -1), np.swapaxes(A, 1, 2).reshape(n, -1))
 
 
 def _row(stacked, i=0):
@@ -331,10 +347,13 @@ def _row(stacked, i=0):
 
 
 def _one_point(chart, u):
-    """:func:`_shape` at u (..., m), the jets taken at h_step = f_step."""
+    """The first fundamental form and shape packet at u (..., m), the jets
+    taken at h_step = f_step."""
     U = np.asarray(u, dtype=float).reshape(-1, chart.m)
     _guard_reach(chart, U, chart.f_step(), False)
-    return _shape(chart, *_jets(chart, U, chart.f_step(), False))
+    ff, eta, B, f = _shape(chart, *_jets(chart, U, chart.f_step(), False))
+    A, normA2 = _shape_operator(ff.g_inv, B)
+    return ff, ShapePacket(eta=eta, B=B, A=A, f=f, normA2=normA2)
 
 
 # -- operations -------------------------------------------------------------
@@ -372,13 +391,14 @@ def _stencil_sample(chart, U, h_step):
     n, m = U.shape
     L = len(_f_lattice(m))
     jets = _jets(chart, U, h_step, True)
-    ff, pk = _shape(chart, *jets)
-    f = pk.f.reshape(n, L)
+    ff, eta, B, f = _shape(chart, *jets)
+    f = f.reshape(n, L)
     line = f[:, 1:].reshape(n, -1, 4)
     df = _weigh(line[:, :m], numeric.D1_WEIGHTS) / h_step
     f_ij = _second_partials(f[:, 0], line, m, h_step)
     # the centre of each grid point is the first of its L rows
-    J, H, g, g_inv, A, eta = (a[::L] for a in jets[1:3] + (ff.g, ff.g_inv, pk.A, pk.eta))
+    J, H, g, g_inv, B, eta = (a[::L] for a in jets[1:3] + (ff.g, ff.g_inv, B, eta))
+    A, normA2 = _shape_operator(g_inv, B)
     grad_f = _weigh(g_inv, df[:, None, :])
     tangent = chart.sf.pairing_signs() * _weigh(J, grad_f[:, None, :])      # J grad f, paired
     christoffel_df = _weigh(np.moveaxis(H, 1, -1), tangent[:, None, None, :])
@@ -386,7 +406,7 @@ def _stencil_sample(chart, U, h_step):
     ric_eta_eta, _ = chart.sf.ricci_data(eta)
     return GeometricSample(
         m=m, f=f[:, 0], grad_f=grad_f, grad_f_norm2=_weigh(df, grad_f),
-        laplacian_f=laplacian_f, normA2=pk.normA2[::L],
+        laplacian_f=laplacian_f, normA2=normA2,
         A_grad_f=_weigh(A, grad_f[:, None, :]),
         ric_eta_eta=np.full(n, float(ric_eta_eta)),
         ricci_eta_top=np.zeros((n, m)), g=g)

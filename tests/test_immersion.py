@@ -278,7 +278,8 @@ def test_stencil_pinned_values(tmp_path):
                 assert abs(s.laplacian_f - closed) < JET_CONE_LAP_ERROR[u], u
 
 
-def test_batched_sample_equals_per_point_calls(tmp_path):
+def test_batched_sample_equals_per_point_calls(tmp_path, monkeypatch):
+    monkeypatch.setattr(immersion, "KERNEL_POINTS", 1024)
     # 100 and 64 grid points: two kernel batches (KERNEL_POINTS) of 78 and
     # of 40 grid points, whose f-lattices have 13 and 25 points
     fd_sphere = replace(sphere_in_sphere(3, 0.4), jacobian=None, hessian=None)
@@ -377,7 +378,8 @@ def test_callbacks_act_over_the_last_axis(tmp_path):
                 _same_sample(sampled, geometric_sample(ch, u), i)
 
 
-def test_chart_file_classify_calls_the_map_once_per_batch(tmp_path):
+def test_chart_file_classify_calls_the_map_once_per_batch(tmp_path, monkeypatch):
+    monkeypatch.setattr(immersion, "KERNEL_POINTS", 1024)
     ch = _cone_file(tmp_path)
     calls = []
 
@@ -394,6 +396,34 @@ def test_chart_file_classify_calls_the_map_once_per_batch(tmp_path):
     # one call per KERNEL_POINTS batch of f points: 100 grid points of 13
     assert immersion.KERNEL_POINTS // 13 < 100
     assert len(calls) == 2 and all(len(s) == 2 for s in calls)
+
+
+@pytest.mark.parametrize("build", [lambda: cone(R6), lambda: sphere_in_sphere(2, 0.6),
+                                   lambda: sphere_in_sphere(3, 0.4), lambda: great_sphere(2)],
+                         ids=["cone", "sphere-m2", "sphere-m3", "great-sphere"])
+def test_grid_point_rows_equal_the_single_point_kernel(build):
+    # the stencil path takes A and |A|^2 at its grid points only, in batches;
+    # with exact jets a grid point's row carries the bits of the one-point kernel
+    ch = build()
+    U = sample_grid(ch, 4)
+    sample = geometric_sample(ch, U, use_analytic=False)
+    for i, u in enumerate(U):
+        assert np.array_equal(sample.g[i], first_fundamental(ch, u).g), (ch.name, i)
+        assert sample.normA2[i] == shape_packet(ch, u).normA2, (ch.name, i)
+
+
+def test_the_m3_grid_runs_in_one_batch():
+    ch = sphere_in_sphere(3, 0.4)
+    calls = []
+
+    def counted(w):
+        calls.append(len(w))
+        return ch.jacobian(w)
+
+    classify(replace(ch, jacobian=counted), PQParams(1 / 0.6, 3), n_per_axis=4,
+             use_analytic=False)
+    # 4^3 grid points of 25 f points each
+    assert calls == [1600]
 
 
 def test_guards_raise_inside_a_batch():
