@@ -34,7 +34,7 @@ import numpy as np
 
 from . import catalog as cat
 from . import curves as crv
-from . import expressions, variation
+from . import expressions, jets, variation
 from .errors import GeometryError
 from .expressions import ExpressionError, evaluate_literal
 from .immersion import ImmersionChart
@@ -112,7 +112,10 @@ def load_chart_file(path):
     and ``v`` (or ``t`` for curves) as 'lo, hi', and ambient coordinates
     ``x1`` .. ``xN`` as expressions in the domain variables.  The maps act
     over the last axis, like every chart callback, and a curve keeps the
-    parameter t of its file.
+    parameter t of its file.  A hypersurface also gets exact ``jacobian``
+    and ``hessian`` callbacks: the expression trees run on jets of (u, v)
+    (:mod:`pqharmonic.jets`), of degree 1 for the jacobian and 2 for the
+    hessian, so the stencil path takes no finite differences of the map.
     """
     entries = {}
     with open(path) as fh:
@@ -156,9 +159,21 @@ def load_chart_file(path):
         return np.stack([np.broadcast_to(ex.evaluate(**named), values.shape[1:])
                          for ex in exprs], axis=-1)
 
+    def chart_derivative(degree):
+        """The jacobian (degree 1) or hessian (degree 2) callback: each
+        coordinate expression once, on jets of (u, v) at the points."""
+        def derivative(x):
+            x = np.asarray(x, dtype=float)
+            X = x.reshape(-1, 2)
+            seeds = dict(zip(variables, jets.seed(X, degree)))
+            out = jets.derivatives([ex.jet(**seeds) for ex in exprs], degree, *X.shape)
+            return out.reshape(x.shape[:-1] + out.shape[1:])
+        return derivative
+
     if kind == "curve":
         return crv.CurveChart(sf=sf, domain=domain[0], map=chart_map, name=name)
-    return ImmersionChart(sf=sf, m=2, domain=domain, map=chart_map, name=name)
+    return ImmersionChart(sf=sf, m=2, domain=domain, map=chart_map, name=name,
+                          jacobian=chart_derivative(1), hessian=chart_derivative(2))
 
 
 # -- builtins ---------------------------------------------------------------

@@ -4,8 +4,9 @@ Supports +, -, *, /, ^ (right associative), unary minus, parentheses,
 the functions sin, cos, sinh, cosh, sqrt, the constants pi and e, and
 free variables (typically u, v for hypersurface charts and t for
 curves).  Expressions are parsed once into an evaluation tree and
-evaluated many times; derivatives are taken by the finite-difference
-engine, not symbolically.
+evaluated many times.  Derivatives come from the same tree run on
+forward-mode jets (:meth:`Expression.jet`, :mod:`pqharmonic.jets`), not
+symbolically and not by finite differences.
 
 Evaluation is numpy arithmetic, so the variables may be arrays: a whole
 batch of points is one evaluation, and floats give a float.
@@ -74,17 +75,26 @@ class Expression:
 
         Overflow, division by zero and non-real values raise ExpressionError;
         underflow to zero does not, as in scalar floating point."""
-        missing = self.variables - set(vars)
+        value = self._run({k: np.asarray(x, dtype=float) for k, x in vars.items()})
+        return float(value) if np.ndim(value) == 0 else value
+
+    def jet(self, **jets):
+        """The jet of the expression (:class:`pqharmonic.jets.Jet`) from jets
+        of its variables, or a float where it does not depend on them.  The
+        tree runs unchanged, and a jet that overflows, divides by zero or
+        leaves the reals raises ExpressionError as a value does."""
+        return self._run(jets)
+
+    def _run(self, values):
+        missing = self.variables - set(values)
         if missing:
             raise ExpressionError(
                 f"missing values for {sorted(missing)} in {self.source!r}")
-        arrays = {k: np.asarray(x, dtype=float) for k, x in vars.items()}
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                value = self._fn(arrays)
+                return self._fn(values)
         except FloatingPointError as exc:
             raise ExpressionError(f"evaluation failed for {self.source!r}: {exc}")
-        return float(value) if np.ndim(value) == 0 else value
 
     def __call__(self, **vars):
         return self.evaluate(**vars)

@@ -15,10 +15,11 @@ grid points of a call:
   is g^ij (f_ij - Gamma^k_ij f_k): f_ij is D2 along each line, the mixed
   entries by polarization, and Gamma comes from the jets at u;
 * the jets of the map at each f point come from the exact ``jacobian`` and
-  ``hessian`` when the chart has them.  Otherwise they are the same
-  straight-line stencils at step h = h_step/2 around each f point, on one
-  integer lattice (the f points sit at even offsets), built once per m;
-  the map is called once per batch;
+  ``hessian`` when the chart has them, as every catalog entry and every
+  chart file does (a file's expression trees run on :mod:`jets`).  Only a
+  map-only chart takes the same straight-line stencils at step h =
+  h_step/2 around each f point, on one integer lattice (the f points sit
+  at even offsets), built once per m; the map is called once per batch;
 * no callback runs unless all that the lattices read lies in the domain:
   2 h_step around each grid point with exact jets, 3 h_step with FD jets,
   and at a single point f_step with FD jets and nothing with exact ones;

@@ -420,6 +420,38 @@ def test_chart_file_errors(tmp_path, capsys):
                 "--p", "2", "--q", "2"]) == 2
 
 
+# (u^2)^0.75 = |u|^1.5 is finite at u = 0, its jets are not; --grid 5 puts
+# the middle grid column at u = 0 exactly
+KINK_CHART = """\
+type: hypersurface
+c: 0
+u: -1, 1
+v: 0, 1
+x1: u
+x2: v
+x3: (u^2)^0.75
+"""
+
+
+def test_a_jet_that_fails_on_the_grid_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "kink.txt"
+    path.write_text(KINK_CHART)
+    argv = ["verify-hypersurface", "--chart-file", str(path), "--p", "2", "--q", "2"]
+    assert run(argv + ["--grid", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: evaluation failed for '(u^2)^0.75': "
+                            "divide by zero encountered in float_power\n")
+    # off u = 0 the same file classifies
+    assert run(argv + ["--grid", "4"]) == 0
+    # and as a program it ends the same way, with no traceback
+    src = os.path.dirname(os.path.dirname(pqharmonic.__file__))
+    proc = subprocess.run([sys.executable, "-m", "pqharmonic.cli"] + argv + ["--grid", "5"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("chart, command", [
     (CONE_CHART.replace("u: 1/2, 2", "u: 2, 1/2"), "verify-hypersurface"),
     (CIRCLE_CHART.replace("t: 0, 2*pi", "t: 2*pi, 0"), "verify-curve"),

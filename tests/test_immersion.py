@@ -13,6 +13,7 @@ from pqharmonic.catalog import _omega
 from pqharmonic.cli import load_chart_file
 from pqharmonic.errors import (BoundaryProximityError, DegenerateImmersionError, DomainError,
                                ModelConstraintError)
+from pqharmonic.expressions import ExpressionError
 from pqharmonic.immersion import GeometricSample, ImmersionChart, flip_sample
 from pqharmonic.residual import residual
 from pqharmonic.spaceform import SpaceForm
@@ -137,13 +138,22 @@ def test_single_point_callers_guard_the_fd_reach(fn, tmp_path):
     # the FD map lines reach f_step = 2e-3 from u, past u = 0 where sqrt(u) fails
     path = tmp_path / "sqrt.txt"
     path.write_text("type: hypersurface\nc: 0\nu: 0, 1\nv: 0, 1\nx1: u\nx2: v\nx3: sqrt(u)\n")
-    ch = load_chart_file(str(path))
+    ch = replace(load_chart_file(str(path)), jacobian=None, hessian=None)
     with pytest.raises(BoundaryProximityError,
                        match=f"^h_step={ch.f_step():g} reaches outside .* admit h_step up to 0.001$"):
         fn(ch, np.array([0.001, 0.5]))
     fn(ch, np.array([0.5, 0.5]))
     # exact jets read only u itself, so they need no margin
     fn(cone(0.5), np.array([0.5 + 1e-9, 1.0]))
+
+
+def test_a_single_point_jet_that_fails_names_the_expression(tmp_path):
+    # exact jets read u itself: at u = 0 sqrt(u) holds and its jets divide by zero
+    ch = _load(tmp_path, "sqrt.txt",
+               "type: hypersurface\nc: 0\nu: 0, 1\nv: 0, 1\nx1: u\nx2: v\nx3: sqrt(u)\n")
+    with pytest.raises(ExpressionError, match="^evaluation failed for 'sqrt\\(u\\)': divide by zero"):
+        shape_packet(ch, np.array([0.0, 0.5]))
+    shape_packet(ch, np.array([0.001, 0.5]))
 
 
 def test_sample_grid_respects_margins():
@@ -177,21 +187,37 @@ def test_higher_dimensional_sphere():
 R6 = 1.0 / math.sqrt(6.0)
 
 
-def _cone_file(tmp_path):
-    """The r = 1/sqrt(6) cone as a chart file: FD jets from the map only."""
-    path = tmp_path / "cone.txt"
-    path.write_text("type: hypersurface\nc: 0\nu: 1/2, 2\nv: 0, 2*pi\n"
-                    f"x1: u*cos(v)*{R6!r}\nx2: u*sin(v)*{R6!r}\nx3: u\n")
+CONE_FILE = ("type: hypersurface\nc: 0\nu: 1/2, 2\nv: 0, 2*pi\n"
+             f"x1: u*cos(v)*{R6!r}\nx2: u*sin(v)*{R6!r}\nx3: u\n")
+H3_SPHERE_FILE = ("type: hypersurface\nc: -1\nu: 0.45, 2.65\nv: 0, 2*pi\n"
+                  "x1: sinh(0.8)*sin(u)*cos(v)\nx2: sinh(0.8)*sin(u)*sin(v)\n"
+                  "x3: sinh(0.8)*cos(u)\nx4: cosh(0.8)\n")
+
+
+def _load(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
     return load_chart_file(str(path))
+
+
+def _jet_cone_file(tmp_path):
+    """The r = 1/sqrt(6) cone as a chart file, with the jets of its expressions."""
+    return _load(tmp_path, "cone.txt", CONE_FILE)
+
+
+def _cone_file(tmp_path):
+    """The cone file without its jets: FD jets from the map only."""
+    return replace(_jet_cone_file(tmp_path), jacobian=None, hessian=None)
+
+
+def _jet_h3_sphere_file(tmp_path):
+    """A geodesic sphere of radius 0.8 in H^3 as a chart file."""
+    return _load(tmp_path, "h3.txt", H3_SPHERE_FILE)
 
 
 def _h3_sphere_file(tmp_path):
-    """A geodesic sphere of radius 0.8 in H^3 as a chart file."""
-    path = tmp_path / "h3.txt"
-    path.write_text("type: hypersurface\nc: -1\nu: 0.45, 2.65\nv: 0, 2*pi\n"
-                    "x1: sinh(0.8)*sin(u)*cos(v)\nx2: sinh(0.8)*sin(u)*sin(v)\n"
-                    "x3: sinh(0.8)*cos(u)\nx4: cosh(0.8)\n")
-    return load_chart_file(str(path))
+    """The H^3 sphere file without its jets: FD jets from the map only."""
+    return replace(_jet_h3_sphere_file(tmp_path), jacobian=None, hessian=None)
 
 
 # stencil-path values recorded with the nested per-point stencils this
@@ -310,6 +336,55 @@ def test_batched_sample_equals_per_point_calls(tmp_path, monkeypatch):
                                           getattr(one, fd.name)), (ch.name, fd.name)
 
 
+def test_the_jet_cone_file_is_the_catalog_cone(tmp_path):
+    exact, U = cone(R6), sample_grid(cone(R6), 8)
+    eps = np.finfo(float).eps
+    # u*cos(v)*r rounds otherwise than the catalog's r*u*cos(v): a few ulp
+    ch = _jet_cone_file(tmp_path)
+    for cb in ("jacobian", "hessian"):
+        got, want = getattr(ch, cb)(U), getattr(exact, cb)(U)
+        assert np.allclose(got, want, rtol=2 * eps, atol=2 * eps), cb
+    # in the catalog's order the file is the same map, and the stencil path agrees
+    ordered = _load(tmp_path, "cone-ordered.txt",
+                    CONE_FILE.replace(f"u*cos(v)*{R6!r}", f"{R6!r}*u*cos(v)")
+                    .replace(f"u*sin(v)*{R6!r}", f"{R6!r}*u*sin(v)"))
+    s = geometric_sample(ordered, U, use_analytic=False)
+    t = geometric_sample(exact, U, use_analytic=False)
+    for fd in fields(GeometricSample):
+        if fd.name != "m":
+            got, want = getattr(s, fd.name), getattr(t, fd.name)
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want))), fd.name
+
+
+@pytest.mark.parametrize("c", [0, -1])
+def test_a_jet_chart_file_takes_its_jets_once_on_the_f_lattice(c, tmp_path):
+    ch = _jet_cone_file(tmp_path) if c == 0 else _jet_h3_sphere_file(tmp_path)
+    rows = {"map": [], "jacobian": [], "hessian": []}
+
+    def counting(name):
+        fn = getattr(ch, name)
+
+        def wrapped(w):
+            rows[name].append(np.shape(w))
+            return fn(w)
+        return wrapped
+
+    classify(replace(ch, **{name: counting(name) for name in rows}), PQParams(4 / 3, 3),
+             n_per_axis=4)
+    # 16 grid points of 13 f points; the map only for the model check of c != 0
+    assert rows == {"map": [] if c == 0 else [(208, 2)],
+                    "jacobian": [(208, 2)], "hessian": [(208, 2)]}
+
+
+def test_the_jet_cone_file_classifies_proper_within_7e_5(tmp_path):
+    # 9.3e-5 from FD jets of the map: their rounding passes two more stencil levels
+    report = classify(_jet_cone_file(tmp_path), PQParams(4 / 3, 3), n_per_axis=4)
+    assert report.classification.value == "ProperPQHarmonic"
+    assert report.max_abs_eq1 <= 7e-5
+    fd = classify(_cone_file(tmp_path), PQParams(4 / 3, 3), n_per_axis=4)
+    assert report.max_abs_eq1 < fd.max_abs_eq1
+
+
 def test_stencil_samples_each_lattice_point_once(tmp_path):
     ch = _cone_file(tmp_path)
     calls = []
@@ -357,7 +432,9 @@ def _same_sample(a, b, i):
 def test_callbacks_act_over_the_last_axis(tmp_path):
     charts = {"sphere-m2": sphere_in_sphere(2, 0.7), "sphere-m3": sphere_in_sphere(3, 0.4),
               "great-sphere": great_sphere(2), "cone": cone(R6), "plane": plane(),
-              "file-cone": _cone_file(tmp_path), "file-h3-sphere": _h3_sphere_file(tmp_path)}
+              "file-cone": _cone_file(tmp_path), "file-h3-sphere": _h3_sphere_file(tmp_path),
+              "jet-cone-file": _jet_cone_file(tmp_path),
+              "jet-h3-sphere-file": _jet_h3_sphere_file(tmp_path)}
     rng = np.random.default_rng(7)
     for name, ch in charts.items():
         lo, hi = np.array(ch.domain).T
