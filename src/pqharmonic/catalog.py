@@ -3,9 +3,12 @@
 Each hypersurface entry carries exact jacobian/hessian callbacks and an
 ``analytic_geometry`` sampler, so the same object exercises both the
 closed-form path (residuals at machine precision) and the stencil path
-(everything recomputed by finite differences) of the engine.  Every
-callback acts over the last axis (see :class:`ImmersionChart` and
-:class:`CurveChart`), so the engine evaluates a whole batch in one call.
+of the engine, where the exact jets feed finite-difference stencils of f
+over the f-lattice.  No entry carries a reference normal: each is
+oriented, like every chart, by the ambient volume form times its
+``orientation`` sign.  Every callback acts over the last axis (see
+:class:`ImmersionChart` and :class:`CurveChart`), so the engine evaluates
+a whole batch in one call.
 
 Entries:
 
@@ -113,7 +116,8 @@ def _sphere(m, a2, name):
     """X(u) = (a omega(u), b) with a^2 = a2 and b^2 = 1 - a2, in the unit S^(m+1).
 
     The unit normal eta = (b omega, -a) gives the constant mean curvature
-    f = -b/a and |A|^2 = m b^2/a^2.
+    f = -b/a and |A|^2 = m b^2/a^2.  The volume form's normal of this polar
+    chart is (-1)^m (b omega, -a), hence the orientation (-1)^m.
     """
     a, b = math.sqrt(a2), math.sqrt(1.0 - a2)
     # polar angles clear of the coordinate singularities, azimuth almost full
@@ -123,11 +127,10 @@ def _sphere(m, a2, name):
         map=lambda u: _append(a * _omega(u), b),
         jacobian=lambda u: _append(a * _omega(u, 1), 0.0, axis=-2),
         hessian=lambda u: _append(a * _omega(u, 2), 0.0, axis=-3),
-        reference_normal=lambda u: _append(b * _omega(u), -a),
         # f = +0 on the great sphere (b = 0), where -b/a would print as -0
         analytic_geometry=_constant_geometry(m, f=-b / a if b else 0.0,
                                              normA2=m * (1.0 - a2) / a2, ric=float(m)),
-        name=name)
+        name=name, orientation=(-1) ** m)
 
 
 # -- catalog entries --------------------------------------------------------
@@ -154,8 +157,8 @@ def great_sphere(m=2):
 def cone(r):
     """The rotation cone X(u,v) = (r u cos v, r u sin v, u) in R^3, u in (1/2, 2).
 
-    With the unit normal (-cos v, -sin v, r)/sqrt(1+r^2) the mean
-    curvature is f = 1/(2 r u sqrt(1+r^2)); the only nonzero principal
+    With the volume form's unit normal (-cos v, -sin v, r)/sqrt(1+r^2) the
+    mean curvature is f = 1/(2 r u sqrt(1+r^2)); the only nonzero principal
     curvature sits on the circular direction, so A(grad f) = 0.
     """
     if r <= 0:
@@ -188,10 +191,6 @@ def cone(r):
         H[..., 1, 1, 1] = -r * u * sv
         return H
 
-    def normal(w):
-        _, cv, sv = split(w)
-        return np.stack([-cv, -sv, np.full(cv.shape, r)], axis=-1) / s
-
     def analytic(w):
         u = np.asarray(w, dtype=float)[..., 0]
         g = np.zeros(u.shape + (2, 2))
@@ -208,7 +207,7 @@ def cone(r):
     return ImmersionChart(sf=sf, m=2,
                           domain=((0.5, 2.0), (0.0, 2.0 * math.pi)),
                           map=chart_map, jacobian=jac, hessian=hess,
-                          reference_normal=normal, analytic_geometry=analytic,
+                          analytic_geometry=analytic,
                           name=f"cone(r={r:g})")
 
 
@@ -219,7 +218,6 @@ def plane():
         map=lambda w: _append(np.asarray(w, dtype=float), 0.0),
         jacobian=lambda w: _constant([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], w),
         hessian=lambda w: _constant(np.zeros((3, 2, 2)), w),
-        reference_normal=lambda w: _constant([0.0, 0.0, 1.0], w),
         analytic_geometry=_constant_geometry(2, f=0.0, normA2=0.0, ric=0.0, g=np.eye(2)),
         name="plane")
 

@@ -74,9 +74,10 @@ class ImmersionChart:
     value per point.  ``map`` gives ambient embedding coordinates
     (..., dim).  Optional exact ``jacobian`` (..., dim, m) and ``hessian``
     (..., dim, m, m) callbacks are preferred over finite differences when
-    present.  ``reference_normal`` (..., dim) fixes the orientation;
-    without it the sign comes from the ambient volume form, times
-    ``orientation`` (+1 or -1).
+    present.  The unit normal takes the sign of the ambient volume form,
+    times ``orientation`` (+1 or -1), which is all :meth:`flipped`
+    negates; an optional ``reference_normal`` (..., dim), which no
+    builtin passes, replaces the volume form's sign by alignment with it.
     ``analytic_geometry`` supplies closed-form samples for catalog
     entries, as one :class:`GeometricSample` with its fields stacked along
     axis 0.  The engine calls each callback once per batch, on a flat
@@ -98,6 +99,8 @@ class ImmersionChart:
     def __post_init__(self):
         if (self.jacobian is None) != (self.hessian is None):
             raise ValueError(f"{self.name}: give jacobian and hessian together, or neither")
+        if self.orientation not in (1, -1):
+            raise ValueError(f"{self.name}: orientation must be +1 or -1, got {self.orientation!r}")
         if len(self.domain) != self.m:
             raise ValueError(f"{self.name}: need {self.m} domain intervals, got {len(self.domain)}")
         numeric._check_domain(self.domain, self.name)
@@ -115,15 +118,11 @@ class ImmersionChart:
         return use_analytic and self.analytic_geometry is not None
 
     def flipped(self):
-        """Same patch with the opposite orientation: the reference normal, or
-        without one the orientation sign, negated."""
-        ref, ana = self.reference_normal, self.analytic_geometry
-        if ref is None:
-            flip = {"orientation": -self.orientation}
-        else:
-            flip = {"reference_normal": lambda u: -ref(u)}
+        """Same patch with the opposite orientation: the orientation sign negated."""
+        ana = self.analytic_geometry
         new_ana = (lambda u: flip_sample(ana(u))) if ana is not None else None
-        return replace(self, analytic_geometry=new_ana, name=self.name + "(flipped)", **flip)
+        return replace(self, orientation=-self.orientation, analytic_geometry=new_ana,
+                       name=self.name + "(flipped)")
 
 
 @dataclass(frozen=True)
@@ -304,11 +303,9 @@ def _unit_normal(chart, X, J, P, det_g):
     _first_guard(~(nrm2 > RANK_TOL * scale), X,
                  lambda i, x: f"no spacelike unit normal at {x}: <w, w> = {nrm2[i]:.3e}")
     if chart.reference_normal is not None:
-        ref = np.asarray(chart.reference_normal(X), dtype=float)
+        ref = numeric._finite(chart.reference_normal(X), "reference_normal")
         eta = np.where((sf.pair(eta, ref) < 0)[:, None], -eta, eta)
-    elif chart.orientation < 0:
-        eta = -eta
-    return eta
+    return -eta if chart.orientation < 0 else eta
 
 
 def _shape(chart, X, J, H, P):
@@ -367,9 +364,9 @@ def first_fundamental(chart, u):
 def unit_normal(chart, u):
     """Unit ambient vectors (..., dim) at u (..., m), orthogonal to the patch (and P).
 
-    Orientation follows the chart's declared reference normal when present,
-    otherwise the ambient volume form, det[d_1 X, ..., d_m X, eta(, P)] > 0,
-    with eta negated on a chart of orientation -1.
+    Orientation follows the ambient volume form, det[d_1 X, ..., d_m X,
+    eta(, P)] > 0, or the chart's reference normal when it has one, with
+    eta then negated on a chart of orientation -1.
     """
     eta = _one_point(chart, u)[1].eta
     return eta.reshape(np.shape(u)[:-1] + eta.shape[-1:])

@@ -29,6 +29,10 @@ an (N, L, dim) array for N nodes and L offsets k:
   that meet the field's support, so their tau_p is one batch over those
   windows, and the six energies are one batch too.  tau_{p,q} at the Simpson
   nodes samples only its offsets beyond -4..4, which the energy lattice holds.
+
+Wherever these kernels sample the base curve, its points at the nodes
+(offset 0) must lie on the model, as in :mod:`curves`; a curve off it is a
+``ModelConstraintError``.
 """
 
 from __future__ import annotations
@@ -74,11 +78,19 @@ def _tension_p(sf, X, h, p):
     return (s2c ** e)[:, None] * acc + dsp[:, None] * vel, vel, s2c
 
 
+def _sample_base(curve, pts):
+    """The curve at the points t + k h (n, 9) of :func:`numeric._lattice`,
+    (n, 9, dim), refused unless its points at the nodes t (offset 0) lie on
+    the model (:meth:`SpaceForm.check_point`)."""
+    X = _sample(curve.map, pts)
+    curve.sf.check_point(X[:, len(TP_OFFSETS) // 2])
+    return X
+
+
 def tension_p(curve: CurveChart, t, p):
     """tau_p = |g'|^(p-2) nabla_t g' + d/dt(|g'|^(p-2)) g' at parameter t."""
     h = curve.frame_step()
-    X = _sample(curve.map, _lattice([t], h))
-    return _tension_p(curve.sf, X, h, p)[0][0]
+    return _tension_p(curve.sf, _sample_base(curve, _lattice([t], h)), h, p)[0][0]
 
 
 # -- discretized energy -----------------------------------------------------
@@ -110,7 +122,7 @@ class DiscretizedCurve:
 def energy_pq(dcurve: DiscretizedCurve, params: PQParams):
     """Composite-Simpson value of (1/q) |tau_p|^q over the parameter t."""
     h = dcurve.curve.frame_step()
-    X = _sample(dcurve.curve.map, _lattice(dcurve.ts, h))
+    X = _sample_base(dcurve.curve, _lattice(dcurve.ts, h))
     tp = _tension_p(dcurve.curve.sf, X, h, params.p)[0]
     return float(_energy(dcurve, tp, params))
 
@@ -314,7 +326,7 @@ def first_variation_check(dcurve: DiscretizedCurve, v: VariationField,
     curve, sf = dcurve.curve, dcurve.curve.sf
     h = curve.frame_step()
     pts = _lattice(dcurve.ts, h)
-    B = _sample(curve.map, pts)
+    B = _sample_base(curve, pts)
     dim = B.shape[-1]
     V = v.values(pts.ravel(), dim, B.reshape(-1, dim)).reshape(B.shape)
     lo, hi = v.support

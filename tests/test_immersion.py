@@ -275,7 +275,7 @@ def test_stencil_classify_stays_inside_the_domain(name, tmp_path):
         return wrapped
 
     watched = replace(ch, **{cb: recording(getattr(ch, cb))
-                             for cb in ("map", "jacobian", "hessian", "reference_normal")
+                             for cb in ("map", "jacobian", "hessian")
                              if getattr(ch, cb) is not None})
     lo, hi = np.array(ch.domain).T
     for grid in (4, 8):
@@ -440,8 +440,7 @@ def test_callbacks_act_over_the_last_axis(tmp_path):
         lo, hi = np.array(ch.domain).T
         U = lo + (hi - lo) * rng.uniform(0.05, 0.95, (7, ch.m))
         dim, m = ch.sf.ambient_dim, ch.m
-        for cb, shape in (("map", (dim,)), ("jacobian", (dim, m)),
-                          ("hessian", (dim, m, m)), ("reference_normal", (dim,))):
+        for cb, shape in (("map", (dim,)), ("jacobian", (dim, m)), ("hessian", (dim, m, m))):
             fn = getattr(ch, cb)
             if fn is None:
                 continue
@@ -522,7 +521,7 @@ def test_guards_raise_inside_a_batch():
         geometric_sample(ch, near_edge, use_analytic=False)
 
 
-# chart files have no reference normal: their orientation is the volume form's
+# the orientation of builtins and chart files is the volume form's
 @pytest.mark.parametrize("make", [lambda tmp_path: cone(0.5), _cone_file, _h3_sphere_file],
                          ids=["cone", "file-cone", "file-h3-sphere"])
 def test_flipped_chart_negates_stencil_quantities(make, tmp_path):
@@ -558,6 +557,56 @@ def test_flipped_map_only_chart_samples_its_lattice_once(tmp_path):
     _same_sample(t, flip_sample(s), slice(None))
     assert np.array_equal(unit_normal(watched.flipped(), pts), -unit_normal(watched, pts))
     assert np.array_equal(unit_normal(watched.flipped().flipped(), pts), unit_normal(watched, pts))
+
+
+# the closed-form normals each builtin's f is stated for, as the orientation oracle
+def _sphere_normal(m, a2):
+    """(b omega, -a) of S^m(a) in S^(m+1), under which f = -b/a."""
+    a, b = math.sqrt(a2), math.sqrt(1.0 - a2)
+    return lambda u: np.concatenate([b * _omega(u), np.full(u.shape[:-1] + (1,), -a)], axis=-1)
+
+
+def _cone_normal(w):
+    """(-cos v, -sin v, r)/sqrt(1 + r^2) of cone(R6), under which f > 0."""
+    v = w[..., 1]
+    return np.stack([-np.cos(v), -np.sin(v), np.full(v.shape, R6)], axis=-1) / math.sqrt(1 + R6**2)
+
+
+ORIENTED = {**{f"sphere-m{m}": (lambda m=m: sphere_in_sphere(m, 0.4), _sphere_normal(m, 0.4))
+               for m in (1, 2, 3, 4)},
+            "great-sphere": (lambda: great_sphere(2), _sphere_normal(2, 1.0)),
+            "cone": (lambda: cone(R6), _cone_normal),
+            "plane": (plane, lambda w: np.broadcast_to([0.0, 0.0, 1.0], w.shape[:-1] + (3,)))}
+
+
+@pytest.mark.parametrize("name", list(ORIENTED))
+def test_builtins_take_the_closed_form_normal_from_the_volume_form(name):
+    make, normal = ORIENTED[name]
+    ch = make()
+    assert ch.reference_normal is None
+    pts = sample_grid(ch, 8 if ch.m <= 2 else 4)
+    eta = unit_normal(ch, pts)
+    # measured: the cofactor normal is within 2.2e-16 of the closed form
+    assert np.allclose(eta, normal(pts), rtol=0, atol=1e-15)
+    assert np.array_equal(unit_normal(ch.flipped(), pts), -eta)
+    for use_analytic in (True, False):
+        s = geometric_sample(ch, pts, use_analytic=use_analytic)
+        t = geometric_sample(ch.flipped(), pts, use_analytic=use_analytic)
+        _same_sample(t, flip_sample(s), slice(None))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_reference_normal_orients_a_user_chart_and_flips(sign):
+    base = cone(R6)
+    ch = replace(base, reference_normal=lambda w: sign * _cone_normal(w))
+    pts = sample_grid(ch, 4)
+    eta = unit_normal(ch, pts)
+    assert np.array_equal(eta, sign * unit_normal(base, pts))
+    assert np.array_equal(unit_normal(ch.flipped(), pts), -eta)
+    assert np.array_equal(unit_normal(ch.flipped().flipped(), pts), eta)
+    s = geometric_sample(ch, pts, use_analytic=False)
+    _same_sample(geometric_sample(ch.flipped(), pts, use_analytic=False), flip_sample(s),
+                 slice(None))
 
 
 def test_map_lattice_jets_match_nested_stencils(tmp_path):
@@ -650,14 +699,15 @@ def _reparametrized_cone():
         sf=base.sf, m=2, domain=((0.7, 1.9), (0.5, 4.5)),
         map=lambda w: base.map(uv(w)), jacobian=lambda w: base.jacobian(uv(w)) @ _SKEW_M,
         hessian=lambda w: _SKEW_M.T @ base.hessian(uv(w)) @ _SKEW_M,
-        reference_normal=lambda w: base.reference_normal(uv(w)), name="skew-cone")
+        # det M scales the volume form: keep the cone's normal, and its f
+        orientation=int(np.sign(np.linalg.det(_SKEW_M))), name="skew-cone")
 
 
 @pytest.mark.parametrize("fd", [False, True], ids=["exact-jets", "map-only"])
 def test_laplacian_of_a_skew_reparametrized_cone_matches_the_closed_form(fd):
     ch = _reparametrized_cone()
     if fd:
-        ch = replace(ch, jacobian=None, hessian=None, reference_normal=None)
+        ch = replace(ch, jacobian=None, hessian=None)
     assert abs(geometric_sample(ch, np.array([1.3, 2.5]), use_analytic=False).g[0, 1]) > 0.05
     # measured at grids 4 and 8: exact jets 2.5e-8 (1.1e-6 in divergence
     # form), map-only 4.4e-5 (2.6e-5 in divergence form); each bound is at
@@ -771,7 +821,7 @@ def _assert_same_geometry(before, after, f_rtol, normA2_rtol, lap_atol, eq1_atol
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_rotation_keeps_the_geometry_of_a_map_only_sphere_in_s3(seed):
-    base = replace(sphere_in_sphere(2, 0.4), jacobian=None, hessian=None, reference_normal=None)
+    base = replace(sphere_in_sphere(2, 0.4), jacobian=None, hessian=None)
     Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))
     if np.linalg.det(Q) < 0:
         Q[:, 3] *= -1.0
@@ -1035,6 +1085,13 @@ def test_a_chart_with_a_lone_exact_jet_is_refused(lone):
                        **{lone: getattr(ch, lone)})
 
 
+@pytest.mark.parametrize("orientation", [0, 2, -2, 0.5])
+def test_an_orientation_other_than_plus_or_minus_one_is_refused(orientation):
+    with pytest.raises(ValueError, match=rf"^cone\(r=0.5\): orientation must be \+1 or -1, "
+                                         rf"got {orientation}$"):
+        replace(cone(0.5), orientation=orientation)
+
+
 def _nan_past_1_2(fn):
     """The callback fn (on a flat batch), NaN at the points with u > 1.2."""
     def nan_fn(w):
@@ -1057,6 +1114,9 @@ def test_a_non_finite_callback_value_is_a_domain_error():
         exact = replace(base, **{name: _nan_past_1_2(getattr(base, name))})
         with pytest.raises(DomainError, match=f"non-finite {name} value"):
             classify(exact, PQParams(4 / 3, 3.0), use_analytic=False)
+    aligned = replace(base, reference_normal=_nan_past_1_2(_cone_normal))
+    with pytest.raises(DomainError, match="non-finite reference_normal value"):
+        classify(aligned, PQParams(4 / 3, 3.0), n_per_axis=4, use_analytic=False)
 
 
 @pytest.mark.parametrize("domain", [((2.0, 0.5), (0.0, 1.0)), ((0.5, 2.0), (1.0, 1.0)),

@@ -12,7 +12,7 @@ from pqharmonic import (CurveChart, DiscretizedCurve, PQParams, circle,
                         random_bump_field, reparametrize_arclength, tension_p,
                         tension_pq_curve)
 from pqharmonic import cli, variation
-from pqharmonic.errors import SingularFactorError, SingularSpeedError
+from pqharmonic.errors import ModelConstraintError, SingularFactorError, SingularSpeedError
 from pqharmonic.spaceform import SpaceForm
 from pqharmonic.variation import VariationField, varied_curve
 
@@ -139,6 +139,23 @@ def test_tension_pq_geodesic_zero():
 def test_tension_pq_singular_factor_guard():
     with pytest.raises(SingularFactorError):
         tension_pq_curve(_line(), 2.0, PQParams(2, 1.5))
+
+
+def test_curve_kernels_refuse_a_curve_off_its_model():
+    # a radius-1.5 circle declared in S^3
+    off = CurveChart(sf=SpaceForm(3, 1.0), domain=(0.0, 2 * math.pi),
+                     map=lambda t: 1.5 * np.stack([np.cos(t), np.sin(t), 0 * t, 0 * t], axis=-1),
+                     name="off-model")
+    dc, params = DiscretizedCurve(curve=off, K=16), PQParams(2.5, 2.5)
+    # a field with no Simpson node in its support: no tau_pq is taken
+    between = (dc.ts[4] + 0.01, dc.ts[5] - 0.01)
+    field = bump_normal_field(off, lambda t: np.multiply.outer(np.ones_like(t), [0, 0, 1.0, 0]),
+                              support=between)
+    for call in (lambda: tension_p(off, 1.0, 2.5), lambda: energy_pq(dc, params),
+                 lambda: tension_pq_curve(off, 1.0, params),
+                 lambda: first_variation_check(dc, field, params)):
+        with pytest.raises(ModelConstraintError, match="off the SphereEmbedded model"):
+            call()
 
 
 def test_variation_field_support():
