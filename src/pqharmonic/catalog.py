@@ -193,13 +193,14 @@ def cone(r):
 
     def analytic(w):
         u = np.asarray(w, dtype=float)[..., 0]
+        u2 = u * u
         g = np.zeros(u.shape + (2, 2))
         g[..., 0, 0], g[..., 1, 1] = s2, r * r * u * u
         return GeometricSample(
             m=2, f=f1 / u,
-            grad_f=np.stack([-f1 / (u * u * s2), np.zeros(u.shape)], axis=-1),
-            grad_f_norm2=f1 * f1 / (np.float_power(u, 4) * s2),
-            laplacian_f=f1 / (s2 * np.float_power(u, 3)),
+            grad_f=np.stack([-f1 / (u2 * s2), np.zeros(u.shape)], axis=-1),
+            grad_f_norm2=f1 * f1 / (u2 * u2 * s2),
+            laplacian_f=f1 / (s2 * (u2 * u)),
             normA2=1.0 / (r * r * u * u * s2),
             A_grad_f=np.zeros(u.shape + (2,)), ric_eta_eta=np.zeros(u.shape),
             ricci_eta_top=np.zeros(u.shape + (2,)), g=g)

@@ -238,7 +238,7 @@ def render_report(command, config, summary, table=None):
         lines.append("points:")
         lines.append("  " + " ".join(header))
         for row in rows:
-            lines.append("  " + " ".join(_fmt(x) for x in row))
+            lines.append("  " + " ".join(map(_fmt, row)))
     return "\n".join(lines) + "\n"
 
 

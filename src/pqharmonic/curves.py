@@ -218,15 +218,16 @@ def curve_system_residual(fr: FrenetApparatus, params, c):
         raise SingularFactorError(
             f"k = {np.nanmin(k):.3e} too small for the k^(q-3) factor")
     # np.float_power is the C library's pow, inf on overflow; numpy's ** differs
-    # in the last bit on some inputs, and r2 cancels to about 1e-9 of its terms
+    # in the last bit on some inputs, and r2 cancels to about 1e-9 of its terms.
+    # The squares are products: correctly rounded, and far cheaper than pow
     with np.errstate(over="ignore", invalid="ignore"):
         km3, km2, km1, kp1 = (np.float_power(k, e) for e in (q - 3, q - 2, q - 1, q + 1))
         r1 = (1.0 - p * q) * km1 * fr.k_prime + 0.0     # + 0.0: r1 = +0 where k' = 0
         r2 = (c * km1
-              + (q - 1) * (q - 2) * km3 * np.float_power(fr.k_prime, 2.0)
+              + (q - 1) * (q - 2) * km3 * (fr.k_prime * fr.k_prime)
               + (q - 1) * km2 * fr.k_second
               - kp1
-              - km1 * np.float_power(tau, 2.0)
+              - km1 * (tau * tau)
               - (p - 2) * kp1)
         r3 = (2 * (q - 1) * km2 * fr.k_prime * tau
               + km1 * fr.tau_prime)

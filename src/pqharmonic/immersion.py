@@ -34,7 +34,8 @@ grid points of a call:
   before it divides;
 * the contractions act per matrix: g = (s J)^T J and A by stacked matmul,
   B by a two-operand einsum (which times below a matmul for it), and f,
-  |A|^2 and :meth:`GeometricSample.g_dot` term by term
+  |A|^2 and :meth:`GeometricSample.g_dot` (through g, or as the plain dot
+  product of a sample without g) term by term
   (:func:`numeric._weigh`).  None sums in an order that depends on the
   batch, so a point gets the same bits in a batch of any size.
 
@@ -163,9 +164,10 @@ class GeometricSample:
     g: Optional[np.ndarray] = None
 
     def g_dot(self, a, b):
-        """g(a, b) of tangent vectors, per sample for a stacked sample."""
+        """g(a, b) of tangent vectors, per sample for a stacked sample; the
+        dot product when the sample carries no g."""
         if self.g is None:
-            return np.sum(a * b, axis=-1)
+            return _weigh(a, b)
         return _weigh(a, _weigh(self.g, b[..., None, :]))
 
     def g_norm(self, vec):

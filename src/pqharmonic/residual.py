@@ -12,6 +12,9 @@ f does not vanish:
 At (p, q) = (2, 2) the coefficients reduce exactly to the classical
 biharmonic-hypersurface system.  :func:`residual` is its one evaluation,
 in a space form (c), an Einstein space (S) or the sample's own ambient.
+Its integer powers are products, f^4 = f^2 f^2: numpy's power loop on a
+negative base (the umbilic spheres have f < 0) costs far more per element,
+and products round a point the same in a batch of any size.
 """
 
 from __future__ import annotations
@@ -128,11 +131,12 @@ def _system(sample: GeometricSample, p, q, ric_eta_eta, ricci_eta_top):
     c1, c2, c3, c4, c5, d1, d2, d3 = (
         float(x) for x in _coefficients(_exactify(p), _exactify(q), sample.m).as_tuple())
     f = np.asarray(sample.f, dtype=float)
+    f2 = f * f
     eq1 = (c1 * f * sample.laplacian_f
            + c2 * sample.grad_f_norm2
-           + c3 * f * f * sample.normA2
-           + c4 * f * f * ric_eta_eta
-           + c5 * f ** 4)
+           + c3 * f2 * sample.normA2
+           + c4 * f2 * ric_eta_eta
+           + c5 * (f2 * f2))
     f = f[..., None]
     eq2 = (d1 * np.asarray(sample.A_grad_f)
            + d2 * f * ricci_eta_top
@@ -237,7 +241,8 @@ def _affine_in_p(batch, q, c):
     a1, a2 = _system(batch, 0.0, q, *_ricci(batch, c))
     dc5, dd3 = _p_slopes(q, batch.m)
     f = np.asarray(batch.f, dtype=float)
-    return (a1, dc5 * f ** 4), (a2, dd3 * f[..., None] * batch.grad_f)
+    f2 = f * f
+    return (a1, dc5 * (f2 * f2)), (a2, dd3 * f[..., None] * batch.grad_f)
 
 
 def solve_p(chart, q, bracket, n_per_axis=8, tol=1e-8, use_analytic=True):

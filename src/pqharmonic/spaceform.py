@@ -15,6 +15,9 @@ of a field V along a curve is ``tangent_project(P, dV/dt)``.  The pairing,
 the projection, the oriented unit normal of tangent vectors (``complement``),
 the curvature tensor, the model checks and the retraction act over the last
 axis, so they take one point or a whole stencil lattice of points at once.
+The pairing and the model check's |P|^2 are summed term by term over the
+coordinates (:func:`numeric._weigh`), so a point gets the same bits in a
+batch of any size.
 The normal's cofactors are one elementwise Laplace expansion over the
 batch that shares its sub-minors (:func:`numeric._cofactors`): a LAPACK
 determinant per cofactor and point cost far more in call overhead than in
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ModelConstraintError, TangencyError
-from .numeric import _cofactors
+from .numeric import _cofactors, _weigh
 
 MODEL_TOL = 1e-12
 TANGENT_TOL = 1e-10
@@ -69,8 +72,8 @@ class SpaceForm:
 
     def pair(self, X, Y):
         """Raw coordinate pairing (Euclidean dot or Minkowski product) over the last axis."""
-        X = np.asarray(X, dtype=float)
-        return np.add.reduce(X * Y if self._signs is None else X * self._signs * Y, axis=-1)
+        X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+        return _weigh(X, Y if self._signs is None else self._signs * Y)
 
     # -- model membership ---------------------------------------------------
 
@@ -88,7 +91,7 @@ class SpaceForm:
             raise ModelConstraintError(
                 f"expected coordinate arrays of length {self.ambient_dim}, "
                 f"got shape {P.shape}")
-        off = self.constraint_defect(P) > tol * np.add.reduce(P * P, axis=-1)
+        off = self.constraint_defect(P) > tol * _weigh(P, P)
         if np.any(off):
             i = np.unravel_index(np.argmax(off), off.shape)
             raise ModelConstraintError(f"point {P[i]} off the {self.model} model: <P,P> = "

@@ -372,3 +372,22 @@ def test_theorem_parameter_is_unique_root():
     assert max(abs(x) for x in r) < 1e-10
     r_off = curve_system_residual(fr, PQParams(p_star + 0.01, 2.3), 1.0)
     assert abs(r_off[1]) > 1e-3
+
+
+@pytest.mark.parametrize("curve", [
+    helix(math.pi / 4, SQ7 / 2, 0.5).curve, helix(0.6, 1.3, 0.5).curve, circle(1.0), circle(2.5),
+], ids=["helix-sq7", "helix-1.3", "circle-1", "circle-2.5"])
+def test_curve_residual_squares_are_the_float_power_squares_bit_for_bit(curve):
+    # the residual squares k' and tau by products; float_power(x, 2.0) is the
+    # form they replaced, and the residual keeps its bits at every node
+    fr = frenet(curve, np.linspace(*curve.domain, 41)[1:-1])
+    k, kp, ks, tau, taup, c = fr.k, fr.k_prime, fr.k_second, fr.tau, fr.tau_prime, curve.sf.c
+    for p, q in ((2.0, 2.0), (2.5, 3.0), (1.5, 2.5)):
+        km3, km2, km1, kp1 = (np.float_power(k, e) for e in (q - 3, q - 2, q - 1, q + 1))
+        want = ((1.0 - p * q) * km1 * kp + 0.0,
+                c * km1 + (q - 1) * (q - 2) * km3 * np.float_power(kp, 2.0)
+                + (q - 1) * km2 * ks - kp1 - km1 * np.float_power(tau, 2.0) - (p - 2) * kp1,
+                2 * (q - 1) * km2 * kp * tau + km1 * taup)
+        got = curve_system_residual(fr, PQParams(p, q), c)
+        for r, w in zip(got, want):
+            assert np.asarray(r).tobytes() == np.asarray(w).tobytes(), (p, q)

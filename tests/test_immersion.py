@@ -1140,3 +1140,17 @@ def test_classify_takes_a_step_the_grid_holds(k):
     ch = cone(R6)
     report = classify(ch, PQParams(4 / 3, 3.0), use_analytic=False, h_step=k * ch.f_step())
     assert report.classification.value == "ProperPQHarmonic"
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_euclidean_g_dot_is_the_left_to_right_sum_bit_for_bit(m):
+    rng = np.random.default_rng(20 + m)
+    a, b = rng.standard_normal((2, 4096, m))
+    s = GeometricSample(m=m, f=np.zeros(4096), grad_f=a, grad_f_norm2=np.zeros(4096),
+                        laplacian_f=np.zeros(4096), normA2=np.zeros(4096), A_grad_f=b,
+                        ric_eta_eta=np.zeros(4096), ricci_eta_top=np.zeros((4096, m)))
+    for x, y in ((a, b), (a, b[7]), (a[7], b)):
+        want = x[..., 0] * y[..., 0]
+        for k in range(1, m):
+            want = want + x[..., k] * y[..., k]
+        assert s.g_dot(x, y).tobytes() == want.tobytes()

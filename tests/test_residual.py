@@ -350,3 +350,26 @@ def test_affine_in_p_slopes_reproduce_the_system_at_p1(make, use_analytic, tmp_p
         for affine, direct in ((a1 + s1, e1), (a2 + s2, e2)):
             scale = max(np.max(np.abs(direct)), np.max(np.abs(affine)))
             assert np.max(np.abs(affine - direct)) <= 1e-14 * scale, (ch.name, q)
+
+
+@pytest.mark.parametrize("make, n", [
+    (lambda: sphere_in_sphere(4, 0.6), 8),
+    (lambda: sphere_in_sphere(4, 0.6).flipped(), 8),
+    (lambda: cone(0.45), 64),
+], ids=["sphere4", "sphere4-flipped", "cone"])
+def test_system_gives_a_point_the_same_bits_alone_as_in_a_4096_point_batch(make, n):
+    # products, not numpy's power loop, take f^4: a one-point call and a
+    # 4,096-point call round it the same (the m = 4 sphere has f < 0)
+    ch = make()
+    batch = geometric_sample(ch, sample_grid(ch, n))
+    assert len(batch.f) == 4096
+    c = ch.sf.c
+    eq1, eq2 = _system(batch, 2.5, 2.5, *_ricci(batch, c))
+    (a1, s1), (a2, s2) = _affine_in_p(batch, 2.5, c)
+    for i in list(range(0, 4096, 61)) + [4095]:
+        one = _row(batch, i)
+        one_eq1, one_eq2 = _system(one, 2.5, 2.5, *_ricci(one, c))
+        (b1, t1), (b2, t2) = _affine_in_p(one, 2.5, c)
+        assert one_eq1 == eq1[i] and np.array_equal(one_eq2, eq2[i]), i
+        assert (b1, t1) == (a1[i], s1[i]), i
+        assert np.array_equal(b2, a2[i]) and np.array_equal(t2, s2[i]), i

@@ -149,3 +149,54 @@ def test_complement_is_the_oriented_unit_normal(c, k):
         cross = np.cross(V[..., 0], V[..., 1])
         assert np.allclose(w, cross / np.linalg.norm(cross, axis=-1, keepdims=True),
                            rtol=0, atol=1e-14)
+
+
+def _left_to_right(X, Y, signs):
+    """sum_k signs[k] X[..., k] Y[..., k], added in the order k = 0, 1, ..."""
+    out = signs[0] * X[..., 0] * Y[..., 0]
+    for k in range(1, X.shape[-1]):
+        out = out + signs[k] * X[..., k] * Y[..., k]
+    return out
+
+
+_MODELS = [(c, dim) for c in (0.0, 1.3, -0.7) for dim in (3, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("c, dim", _MODELS)
+def test_pair_is_the_left_to_right_sum_bit_for_bit(c, dim):
+    sf = SpaceForm(dim if c == 0 else dim - 1, c)
+    assert sf.ambient_dim == dim
+    signs = sf.pairing_signs()
+    rng = np.random.default_rng(dim)
+    X, Y = rng.standard_normal((2, 257, dim))
+    assert sf.pair(X, Y).tobytes() == _left_to_right(X, Y, signs).tobytes()
+    # a (dim,) operand broadcasts against the batch, on either side, and a list is taken as is
+    y = Y[0]
+    want = _left_to_right(X, y, signs)
+    assert sf.pair(X, y).tobytes() == want.tobytes()
+    assert sf.pair(X, list(y)).tobytes() == want.tobytes()
+    assert sf.pair(y, X).tobytes() == _left_to_right(y, X, signs).tobytes()
+    assert sf.pair(list(X[1]), list(y)) == _left_to_right(X[1], y, signs)
+
+
+@pytest.mark.parametrize("c, dim", [(c, dim) for c, dim in _MODELS if c != 0])
+def test_check_point_refuses_at_the_left_to_right_norm_bit_for_bit(c, dim):
+    # the refusal threshold is tol |P|^2 with |P|^2 summed left to right: find
+    # the least tol that keeps each point, and see the next float down refuse it
+    sf = SpaceForm(dim - 1, c)
+    ones = np.ones(dim)
+    rng = np.random.default_rng(10 * dim)
+    for _ in range(8):
+        x = rng.standard_normal(dim - 1)
+        P = sf.retract(np.append(x, 1.0 + np.sum(np.abs(x)))) * (1.0 + 1e-13)
+        defect = abs(_left_to_right(P, P, sf.pairing_signs()) - 1.0 / c)
+        norm2 = _left_to_right(P, P, ones)
+        tol = defect / norm2
+        while tol * norm2 < defect:
+            tol = np.nextafter(tol, np.inf)
+        while np.nextafter(tol, 0.0) * norm2 >= defect:
+            tol = np.nextafter(tol, 0.0)
+        sf.check_point(P, tol=tol)
+        sf.check_point(P[None, None], tol=tol)
+        with pytest.raises(ModelConstraintError):
+            sf.check_point(P, tol=np.nextafter(tol, 0.0))
