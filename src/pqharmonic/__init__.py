@@ -10,7 +10,7 @@ from .catalog import (CATALOG, CatalogEntry, circle, cone, great_sphere,
                       plane, sphere_in_sphere)
 from .curves import (CurveChart, CurveReport, FrenetApparatus, HelixResult,
                      classify_curve, curve_system_residual, frenet, helix,
-                     p_closed_form, reparametrize_arclength)
+                     p_closed_form)
 from .errors import (BoundaryProximityError, DegenerateImmersionError,
                      DomainError, FrameUndefinedError, GeometryError,
                      ModelConstraintError, NoRootInBracketError,
@@ -41,8 +41,8 @@ __all__ = [
     "bump_normal_field", "circle", "classify", "classify_curve", "coefficients",
     "cone", "curve_system_residual", "energy_pq", "first_fundamental",
     "first_variation_check", "frenet", "geometric_sample", "great_sphere",
-    "helix", "p_closed_form", "plane", "random_bump_field",
-    "reparametrize_arclength", "residual", "sample_grid", "shape_packet",
+    "helix", "p_closed_form", "plane", "random_bump_field", "residual",
+    "sample_grid", "shape_packet",
     "solve_p", "solve_param_pair", "sphere_in_sphere", "tension_p",
     "tension_pq_curve", "umbilic_f", "unit_normal",
 ]

@@ -20,10 +20,10 @@ from typing import Callable
 import numpy as np
 
 from . import numeric
-from .errors import (DomainError, FrameUndefinedError, NonConvergenceError,
-                     SingularFactorError, SingularSpeedError)
+from .errors import (DomainError, FrameUndefinedError, SingularFactorError,
+                     SingularSpeedError)
 from .immersion import _row
-from .numeric import _lattice, _sample, _stencil, _stencil2, _weigh
+from .numeric import _lattice, _sample, _stencil, _stencil2
 from .residual import Classification
 from .spaceform import SpaceForm
 
@@ -31,6 +31,9 @@ K_THRESHOLD = 1e-8
 SPEED_FLOOR = 1e-10                 # |gamma'| at or below this is singular
 FRENET_OFFSETS = np.arange(-8, 9)   # T, nabla_T T, nabla_T N and tau': four nested stencils
 FRAME_POINTS = 256                  # nodes per map call of frenet; bounds a call's memory
+# most nodes classify_curve takes: verify-curve of the S^3 helix at this many
+# peaks at 72 MiB (tracemalloc, report included)
+MAX_SAMPLES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -125,83 +128,6 @@ def frenet(curve: CurveChart, t) -> FrenetApparatus:
     return _row(fr)
 
 
-# -- arc length -------------------------------------------------------------
-
-COARSE_INTERVALS = 256       # intervals of the length table
-GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
-NEWTON_STEPS = 20
-
-
-def _speeds(curve, ts):
-    """|gamma'| at the parameters ``ts`` by the D1 stencil of step frame_step."""
-    h = curve.frame_step()
-    X = _sample(curve.map, _lattice(ts, h, numeric.D1_OFFSETS))
-    V = _weigh(np.moveaxis(X, 1, -1), numeric.D1_WEIGHTS) / h
-    return np.sqrt(np.maximum(curve.sf.pair(V, V), 0.0))
-
-
-def _gauss_nodes(a, b):
-    """The Gauss-Legendre nodes of the intervals [a, b] (n, 4), and their half widths."""
-    half = 0.5 * (b - a)
-    return (0.5 * (a + b))[:, None] + half[:, None] * GAUSS_NODES, half
-
-
-def _gauss(curve, a, b):
-    """Gauss-Legendre lengths of the curve over the intervals [a, b], elementwise."""
-    nodes, half = _gauss_nodes(a, b)
-    return half * _weigh(_speeds(curve, nodes.ravel()).reshape(nodes.shape), GAUSS_WEIGHTS)
-
-
-def reparametrize_arclength(curve: CurveChart) -> CurveChart:
-    """Unit-speed reparametrization by inverting the exact length function.
-
-    The speed is taken once, at the Gauss-Legendre nodes of COARSE_INTERVALS
-    coarse intervals and at both ends of the domain.  A speed at or below
-    SPEED_FLOOR there raises :class:`~pqharmonic.errors.SingularSpeedError`,
-    and a unit-speed curve is itself returned.  Otherwise the node speeds give
-    the length at the coarse nodes by Gauss-Legendre quadrature.  Each
-    arc length s is inverted from a linear guess (``np.interp``) by Newton
-    steps on the length from the nearest coarse node, also by Gauss-Legendre.
-    That length is a smooth function of t; a piecewise interpolant of it
-    would carry jumps in its higher derivatives into k'' at the frame step.
-    The Newton steps run on a whole batch of s at once, and each s stops
-    at its own tolerance.
-    """
-    t0, t1 = curve.domain
-    coarse = np.linspace(t0, t1, COARSE_INTERVALS + 1)
-    nodes, half = _gauss_nodes(coarse[:-1], coarse[1:])
-    speeds = _speeds(curve, np.append(nodes.ravel(), [t0, t1]))
-    if np.min(speeds) <= SPEED_FLOOR:
-        raise SingularSpeedError("curve speed vanishes; cannot reparametrize")
-    if np.max(np.abs(speeds - 1.0)) < 1e-10:
-        return curve
-
-    pieces = half * _weigh(speeds[:-2].reshape(nodes.shape), GAUSS_WEIGHTS)
-    lengths = np.concatenate([[0.0], np.cumsum(pieces)])
-    # a Newton step below tol leaves an error of order tol^2 / width
-    tol = 1e-9 * (t1 - t0)
-
-    def new_map(s):
-        s = np.asarray(s, dtype=float)
-        flat = s.ravel()
-        t = np.interp(flat, lengths, coarse)
-        i = np.argmin(np.abs(coarse - t[:, None]), axis=1)
-        target = flat - lengths[i]
-        active = np.arange(len(t))
-        for _ in range(NEWTON_STEPS):
-            ta, ia = t[active], i[active]
-            step = (_gauss(curve, coarse[ia], ta) - target[active]) / _speeds(curve, ta)
-            t[active] = ta - step
-            active = active[~(np.abs(step) <= tol)]
-            if not len(active):
-                return curve.map(t.reshape(s.shape))
-        raise NonConvergenceError(
-            f"arc length {flat[active[0]]:.6g} not inverted in {NEWTON_STEPS} steps")
-
-    return CurveChart(sf=curve.sf, domain=(0.0, float(lengths[-1])), map=new_map,
-                      name=curve.name + "(arclength)")
-
-
 # -- the curve system -------------------------------------------------------
 
 def curve_system_residual(fr: FrenetApparatus, params, c):
@@ -250,7 +176,10 @@ def classify_curve(curve: CurveChart, params, samples=32, tol=1e-6) -> CurveRepo
     """The curve verdict at ``samples`` nodes over the domain less 5% at each
     end: Geodesic when no node has a frame, else ProperPQHarmonic when every
     residual (0 where the frame is undefined) is below ``tol``: the verdict
-    of the curve by arc length, as its frames are (:func:`frenet`)."""
+    of the curve by arc length, as its frames are (:func:`frenet`).  More
+    than MAX_SAMPLES nodes is a ValueError."""
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"{samples} samples exceed {MAX_SAMPLES}")
     lo, hi = curve.domain
     pad = 0.05 * (hi - lo)
     ts = np.linspace(lo + pad, hi - pad, samples)

@@ -20,7 +20,6 @@ and products round a point the same in a batch of any size.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NoRootInBracketError, NonConvergenceError
+from .errors import DomainError, NoRootInBracketError, NonConvergenceError
 from .immersion import GeometricSample, geometric_sample, sample_grid
 
 
@@ -179,13 +178,19 @@ def umbilic_f(params: PQParams, m: int, S: float):
 def classify_samples(batch: GeometricSample, params: PQParams, c=None, S=None, tol=1e-6,
                      points=None):
     """Build a :class:`ResidualReport` from one sample with stacked fields,
-    in the ambient that ``c`` and ``S`` select as in :func:`residual`."""
-    eq1s, eq2 = residual(batch, params, c, S)
-    eq2n = batch.g_norm(eq2)
-    fs = batch.f
-    max1 = float(np.max(np.abs(eq1s)))
-    max2 = float(np.max(eq2n))
-    if np.max(np.abs(fs)) < tol:
+    in the ambient that ``c`` and ``S`` select as in :func:`residual`.  A
+    non-finite max |f|, max |eq1| or max |eq2|_g is a DomainError."""
+    with np.errstate(all="ignore"):
+        eq1s, eq2 = residual(batch, params, c, S)
+        eq2n = batch.g_norm(eq2)
+        fs = batch.f
+        maxf = float(np.max(np.abs(fs)))
+        max1 = float(np.max(np.abs(eq1s)))
+        max2 = float(np.max(eq2n))
+    if not (math.isfinite(maxf) and math.isfinite(max1) and math.isfinite(max2)):
+        raise DomainError(f"non-finite residual: max |f| = {maxf:g}, max |eq1| = {max1:g}, "
+                          f"max |eq2|_g = {max2:g}")
+    if maxf < tol:
         cls = Classification.MINIMAL
     elif np.min(np.abs(fs)) < tol:
         cls = Classification.MIXED_SIGN_F
@@ -205,7 +210,8 @@ def classify(chart, params: PQParams, n_per_axis=8, tol=None,
     if tol is None:
         tol = 1e-6 if chart.analytic_path(use_analytic) else 1e-3
     pts = sample_grid(chart, n_per_axis)
-    samples = geometric_sample(chart, pts, h_step=h_step, use_analytic=use_analytic)
+    with np.errstate(all="ignore"):     # classify_samples refuses what is not finite
+        samples = geometric_sample(chart, pts, h_step=h_step, use_analytic=use_analytic)
     return classify_samples(samples, params, c=chart.sf.c, S=S, tol=tol, points=pts)
 
 
@@ -225,21 +231,14 @@ class SolveResult:
     reason: str = ""
 
 
-@functools.lru_cache(maxsize=64)
-def _p_slopes(q, m):
-    """(dc5/dp, dd3/dp) of the coefficient formula, in exact arithmetic."""
-    at0, at1 = (_coefficients(Fraction(p), Fraction(q), m) for p in (0, 1))
-    return float(at1.c5 - at0.c5), float(at1.d3 - at0.d3)
-
-
 def _affine_in_p(batch, q, c):
     """((a1, s1), (a2, s2)) with eq1 = a1 + s1 p, eq2 = a2 + s2 p exactly.
 
     p enters the system only through c5 = m(p-2) and d3 = m + (p-2)q, so the
-    slopes are dc5/dp f^4 and dd3/dp f grad f.
+    slopes are dc5/dp f^4 = m f^4 and dd3/dp f grad f = q f grad f.
     """
     a1, a2 = _system(batch, 0.0, q, *_ricci(batch, c))
-    dc5, dd3 = _p_slopes(q, batch.m)
+    dc5, dd3 = float(batch.m), float(q)
     f = np.asarray(batch.f, dtype=float)
     f2 = f * f
     return (a1, dc5 * (f2 * f2)), (a2, dd3 * f[..., None] * batch.grad_f)

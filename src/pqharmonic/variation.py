@@ -56,6 +56,9 @@ OUTER = 4                               # h2 = OUTER * h1 for the tau_pq stencil
 PQ_OFFSETS = np.arange(-20, 21)         # the lattice of one tau_pq, in steps h1
 PQ_NODES = 20 + OUTER * TP_OFFSETS      # indices of its nine tau_p nodes
 PQ_OUTER = np.abs(PQ_OFFSETS) > TP_OFFSETS[-1]   # its offsets beyond the energy lattice
+# largest DiscretizedCurve.K: variation-check of the S^3 helix (3 fields) at
+# this K peaks at 115 MiB (tracemalloc, report included)
+MAX_K = 2 ** 14
 
 
 # -- p-tension field --------------------------------------------------------
@@ -97,12 +100,14 @@ def tension_p(curve: CurveChart, t, p):
 
 @dataclass(frozen=True)
 class DiscretizedCurve:
-    """A curve with K+1 Simpson nodes over its domain (K even, >= 16)."""
+    """A curve with K+1 Simpson nodes over its domain (K even, 16 <= K <= MAX_K)."""
 
     curve: CurveChart
     K: int
 
     def __post_init__(self):
+        if self.K > MAX_K:
+            raise ValueError(f"node count K = {self.K} exceeds {MAX_K}")
         if self.K < 16 or self.K % 2 != 0:
             raise ValueError("need an even node count K >= 16")
 

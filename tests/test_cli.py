@@ -11,7 +11,7 @@ import pytest
 
 import pqharmonic
 import report_reference as reference
-from pqharmonic import cli, expressions
+from pqharmonic import cli, curves, expressions, variation
 
 CONE_CHART = """\
 # rotation cone with slope 1/sqrt(6)
@@ -55,6 +55,12 @@ x3: 0
 
 def run(argv):
     return cli.main(argv)
+
+
+def _program(argv):
+    src = os.path.dirname(os.path.dirname(pqharmonic.__file__))
+    return subprocess.run([sys.executable, "-m", "pqharmonic.cli"] + argv,
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
 
 
 def _strip_timestamp(text):
@@ -237,6 +243,17 @@ def test_sweep_rejects_a_parameter_the_builtin_lacks(argv, capsys):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+def test_sweep_range_gives_the_rows_of_its_linspace_as_values(tmp_path):
+    common = ["sweep", "--builtin", "sphere-in-sphere", "--param", "a2",
+              "--p", "2", "--q", "2", "--grid", "4", "--out"]
+    values = ",".join(repr(float(v)) for v in np.linspace(0.3, 0.7, 5))
+    assert run(common + [str(tmp_path / "range.csv"), "--range", "0.3,0.7,5"]) == 0
+    assert run(common + [str(tmp_path / "values.csv"), "--values", values]) == 0
+    rows = (tmp_path / "range.csv").read_text()
+    assert len(rows.splitlines()) == 6
+    assert rows == (tmp_path / "values.csv").read_text()
+
+
 @pytest.mark.parametrize("count", ["x", "-1", "0"])
 def test_sweep_range_count_must_be_a_positive_integer(count, capsys):
     argv = ["sweep", "--builtin", "sphere-in-sphere", "--param", "a2",
@@ -413,6 +430,40 @@ def test_config_refusals_exit_2_with_one_error_line(chart, argv, message, tmp_pa
     assert message in captured.err
 
 
+# closed-form geometry whose f^4 or metric overflows: NaN in eq1 or |eq2|_g
+@pytest.mark.parametrize("builtin, param, value", [
+    ("cone", "r", "1e-200"),
+    ("cone", "r", "1e300"),
+    ("sphere-in-sphere", "a2", "1e-300"),
+], ids=["cone-r-tiny", "cone-r-huge", "sphere-a2-tiny"])
+def test_a_nonfinite_residual_is_refused(builtin, param, value, capsys):
+    pq = ["--builtin", builtin, "--p", "2", "--q", "3", "--grid", "4"]
+    for argv in (["verify-hypersurface", *pq, f"--{param}", value],
+                 ["sweep", *pq, "--param", param, "--values", value]):
+        # in process, where a RuntimeWarning is an error
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: non-finite residual: ")
+        assert captured.err.count("\n") == 1
+        proc = _program(argv)
+        assert proc.returncode == 2 and proc.stdout == "", argv
+        assert proc.stderr.startswith("error: non-finite residual: ")
+        assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify-curve", *CIRCLE_PQ, "--samples", str(curves.MAX_SAMPLES + 1)],
+     f"error: {curves.MAX_SAMPLES + 1} samples exceed {curves.MAX_SAMPLES}\n"),
+    (["variation-check", *CIRCLE_PQ, "--K", str(variation.MAX_K + 1)],
+     f"error: node count K = {variation.MAX_K + 1} exceeds {variation.MAX_K}\n"),
+], ids=["samples", "K"])
+def test_node_counts_above_their_caps_are_refused(argv, message, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message
+
+
 def test_chart_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("type: hypersurface\nc: 0\nx1: u\n")
@@ -445,9 +496,7 @@ def test_a_jet_that_fails_on_the_grid_is_a_config_error(tmp_path, capsys):
     # off u = 0 the same file classifies
     assert run(argv + ["--grid", "4"]) == 0
     # and as a program it ends the same way, with no traceback
-    src = os.path.dirname(os.path.dirname(pqharmonic.__file__))
-    proc = subprocess.run([sys.executable, "-m", "pqharmonic.cli"] + argv + ["--grid", "5"],
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    proc = _program(argv + ["--grid", "5"])
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pqharmonic import (CurveChart, PQParams, circle, cli, curve_system_residual,
-                        frenet, helix, p_closed_form, reparametrize_arclength)
+                        frenet, helix, p_closed_form)
 from pqharmonic import curves
 from pqharmonic.curves import FrenetApparatus
 from pqharmonic.errors import (DomainError, FrameUndefinedError, ModelConstraintError,
@@ -251,74 +251,12 @@ def test_curve_maps_act_over_the_last_axis(tmp_path):
     path = tmp_path / "curve.txt"
     path.write_text(HELIX_FILE)
     raw = cli.load_chart_file(str(path))
-    arclength = reparametrize_arclength(raw)
-    assert arclength.map is not raw.map
-    for curve in (helix(math.pi / 4, SQ7 / 2, 0.5).curve, circle(1.3), raw, arclength):
+    for curve in (helix(math.pi / 4, SQ7 / 2, 0.5).curve, circle(1.3), raw):
         lo, hi = curve.domain
         ts = lo + (hi - lo) * np.linspace(0.05, 0.95, 9)
         batch = curve.map(ts)
         assert batch.shape == (9, curve.sf.ambient_dim), curve.name
         assert np.array_equal(batch, np.stack([curve.map(float(t)) for t in ts])), curve.name
-
-
-def test_arclength_newton_stops_each_s_at_its_tolerance():
-    # on the circle traced as t + 0.3 t^2 the Newton step count varies with s;
-    # a batch must cost the raw map rows its points cost one at a time
-    rows = []
-
-    def gamma(t):
-        rows.append(np.size(t))
-        phi = t + 0.3 * t * t
-        return np.stack([np.cos(phi), np.sin(phi), 0.0 * t], axis=-1)
-
-    out = reparametrize_arclength(CurveChart(sf=SpaceForm(3, 0.0), domain=(0.0, 2.0),
-                                             map=gamma))
-    # s = 0 and the full length are coarse nodes: one step; the others take two
-    ss = out.domain[1] * np.linspace(0.0, 1.0, 9)
-    rows.clear()
-    batch = out.map(ss)
-    batch_rows = sum(rows)
-    rows.clear()
-    single = np.stack([out.map(float(s)) for s in ss])
-    assert batch_rows == sum(rows)
-    assert np.array_equal(batch, single)
-
-
-def test_reparametrize_takes_each_speed_once():
-    # the speed at the Gauss-Legendre nodes of the length table and at both
-    # ends serves the singular-speed check, the unit-speed check and the lengths
-    rows = []
-
-    def gamma(t):
-        rows.append(np.size(t))
-        return np.stack([2.0 * np.cos(t), 2.0 * np.sin(t), 0.0 * t], axis=-1)
-
-    reparametrize_arclength(CurveChart(sf=SpaceForm(3, 0.0), domain=(0.0, 6.0), map=gamma))
-    assert sum(rows) == 4 * (4 * curves.COARSE_INTERVALS + 2)
-
-
-def test_reparametrize_refuses_a_speed_that_vanishes_at_an_end():
-    cusp = CurveChart(sf=SpaceForm(3, 0.0), domain=(0.0, 1.0),
-                      map=lambda t: np.stack([t * t, 0.0 * t, 0.0 * t], axis=-1))
-    with pytest.raises(SingularSpeedError):
-        reparametrize_arclength(cusp)
-
-
-def test_reparametrize_identity_on_unit_speed():
-    c = circle(1.0)
-    assert reparametrize_arclength(c) is c
-
-
-def test_reparametrize_nonunit_circle():
-    rho = 2.0
-    sf = SpaceForm(3, 0.0)
-    raw = CurveChart(sf=sf, domain=(0.0, 2 * math.pi),
-                     map=lambda t: np.stack([rho * np.cos(t), rho * np.sin(t), 0.0 * t], axis=-1))
-    out = reparametrize_arclength(raw)
-    assert out.domain[1] == pytest.approx(2 * math.pi * rho, abs=1e-8)
-    for s in (1.0, 4.0, 9.0):
-        v = (out.map(s + 1e-4) - out.map(s - 1e-4)) / 2e-4
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_curve_system_constant_apparatus():

@@ -9,9 +9,10 @@ from pqharmonic import (Classification, PQParams, classify, coefficients,
                         cone, geometric_sample, plane, residual, sample_grid, solve_p,
                         solve_param_pair, sphere_in_sphere, umbilic_f)
 from pqharmonic.cli import load_chart_file
-from pqharmonic.errors import NoRootInBracketError
+from pqharmonic.errors import NoRootInBracketError, NonConvergenceError
 from pqharmonic.immersion import GeometricSample, ImmersionChart, _row
-from pqharmonic.residual import _affine_in_p, _ricci, _system, classify_samples
+from pqharmonic.residual import (MAX_FAMILY_SAMPLES, _affine_in_p, _ricci, _system,
+                                 classify_samples)
 from pqharmonic.spaceform import SpaceForm
 
 
@@ -253,6 +254,20 @@ def test_solve_param_pair_benchmark_brackets_do_not_widen():
 
         solve_param_pair(family, q, (0.3, 0.7), (0.5, 2.5))
         assert 0.3 <= min(calls) and max(calls) <= 0.7, q
+
+
+def test_solve_param_pair_stops_at_max_family_samples():
+    # a family that does not depend on r keeps one sign at both ends, so the
+    # bracket widens until MAX_FAMILY_SAMPLES family calls are spent
+    calls = []
+
+    def family(r):
+        calls.append(r)
+        return cone(0.5)
+
+    with pytest.raises(NonConvergenceError, match="in 100 evaluations"):
+        solve_param_pair(family, 3.0, (0.3, 0.7), (0.5, 2.5))
+    assert len(calls) == MAX_FAMILY_SAMPLES == 100
 
 
 @pytest.mark.parametrize("q", [2.0, 2.5, 3.0, 3.56])

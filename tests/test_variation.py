@@ -9,8 +9,7 @@ import pytest
 from pqharmonic import (CurveChart, DiscretizedCurve, PQParams, circle,
                         bump_normal_field, curve_system_residual, energy_pq,
                         first_variation_check, frenet, helix,
-                        random_bump_field, reparametrize_arclength, tension_p,
-                        tension_pq_curve)
+                        random_bump_field, tension_p, tension_pq_curve)
 from pqharmonic import cli, variation
 from pqharmonic.errors import ModelConstraintError, SingularFactorError, SingularSpeedError
 from pqharmonic.spaceform import SpaceForm
@@ -114,12 +113,19 @@ def test_tension_pq_matches_frenet_system():
 
 
 def test_tension_pq_matches_frenet_system_at_varying_curvature():
-    # an elliptic helix by arc length: k, tau and their derivatives all vary,
+    # the conical spiral (s/C)(cos theta, sin theta, beta), theta = ln(s/C)/alpha,
+    # is unit speed in closed form: k, tau and their derivatives all vary (as 1/s),
     # so every component of tau_pq = -(r1 T + r2 N + r3 B) is tested
-    raw = CurveChart(sf=SpaceForm(3, 0.0), domain=(0.0, 2 * math.pi),
-                     map=lambda t: np.stack([2.0 * np.cos(t), np.sin(t), 0.5 * t], axis=-1))
-    curve = reparametrize_arclength(raw)
-    for s in curve.domain[1] * np.array([0.1, 0.2, 0.45]):
+    alpha, beta = 0.3, 0.5
+    C = math.sqrt(alpha * alpha * (1 + beta * beta) + 1) / alpha
+
+    def spiral(s):
+        s = np.asarray(s, dtype=float)
+        theta = np.log(s / C) / alpha
+        return (s / C)[..., None] * np.stack([np.cos(theta), np.sin(theta), 0 * s + beta], axis=-1)
+
+    curve = CurveChart(sf=SpaceForm(3, 0.0), domain=(1.0, 3.0), map=spiral)
+    for s in 1.0 + 2.0 * np.array([0.1, 0.2, 0.45]):
         fr = frenet(curve, float(s))
         for (p, q) in CRITERION_7_PQ:
             got = tension_pq_curve(curve, float(s), PQParams(p, q))
