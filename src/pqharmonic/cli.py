@@ -210,16 +210,10 @@ def _fmt(x):
     return str(x)
 
 
-def _rows(coords, values):
-    """Table rows of index, ``coords`` (n, k) and ``values`` (n, l), each row
-    rendered by one % template into a single cell: coordinates as .6g, and
-    values as .12g, the text :func:`_fmt` gives a float."""
-    template = " ".join(["%d"] + ["%.6g"] * coords.shape[1] + ["%.12g"] * values.shape[1])
-    return [(template % (i, *row),) for i, row in enumerate(np.hstack([coords, values]).tolist())]
-
-
 class Report(NamedTuple):
-    """What a subcommand computed; :func:`render_report` takes its fields."""
+    """What a subcommand computed; :func:`render_report` takes its fields.
+    ``table`` is (header, coords (n, k), values (n, l)), printed as index,
+    coordinates (.6g) and values (.12g, as :func:`_fmt` prints a float)."""
     command: str
     config: dict
     summary: dict
@@ -234,11 +228,11 @@ def render_report(command, config, summary, table=None):
         lines.append(title + ":")
         lines.extend(f"  {key}: {_fmt(value)}" for key, value in block.items())
     if table is not None:
-        header, rows = table
-        lines.append("points:")
-        lines.append("  " + " ".join(header))
-        for row in rows:
-            lines.append("  " + " ".join(map(_fmt, row)))
+        header, coords, values = table
+        template = " ".join(["  %d"] + ["%.6g"] * coords.shape[1] + ["%.12g"] * values.shape[1])
+        lines += ["points:", "  " + " ".join(header)]
+        lines += [template % (i, *row)
+                  for i, row in enumerate(np.hstack([coords, values]).tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -268,9 +262,9 @@ def cmd_verify_hypersurface(args):
                "max_abs_eq1": report.max_abs_eq1,
                "max_eq2_norm": report.max_eq2_norm,
                "n_points": len(pts)}
-    rows = _rows(pts, np.column_stack([report.f_values, report.eq1, report.eq2_norm]))
     header = ["index"] + [f"u{a+1}" for a in range(chart.m)] + ["f", "eq1", "eq2_norm"]
-    return Report("verify-hypersurface", config, summary, (header, rows))
+    values = np.column_stack([report.f_values, report.eq1, report.eq2_norm])
+    return Report("verify-hypersurface", config, summary, (header, pts, values))
 
 
 def cmd_verify_curve(args):
@@ -279,14 +273,13 @@ def cmd_verify_curve(args):
     report = crv.classify_curve(curve, params, samples=args.samples, tol=args.tol)
     fr = report.frames
     # a node whose frame is undefined (NaN) prints as a zero row
-    rows = _rows(report.ts[:, None],
-                 np.nan_to_num(np.column_stack([fr.k, fr.tau, *report.residuals])))
+    values = np.nan_to_num(np.column_stack([fr.k, fr.tau, *report.residuals]))
     config = {"curve": curve.name, "p": params.p, "q": params.q,
               "c": curve.sf.c, "samples": args.samples, "tol": report.tol}
     summary = {"classification": report.classification.value,
                "max_residual": report.max_residual}
     header = ["index", "t", "k", "tau", "r1", "r2", "r3"]
-    return Report("verify-curve", config, summary, (header, rows))
+    return Report("verify-curve", config, summary, (header, report.ts[:, None], values))
 
 
 def cmd_solve(args):
@@ -356,19 +349,16 @@ def cmd_variation_check(args):
     params = _params(args)
     dcurve = variation.DiscretizedCurve(curve=curve, K=args.K)
     rng = np.random.default_rng(args.seed)
-    rows = []
-    worst = 0.0
-    for i in range(args.fields):
-        field = variation.random_bump_field(curve, rng, amplitude=args.amplitude)
-        rep = variation.first_variation_check(dcurve, field, params)
-        worst = max(worst, rep.rel_error)
-        rows.append((i, rep.lhs, rep.rhs, rep.rel_error, rep.observed_order))
+    reps = [variation.first_variation_check(
+                dcurve, variation.random_bump_field(curve, rng, amplitude=args.amplitude), params)
+            for _ in range(args.fields)]
+    values = np.array([(r.lhs, r.rhs, r.rel_error, r.observed_order) for r in reps])
     config = {"curve": curve.name, "p": params.p, "q": params.q, "K": args.K,
               "seed": args.seed, "fields": args.fields,
               "amplitude": args.amplitude}
-    summary = {"worst_rel_error": worst}
+    summary = {"worst_rel_error": max(r.rel_error for r in reps)}
     header = ["index", "lhs", "rhs", "rel_error", "observed_order"]
-    return Report("variation-check", config, summary, (header, rows))
+    return Report("variation-check", config, summary, (header, np.zeros((len(reps), 0)), values))
 
 
 # -- argument wiring --------------------------------------------------------

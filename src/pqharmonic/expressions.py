@@ -3,10 +3,13 @@
 Supports +, -, *, /, ^ (right associative), unary minus, parentheses,
 the functions sin, cos, sinh, cosh, sqrt, the constants pi and e, and
 free variables (typically u, v for hypersurface charts and t for
-curves).  Expressions are parsed once into an evaluation tree and
-evaluated many times.  Derivatives come from the same tree run on
-forward-mode jets (:meth:`Expression.jet`, :mod:`pqharmonic.jets`), not
-symbolically and not by finite differences.
+curves).  The grammar is Python's arithmetic with ``^`` for powers, so
+Python's own parser (:mod:`ast`) reads it, behind a check that admits
+only the grammar's tokens; Python keywords are not variable names.
+Expressions are parsed once into an evaluation tree and evaluated many
+times.  Derivatives come from the same tree run on forward-mode jets
+(:meth:`Expression.jet`, :mod:`pqharmonic.jets`), not symbolically and
+not by finite differences.
 
 Evaluation is numpy arithmetic, so the variables may be arrays: a whole
 batch of points is one evaluation, and floats give a float.
@@ -17,6 +20,8 @@ batch of points is one evaluation, and floats give a float.
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
 from dataclasses import dataclass
 
@@ -32,32 +37,26 @@ FUNCTIONS = {
 
 CONSTANTS = {"pi": np.float64(np.pi), "e": np.float64(np.e)}
 
-_TOKEN_RE = re.compile(r"""
-    (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>[-+*/^(),])
-  | (?P<ws>\s+)
-""", re.VERBOSE)
+# the grammar's tokens and white space; a number that runs into a name, a
+# digit or a point (1_000, 0x10, 1j, 2pi, 1.5.2) is none of its tokens
+_LEXICON = re.compile(r"""(?:
+    (?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?(?![A-Za-z_0-9.])
+  | [A-Za-z_][A-Za-z_0-9]*
+  | [-+*/^()]
+  | \s
+)*""", re.VERBOSE)
+
+# the leading zeros of an integer literal such as 07, which Python refuses
+_LEADING_ZEROS = re.compile(r"(?<![A-Za-z_0-9.])0+(?=[0-9])")
+
+# the C library pow for ^, as for floats, and the same bits in a batch of
+# any size (numpy's array power differs in the last bit)
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: np.float_power}
 
 
 class ExpressionError(ValueError):
     """Raised for syntax errors, unknown identifiers and failed evaluations."""
-
-
-def _tokenize(text):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExpressionError(
-                f"unexpected character {text[pos]!r} at position {pos}")
-        pos = m.end()
-        if m.lastgroup == "ws":
-            continue
-        out.append((m.lastgroup, m.group()))
-    out.append(("end", ""))
-    return out
 
 
 # -- evaluation tree --------------------------------------------------------
@@ -93,97 +92,35 @@ class Expression:
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 return self._fn(values)
-        except FloatingPointError as exc:
+        except (FloatingPointError, RecursionError) as exc:
             raise ExpressionError(f"evaluation failed for {self.source!r}: {exc}")
 
-    def __call__(self, **vars):
-        return self.evaluate(**vars)
 
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-        self.variables = set()
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self, kind=None, value=None):
-        tk, tv = self.tokens[self.i]
-        if (kind is not None and tk != kind) or (value is not None and tv != value):
-            want = value if value is not None else kind
-            raise ExpressionError(f"expected {want!r}, found {tv or 'end of input'!r}")
-        self.i += 1
-        return tv
-
-    # expr := term (('+'|'-') term)*
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.take("op")
-            rhs = self.term()
-            node = (lambda f, g: lambda v: f(v) + g(v))(node, rhs) if op == "+" \
-                else (lambda f, g: lambda v: f(v) - g(v))(node, rhs)
-        return node
-
-    # term := unary (('*'|'/') unary)*
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.take("op")
-            rhs = self.unary()
-            node = (lambda f, g: lambda v: f(v) * g(v))(node, rhs) if op == "*" \
-                else (lambda f, g: lambda v: f(v) / g(v))(node, rhs)
-        return node
-
-    # unary := ('-'|'+') unary | power
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.take("op")
-            inner = self.unary()
-            return lambda v: -inner(v)
-        if self.peek() == ("op", "+"):
-            self.take("op")
-            return self.unary()
-        return self.power()
-
-    # power := atom ('^' unary)?   (right associative, signed exponents ok)
-    def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take("op")
-            expo = self.unary()
-            # the C library pow, as for floats, and the same bits in a
-            # batch of any size (numpy's array power differs in the last bit)
-            return lambda v: np.float_power(base(v), expo(v))
-        return base
-
-    def atom(self):
-        kind, value = self.peek()
-        if kind == "number":
-            self.take()
-            x = np.float64(value)
-            return lambda v: x
-        if kind == "ident":
-            self.take()
-            if value in FUNCTIONS:
-                fn = FUNCTIONS[value]
-                self.take("op", "(")
-                arg = self.expr()
-                self.take("op", ")")
-                return lambda v: fn(arg(v))
-            if value in CONSTANTS:
-                x = CONSTANTS[value]
-                return lambda v: x
-            self.variables.add(value)
-            return lambda v, name=value: v[name]
-        if (kind, value) == ("op", "("):
-            self.take()
-            node = self.expr()
-            self.take("op", ")")
-            return node
-        raise ExpressionError(f"unexpected token {value or 'end of input'!r}")
+def _tree(node, source, variables):
+    """The evaluation tree of the Python expression ``node`` of ``source``;
+    a node outside the grammar raises ExpressionError."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        x = np.float64(source[node.col_offset:node.end_col_offset])
+        return lambda v: x
+    if isinstance(node, ast.Name) and node.id in CONSTANTS:
+        x = CONSTANTS[node.id]
+        return lambda v: x
+    if isinstance(node, ast.Name) and node.id not in FUNCTIONS:
+        variables.add(node.id)
+        return lambda v, name=node.id: v[name]
+    if isinstance(node, ast.UnaryOp) and type(node.op) in (ast.UAdd, ast.USub):
+        inner = _tree(node.operand, source, variables)
+        return inner if type(node.op) is ast.UAdd else lambda v: -inner(v)
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        op = _BINARY[type(node.op)]
+        f, g = _tree(node.left, source, variables), _tree(node.right, source, variables)
+        return lambda v: op(f(v), g(v))
+    if isinstance(node, ast.Call) and type(node.func) is ast.Name and node.func.id in FUNCTIONS \
+            and len(node.args) == 1 and not node.keywords:
+        fn = FUNCTIONS[node.func.id]
+        arg = _tree(node.args[0], source, variables)
+        return lambda v: fn(arg(v))
+    raise ExpressionError(f"unexpected token {ast.get_source_segment(source, node)!r}")
 
 
 def parse(text, allowed_variables=None) -> Expression:
@@ -192,16 +129,23 @@ def parse(text, allowed_variables=None) -> Expression:
     When ``allowed_variables`` is given, any other free identifier is a
     parse error (guards against typos in chart files).
     """
-    parser = _Parser(_tokenize(text))
-    fn = parser.expr()
-    parser.take("end")
+    if not _LEXICON.fullmatch(text) or "**" in text:
+        raise ExpressionError(f"unexpected token in {text!r}")
+    source = _LEADING_ZEROS.sub("", " ".join(text.split())).replace("^", "**")
+    variables = set()
+    try:
+        fn = _tree(ast.parse(source, mode="eval").body, source, variables)
+    except SyntaxError:
+        raise ExpressionError(f"unexpected token in {text!r}") from None
+    except (RecursionError, MemoryError):
+        raise ExpressionError("the expression nests too deeply to parse") from None
     if allowed_variables is not None:
-        extra = parser.variables - set(allowed_variables)
+        extra = variables - set(allowed_variables)
         if extra:
             raise ExpressionError(
                 f"unknown variable(s) {sorted(extra)} in {text!r}; "
                 f"allowed: {sorted(allowed_variables)}")
-    return Expression(_fn=fn, variables=frozenset(parser.variables), source=text)
+    return Expression(_fn=fn, variables=frozenset(variables), source=text)
 
 
 def evaluate_literal(text) -> float:

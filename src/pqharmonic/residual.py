@@ -244,13 +244,15 @@ def _affine_in_p(batch, q, c):
     return (a1, dc5 * (f2 * f2)), (a2, dd3 * f[..., None] * batch.grad_f)
 
 
+@np.errstate(all="ignore")      # a p or residual that is not finite is refused
 def solve_p(chart, q, bracket, n_per_axis=8, tol=1e-8, use_analytic=True):
     """Find the exponent p that makes the chart (p,q)-harmonic.
 
     The residuals are affine in p, so the least-squares p over every eq1 and
     eq2 component of the grid is closed form.  Raises
     :class:`~pqharmonic.errors.NoRootInBracketError` when that p lies outside
-    the bracket or leaves a residual of at least ``tol``.
+    the bracket or leaves a residual of at least ``tol``, and DomainError
+    when either is not finite.
     """
     p_lo, p_hi = bracket
     batch = geometric_sample(chart, sample_grid(chart, n_per_axis), use_analytic=use_analytic)
@@ -262,6 +264,8 @@ def solve_p(chart, q, bracket, n_per_axis=8, tol=1e-8, use_analytic=True):
     p = float(-(np.vdot(a1, s1) + np.vdot(a2, s2)) / (np.vdot(s1, s1) + np.vdot(s2, s2)))
     eq1, eq2 = _system(batch, p, q, *_ricci(batch, chart.sf.c))
     res = float(max(np.max(np.abs(eq1)), np.max(batch.g_norm(eq2))))
+    if not (math.isfinite(p) and math.isfinite(res)):
+        raise DomainError(f"non-finite least squares: residual {res:g} at p={p:g}")
     if min(p_lo, p_hi) <= p <= max(p_lo, p_hi) and res < tol:
         return SolveResult(p=p, max_residual=res, success=True)
     raise NoRootInBracketError(
@@ -283,6 +287,7 @@ class PairSolveResult:
     reason: str = ""
 
 
+@np.errstate(all="ignore")      # a p(theta) or mean that is not finite is refused
 def solve_param_pair(family: Callable, q, theta_bracket, p_bracket,
                      n_per_axis=8, tol=1e-8, use_analytic=True):
     """Solve for (p, theta) over a one-parameter chart family.
@@ -301,7 +306,8 @@ def solve_param_pair(family: Callable, q, theta_bracket, p_bracket,
     the next step does not move theta, or when that step is within rounding
     of it: |dtheta| <= 4 eps |theta|.  MAX_FAMILY_SAMPLES caps the family
     evaluations.  A p outside ``p_bracket``, or a minimal chart on the way,
-    raises :class:`~pqharmonic.errors.NoRootInBracketError`; a p <= 1 is
+    raises :class:`~pqharmonic.errors.NoRootInBracketError`, a non-finite
+    p(theta) or tangential mean a DomainError; a p <= 1 is
     returned with ``admissible=False``.  Otherwise the residual at (p, theta)
     is verified on the grid of the last sampling, which is that of theta.
     """
@@ -330,7 +336,11 @@ def solve_param_pair(family: Callable, q, theta_bracket, p_bracket,
         gfn = batch.g_norm(batch.grad_f)
         along = np.divide(batch.g_dot(a2 + p * s2, batch.grad_f), gfn,
                           out=np.zeros_like(gfn), where=gfn > 1e-14)
-        return float(p), float(np.mean(along))
+        p, mean = float(p), float(np.mean(along))
+        if not (math.isfinite(p) and math.isfinite(mean)):
+            raise DomainError(f"non-finite p(theta) = {p:g} or tangential mean "
+                              f"{mean:g} at theta={theta:.6g}")
+        return p, mean
 
     def outside(p):   # how far p lies outside p_bracket
         return max(min(p_bracket) - p, p - max(p_bracket), 0.0)

@@ -315,6 +315,7 @@ def varied_curve(curve, v: VariationField, t):
                       name=curve.name + f"(varied t={t:g})")
 
 
+@np.errstate(all="ignore")      # a side that is not finite is refused
 def first_variation_check(dcurve: DiscretizedCurve, v: VariationField,
                           params: PQParams,
                           steps: Sequence[float] = (1e-2, 5e-3, 2.5e-3)):
@@ -327,6 +328,7 @@ def first_variation_check(dcurve: DiscretizedCurve, v: VariationField,
     energy lattice, and the field is taken from those samples; each varied
     curve is retract(base + t v) on them, as in :func:`varied_curve`.
     Both sides are integrals over the curve's own parameter, at any speed.
+    A non-finite side is a DomainError.
     """
     curve, sf = dcurve.curve, dcurve.curve.sf
     h = curve.frame_step()
@@ -364,6 +366,9 @@ def first_variation_check(dcurve: DiscretizedCurve, v: VariationField,
     if nodes.any():
         tpq = _tension_pq(curve, dcurve.ts[nodes], params, h, base=B[nodes])
         rhs = -float(np.sum(dcurve.weights[nodes] * sf.pair(vv, tpq)))
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise DomainError(f"non-finite first variation: dE/dt = {lhs:g}, "
+                          f"-int <v, tau_pq> = {rhs:g}")
 
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-14)
     return VariationCheckReport(lhs=lhs, rhs=float(rhs), rel_error=float(rel),

@@ -157,6 +157,16 @@ def test_expression_error_names_its_flag(argv, flag, capsys):
     assert err.startswith(f"error: {flag}: unexpected token") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("p", ["(" * 1000 + "2" + ")" * 1000, "+".join(["1"] * 3000)],
+                         ids=["parentheses", "sum"])
+def test_deep_expression_is_a_flag_error(p, capsys):
+    argv = ["verify-hypersurface", "--builtin", "plane", "--q", "2", "--grid", "4", "--p", p]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --p: ") and captured.err.count("\n") == 1
+
+
 def test_missing_selector_is_config_error(capsys):
     assert run(["verify-hypersurface", "--p", "2", "--q", "2"]) == 2
 
@@ -452,6 +462,30 @@ def test_a_nonfinite_residual_is_refused(builtin, param, value, capsys):
         assert proc.stderr.count("\n") == 1
 
 
+# each prints RuntimeWarnings, then a verdict on NaN, unless the NaN is refused
+@pytest.mark.parametrize("argv, message", [
+    (["variation-check", "--builtin", "helix", "--alpha", "0.785398", "--a", "1.3228756555",
+      "--b", "0.5", "--p", "1e300", "--q", "2", "--max-rel", "1e-4"],
+     "error: non-finite first variation: dE/dt = nan"),
+    (["solve", "--builtin", "cone", "--r", "1e-200", "--q", "3", "--unknowns", "p"],
+     "error: non-finite least squares: residual nan at p=nan"),
+    (["solve", "--builtin", "sphere-in-sphere", "--a2", "1e-300", "--q", "3"],
+     "error: non-finite least squares: residual nan at p=nan"),
+    (["solve", "--builtin", "cone", "--q", "3", "--unknowns", "p,r",
+      "--r-bracket", "1e-200,2e-200"],
+     "error: non-finite p(theta) = nan or tangential mean nan at theta=1e-200"),
+], ids=["variation-check", "solve-cone", "solve-sphere", "solve-pair"])
+def test_a_nonfinite_solve_or_first_variation_is_refused(argv, message, capsys):
+    # in process, where a RuntimeWarning is an error
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    proc = _program(argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify-curve", *CIRCLE_PQ, "--samples", str(curves.MAX_SAMPLES + 1)],
      f"error: {curves.MAX_SAMPLES + 1} samples exceed {curves.MAX_SAMPLES}\n"),
@@ -637,21 +671,20 @@ def test_row_template_matches_fmt_cell_for_cell():
                1 / 3, -2 / 3, 123456.789, 1e-7, 2.5e16]
     coords = np.array([special, special[::-1]]).T
     values = np.array([special[3:] + special[:3], special[::-1], special[5:] + special[:5]]).T
-    rows = cli._rows(coords, values)
-    assert all(len(row) == 1 for row in rows)
-    for i, (row,) in enumerate(rows):
+    text = cli.render_report("cmd", {}, {}, (["a", "b", "c", "d", "e", "f"], coords, values))
+    rows = text[text.index("\npoints:\n"):].splitlines()[3:]
+    assert len(rows) == len(special)
+    for i, row in enumerate(rows):
         # verify-hypersurface passed numpy scalars, verify-curve Python floats
         cells = (*values[i, :2], *values[i, 2:].tolist())
         old = (i, *(f"{x:.6g}" for x in coords[i]), *cells)
         assert [type(x) for x in cells] == [np.float64, np.float64, float]
-        assert row == " ".join(reference._fmt(x) for x in old)
+        assert row == "  " + " ".join(reference._fmt(x) for x in old)
 
-    # render_report keeps the per-cell output for any table
-    mixed = (["a", "b", "c"], [(0, np.float64(-0.0), 1e300), ("x", None, True),
-                               (math.nan, np.float64(5e-324), 3)])
+    # render_report keeps the per-cell output for config and summary
     config, summary = {"p": 4 / 3, "grid": 8}, {"ok": False, "max": np.float64(1e-7)}
-    assert _strip_timestamp(cli.render_report("cmd", config, summary, mixed)) == \
-        _strip_timestamp(reference.render_report("cmd", config, summary, mixed))
+    assert _strip_timestamp(cli.render_report("cmd", config, summary)) == \
+        _strip_timestamp(reference.render_report("cmd", config, summary))
 
 
 def test_parser_reuse_leaks_no_value_between_calls(tmp_path):

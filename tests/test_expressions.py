@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -53,6 +54,49 @@ def test_syntax_errors():
     for bad in ("2+", "sin 3", "(1+2", "1 2", "2**3", "$x"):
         with pytest.raises(ExpressionError):
             parse(bad)
+
+
+def test_number_literals_keep_their_values():
+    # integers with leading zeros, which Python's own grammar refuses
+    assert evaluate_literal("07") == 7.0
+    assert evaluate_literal("5+09") == 14.0
+    assert evaluate_literal("00.5") == 0.5
+    assert evaluate_literal("1e07") == 1e7
+    assert evaluate_literal("2.5E-03") == 0.0025
+    assert evaluate_literal("1.") == 1.0
+    assert parse("u07 + 0.07").evaluate(u07=1.0) == 1.07
+    # any white space separates tokens
+    assert evaluate_literal("1\n+\t2\u00a0* 3") == 7.0
+
+
+@pytest.mark.parametrize("text", [
+    "u[0]", "u.real", "u<1", "1 if u else 2", "(1)(2)", "()", "sin", "sin(u)(v)", "u(1)",
+    "pi(2)", "sin()", "0x10", "1_000", "1j", "2pi", "1.5.2", "2//3", "2* *3", "2^*3",
+    "not u", "u and v", "u or 1", "True", "None", "lambda", "sin(*u)", "'1'", "1,2",
+])
+def test_python_beyond_the_grammar_is_refused(text):
+    with pytest.raises(ExpressionError):
+        parse(text)
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 1000 + "2" + ")" * 1000, "+".join(["1"] * 3000), "-" * 3000 + "1",
+    "2^" * 3000 + "2", "sin(" * 1000 + "u" + ")" * 1000,
+], ids=["parentheses", "sum", "negations", "powers", "calls"])
+def test_deep_input_is_an_expression_error(text):
+    with pytest.raises(ExpressionError):
+        parse(text)
+
+
+def test_evaluation_deeper_than_the_stack_is_an_expression_error():
+    # parsed at the test's depth, evaluated near the recursion limit
+    expr = parse("+".join(["u"] * 500))
+
+    def deeper(k):
+        return deeper(k - 1) if k else expr.evaluate(u=1.0)
+
+    with pytest.raises(ExpressionError, match="recursion"):
+        deeper(sys.getrecursionlimit() - 400)
 
 
 def test_division_by_zero_is_reported():
