@@ -27,24 +27,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FUNCTIONS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-    "sqrt": np.sqrt,
-}
+FUNCTIONS = {name: getattr(np, name) for name in ("sin", "cos", "sinh", "cosh", "sqrt")}
 
 CONSTANTS = {"pi": np.float64(np.pi), "e": np.float64(np.e)}
 
-# the grammar's tokens and white space; a number that runs into a name, a
-# digit or a point (1_000, 0x10, 1j, 2pi, 1.5.2) is none of its tokens
+# the grammar's tokens and white space, each matched whole so that the
+# match runs in linear time; a number that runs into a name, a digit or a
+# point (1_000, 0x10, 1j, 2pi, 1.5.2) is none of its tokens, nor is **
 _LEXICON = re.compile(r"""(?:
     (?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?(?![A-Za-z_0-9.])
-  | [A-Za-z_][A-Za-z_0-9]*
-  | [-+*/^()]
+  | [A-Za-z_][A-Za-z_0-9]*(?![A-Za-z_0-9])
+  | \*(?!\*) | [-+/^()]
   | \s
 )*""", re.VERBOSE)
+
+# the word or character an error names
+_WORD = re.compile(r"\*\*|[A-Za-z_0-9.]+|\S")
 
 # the leading zeros of an integer literal such as 07, which Python refuses
 _LEADING_ZEROS = re.compile(r"(?<![A-Za-z_0-9.])0+(?=[0-9])")
@@ -87,8 +85,7 @@ class Expression:
     def _run(self, values):
         missing = self.variables - set(values)
         if missing:
-            raise ExpressionError(
-                f"missing values for {sorted(missing)} in {self.source!r}")
+            raise ExpressionError(f"missing values for {sorted(missing)} in {self.source!r}")
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 return self._fn(values)
@@ -100,11 +97,9 @@ def _tree(node, source, variables):
     """The evaluation tree of the Python expression ``node`` of ``source``;
     a node outside the grammar raises ExpressionError."""
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        x = np.float64(source[node.col_offset:node.end_col_offset])
-        return lambda v: x
+        return lambda v, x=np.float64(source[node.col_offset:node.end_col_offset]): x
     if isinstance(node, ast.Name) and node.id in CONSTANTS:
-        x = CONSTANTS[node.id]
-        return lambda v: x
+        return lambda v, x=CONSTANTS[node.id]: x
     if isinstance(node, ast.Name) and node.id not in FUNCTIONS:
         variables.add(node.id)
         return lambda v, name=node.id: v[name]
@@ -129,14 +124,17 @@ def parse(text, allowed_variables=None) -> Expression:
     When ``allowed_variables`` is given, any other free identifier is a
     parse error (guards against typos in chart files).
     """
-    if not _LEXICON.fullmatch(text) or "**" in text:
-        raise ExpressionError(f"unexpected token in {text!r}")
+    end = _LEXICON.match(text).end()
+    if end < len(text):
+        raise ExpressionError(f"unexpected token {_WORD.match(text, end)[0]!r} at position {end}")
     source = _LEADING_ZEROS.sub("", " ".join(text.split())).replace("^", "**")
     variables = set()
     try:
         fn = _tree(ast.parse(source, mode="eval").body, source, variables)
-    except SyntaxError:
-        raise ExpressionError(f"unexpected token in {text!r}") from None
+    except SyntaxError as exc:     # in one line of source, where ** is the user's ^
+        at = exc.offset and _WORD.search(source, exc.offset - 1)   # 0: the end
+        token = at[0].replace("**", "^") if at else "end of input"
+        raise ExpressionError(f"unexpected token {token!r} ({exc.msg})") from None
     except (RecursionError, MemoryError):
         raise ExpressionError("the expression nests too deeply to parse") from None
     if allowed_variables is not None:

@@ -1,5 +1,5 @@
 """Finite-difference stencil weights, the stencil lattice, Richardson
-extrapolation and quadrature helpers.
+extrapolation, quadrature and the refusal of non-finite values.
 
 Every derivative is a 4th-order central stencil, so that two nested
 differentiation levels still leave enough accuracy for 1e-4 level checks.
@@ -50,6 +50,14 @@ def _finite(vals, what="map"):
     if not np.all(np.isfinite(vals)):
         raise DomainError(f"non-finite {what} value on the stencil lattice")
     return vals
+
+
+def require_finite(what, values):
+    """Raise DomainError ``non-finite <what>: <name> = <value>, ...`` unless
+    every value of the dict ``values`` is finite."""
+    if not all(map(math.isfinite, values.values())):
+        raise DomainError(f"non-finite {what}: "
+                          + ", ".join(f"{k} = {x:g}" for k, x in values.items()))
 
 
 def _check_domain(intervals, name):

@@ -28,8 +28,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NoRootInBracketError, NonConvergenceError
+from .errors import NoRootInBracketError, NonConvergenceError
 from .immersion import GeometricSample, geometric_sample, sample_grid
+from .numeric import require_finite
 
 
 @dataclass(frozen=True)
@@ -187,9 +188,7 @@ def classify_samples(batch: GeometricSample, params: PQParams, c=None, S=None, t
         maxf = float(np.max(np.abs(fs)))
         max1 = float(np.max(np.abs(eq1s)))
         max2 = float(np.max(eq2n))
-    if not (math.isfinite(maxf) and math.isfinite(max1) and math.isfinite(max2)):
-        raise DomainError(f"non-finite residual: max |f| = {maxf:g}, max |eq1| = {max1:g}, "
-                          f"max |eq2|_g = {max2:g}")
+    require_finite("residual", {"max |f|": maxf, "max |eq1|": max1, "max |eq2|_g": max2})
     if maxf < tol:
         cls = Classification.MINIMAL
     elif np.min(np.abs(fs)) < tol:
@@ -264,8 +263,7 @@ def solve_p(chart, q, bracket, n_per_axis=8, tol=1e-8, use_analytic=True):
     p = float(-(np.vdot(a1, s1) + np.vdot(a2, s2)) / (np.vdot(s1, s1) + np.vdot(s2, s2)))
     eq1, eq2 = _system(batch, p, q, *_ricci(batch, chart.sf.c))
     res = float(max(np.max(np.abs(eq1)), np.max(batch.g_norm(eq2))))
-    if not (math.isfinite(p) and math.isfinite(res)):
-        raise DomainError(f"non-finite least squares: residual {res:g} at p={p:g}")
+    require_finite("least squares", {"residual": res, "p": p})
     if min(p_lo, p_hi) <= p <= max(p_lo, p_hi) and res < tol:
         return SolveResult(p=p, max_residual=res, success=True)
     raise NoRootInBracketError(
@@ -337,9 +335,8 @@ def solve_param_pair(family: Callable, q, theta_bracket, p_bracket,
         along = np.divide(batch.g_dot(a2 + p * s2, batch.grad_f), gfn,
                           out=np.zeros_like(gfn), where=gfn > 1e-14)
         p, mean = float(p), float(np.mean(along))
-        if not (math.isfinite(p) and math.isfinite(mean)):
-            raise DomainError(f"non-finite p(theta) = {p:g} or tangential mean "
-                              f"{mean:g} at theta={theta:.6g}")
+        require_finite(f"reduced equations at theta={theta:.6g}",
+                       {"p(theta)": p, "tangential mean": mean})
         return p, mean
 
     def outside(p):   # how far p lies outside p_bracket

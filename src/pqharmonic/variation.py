@@ -46,7 +46,7 @@ import numpy as np
 from . import numeric
 from .curves import SPEED_FLOOR, CurveChart
 from .errors import DomainError, SingularFactorError, SingularSpeedError
-from .numeric import _lattice, _sample, _stencil
+from .numeric import _lattice, _sample, _stencil, require_finite
 from .residual import PQParams
 
 TAU_P_FLOOR = 1e-6
@@ -366,9 +366,7 @@ def first_variation_check(dcurve: DiscretizedCurve, v: VariationField,
     if nodes.any():
         tpq = _tension_pq(curve, dcurve.ts[nodes], params, h, base=B[nodes])
         rhs = -float(np.sum(dcurve.weights[nodes] * sf.pair(vv, tpq)))
-    if not (math.isfinite(lhs) and math.isfinite(rhs)):
-        raise DomainError(f"non-finite first variation: dE/dt = {lhs:g}, "
-                          f"-int <v, tau_pq> = {rhs:g}")
+    require_finite("first variation", {"dE/dt": lhs, "-int <v, tau_pq>": rhs})
 
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-14)
     return VariationCheckReport(lhs=lhs, rhs=float(rhs), rel_error=float(rel),

@@ -468,12 +468,13 @@ def test_a_nonfinite_residual_is_refused(builtin, param, value, capsys):
       "--b", "0.5", "--p", "1e300", "--q", "2", "--max-rel", "1e-4"],
      "error: non-finite first variation: dE/dt = nan"),
     (["solve", "--builtin", "cone", "--r", "1e-200", "--q", "3", "--unknowns", "p"],
-     "error: non-finite least squares: residual nan at p=nan"),
+     "error: non-finite least squares: residual = nan, p = nan"),
     (["solve", "--builtin", "sphere-in-sphere", "--a2", "1e-300", "--q", "3"],
-     "error: non-finite least squares: residual nan at p=nan"),
+     "error: non-finite least squares: residual = nan, p = nan"),
     (["solve", "--builtin", "cone", "--q", "3", "--unknowns", "p,r",
       "--r-bracket", "1e-200,2e-200"],
-     "error: non-finite p(theta) = nan or tangential mean nan at theta=1e-200"),
+     "error: non-finite reduced equations at theta=1e-200: p(theta) = nan, "
+     "tangential mean = nan"),
 ], ids=["variation-check", "solve-cone", "solve-sphere", "solve-pair"])
 def test_a_nonfinite_solve_or_first_variation_is_refused(argv, message, capsys):
     # in process, where a RuntimeWarning is an error

@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 
 import pytest
 
@@ -86,6 +87,24 @@ def test_python_beyond_the_grammar_is_refused(text):
 def test_deep_input_is_an_expression_error(text):
     with pytest.raises(ExpressionError):
         parse(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("u;v", "unexpected token ';' at position 1"),
+    ("2pi + 1", "unexpected token '2pi' at position 0"),
+    ("u**2", "unexpected token '**' at position 1"),
+    ("a" * 28 + "!", "unexpected token '!' at position 28"),
+    ("sinh(u)*" * 8 + "u;", "unexpected token ';' at position 65"),
+    ("2+", "unexpected token 'end of input'"),
+], ids=["semicolon", "number-into-name", "python-power", "long-name", "many-calls", "end"])
+def test_errors_name_the_token_quickly(text, message):
+    # the lexical check matches each token one way: no backtracking over the
+    # ways to split a name, which took seconds for these at 2^27 and 8^8
+    start = time.perf_counter()
+    with pytest.raises(ExpressionError) as info:
+        parse(text)
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value).startswith(message)
 
 
 def test_evaluation_deeper_than_the_stack_is_an_expression_error():
