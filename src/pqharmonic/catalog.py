@@ -229,11 +229,8 @@ def circle(rho=1.0):
         raise DomainError(f"radius must be positive, got {rho}")
 
     def gamma(t):
-        x = np.asarray(t, dtype=float) / rho
-        X = np.zeros(x.shape + (3,))
-        X[..., 0], X[..., 1] = np.cos(x), np.sin(x)
-        X[..., :2] *= rho
-        return X
+        x = t / rho
+        return rho * np.stack([np.cos(x), np.sin(x), np.zeros_like(x)], axis=-1)
 
     return CurveChart(sf=SpaceForm(3, 0.0), domain=(0.0, 2.0 * math.pi * rho), map=gamma,
                       name=f"circle(rho={rho:g})")

@@ -112,10 +112,12 @@ def load_chart_file(path):
     and ``v`` (or ``t`` for curves) as 'lo, hi', and ambient coordinates
     ``x1`` .. ``xN`` as expressions in the domain variables.  The maps act
     over the last axis, like every chart callback, and a curve keeps the
-    parameter t of its file.  A hypersurface also gets exact ``jacobian``
-    and ``hessian`` callbacks: the expression trees run on jets of (u, v)
-    (:mod:`pqharmonic.jets`), of degree 1 for the jacobian and 2 for the
-    hessian, so the stencil path takes no finite differences of the map.
+    parameter t of its file, and its expression trees run on the Taylor
+    series that :func:`curves.frenet` and the (p,q)-tension field hand its
+    map.  A hypersurface gets exact ``jacobian`` and ``hessian`` callbacks:
+    the expression trees run on jets of (u, v) (:mod:`pqharmonic.jets`), of
+    degree 1 for the jacobian and 2 for the hessian, so the stencil path
+    takes no finite differences of the map.
     """
     entries = {}
     with open(path) as fh:
@@ -152,7 +154,10 @@ def load_chart_file(path):
 
     def chart_map(x):
         """Each coordinate expression once: a chart point carries (u, v) on its
-        last axis, a curve point is t."""
+        last axis, a curve point is t, and the Taylor series of curve points
+        t (:class:`jets.Taylor`) give the series of the curve's points."""
+        if isinstance(x, jets.Taylor):
+            return np.stack([ex.jet(t=x) for ex in exprs], axis=-1)
         x = np.asarray(x, dtype=float)
         values = np.moveaxis(x, -1, 0) if kind == "hypersurface" else x[None]
         named = dict(zip(variables, values))

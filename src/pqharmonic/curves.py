@@ -1,10 +1,25 @@
 """Frenet apparatus and the (p,q)-harmonic curve system in 3-D space forms.
 
 Curves live in N^3(c) through the embedded models of :mod:`pqharmonic.spaceform`,
-at any regular speed.  :func:`frenet` samples a batch of nodes t once on
-their stencil lattices t + k h, k = -8..8, and nests d/ds = |gamma'|^-1 D1
-along them: T on the offsets -6..6, then nabla_T T, k and N on -4..4, then
-nabla_T N and tau on -2..2, and finally k', k'' and tau' at the centre.
+at any regular speed.  :func:`frenet` calls the map once per batch of
+nodes t, on their Taylor series t + s of degree 4 (:class:`jets.Taylor`):
+a map written in numpy ufuncs and ``np.stack``, as the catalog's curves
+and chart files are, returns the series of the curve's points.  Then d/dt
+is the coefficient shift, d/ds = |gamma'|^-1 d/dt, and the fields are
+exact up to rounding: T to degree 3, nabla_T T, k and N to degree 2,
+nabla_T N to degree 1, and k', k'', tau and tau' from the lowest
+coefficients.  The binormal is needed at degree 0 only, since
+tau' |gamma'| = <d(nabla_T N)/dt, B> (<nabla_T N, dB/dt> vanishes).
+
+A map whose result is not a series (it raises TypeError or AttributeError
+on one, or returns an array, as one that calls ``np.asarray`` on its
+argument does) is sampled instead on the stencil lattices t + k h,
+k = -8..8, with d/ds = |gamma'|^-1 D1 nested along them: T on the offsets
+-6..6, then nabla_T T, k and N on -4..4, then nabla_T N and tau on -2..2,
+and finally k', k'' and tau' at the centre.  ``np.asarray`` of a series is
+its (5, n) coefficients, so a counter of map rows reads 5 rows per node
+on the series, against 17 on the lattice.
+
 The binormal is T x N in R^3 and, in the embedded models, minus the oriented
 normal of (T, N) (:meth:`SpaceForm.complement`), which makes the torsion of
 the standard sphere helices positive.  The curve system is elementwise, and
@@ -23,6 +38,7 @@ from . import numeric
 from .errors import (DomainError, FrameUndefinedError, SingularFactorError,
                      SingularSpeedError)
 from .immersion import _row
+from .jets import Taylor
 from .numeric import _lattice, _sample, _stencil, _stencil2
 from .residual import Classification
 from .spaceform import SpaceForm
@@ -30,9 +46,13 @@ from .spaceform import SpaceForm
 K_THRESHOLD = 1e-8
 SPEED_FLOOR = 1e-10                 # |gamma'| at or below this is singular
 FRENET_OFFSETS = np.arange(-8, 9)   # T, nabla_T T, nabla_T N and tau': four nested stencils
-FRAME_POINTS = 256                  # nodes per map call of frenet; bounds a call's memory
+# nodes per map call of frenet, which bounds a call's memory: frenet of the
+# S^3 helix at this many nodes peaks at 0.5 MiB on Taylor series and 1.1 MiB
+# on the stencil lattice (tracemalloc)
+FRAME_POINTS = 256
+_KS = np.array([1.0, 1.0, 2.0])[:, None]   # k, dk/dt and d2k/dt2 from k's coefficients
 # most nodes classify_curve takes: verify-curve of the S^3 helix at this many
-# peaks at 72 MiB (tracemalloc, report included)
+# peaks at 53 MiB (tracemalloc, report included)
 MAX_SAMPLES = 2 ** 16
 
 
@@ -79,9 +99,57 @@ class FrenetApparatus:
 
 # -- the Frenet frame -------------------------------------------------------
 
-def _frames(curve, ts):
+def _series(curve, ts):
+    """The curve as a Taylor series of degree 4 at each node of ``ts`` (n,),
+    from one call of its map on the variable's series, refused unless it is
+    finite and its values lie on the model; None where the map does not carry
+    a series: it raises TypeError or AttributeError, or returns no series."""
+    with np.errstate(all="ignore"):
+        try:
+            X = curve.map(Taylor.variable(ts))
+        except (TypeError, AttributeError):
+            return None
+    if not isinstance(X, Taylor):
+        return None
+    if not np.all(np.isfinite(X.c)):
+        raise DomainError("non-finite map value or derivative at the nodes")
+    curve.sf.check_point(X.c[0])
+    return X
+
+
+@np.errstate(all="ignore")      # a node with k below K_THRESHOLD gets NaN
+def _series_frames(sf, X, ts):
+    """Every apparatus field at the nodes ``ts`` from the curve's series X:
+    the formulas of :func:`_lattice_frames` with d/dt the coefficient shift
+    and the series of 1/|gamma'| taken once, each series truncated to the
+    degree its derivatives leave."""
+    V = X.d()
+    s2 = sf.pair(V, V)
+    s = np.sqrt(s2.c[0])
+    if np.any(s <= SPEED_FLOOR):
+        raise SingularSpeedError(f"curve speed {np.min(s):.3e} at or below {SPEED_FLOOR:g} "
+                                 f"near t = {ts[np.argmin(s)]:.6g}")
+    inv_speed = (s2 ** -0.5)[..., None]
+    T = V * inv_speed
+    acc = sf.tangent_project(X, T.d()) * inv_speed
+    k = np.sqrt(sf.pair(acc, acc))
+    N = acc / k[..., None]
+    dN = sf.tangent_project(X, N.d()) * inv_speed
+    T, N, (k, k_t, k_tt), s_t = T.c[0], N.c[0], k.c * _KS, 0.5 * s2.c[1] / s
+    B = np.cross(T, N) if sf.c == 0 else -sf.complement(X.c[0], np.stack([T, N], -1))[0]
+    # tau' s = <d(nabla_T N)/dt, B>, since <nabla_T N, dB/dt> = 0
+    tau, tau_t = sf.pair(dN.c[0], B), sf.pair(dN.c[1], B)
+    fields = (T, N, B, k, tau, k_t / s, (k_tt - s_t * k_t / s) / (s * s), tau_t / s)
+    undefined = k < K_THRESHOLD
+    if undefined.any():
+        for a in fields:
+            a[undefined] = np.nan
+    return fields
+
+
+def _lattice_frames(curve, ts):
     """Every apparatus field at the nodes ``ts`` (n,), stacked, from one call
-    of the map; NaN at the nodes whose frame is undefined."""
+    of the map on their stencil lattices; NaN at the nodes whose frame is undefined."""
     sf, h = curve.sf, curve.frame_step()
     X = sf.check_point(_sample(curve.map, _lattice(ts, h, FRENET_OFFSETS)))
     V = _stencil(X, h)                                          # offsets -6..6
@@ -106,20 +174,35 @@ def _frames(curve, ts):
             _stencil(tau, h)[:, 0] / s)
 
 
+def _frames(curve, ts):
+    """Every apparatus field at the nodes ``ts`` (n,), stacked, from one call
+    of the map: on Taylor series where the map carries them, on the stencil
+    lattice otherwise."""
+    X = _series(curve, ts)
+    return _lattice_frames(curve, ts) if X is None else _series_frames(curve.sf, X, ts)
+
+
 def frenet(curve: CurveChart, t) -> FrenetApparatus:
     """Frenet frame, curvature, torsion and their arc-length derivatives.
 
     At any speed they are those of the curve by arc length; a speed at or
-    below SPEED_FLOOR on the lattice raises SingularSpeedError.  The map is
-    called at the 17 points t + k h, k = -8..8, of each node t, with
-    h = ``curve.frame_step()``, once per FRAME_POINTS nodes; an array t (n,)
-    gives fields stacked along axis 0.  The frame is undefined where the
-    geodesic curvature on the offsets -4..4 drops below 1e-8: a float t there
-    raises FrameUndefinedError, and a node of an array t gets NaN in every field.
+    below SPEED_FLOOR raises SingularSpeedError.  The map is called once per
+    FRAME_POINTS nodes.  A map written in numpy ufuncs (and ``np.stack``)
+    takes the nodes as Taylor series (:class:`jets.Taylor`), and the fields
+    are exact up to rounding.  Any other map is called at the 17 points
+    t + k h, k = -8..8, of each node t, with h = ``curve.frame_step()``, and
+    the derivatives are nested stencils.  An array t (n,) gives fields stacked
+    along axis 0, and an empty one empty fields.  The frame is undefined
+    where the geodesic curvature drops below K_THRESHOLD (on the stencil
+    path, anywhere on the offsets -4..4): a float t there raises
+    FrameUndefinedError, and a node of an array t gets NaN in every field.
     """
     flat = np.asarray(t, dtype=float).reshape(-1)
+    if not len(flat):
+        vector, scalar = np.empty((0, curve.sf.ambient_dim)), np.empty(0)
+        return FrenetApparatus(vector, vector, vector, scalar, scalar, scalar, scalar, scalar)
     parts = [_frames(curve, flat[i:i + FRAME_POINTS]) for i in range(0, len(flat), FRAME_POINTS)]
-    fr = FrenetApparatus(*(np.concatenate(a) for a in zip(*parts)))
+    fr = FrenetApparatus(*(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))))
     if np.ndim(t) > 0:
         return fr
     if np.isnan(fr.k[0]):
@@ -254,12 +337,8 @@ def helix(alpha, a, b) -> HelixResult:
     radii = np.array([ca, ca, sa, sa])
 
     def gamma(t):
-        t = np.asarray(t, dtype=float)
         at, bt = a * t, b * t
-        X = np.empty(t.shape + (4,))
-        X[..., 0], X[..., 1], X[..., 2], X[..., 3] = np.cos(at), np.sin(at), np.cos(bt), np.sin(bt)
-        X *= radii
-        return X
+        return np.stack([np.cos(at), np.sin(at), np.cos(bt), np.sin(bt)], axis=-1) * radii
 
     curve = CurveChart(sf=SpaceForm(3, 1.0), domain=(0.0, 2 * math.pi), map=gamma,
                        name=f"helix(alpha={alpha:.6g}, a={a:.6g}, b={b:.6g})")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import ast
 import operator
 import re
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,11 @@ _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
            ast.Div: operator.truediv, ast.Pow: np.float_power}
 
 
+# a refused node's text, cut to about 60 characters in an error
+_BRIEF = reprlib.Repr()
+_BRIEF.maxstring = 60
+
+
 class ExpressionError(ValueError):
     """Raised for syntax errors, unknown identifiers and failed evaluations."""
 
@@ -77,8 +83,9 @@ class Expression:
 
     def jet(self, **jets):
         """The jet of the expression (:class:`pqharmonic.jets.Jet`) from jets
-        of its variables, or a float where it does not depend on them.  The
-        tree runs unchanged, and a jet that overflows, divides by zero or
+        of its variables, or its Taylor series (:class:`pqharmonic.jets.Taylor`)
+        from theirs, or a float where it does not depend on them.  The tree
+        runs unchanged, and a jet or series that overflows, divides by zero or
         leaves the reals raises ExpressionError as a value does."""
         return self._run(jets)
 
@@ -115,7 +122,8 @@ def _tree(node, source, variables):
         fn = FUNCTIONS[node.func.id]
         arg = _tree(node.args[0], source, variables)
         return lambda v: fn(arg(v))
-    raise ExpressionError(f"unexpected token {ast.get_source_segment(source, node)!r}")
+    text = ast.get_source_segment(source, node).replace("**", "^")
+    raise ExpressionError(f"unexpected {type(node).__name__} {_BRIEF.repr(text)}")
 
 
 def parse(text, allowed_variables=None) -> Expression:

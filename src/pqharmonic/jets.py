@@ -1,4 +1,5 @@
-"""Forward-mode jets: values carried with their gradient and Hessian.
+"""Forward-mode jets and truncated Taylor series: values carried with their
+derivatives through numpy code written for float arrays.
 
 A :class:`Jet` at n points in m variables holds the value (n,), the
 gradient and, at degree 2, the Hessian.  The derivatives are stored
@@ -17,9 +18,30 @@ ufunc of the values, the bits a float evaluation gives.
     >>> u, v = seed(np.array([[0.5, 2.0]]), 2)
     >>> derivatives([np.sin(u) * v], 1, 1, 2)
     array([[[1.75516512, 0.47942554]]])
+
+A :class:`Taylor` series in one variable, of degree 4 (``DEGREE``), holds
+the normalized coefficients x^(k)(t)/k! of a value at each point,
+coefficients first, (5, ...).  The same ufuncs and ``np.power`` (products
+for a small integer exponent, so that the value may be 0) carry it, and
+``np.stack``, ``np.concatenate`` and ``np.zeros_like`` through
+``__array_function__``.  Products and quotients are the Cauchy
+recurrences, ``sqrt`` and powers the recurrence of x y' = a x' y, and sin,
+cos, sinh and cosh the coupled one of f and f' (ch. 13 there).  Each
+result has the lower degree of its operands, and d/dt (:meth:`Taylor.d`),
+the coefficient shift, lowers it by one.  As for jets, each coefficient is
+elementwise over the points with its terms summed in a fixed order, and
+each value is the float evaluation's.  A function that is not among these
+raises TypeError, which is how a curve map that does not carry a series
+is told apart (:func:`curves._series`).
+
+    >>> t = Taylor.variable(np.array([0.0]))
+    >>> np.sinh(2.0 * t).c[:, 0]
+    array([0.        , 2.        , 0.        , 1.33333333, 0.        ])
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -159,3 +181,328 @@ _RULES = {np.add: _add, np.subtract: _subtract, np.multiply: _multiply,
           np.cos: _elementary(np.cos, lambda v: -np.sin(v), -1.0),
           np.sinh: _elementary(np.sinh, np.cosh, 1.0),
           np.cosh: _elementary(np.cosh, np.sinh, 1.0)}
+
+
+# -- truncated Taylor series ----------------------------------------------------
+
+DEGREE = 4
+
+
+@functools.lru_cache(maxsize=None)
+def _orders(n, ndim):
+    """1, 2, ..., n as an (n, 1, ..., 1) column over ndim value axes."""
+    k = np.arange(1.0, n + 1).reshape((n,) + (1,) * ndim)
+    k.flags.writeable = False
+    return k
+
+
+class Taylor:
+    """A truncated Taylor series in one variable at each point.
+
+    Coefficient k of ``c`` (d+1, ...) is x^(k)(t)/k!, so that x(t + s) is
+    sum_k c[k] s^k up to degree d.  The value axes follow the coefficient
+    axis, and indexing acts on them alone.  A series has no ``shape`` or
+    ``len``: a map that sizes an array from its argument and writes into it
+    fails on a series with AttributeError or TypeError, as it should, and
+    not by writing coefficients as values.  ``linear`` marks a series that
+    is a constant plus a multiple of the variable, by construction.
+    """
+
+    __slots__ = ("c", "linear")
+
+    def __init__(self, c, linear=False):
+        self.c, self.linear = c, linear
+
+    @classmethod
+    def variable(cls, t):
+        """The series of the variable itself at the points t: t + s."""
+        t = np.asarray(t, dtype=float)
+        c = np.zeros((DEGREE + 1,) + t.shape)
+        c[0], c[1] = t, 1.0
+        return cls(c, linear=True)
+
+    def __getitem__(self, key):
+        return Taylor(self.c[(slice(None),) + (key if isinstance(key, tuple) else (key,))],
+                      self.linear)
+
+    def __array__(self, dtype=None, copy=None):
+        """The coefficients (d+1, ...): code that reads a series as an array,
+        such as a counter of map rows, sees d+1 numbers per point."""
+        return np.array(self.c, dtype=dtype) if copy else np.asarray(self.c, dtype=dtype)
+
+    def d(self):
+        """d/dt: the coefficient shift c_k -> (k+1) c_(k+1), one degree lower."""
+        return Taylor(self.c[1:] * _orders(len(self.c) - 1, self.c.ndim - 1))
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        rule = _SERIES_RULES.get(ufunc)
+        if rule is None or method != "__call__" or kwargs:
+            return NotImplemented
+        return rule(*inputs)
+
+    def __array_function__(self, func, types, args, kwargs):
+        rule = _SERIES_FUNCTIONS.get(func)
+        return NotImplemented if rule is None else rule(*args, **kwargs)
+
+    def __add__(self, other):
+        return _series_add(self, other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _series_subtract(self, other)
+
+    def __rsub__(self, other):
+        return _series_subtract(other, self)
+
+    def __mul__(self, other):
+        return _series_multiply(self, other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return _series_divide(self, other)
+
+    def __rtruediv__(self, other):
+        return _series_divide(other, self)
+
+    def __neg__(self):
+        return Taylor(-self.c, self.linear)
+
+    def __pow__(self, other):
+        return _POWER(self, other)
+
+
+def pair(X, Y, signs=None):
+    """The series of sum_i signs_i X_i Y_i over the last axis of the series X
+    and Y: the Cauchy products of the components, summed term by term, so
+    that at degree 0 it has the bits of the same sum over the values."""
+    C = _cauchy(*_lifted(X.c, Y.c if signs is None else Y.c * signs))
+    out = C[..., 0]
+    for i in range(1, C.shape[-1]):
+        out = out + C[..., i]
+    return Taylor(out)
+
+
+# -- series rules -------------------------------------------------------------
+#
+# Each rule truncates to the lower degree of two series, and a float or an
+# array is a constant.  The value c[0] of each result is the ufunc of the
+# values, the bits a float evaluation gives, and every coefficient is
+# elementwise over the points, summed in a fixed order.
+
+def _lift(c, ndim):
+    """Coefficients c with unit axes after the first, to ndim value axes."""
+    extra = ndim + 1 - c.ndim
+    return c.reshape(c.shape[:1] + (1,) * extra + c.shape[1:]) if extra > 0 else c
+
+
+def _lifted(a, b):
+    """Two coefficient arrays with as many value axes."""
+    if a.ndim == b.ndim:
+        return a, b
+    ndim = max(a.ndim, b.ndim) - 1
+    return _lift(a, ndim), _lift(b, ndim)
+
+
+def _cauchy(a, b):
+    """sum_(i+j=k) a_i b_j for k up to the lower degree, of two coefficient
+    arrays with as many value axes."""
+    n = min(len(a), len(b))
+    P = a[:n, None] * b[None, :n]           # P[i, j] = a_i b_j
+    out = P[0]
+    for i in range(1, n):
+        out[i:] += P[i, :n - i]
+    return out
+
+
+def _with_value(c, value):
+    """Coefficients c with their value replaced, broadcast to its shape."""
+    out = np.empty((len(c),) + np.shape(value))
+    out[0], out[1:] = value, c[1:]
+    return out
+
+
+def _constant(value, n):
+    """The n coefficients of a constant: the value, then zeros."""
+    value = np.asarray(value, dtype=float)
+    c = np.zeros((n,) + value.shape)
+    c[0] = value
+    return c
+
+
+def _series_add(a, b):
+    if not isinstance(a, Taylor):
+        a, b = b, a
+    if not isinstance(b, Taylor):
+        return Taylor(_with_value(a.c, a.c[0] + b), a.linear)
+    n = min(len(a.c), len(b.c))
+    x, y = _lifted(a.c[:n], b.c[:n])
+    return Taylor(x + y, a.linear and b.linear)
+
+
+def _series_subtract(a, b):
+    if not isinstance(b, Taylor):
+        return Taylor(_with_value(a.c, a.c[0] - b), a.linear)
+    if not isinstance(a, Taylor):
+        return Taylor(_with_value(-b.c, a - b.c[0]), b.linear)
+    n = min(len(a.c), len(b.c))
+    x, y = _lifted(a.c[:n], b.c[:n])
+    return Taylor(x - y, a.linear and b.linear)
+
+
+def _series_multiply(a, b):
+    if not isinstance(a, Taylor):
+        a, b = b, a
+    if isinstance(b, Taylor):
+        return Taylor(_cauchy(*_lifted(a.c, b.c)))
+    return Taylor(_lift(a.c, np.ndim(b)) * b, a.linear)
+
+
+def _quotient(a, b):
+    """a/b of two coefficient arrays with as many value axes: q_0 = a_0/b_0,
+    then q_k = a_k/b_0 - sum_(j>0) (b_j/b_0) q_(k-j)."""
+    n = min(len(a), len(b))
+    q = a[:n] / b[0]
+    if n > 1:
+        beta = b[1:n] / b[0]
+        for k in range(n - 1):
+            q[k + 1:] -= beta[:n - 1 - k] * q[k]
+    return q
+
+
+def _series_divide(a, b):
+    if not isinstance(b, Taylor):
+        return Taylor(_lift(a.c, np.ndim(b)) / b, a.linear)
+    if not isinstance(a, Taylor):
+        return Taylor(_quotient(*_lifted(_constant(a, len(b.c)), b.c)))
+    return Taylor(_quotient(*_lifted(a.c, b.c)))
+
+
+@functools.lru_cache(maxsize=128)
+def _power_weights(a, n, ndim):
+    """W[j, i] = ((k - j) a - j)/k for k = i + j + 1 < n: the weight of
+    xi_(k-j) y_j in y_k for y = x^a, as an (n-1, n-1, 1, ...) array."""
+    W = np.zeros((n - 1, n - 1) + (1,) * ndim)
+    for j in range(n - 1):
+        for k in range(j + 1, n):
+            W[j, k - j - 1] = ((k - j) * a - j) / k
+    W.flags.writeable = False
+    return W
+
+
+def _power(c, a, value):
+    """x^a from the coefficients c of x and the value x_0^a: with
+    xi = x/x_0, y_k = sum_(j<k) ((k - j) a - j)/k xi_(k-j) y_j."""
+    n = len(c)
+    y = np.zeros(c.shape)
+    y[0] = value
+    if n > 1:
+        terms = _power_weights(float(a), n, c.ndim - 1) * (c[1:] / c[0])
+        for j in range(n - 1):
+            y[j + 1:] += terms[j, :n - 1 - j] * y[j]
+    return y
+
+
+def _series_sqrt(x):
+    return Taylor(_power(x.c, 0.5, np.sqrt(x.c[0])))
+
+
+def _series_power(ufunc):
+    """x^y for a constant y.  An integer 0 <= y <= 64 is a product of
+    squares, so that x_0 may be 0 (a cusp); any other y takes :func:`_power`."""
+    def rule(x, y):
+        if not isinstance(x, Taylor) or isinstance(y, Taylor) or np.ndim(y) != 0:
+            return NotImplemented
+        y = float(y)
+        value = ufunc(x.c[0], y)
+        if not (y.is_integer() and 0 <= y <= 64):
+            return Taylor(_power(x.c, y, value))
+        c, square, e = np.zeros(x.c.shape), x.c, int(y)
+        c[0] = 1.0
+        while e:
+            if e & 1:
+                c = _cauchy(c, square)
+            e >>= 1
+            if e:
+                square = _cauchy(square, square)
+        c[0] = value
+        return Taylor(c)
+    return rule
+
+
+@functools.lru_cache(maxsize=None)
+def _linear_factors(n, sign, ndim):
+    """The factors g_k of f^(k)(x_0) x_1^k/k! = prod_(i<=k) (x_1 g_i) times
+    f(x_0) (k even) or f'(x_0) (k odd), for f'' = sign f: 1/k, and sign/k for even k."""
+    g = np.array([(sign if k % 2 == 0 else 1.0) / k for k in range(1, n)])
+    g = g.reshape((n - 1,) + (1,) * ndim)
+    g.flags.writeable = False
+    return g
+
+
+@functools.lru_cache(maxsize=None)
+def _coupled_factors(n, sign, ndim):
+    """Per k < n, the factors (1/k, sign/k) of the coupled recurrence, as a
+    (n, 2, 1, ..., 1) array over ndim value axes."""
+    w = np.array([[1.0, 1.0]] + [[1.0 / k, sign / k] for k in range(1, n)])
+    w = w.reshape((n, 2) + (1,) * ndim)
+    w.flags.writeable = False
+    return w
+
+
+def _series_elementary(f, df, sign):
+    """The rule of f among sin, cos, sinh and cosh, with f' = df and f'' = sign f:
+    F_k = (1/k) sum_(j>0) j x_j G_(k-j) and G_k = (sign/k) sum_(j>0) j x_j F_(k-j)
+    for F = f(x), G = f'(x), the pair carried together."""
+    def rule(x):
+        c = x.c
+        n = len(c)
+        if x.linear:        # F_k = f^(k)(x_0) x_1^k / k!
+            F = np.empty(c.shape)
+            F[0] = 1.0
+            F[1:] = c[1] * _linear_factors(n, sign, c.ndim - 1)
+            np.multiply.accumulate(F, axis=0, out=F)
+            F[0::2] *= f(c[0])
+            F[1::2] *= df(c[0])
+            return Taylor(F)
+        FG = np.empty((n, 2) + c.shape[1:])             # FG[k] = (F_k, G_k)
+        FG[0, 0], FG[0, 1] = f(c[0]), df(c[0])
+        jx = (c[1:] * _orders(n - 1, c.ndim - 1))[:, None]
+        w = _coupled_factors(n, sign, c.ndim - 1)
+        acc = jx * FG[0, ::-1]          # acc[k-1] = sum_(j>0) j x_j (G, F)_(k-j)
+        for k in range(1, n):
+            FG[k] = acc[k - 1] * w[k]
+            if k + 1 < n:
+                acc[k:] += jx[:n - 1 - k] * FG[k, ::-1]
+        return Taylor(FG[:, 0])
+    return rule
+
+
+def _series_join(join):
+    """np.stack or np.concatenate of series and constants, along a value
+    axis; a constant takes the value shape of the first series."""
+    def rule(arrays, axis=0):
+        arrays = list(arrays)
+        series = [x for x in arrays if isinstance(x, Taylor)]
+        n, shape = min(len(x.c) for x in series), series[0].c.shape[1:]
+        parts = [x.c[:n] if isinstance(x, Taylor) else _constant(np.broadcast_to(x, shape), n)
+                 for x in arrays]
+        return Taylor(join(parts, axis=axis + 1 if axis >= 0 else axis))
+    return rule
+
+
+_POWER = _series_power(np.power)
+
+_SERIES_RULES = {np.add: _series_add, np.subtract: _series_subtract,
+                 np.multiply: _series_multiply, np.true_divide: _series_divide,
+                 np.negative: Taylor.__neg__, np.sqrt: _series_sqrt,
+                 np.float_power: _series_power(np.float_power), np.power: _POWER,
+                 np.sin: _series_elementary(np.sin, np.cos, -1.0),
+                 np.cos: _series_elementary(np.cos, lambda v: -np.sin(v), -1.0),
+                 np.sinh: _series_elementary(np.sinh, np.cosh, 1.0),
+                 np.cosh: _series_elementary(np.cosh, np.sinh, 1.0)}
+
+_SERIES_FUNCTIONS = {np.stack: _series_join(np.stack),
+                     np.concatenate: _series_join(np.concatenate),
+                     np.zeros_like: lambda x, *args, **kwargs: Taylor(np.zeros_like(x.c))}

@@ -30,7 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jets
 from .errors import DomainError, ModelConstraintError, TangencyError
+from .jets import Taylor
 from .numeric import _cofactors, _weigh
 
 MODEL_TOL = 1e-12
@@ -71,7 +73,10 @@ class SpaceForm:
         return s
 
     def pair(self, X, Y):
-        """Raw coordinate pairing (Euclidean dot or Minkowski product) over the last axis."""
+        """Raw coordinate pairing (Euclidean dot or Minkowski product) over the
+        last axis; of two Taylor series, the series of the pairing (:func:`jets.pair`)."""
+        if isinstance(X, Taylor) or isinstance(Y, Taylor):
+            return jets.pair(X, Y, self._signs)
         X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
         return _weigh(X, Y if self._signs is None else self._signs * Y)
 
@@ -91,11 +96,15 @@ class SpaceForm:
             raise ModelConstraintError(
                 f"expected coordinate arrays of length {self.ambient_dim}, "
                 f"got shape {P.shape}")
-        off = self.constraint_defect(P) > tol * _weigh(P, P)
-        if np.any(off):
-            i = np.unravel_index(np.argmax(off), off.shape)
-            raise ModelConstraintError(f"point {P[i]} off the {self.model} model: <P,P> = "
-                                       f"{self.pair(P[i], P[i]):.6g}, not 1/c = {1 / self.c:.6g}")
+        if self.c != 0:
+            size = _weigh(P, P)             # |P|^2, which is <P,P> on the sphere
+            defect = abs((size if self._signs is None else self.pair(P, P)) - 1.0 / self.c)
+            off = defect > tol * size
+            if np.any(off):
+                i = np.unravel_index(np.argmax(off), off.shape)
+                raise ModelConstraintError(
+                    f"point {P[i]} off the {self.model} model: <P,P> = "
+                    f"{self.pair(P[i], P[i]):.6g}, not 1/c = {1 / self.c:.6g}")
         if self.c < 0 and np.any(P[..., -1] <= 0):
             raise ModelConstraintError("hyperboloid points need positive last coordinate")
         return P
@@ -110,11 +119,12 @@ class SpaceForm:
         return V
 
     def tangent_project(self, P, V):
-        """(Pseudo-)orthogonal projection of V onto the tangent space at P."""
-        V = np.asarray(V, dtype=float)
+        """(Pseudo-)orthogonal projection of V onto the tangent space at P;
+        of Taylor series, the series of the projection."""
+        V = V if isinstance(V, Taylor) else np.asarray(V, dtype=float)
         if self.c == 0:
             return V
-        P = np.asarray(P, dtype=float)
+        P = P if isinstance(P, Taylor) else np.asarray(P, dtype=float)
         # <P,P> = 1/c on the model, so the normal component is c<P,V> P
         return V - self.c * self.pair(P, V)[..., None] * P
 

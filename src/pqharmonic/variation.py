@@ -15,20 +15,28 @@ is stated for.  The identity is checked by comparing a Richardson-
 extrapolated central difference of the energy against composite-Simpson
 quadrature of the pairing.
 
-Every derivative is the 4th-order central stencil
+The energy takes its derivatives by the 4th-order central stencil
 :func:`numeric._stencil`, applied along the stencil lattice of
 :mod:`numeric`: the curve is sampled once per distinct lattice point, as
 an (N, L, dim) array for N nodes and L offsets k:
 
 * tau_p at a node uses the offsets k = -4..4 of the step h;
-* tau_{p,q} uses tau_p at the nine nodes t + 4 j h1 (j = -4..4), so the
-  offsets -20..20 of h1, and stencils of step h2 = 4 h1 over those nodes;
 * the first-variation check samples the base curve once on the (K+1) x 9
   energy lattice and takes the field from those samples.  tau_p of the base
   is computed once; the six varied curves differ from it only on the windows
   that meet the field's support, so their tau_p is one batch over those
-  windows, and the six energies are one batch too.  tau_{p,q} at the Simpson
-  nodes samples only its offsets beyond -4..4, which the energy lattice holds.
+  windows, and the six energies are one batch too.  The varied curves pass
+  through ``np.where`` and the field's bump, so they stay on the lattice.
+
+The (p,q)-tension field needs four derivatives of the curve.  Where the
+map carries Taylor series (:func:`curves._series`), one map call on the
+series of the nodes gives them exactly, and tau_p, |tau_p|^(q-2) tau_p and
+their covariant derivatives follow with d/dt the coefficient shift, down
+to degree 0; for the first-variation check that is one series at each
+Simpson node in the field's support.  Otherwise tau_{p,q} uses tau_p at the
+nine nodes t + 4 j h1 (j = -4..4), so the offsets -20..20 of h1, and
+stencils of step h2 = 4 h1 over those nodes, and at the Simpson nodes it
+samples only its offsets beyond -4..4, which the energy lattice holds.
 
 Wherever these kernels sample the base curve, its points at the nodes
 (offset 0) must lie on the model, as in :mod:`curves`; a curve off it is a
@@ -44,8 +52,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import numeric
-from .curves import SPEED_FLOOR, CurveChart
+from .curves import SPEED_FLOOR, CurveChart, _series
 from .errors import DomainError, SingularFactorError, SingularSpeedError
+from .jets import Taylor
 from .numeric import _lattice, _sample, _stencil, require_finite
 from .residual import PQParams
 
@@ -57,7 +66,7 @@ PQ_OFFSETS = np.arange(-20, 21)         # the lattice of one tau_pq, in steps h1
 PQ_NODES = 20 + OUTER * TP_OFFSETS      # indices of its nine tau_p nodes
 PQ_OUTER = np.abs(PQ_OFFSETS) > TP_OFFSETS[-1]   # its offsets beyond the energy lattice
 # largest DiscretizedCurve.K: variation-check of the S^3 helix (3 fields) at
-# this K peaks at 115 MiB (tracemalloc, report included)
+# this K peaks at 63 MiB (tracemalloc, report included)
 MAX_K = 2 ** 14
 
 
@@ -142,6 +151,64 @@ def _energy(dcurve, tp, params):
 # -- (p,q)-tension field ----------------------------------------------------
 
 def _tension_pq(curve, ts, params, h1, base=None):
+    """The (p,q)-tension field at the nodes ``ts`` from one call of the map:
+    on Taylor series where the map carries them (:func:`_series_tension_pq`),
+    on the stencil lattice of step ``h1`` otherwise."""
+    X = _series(curve, ts)
+    if X is None:
+        return _lattice_tension_pq(curve, ts, params, h1, base)
+    return _series_tension_pq(curve.sf, X, params)
+
+
+@np.errstate(all="ignore")      # a value that is not finite is refused
+def _series_tension_pq(sf, X, params):
+    """The (p,q)-tension field at the nodes from the curve's Taylor series X:
+    the formulas of :func:`_lattice_tension_pq` with d/dt the coefficient
+    shift, each series truncated to the degree its derivatives leave."""
+    p, q = float(params.p), float(params.q)
+    V = X.d()                               # velocity, degree 3
+    s2 = sf.pair(V, V)
+    s2c = s2.c[0]
+    if p < 2 and np.any(s2c < SPEED_FLOOR ** 2):
+        low = float(np.min(s2c))
+        raise SingularSpeedError(f"speed {math.sqrt(max(low, 0)):.3e} with p = {p} < 2")
+    acc = sf.tangent_project(X, V.d())      # degree 2
+    if p == 2:
+        tp = acc
+    else:
+        sp = s2 ** ((p - 2) / 2.0)          # |g'|^(p-2)
+        tp = sp[..., None] * acc + sp.d()[..., None] * V
+    n2 = sf.pair(tp, tp)
+    if q == 2:
+        W = tp                              # |tau_p|^(q-2) tau_p
+    else:
+        if q < 2 and np.any(n2.c[0] < TAU_P_FLOOR ** 2):
+            low = float(np.min(n2.c[0]))
+            raise SingularFactorError(
+                f"|tau_p| = {math.sqrt(max(low, 0)):.3e} at a q = {q} < 2 evaluation")
+        W = (n2 ** ((q - 2) / 2.0))[..., None] * tp
+        W.c[:, ~tp.c.any(axis=(0, -1))] = 0.0     # where tau_p vanishes identically
+
+    dW = sf.tangent_project(X, W.d())       # degree 1
+    P, v = X.c[0], V.c[0]
+    U2 = dW if p == 2 else sp[..., None] * dW
+    term2 = -sf.tangent_project(P, U2.d().c[0])
+    if p == 2:
+        term3 = 0.0
+    else:
+        U3 = (Taylor(s2.c[:2]) ** ((p - 4) / 2.0) * sf.pair(dW, V))[..., None] * V
+        term3 = -(p - 2) * sf.tangent_project(P, U3.d().c[0])
+
+    R = sf.curvature_tensor(P, tp.c[0], v, v)
+    term1 = (-(s2c ** ((p - 2) / 2.0)) * n2.c[0] ** ((q - 2) / 2.0))[:, None] * R
+
+    out = term1 + term2 + term3
+    if not np.all(np.isfinite(out)):
+        raise SingularFactorError("NaN in (p,q)-tension evaluation")
+    return out
+
+
+def _lattice_tension_pq(curve, ts, params, h1, base=None):
     """The (p,q)-tension field at the nodes ``ts`` from one sampled lattice.
 
     ``base``, when given, holds the curve at the offsets -4..4 of ``ts``
@@ -361,6 +428,7 @@ def first_variation_check(dcurve: DiscretizedCurve, v: VariationField,
     fd = (energies[0::2] - energies[1::2]) / (2.0 * np.array(steps))
     lhs = float(numeric.richardson(fd[-2], fd[-1], order=2))
     order = numeric.observed_order(fd) if len(fd) >= 3 else float("nan")
+    require_finite("first variation", {"dE/dt": lhs})
 
     rhs = 0.0
     if nodes.any():

@@ -38,14 +38,8 @@ def test_small_circle_hypersurface_is_proper_at_the_curve_exponent(a2, q):
         assert report.classification.value == "ProperPQHarmonic", (use_analytic, report.max_abs_eq1)
 
 
-_ABSOLUTE_TOL = pytest.mark.xfail(
-    strict=True, reason="the curve verdict compares an absolute --tol of 1e-6 with residuals "
-    "whose numerical error grows with k: at k = 1.53 and the exact p they are 1.8e-6 to "
-    "5.6e-6; ROADMAP item 5 (verdicts that scale with the problem) is to make it pass")
-
-
 @pytest.mark.parametrize("q", Q)
-@pytest.mark.parametrize("a2", [pytest.param(0.3, marks=_ABSOLUTE_TOL), 0.5, 0.8])
+@pytest.mark.parametrize("a2", [0.3, 0.5, 0.8])
 def test_small_circle_curve_is_proper_exactly_at_the_hypersurface_exponent(a2, q):
     curve = _small_circle(a2)
     p_star = 1.0 / (1.0 - a2)

@@ -167,6 +167,15 @@ def test_deep_expression_is_a_flag_error(p, capsys):
     assert captured.err.startswith("error: --p: ") and captured.err.count("\n") == 1
 
 
+def test_a_long_refused_expression_is_named_briefly(capsys):
+    # the refused node is the whole conditional: its kind and about 60 characters
+    p = "+".join(["1"] * 1000) + " if 1 else 2"
+    assert run(["verify-curve", "--builtin", "helix", "--q", "2", "--p", p]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: --p: unexpected IfExp '1+1+1") and len(captured.err) < 100
+
+
 def test_missing_selector_is_config_error(capsys):
     assert run(["verify-hypersurface", "--p", "2", "--q", "2"]) == 2
 
@@ -357,21 +366,26 @@ def test_verify_curve_zero_row_only_where_the_frame_is_undefined(tmp_path, capsy
 
 
 def test_verify_curve_calls_the_raw_map_once_per_lattice_point(tmp_path, monkeypatch):
-    # a chart-file curve is used as written: no arc-length inversion calls it
+    # a chart-file curve is used as written: no arc-length inversion calls it,
+    # and its expressions run once on the Taylor series of the 16 nodes
     path = tmp_path / "circle.txt"
     path.write_text(CIRCLE_CHART)
     rows = []
-    evaluate = expressions.Expression.evaluate
 
-    def counted(self, **values):
-        if "t" in values:
-            rows.append(np.size(values["t"]))
-        return evaluate(self, **values)
+    def counting(name):
+        method = getattr(expressions.Expression, name)
 
-    monkeypatch.setattr(expressions.Expression, "evaluate", counted)
+        def counted(self, **values):
+            if "t" in values:
+                rows.append((name, np.asarray(values["t"], dtype=float).shape))
+            return method(self, **values)
+        return counted
+
+    for name in ("evaluate", "jet"):
+        monkeypatch.setattr(expressions.Expression, name, counting(name))
     assert run(["verify-curve", "--chart-file", str(path), "--p", "2", "--q", "2",
                 "--samples", "16", "--out", str(tmp_path / "r.txt")]) == 0
-    assert rows == [16 * 17] * 3        # one call of x1, x2 and x3 each
+    assert rows == [("jet", (5, 16))] * 3       # one call of x1, x2 and x3 each
     assert "curve: circle.txt\n" in (tmp_path / "r.txt").read_text()
 
 

@@ -101,6 +101,52 @@ def test_frenet_of_a_raw_elliptic_helix_matches_its_closed_forms():
         assert np.max(np.abs(got - want)) < bound
 
 
+def _torus_curve_closed_forms(t, a, b):
+    """k and tau of t -> (a cos u, a sin u, b cos v, b sin v) in S^3, with
+    u = 1.3 (t + 0.2 t^2) and v = 0.7 t, from its Darboux frame on the flat
+    torus: the geodesic curvature kg of the plane curve (a u, b v), the normal
+    curvature kn = ab (v'^2 - u'^2)/S and the geodesic torsion u'v'/S, where
+    S = |gamma'|^2, give k^2 = kg^2 + kn^2 and tau = u'v'/S + d/ds atan(kn/kg)."""
+    du, ddu, dv = 1.3 * (1.0 + 0.4 * t), 0.52, 0.7
+    S = a * a * du * du + b * b * dv * dv
+    dS = 2.0 * a * a * du * ddu
+    kg, kn = -a * b * dv * ddu / S ** 1.5, a * b * (dv * dv - du * du) / S
+    dkg = 1.5 * a * b * dv * ddu * dS / S ** 2.5
+    dkn = a * b * (-2.0 * du * ddu * S - (dv * dv - du * du) * dS) / (S * S)
+    k2 = kg * kg + kn * kn
+    return np.sqrt(k2), du * dv / S + (kg * dkn - kn * dkg) / (k2 * np.sqrt(S))
+
+
+def test_series_frames_of_s3_curves_match_their_closed_forms():
+    # the helix at speed 1 + 0.4 t: constant k and tau, so k' = k'' = tau' = 0
+    hr = helix(math.pi / 4, SQ7 / 2, 0.5)
+    retimed = CurveChart(sf=hr.curve.sf, domain=(0.0, 4.0),
+                         map=lambda t: hr.curve.map(t + 0.2 * t * t))
+    fr = frenet(retimed, np.linspace(0.2, 3.8, 13))
+    assert np.max(np.abs(fr.k - hr.k)) < 1e-10 and np.max(np.abs(fr.tau - hr.tau)) < 1e-10
+    assert max(np.max(np.abs(x)) for x in (fr.k_prime, fr.k_second, fr.tau_prime)) < 1e-10
+    # a curve on the torus of radii (cos 0.7, sin 0.7) whose k and tau vary
+    a, b = math.cos(0.7), math.sin(0.7)
+    u, v = (lambda t: 1.3 * (t + 0.2 * t * t)), (lambda t: 0.7 * t)
+    raw = CurveChart(sf=SpaceForm(3, 1.0), domain=(0.0, 3.0),
+                     map=lambda t: np.stack([a * np.cos(u(t)), a * np.sin(u(t)),
+                                             b * np.cos(v(t)), b * np.sin(v(t))], axis=-1))
+    ts = np.linspace(0.2, 2.8, 13)
+    fr = frenet(raw, ts)
+    k, tau = _torus_curve_closed_forms(ts, a, b)
+    assert np.max(np.abs(fr.k - k)) < 1e-10 and np.max(np.abs(fr.tau - tau)) < 1e-10
+
+
+def test_frenet_of_no_nodes_is_empty():
+    # a map that takes Taylor series, and one that takes only arrays
+    for curve in (helix(math.pi / 4, SQ7 / 2, 0.5).curve, _retraced(circle(2.0), 1.5)):
+        fr = frenet(curve, np.array([]))
+        dim = curve.sf.ambient_dim
+        for fd in fields(FrenetApparatus):
+            want = (0, dim) if fd.name in "TNB" else (0,)
+            assert getattr(fr, fd.name).shape == want, (curve.name, fd.name)
+
+
 def test_frenet_refuses_a_vanishing_speed():
     cusp = CurveChart(sf=SpaceForm(3, 0.0), domain=(-1.0, 1.0),
                       map=lambda t: np.stack([t * t, t ** 3, 0.0 * t], axis=-1))
@@ -182,6 +228,7 @@ def test_chart_file_frenet_pinned(tmp_path, text, k, tau):
 
 
 def test_frenet_samples_the_lattice_once():
+    # the helix map takes one Taylor series: the coefficients of t + s at 1.7
     curve = helix(math.pi / 4, SQ7 / 2, 0.5).curve
     calls = []
 
@@ -190,9 +237,34 @@ def test_frenet_samples_the_lattice_once():
         return curve.map(t)
 
     frenet(replace(curve, map=counted), 1.7)
-    assert len(calls) == 1 and calls[0].shape == (17,)
-    rows = calls[0]
-    assert len(rows) == 17 and len(set(rows.tolist())) == 17
+    assert len(calls) == 1 and calls[0].shape == (5, 1)
+    assert calls[0][:, 0].tolist() == [1.7, 1.0, 0.0, 0.0, 0.0]
+
+
+def test_a_map_without_series_takes_the_lattice_frames():
+    # np.asarray of a series is its coefficients, so this map returns an array:
+    # frenet samples the 17-point lattice once instead, as for any such map
+    curve = helix(math.pi / 4, SQ7 / 2, 0.5).curve
+    calls = []
+
+    def arrays_only(t):
+        calls.append(np.asarray(t, dtype=float))
+        return curve.map(np.asarray(t, dtype=float))
+
+    def preallocating(t):       # t.shape fails on a series, so it takes the lattice too
+        X = np.empty(t.shape + (4,))
+        X[..., 0], X[..., 1], X[..., 2], X[..., 3] = (curve.map(t)[..., i] for i in range(4))
+        return X
+
+    ts = np.linspace(0.5, 5.5, 7)
+    lattice, series = frenet(replace(curve, map=arrays_only), ts), frenet(curve, ts)
+    assert [c.shape for c in calls] == [(5, 7), (7 * 17,)]
+    assert len(set(calls[1].tolist())) == 7 * 17
+    written = frenet(replace(curve, map=preallocating), ts)
+    for fd in fields(FrenetApparatus):
+        got, want = getattr(lattice, fd.name), getattr(series, fd.name)
+        assert np.max(np.abs(got - want)) < 1e-6, fd.name
+        assert np.array_equal(getattr(written, fd.name), got), fd.name
 
 
 def _batch_cases(tmp_path):
@@ -220,11 +292,11 @@ def test_frenet_calls_the_map_once_per_frame_points_nodes(monkeypatch):
     calls = []
 
     def counted(t):
-        calls.append(np.size(t))
+        calls.append(np.asarray(t, dtype=float).shape)     # 5 coefficients per node
         return curve.map(t)
 
     fr = frenet(replace(curve, map=counted), np.linspace(0.5, 5.5, 32))
-    assert calls == [32 * 17]
+    assert calls == [(5, 32)]
     assert fr.k.shape == (32,) and fr.T.shape == (32, 4)
 
     ts = np.linspace(0.5, 5.5, 10)
@@ -232,7 +304,7 @@ def test_frenet_calls_the_map_once_per_frame_points_nodes(monkeypatch):
     monkeypatch.setattr(curves, "FRAME_POINTS", 4)
     calls.clear()
     fr = frenet(replace(curve, map=counted), ts)
-    assert calls == [4 * 17, 4 * 17, 2 * 17]
+    assert calls == [(5, 4), (5, 4), (5, 2)]
     for fd in fields(FrenetApparatus):
         assert np.array_equal(getattr(fr, fd.name), getattr(whole, fd.name)), fd.name
 

@@ -127,3 +127,96 @@ def test_unsupported_ufuncs_are_refused():
         np.exp(u)
     with pytest.raises(TypeError):
         u < 1.0
+
+
+# -- truncated Taylor series ------------------------------------------------
+
+TS = np.array([0.3, 0.7, 1.2, 1.7])
+
+
+def _series(text, ts=TS):
+    """The degree-4 series of the expression ``text`` in t at the points ts."""
+    return parse(text).jet(t=jets.Taylor.variable(ts))
+
+
+def test_series_coefficients_are_the_scaled_derivatives():
+    # sin(t^2) takes the general recurrence, sin(2t) the one of a linear argument
+    s, c, t = np.sin(TS * TS), np.cos(TS * TS), TS
+    derivatives = {
+        "sin(t*t)": [s, 2 * t * c, 2 * c - 4 * t * t * s, -12 * t * s - 8 * t ** 3 * c,
+                     -12 * s - 48 * t * t * c + 16 * t ** 4 * s],
+        "sin(2*t)": [np.sin(2 * t), 2 * np.cos(2 * t), -4 * np.sin(2 * t), -8 * np.cos(2 * t),
+                     16 * np.sin(2 * t)],
+        "1/(1 + t)": [(-1) ** k * math.factorial(k) / (1 + t) ** (k + 1) for k in range(5)],
+        "sqrt(1 + t)": [(1 + t) ** 0.5, 0.5 * (1 + t) ** -0.5, -0.25 * (1 + t) ** -1.5,
+                        0.375 * (1 + t) ** -2.5, -0.9375 * (1 + t) ** -3.5],
+    }
+    for text, want in derivatives.items():
+        got = _series(text).c
+        for k, w in enumerate(want):
+            assert np.allclose(got[k] * math.factorial(k), w, rtol=1e-13, atol=1e-14), (text, k)
+
+
+@pytest.mark.parametrize("text, identity", [
+    ("sin(t*t - t/2)^2 + cos(t*t - t/2)^2", "1"), ("sin(3*t + 1)^2 + cos(3*t + 1)^2", "1"),
+    ("cosh(t*t/4)^2 - sinh(t*t/4)^2", "1"), ("sqrt(1 + t*t) * sqrt(1 + t*t)", "1 + t*t"),
+    ("(sin(t) / (2 + t*t)) * (2 + t*t)", "sin(t)"), ("(1 + t)^2.5", "(1 + t)^2 * sqrt(1 + t)"),
+    ("(2 + t)^-1.5 * (2 + t)^1.5", "1"),
+])
+def test_series_rules_keep_identities_to_every_degree(text, identity):
+    got, want = _series(text).c, _series(identity)
+    want = want.c if isinstance(want, jets.Taylor) else np.eye(5)[:, :1] * want
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13), got - want
+
+
+def test_the_coefficient_shift_is_d_dt():
+    got, want = _series("sin(t*t)").d().c, _series("2*t*cos(t*t)").c[:4]
+    assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("text", ["t*t - 3", "2 - t", "-t/4", "3/t", "t/(1 + t)", "t^3",
+                                  "t^2.5", "sin(t)", "cos(t*t)", "sinh(2*t)", "cosh(t - 1)",
+                                  "sqrt(t)", "e^2*t"])
+def test_a_series_value_is_the_float_evaluation_bit_for_bit(text):
+    ex = parse(text)
+    assert np.array_equal(_series(text).c[0], ex.evaluate(t=TS))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 89, 1000])
+def test_a_points_series_are_the_same_bits_in_a_batch_of_any_size(n):
+    ts = np.random.default_rng(n).uniform(0.2, 1.8, n)
+    for text in ("sin(t*t)/(1 + t)", "sqrt(t)*cosh(0.8)", "t^3 - t^2.5", "sinh(3*t) + cos(t)"):
+        batch = _series(text, ts).c
+        for i in sorted(set(range(min(n, 4))) | {n // 2, n - 1}):
+            assert np.array_equal(batch[:, i], _series(text, ts[i:i + 1]).c[:, 0]), (text, i)
+
+
+def test_integer_powers_of_series_hold_at_zero():
+    t = jets.Taylor.variable(np.array([0.0]))
+    for cube in (t ** 3, np.float_power(t, 3.0), _series("t^3", np.array([0.0]))):
+        assert np.array_equal(cube.c[:, 0], [0.0, 0.0, 0.0, 1.0, 0.0])
+    assert np.array_equal((t ** 0).c[:, 0], [1.0, 0.0, 0.0, 0.0, 0.0])
+
+
+def test_series_stack_with_constants_and_read_as_an_array():
+    t = jets.Taylor.variable(TS)
+    X = np.stack([np.cos(t), 2.0, np.zeros_like(t)], axis=-1)
+    assert X.c.shape == (5, 4, 3)
+    assert np.array_equal(X.c[:, :, 1], np.eye(5)[:, :1] * np.full(4, 2.0))
+    assert np.concatenate([X, X[..., :1]], axis=-1).c.shape == (5, 4, 4)
+    # a tracer reads a series' coefficients, with the numpy 1 and 2 signatures
+    for array in (np.asarray(t, dtype=float), t.__array__(), t.__array__(None, copy=None)):
+        assert array.shape == (5, 4) and np.array_equal(array[0], TS)
+
+
+def test_series_refuse_what_they_do_not_carry():
+    # a curve map that meets one of these takes the stencil lattice instead
+    t = jets.Taylor.variable(TS)
+    for refused in (lambda: np.exp(t), lambda: np.where(TS > 1, t, 0.0), lambda: t < 1.0,
+                    lambda: np.abs(t), lambda: _series("t^t"), lambda: len(t),
+                    lambda: np.shape(t), lambda: np.zeros(np.size(t))):
+        with pytest.raises(TypeError):
+            refused()
+    for refused in (lambda: t.reshape(-1), lambda: np.empty(t.shape + (3,))):
+        with pytest.raises(AttributeError):
+            refused()

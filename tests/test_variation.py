@@ -299,30 +299,58 @@ def test_first_variation_pinned_values():
             assert got == pytest.approx(want, rel=1e-6), (name, got, want)
 
 
-# repr of lhs, rhs and fd_values for the first default_rng(9) field, from the
-# code before the energies were batched: the batching must leave every bit
+# repr of lhs, rhs and fd_values for the first default_rng(9) field.  lhs and
+# fd_values are from the code before the energies were batched, which must
+# leave every bit; rhs is from the Taylor-series tension field
 FIRST_VARIATION_BITS = {
-    ("circle", 2.0, 2.0): (0.048023653099097764, 0.04802368747207963,
+    ("circle", 2.0, 2.0): (0.048023653099097764, 0.048023688756042696,
                            (0.04802365319966917, 0.04802365321237012, 0.048023653127415855)),
-    ("circle", 3.0, 2.0): (0.09604734140521802, 0.09604737510876256,
+    ("circle", 3.0, 2.0): (0.09604734140521802, 0.09604737751208535,
                            (0.09797371704125535, 0.0965289354018406, 0.09616773990437366)),
-    ("circle", 2.0, 3.0): (0.0480236552542479, 0.04802368739825158,
+    ("circle", 2.0, 3.0): (0.0480236552542479, 0.04802368875604271,
                            (0.048610221836709044, 0.04817032129853516, 0.04806032176531971)),
-    ("circle", 1.5, 2.5): (0.02401181000843226, 0.02401184365847168,
+    ("circle", 1.5, 2.5): (0.02401181000843226, 0.024011844378021358,
                            (0.02387820880058733, 0.023978421798487304, 0.02400346295594602)),
-    ("helix", 2.0, 2.0): (-0.009724148926952095, -0.00972412131240946,
+    ("helix", 2.0, 2.0): (-0.009724148926952095, -0.009724124330379016,
                           (-0.009752107742128091, -0.009731138865964883,
                            -0.009725896411705293)),
-    ("helix", 3.0, 2.0): (-0.02139309897346564, -0.021393070148258017,
+    ("helix", 3.0, 2.0): (-0.02139309897346564, -0.021393073526833846,
                           (-0.022781609198280206, -0.021740226703315102,
                            -0.021479880905928006)),
-    ("helix", 2.0, 3.0): (-0.004763842660001257, -0.004763827065567776,
+    ("helix", 2.0, 3.0): (-0.004763842660001257, -0.004763828560962348,
                           (-0.005107379685774516, -0.004849750978497269,
                            -0.00478531973962526)),
-    ("helix", 1.5, 2.5): (-0.0027224874821318856, -0.0027224694179179836,
+    ("helix", 1.5, 2.5): (-0.0027224874821318856, -0.0027224712660495324,
                           (-0.002687801535508627, -0.002713808353294045,
                            -0.0027203176999224254)),
 }
+
+
+def test_first_variation_rhs_matches_its_closed_form():
+    # on a unit-speed curve of constant (k, tau) in N^3(c), tau_pq is
+    # k^(q-1)((p-1)k^2 + tau^2 - c) N, so the right side is that coefficient
+    # times the Simpson sum of -<v, N>
+    hr = helix(math.acos(math.sqrt(0.4)), math.sqrt(1.6), math.sqrt(0.6))
+    ca, sa = math.cos(hr.alpha), math.sin(hr.alpha)
+
+    def helix_normal(t):        # (gamma'' + gamma)/k
+        return np.stack([ca * (1 - hr.a ** 2) * np.cos(hr.a * t),
+                         ca * (1 - hr.a ** 2) * np.sin(hr.a * t),
+                         sa * (1 - hr.b ** 2) * np.cos(hr.b * t),
+                         sa * (1 - hr.b ** 2) * np.sin(hr.b * t)], axis=-1) / hr.k
+
+    closed = {"circle": (1.0, 0.0, 0.0, lambda t: -np.stack([np.cos(t), np.sin(t), 0 * t], -1)),
+              "helix": (hr.k, hr.tau, 1.0, helix_normal)}
+    for name, curve in _pin_curves().items():
+        k, tau, c, normal = closed[name]
+        dc = DiscretizedCurve(curve=curve, K=128)
+        v = random_bump_field(curve, np.random.default_rng(9), amplitude=0.5)
+        field = v.values(dc.ts, curve.sf.ambient_dim)
+        pairing = -np.sum(dc.weights * curve.sf.pair(field, normal(dc.ts)))
+        for (p, q) in CRITERION_7_PQ:
+            rhs = first_variation_check(dc, v, PQParams(p, q)).rhs
+            want = k ** (q - 1) * ((p - 1) * k * k + tau * tau - c) * pairing
+            assert abs(rhs - want) <= 1e-12 * abs(want), (name, p, q, rhs, want)
 
 
 def _loops_round_as_pinned():
@@ -347,21 +375,26 @@ def test_first_variation_bits_are_pinned():
 
 
 def test_first_variation_samples_each_point_once():
-    # the base lattice (129 x 9) once, the field from it, and each tau_pq
-    # node only at its offsets beyond -4..4: 1,161 + 89 x 32 points
+    # the base lattice (129 x 9) once, the field from it, and tau_pq at the
+    # 89 Simpson nodes in the field's support as one Taylor series each:
+    # 1,161 points and 89 series of 5 coefficients
     curve = _pin_curves()["helix"]
     rows = []
 
     def counted(t):
-        rows.append(np.array(t, dtype=float).ravel())
+        rows.append(np.array(t, dtype=float))
         return curve.map(t)
 
     base = dataclasses.replace(curve, map=counted)
     v = random_bump_field(base, np.random.default_rng(9), amplitude=0.5)
     rows.clear()
-    first_variation_check(DiscretizedCurve(curve=base, K=128), v, PQParams(3, 2))
-    ts = np.concatenate(rows)
-    assert len(ts) == len(np.unique(ts)) == 4009
+    dc = DiscretizedCurve(curve=base, K=128)
+    first_variation_check(dc, v, PQParams(3, 2))
+    lattice, series = rows
+    assert lattice.shape == (1161,) and len(np.unique(lattice)) == 1161
+    nodes = dc.ts[(dc.ts > v.support[0]) & (dc.ts < v.support[1])]
+    assert series.shape == (5, 89) and np.array_equal(series[0], nodes)
+    assert np.all(series[1] == 1.0) and not series[2:].any()
 
 
 def test_batched_tension_equals_per_node_calls():
