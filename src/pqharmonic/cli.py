@@ -113,8 +113,7 @@ def load_chart_file(path):
     ``x1`` .. ``xN`` as expressions in the domain variables.  The maps act
     over the last axis, like every chart callback, and a curve keeps the
     parameter t of its file, and its expression trees run on the Taylor
-    series that :func:`curves.frenet` and the (p,q)-tension field hand its
-    map.  A hypersurface gets exact ``jacobian`` and ``hessian`` callbacks:
+    series that every curve kernel hands its map.  A hypersurface gets exact ``jacobian`` and ``hessian`` callbacks:
     the expression trees run on jets of (u, v) (:mod:`pqharmonic.jets`), of
     degree 1 for the jacobian and 2 for the hessian, so the stencil path
     takes no finite differences of the map.

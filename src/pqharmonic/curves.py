@@ -10,15 +10,13 @@ exact up to rounding: T to degree 3, nabla_T T, k and N to degree 2,
 nabla_T N to degree 1, and k', k'', tau and tau' from the lowest
 coefficients.  The binormal is needed at degree 0 only, since
 tau' |gamma'| = <d(nabla_T N)/dt, B> (<nabla_T N, dB/dt> vanishes).
+``np.asarray`` of a series is its (5, n) coefficients, so a counter of
+map rows reads 5 rows per node.
 
 A map whose result is not a series (it raises TypeError or AttributeError
 on one, or returns an array, as one that calls ``np.asarray`` on its
-argument does) is sampled instead on the stencil lattices t + k h,
-k = -8..8, with d/ds = |gamma'|^-1 D1 nested along them: T on the offsets
--6..6, then nabla_T T, k and N on -4..4, then nabla_T N and tau on -2..2,
-and finally k', k'' and tau' at the centre.  ``np.asarray`` of a series is
-its (5, n) coefficients, so a counter of map rows reads 5 rows per node
-on the series, against 17 on the lattice.
+argument does) is refused with a DomainError that says what the map must
+accept: no derivative of a curve is taken by finite differences.
 
 The binormal is T x N in R^3 and, in the embedded models, minus the oriented
 normal of (T, N) (:meth:`SpaceForm.complement`), which makes the torsion of
@@ -39,16 +37,13 @@ from .errors import (DomainError, FrameUndefinedError, SingularFactorError,
                      SingularSpeedError)
 from .immersion import _row
 from .jets import Taylor
-from .numeric import _lattice, _sample, _stencil, _stencil2
 from .residual import Classification
 from .spaceform import SpaceForm
 
 K_THRESHOLD = 1e-8
 SPEED_FLOOR = 1e-10                 # |gamma'| at or below this is singular
-FRENET_OFFSETS = np.arange(-8, 9)   # T, nabla_T T, nabla_T N and tau': four nested stencils
 # nodes per map call of frenet, which bounds a call's memory: frenet of the
-# S^3 helix at this many nodes peaks at 0.5 MiB on Taylor series and 1.1 MiB
-# on the stencil lattice (tracemalloc)
+# S^3 helix at this many nodes peaks at 0.5 MiB (tracemalloc)
 FRAME_POINTS = 256
 _KS = np.array([1.0, 1.0, 2.0])[:, None]   # k, dk/dt and d2k/dt2 from k's coefficients
 # most nodes classify_curve takes: verify-curve of the S^3 helix at this many
@@ -79,9 +74,6 @@ class CurveChart:
     def width(self):
         return self.domain[1] - self.domain[0]
 
-    def frame_step(self):
-        return 1e-3 * self.width
-
 
 @dataclass(frozen=True)
 class FrenetApparatus:
@@ -99,18 +91,27 @@ class FrenetApparatus:
 
 # -- the Frenet frame -------------------------------------------------------
 
+def _series_of(call, what):
+    """The Taylor series that ``call()`` returns, with numpy's warnings off;
+    a DomainError that says what ``what`` must accept where it raises
+    TypeError or AttributeError, or returns no series."""
+    with np.errstate(all="ignore"):
+        try:
+            X = call()
+        except (TypeError, AttributeError):
+            X = None
+    if not isinstance(X, Taylor):
+        raise DomainError(f"{what} must take a Taylor series of t (jets.Taylor) and return "
+                          "its series: write it in numpy ufuncs and np.stack, without "
+                          "np.asarray, np.where or in-place writes")
+    return X
+
+
 def _series(curve, ts):
     """The curve as a Taylor series of degree 4 at each node of ``ts`` (n,),
     from one call of its map on the variable's series, refused unless it is
-    finite and its values lie on the model; None where the map does not carry
-    a series: it raises TypeError or AttributeError, or returns no series."""
-    with np.errstate(all="ignore"):
-        try:
-            X = curve.map(Taylor.variable(ts))
-        except (TypeError, AttributeError):
-            return None
-    if not isinstance(X, Taylor):
-        return None
+    finite and its values lie on the model (:meth:`SpaceForm.check_point`)."""
+    X = _series_of(lambda: curve.map(Taylor.variable(ts)), f"{curve.name}: the curve map")
     if not np.all(np.isfinite(X.c)):
         raise DomainError("non-finite map value or derivative at the nodes")
     curve.sf.check_point(X.c[0])
@@ -118,11 +119,13 @@ def _series(curve, ts):
 
 
 @np.errstate(all="ignore")      # a node with k below K_THRESHOLD gets NaN
-def _series_frames(sf, X, ts):
-    """Every apparatus field at the nodes ``ts`` from the curve's series X:
-    the formulas of :func:`_lattice_frames` with d/dt the coefficient shift
-    and the series of 1/|gamma'| taken once, each series truncated to the
-    degree its derivatives leave."""
+def _frames(curve, ts):
+    """Every apparatus field at the nodes ``ts`` (n,), stacked, from one call
+    of the map on their series (:func:`_series`): d/dt is the coefficient
+    shift and the series of 1/|gamma'| is taken once, each series truncated
+    to the degree its derivatives leave; NaN at the nodes whose frame is
+    undefined."""
+    sf, X = curve.sf, _series(curve, ts)
     V = X.d()
     s2 = sf.pair(V, V)
     s = np.sqrt(s2.c[0])
@@ -136,6 +139,7 @@ def _series_frames(sf, X, ts):
     N = acc / k[..., None]
     dN = sf.tangent_project(X, N.d()) * inv_speed
     T, N, (k, k_t, k_tt), s_t = T.c[0], N.c[0], k.c * _KS, 0.5 * s2.c[1] / s
+    # T x N in R^3, minus the oriented normal of (T, N) in the embedded models
     B = np.cross(T, N) if sf.c == 0 else -sf.complement(X.c[0], np.stack([T, N], -1))[0]
     # tau' s = <d(nabla_T N)/dt, B>, since <nabla_T N, dB/dt> = 0
     tau, tau_t = sf.pair(dN.c[0], B), sf.pair(dN.c[1], B)
@@ -147,54 +151,16 @@ def _series_frames(sf, X, ts):
     return fields
 
 
-def _lattice_frames(curve, ts):
-    """Every apparatus field at the nodes ``ts`` (n,), stacked, from one call
-    of the map on their stencil lattices; NaN at the nodes whose frame is undefined."""
-    sf, h = curve.sf, curve.frame_step()
-    X = sf.check_point(_sample(curve.map, _lattice(ts, h, FRENET_OFFSETS)))
-    V = _stencil(X, h)                                          # offsets -6..6
-    speed = np.sqrt(np.maximum(sf.pair(V, V), 0.0))
-    if np.any(speed <= SPEED_FLOOR):
-        raise SingularSpeedError(f"curve speed {np.min(speed):.3e} at or below {SPEED_FLOOR:g} "
-                                 f"near t = {ts[np.argmin(np.min(speed, axis=1))]:.6g}")
-    T = V / speed[..., None]
-    acc = sf.tangent_project(X[:, 4:-4], _stencil(T, h)) / speed[:, 2:-2, None]   # -4..4
-    k = np.sqrt(np.maximum(sf.pair(acc, acc), 0.0))
-    undefined = np.min(k, axis=1) < K_THRESHOLD
-    T[undefined] = k[undefined] = np.nan                        # and so every field
-    N = acc / k[..., None]
-    dN = sf.tangent_project(X[:, 6:-6], _stencil(N, h)) / speed[:, 4:-4, None]    # -2..2
-    T, N = T[:, 4:-4], N[:, 2:-2]                               # -2..2
-    # T x N in R^3, minus the oriented normal of (T, N) in the embedded models
-    B = np.cross(T, N) if sf.c == 0 else -sf.complement(X[:, 6:-6], np.stack([T, N], -1))[0]
-    tau = sf.pair(dN, B)
-    s, k_t = speed[:, 6], _stencil(k[:, 2:-2], h)[:, 0]
-    k_tt, s_t = _stencil2(k[:, 2:-2], h)[:, 0], _stencil(speed[:, 4:-4], h)[:, 0]
-    return (T[:, 2], N[:, 2], B[:, 2], k[:, 4], tau[:, 2], k_t / s, (k_tt - s_t * k_t / s) / s**2,
-            _stencil(tau, h)[:, 0] / s)
-
-
-def _frames(curve, ts):
-    """Every apparatus field at the nodes ``ts`` (n,), stacked, from one call
-    of the map: on Taylor series where the map carries them, on the stencil
-    lattice otherwise."""
-    X = _series(curve, ts)
-    return _lattice_frames(curve, ts) if X is None else _series_frames(curve.sf, X, ts)
-
-
 def frenet(curve: CurveChart, t) -> FrenetApparatus:
     """Frenet frame, curvature, torsion and their arc-length derivatives.
 
     At any speed they are those of the curve by arc length; a speed at or
     below SPEED_FLOOR raises SingularSpeedError.  The map is called once per
-    FRAME_POINTS nodes.  A map written in numpy ufuncs (and ``np.stack``)
-    takes the nodes as Taylor series (:class:`jets.Taylor`), and the fields
-    are exact up to rounding.  Any other map is called at the 17 points
-    t + k h, k = -8..8, of each node t, with h = ``curve.frame_step()``, and
-    the derivatives are nested stencils.  An array t (n,) gives fields stacked
-    along axis 0, and an empty one empty fields.  The frame is undefined
-    where the geodesic curvature drops below K_THRESHOLD (on the stencil
-    path, anywhere on the offsets -4..4): a float t there raises
+    FRAME_POINTS nodes, on their Taylor series (:class:`jets.Taylor`), and
+    the fields are exact up to rounding; a map that does not carry a series
+    is a DomainError.  An array t (n,) gives fields stacked along axis 0, and
+    an empty one empty fields.  The frame is undefined where the geodesic
+    curvature drops below K_THRESHOLD: a float t there raises
     FrameUndefinedError, and a node of an array t gets NaN in every field.
     """
     flat = np.asarray(t, dtype=float).reshape(-1)

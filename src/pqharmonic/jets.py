@@ -21,18 +21,22 @@ ufunc of the values, the bits a float evaluation gives.
 
 A :class:`Taylor` series in one variable, of degree 4 (``DEGREE``), holds
 the normalized coefficients x^(k)(t)/k! of a value at each point,
-coefficients first, (5, ...).  The same ufuncs and ``np.power`` (products
-for a small integer exponent, so that the value may be 0) carry it, and
-``np.stack``, ``np.concatenate`` and ``np.zeros_like`` through
-``__array_function__``.  Products and quotients are the Cauchy
-recurrences, ``sqrt`` and powers the recurrence of x y' = a x' y, and sin,
-cos, sinh and cosh the coupled one of f and f' (ch. 13 there).  Each
-result has the lower degree of its operands, and d/dt (:meth:`Taylor.d`),
-the coefficient shift, lowers it by one.  As for jets, each coefficient is
-elementwise over the points with its terms summed in a fixed order, and
-each value is the float evaluation's.  A function that is not among these
-raises TypeError, which is how a curve map that does not carry a series
-is told apart (:func:`curves._series`).
+coefficients first, (5, ...).  The same ufuncs, ``np.exp``, ``np.log`` and
+``np.power`` (products for a small integer exponent, so that the value may
+be 0) carry it, and ``np.stack``, ``np.concatenate`` and ``np.zeros_like``
+through ``__array_function__``.  Products and quotients are the Cauchy
+recurrences, ``sqrt`` and powers the recurrence of x y' = a x' y, log the
+quotient x'/x integrated, and sin, cos, sinh, cosh and exp the coupled one
+of f and f' (ch. 13 there).  Each result has the lower degree of its
+operands, and d/dt (:meth:`Taylor.d`), the coefficient shift, lowers it by
+one.  As for jets, each coefficient is elementwise over the points with
+its terms summed in a fixed order, and each value is the float
+evaluation's.  The arithmetic, ``sqrt`` and the powers allocate in their
+operands' dtype, so a series may carry complex coefficients, as the
+complex steps of :func:`variation.first_variation_check` do.  A function
+that is not among these raises TypeError, which is how a curve map or a
+variation field that does not carry a series is told apart and refused
+(:func:`curves._series`).
 
     >>> t = Taylor.variable(np.array([0.0]))
     >>> np.sinh(2.0 * t).c[:, 0]
@@ -230,6 +234,10 @@ class Taylor:
         such as a counter of map rows, sees d+1 numbers per point."""
         return np.array(self.c, dtype=dtype) if copy else np.asarray(self.c, dtype=dtype)
 
+    def truncated(self, degree):
+        """The series to ``degree``: its first degree + 1 coefficients."""
+        return Taylor(self.c[:degree + 1], self.linear)
+
     def d(self):
         """d/dt: the coefficient shift c_k -> (k+1) c_(k+1), one degree lower."""
         return Taylor(self.c[1:] * _orders(len(self.c) - 1, self.c.ndim - 1))
@@ -318,15 +326,15 @@ def _cauchy(a, b):
 
 def _with_value(c, value):
     """Coefficients c with their value replaced, broadcast to its shape."""
-    out = np.empty((len(c),) + np.shape(value))
+    out = np.empty((len(c),) + np.shape(value), np.result_type(c, value))
     out[0], out[1:] = value, c[1:]
     return out
 
 
 def _constant(value, n):
     """The n coefficients of a constant: the value, then zeros."""
-    value = np.asarray(value, dtype=float)
-    c = np.zeros((n,) + value.shape)
+    value = np.asarray(value)
+    c = np.zeros((n,) + value.shape, np.result_type(value, float))
     c[0] = value
     return c
 
@@ -395,7 +403,7 @@ def _power(c, a, value):
     """x^a from the coefficients c of x and the value x_0^a: with
     xi = x/x_0, y_k = sum_(j<k) ((k - j) a - j)/k xi_(k-j) y_j."""
     n = len(c)
-    y = np.zeros(c.shape)
+    y = np.zeros(c.shape, np.result_type(c, value))
     y[0] = value
     if n > 1:
         terms = _power_weights(float(a), n, c.ndim - 1) * (c[1:] / c[0])
@@ -418,7 +426,7 @@ def _series_power(ufunc):
         value = ufunc(x.c[0], y)
         if not (y.is_integer() and 0 <= y <= 64):
             return Taylor(_power(x.c, y, value))
-        c, square, e = np.zeros(x.c.shape), x.c, int(y)
+        c, square, e = np.zeros(x.c.shape, np.result_type(x.c, value)), x.c, int(y)
         c[0] = 1.0
         while e:
             if e & 1:
@@ -452,7 +460,7 @@ def _coupled_factors(n, sign, ndim):
 
 
 def _series_elementary(f, df, sign):
-    """The rule of f among sin, cos, sinh and cosh, with f' = df and f'' = sign f:
+    """The rule of f among sin, cos, sinh, cosh and exp, with f' = df and f'' = sign f:
     F_k = (1/k) sum_(j>0) j x_j G_(k-j) and G_k = (sign/k) sum_(j>0) j x_j F_(k-j)
     for F = f(x), G = f'(x), the pair carried together."""
     def rule(x):
@@ -479,6 +487,13 @@ def _series_elementary(f, df, sign):
     return rule
 
 
+def _series_log(x):
+    """log x: y_0 = log x_0, and y' = x'/x gives y_(k+1) = (x'/x)_k/(k + 1)."""
+    c = x.c
+    rest = _quotient(x.d().c, c) / _orders(len(c) - 1, c.ndim - 1)
+    return Taylor(np.concatenate([np.log(c[:1]), rest]))
+
+
 def _series_join(join):
     """np.stack or np.concatenate of series and constants, along a value
     axis; a constant takes the value shape of the first series."""
@@ -501,7 +516,8 @@ _SERIES_RULES = {np.add: _series_add, np.subtract: _series_subtract,
                  np.sin: _series_elementary(np.sin, np.cos, -1.0),
                  np.cos: _series_elementary(np.cos, lambda v: -np.sin(v), -1.0),
                  np.sinh: _series_elementary(np.sinh, np.cosh, 1.0),
-                 np.cosh: _series_elementary(np.cosh, np.sinh, 1.0)}
+                 np.cosh: _series_elementary(np.cosh, np.sinh, 1.0),
+                 np.exp: _series_elementary(np.exp, np.exp, 1.0), np.log: _series_log}
 
 _SERIES_FUNCTIONS = {np.stack: _series_join(np.stack),
                      np.concatenate: _series_join(np.concatenate),

@@ -1,17 +1,14 @@
-"""Finite-difference stencil weights, the stencil lattice, Richardson
-extrapolation, quadrature and the refusal of non-finite values.
+"""Finite-difference stencil weights, Richardson extrapolation, quadrature,
+small-matrix kernels and the refusal of non-finite values.
 
-Every derivative is a 4th-order central stencil, so that two nested
-differentiation levels still leave enough accuracy for 1e-4 level checks.
-A composition of central stencils is one weight vector on the integer
-lattice t + k h (Fornberg, Math. Comp. 51 (1988) 699-706).  So a curve is
-sampled once per lattice point, in one call of its map on all N x L
-points, as an (N, L, dim) array for N nodes and L offsets k
-(:func:`_lattice`, :func:`_sample`), and the stencils :func:`_stencil` and
-:func:`_stencil2` act along the lattice axis.
+The hypersurface stencil path takes its derivatives by the 4th-order
+central stencils D1 and D2 (:mod:`immersion`); curves take none, since
+their maps carry Taylor series (:mod:`curves`).  Richardson extrapolation
+and the observed order serve the first-variation step ladder, and
+composite Simpson weights its quadrature.
 
 The small matrices of the pointwise geometry (a 2x2 to 5x5 metric, the
-tangent columns of a normal) come one per lattice point, a thousand at a
+tangent columns of a normal) come one per sampled point, a thousand at a
 time.  A LAPACK factorisation per matrix costs far more in call overhead
 than its arithmetic, so determinants, adjugates and the cofactors of a
 normal are Laplace expansions over the whole batch (:func:`_cofactors`,
@@ -28,6 +25,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
+from .jets import Taylor
 
 # D1 and D2, the first and second derivative stencils, as weight vectors for
 # sampled arrays: sum_k W[k] F(x + OFFSETS[k] h) / h (or / h^2)
@@ -35,13 +33,6 @@ D1_OFFSETS = np.array([-2, -1, 1, 2])
 D1_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 D2_OFFSETS = np.array([-2, -1, 0, 1, 2])
 D2_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-# the lattice of two nested first-derivative stencils, e.g. one acceleration
-NESTED_OFFSETS = np.arange(-4, 5)
-
-
-def _lattice(ts, h, offsets=NESTED_OFFSETS):
-    """The points t + k h, one row per node t."""
-    return np.asarray(ts, dtype=float)[:, None] + offsets[None, :] * h
 
 
 def _finite(vals, what="map"):
@@ -66,11 +57,6 @@ def _check_domain(intervals, name):
     for lo, hi in intervals:
         if not (lo < hi and math.isfinite(hi - lo)):
             raise ValueError(f"{name}: domain interval ({lo:g}, {hi:g}) needs finite lo < hi")
-
-
-def _sample(fn, pts):
-    """The curve map ``fn`` on the flat lattice, in one call: an (N, L, dim) array."""
-    return _finite(fn(pts.ravel())).reshape(pts.shape + (-1,))
 
 
 def _weigh(F, weights):
@@ -139,18 +125,6 @@ def _adjugate(A):
     return det, adj
 
 
-def _stencil(F, h):
-    """The D1 stencil of step h along axis 1, at the entries 2..L-3 of F."""
-    fm2, fm1, fp1, fp2 = F[:, :-4], F[:, 1:-3], F[:, 3:-1], F[:, 4:]
-    return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
-
-
-def _stencil2(F, h):
-    """The D2 stencil of step h along axis 1, at the entries 2..L-3 of F."""
-    fm2, fm1, f0, fp1, fp2 = F[:, :-4], F[:, 1:-3], F[:, 2:-2], F[:, 3:-1], F[:, 4:]
-    return (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
-
-
 def richardson(d_h, d_h2, order=2):
     """Extrapolate two approximations with leading error term h^order."""
     w = 2.0 ** order
@@ -182,8 +156,13 @@ def smooth_bump(t, lo, hi):
 
     (1 - x^2)^6 on the rescaled interval: C^5 across the edges, with far
     tamer high derivatives than the classical exp(-1/(1-x^2)) bump, which
-    keeps Simpson quadrature of bump-weighted integrands accurate.
+    keeps Simpson quadrature of bump-weighted integrands accurate.  Of a
+    Taylor series t, whose nodes must lie strictly inside (lo, hi), it is
+    the series of the same products, with no clip.
     """
+    if isinstance(t, Taylor):
+        x = 2.0 * (t - lo) / (hi - lo) - 1.0
+        return (1.0 - x ** 2) ** 6
     t = np.asarray(t, dtype=float)
     # on a flat array even for one point: power on a numpy scalar differs
     # from the array loop in the last bit; |x| clipped to 1 gives 0 outside

@@ -14,7 +14,9 @@ tangent space, :meth:`SpaceForm.tangent_project`: the covariant derivative
 of a field V along a curve is ``tangent_project(P, dV/dt)``.  The pairing,
 the projection, the oriented unit normal of tangent vectors (``complement``),
 the curvature tensor, the model checks and the retraction act over the last
-axis, so they take one point or a whole stencil lattice of points at once.
+axis, so they take one point or a whole batch of points at once; the
+pairing, the projection and the retraction also take Taylor series
+(:class:`jets.Taylor`) and give the series of the result.
 The pairing and the model check's |P|^2 are summed term by term over the
 coordinates (:func:`numeric._weigh`), so a point gets the same bits in a
 batch of any size.
@@ -173,15 +175,19 @@ class SpaceForm:
 
         Identity for Euclidean; radial (Minkowski) normalization for the
         embedded models.  At on-model points the differential restricted to
-        tangent vectors is the identity.
+        tangent vectors is the identity.  Of a Taylor series, the series of
+        the retraction, refused as its values are.
         """
-        P = np.asarray(coords, dtype=float)
+        P = coords if isinstance(coords, Taylor) else np.asarray(coords, dtype=float)
         if self.c == 0:
             return P
         nrm2 = self.pair(P, P)
-        if self.c > 0 and np.any(nrm2 <= 0):
+        # the value's real part: a complex step carries its perturbation in the imaginary part
+        n0, last = ((nrm2.c[0].real, P.c[0][..., -1].real) if isinstance(P, Taylor)
+                    else (nrm2, P[..., -1]))
+        if self.c > 0 and np.any(n0 <= 0):
             raise DomainError("cannot retract the origin onto the sphere")
-        if self.c < 0 and np.any((nrm2 >= 0) | (P[..., -1] <= 0)):
+        if self.c < 0 and np.any((n0 >= 0) | (last <= 0)):
             raise DomainError("hyperboloid retraction needs a timelike, future-pointing input")
         # c * nrm2 > 0 in both embedded cases; the target norm is 1/c
         return P / np.sqrt(self.c * nrm2)[..., None]

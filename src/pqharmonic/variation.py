@@ -12,35 +12,31 @@ that is what the first-variation identity
     d/dt E_{p,q}(gamma_t)|_0 = - int <v, tau_{p,q}(gamma)>
 
 is stated for.  The identity is checked by comparing a Richardson-
-extrapolated central difference of the energy against composite-Simpson
-quadrature of the pairing.
+extrapolated ladder of steps of the energy against composite-Simpson
+quadrature of the pairing: complex steps Im E(i t)/t where q/2 is an
+integer, central differences (E(t) - E(-t))/(2 t) otherwise.
 
-The energy takes its derivatives by the 4th-order central stencil
-:func:`numeric._stencil`, applied along the stencil lattice of
-:mod:`numeric`: the curve is sampled once per distinct lattice point, as
-an (N, L, dim) array for N nodes and L offsets k:
+Every kernel calls the curve map once, on the Taylor series t + s of its
+nodes (:func:`curves._series`), and d/dt is the coefficient shift; no
+derivative in t is a finite difference.
+* tau_p takes the series to degree 2 and gives it at degree 0
+  (:func:`_series_tension_p`), and the energy is Simpson quadrature of
+  |tau_p|^q / q over the nodes.
+* The (p,q)-tension field needs four derivatives: tau_p, |tau_p|^(q-2)
+  tau_p and their covariant derivatives follow from the degree-4 series,
+  down to degree 0 (:func:`_series_tension_pq`).
+* The first-variation check calls the map once at all K+1 Simpson nodes.
+  The field at the nodes in its support is ``along(T, X)`` of the
+  variable's series T and the curve's series X, both truncated to degree
+  2.  The varied curves retract(X + z V), one per step z (i t, or +-t),
+  are one batch of series with an axis of z, and they equal the base at
+  every node outside the support, so E(z) is a sum over the support's
+  nodes alone.  The right side takes tau_pq from the same series, and the
+  field's values on the float path.
 
-* tau_p at a node uses the offsets k = -4..4 of the step h;
-* the first-variation check samples the base curve once on the (K+1) x 9
-  energy lattice and takes the field from those samples.  tau_p of the base
-  is computed once; the six varied curves differ from it only on the windows
-  that meet the field's support, so their tau_p is one batch over those
-  windows, and the six energies are one batch too.  The varied curves pass
-  through ``np.where`` and the field's bump, so they stay on the lattice.
-
-The (p,q)-tension field needs four derivatives of the curve.  Where the
-map carries Taylor series (:func:`curves._series`), one map call on the
-series of the nodes gives them exactly, and tau_p, |tau_p|^(q-2) tau_p and
-their covariant derivatives follow with d/dt the coefficient shift, down
-to degree 0; for the first-variation check that is one series at each
-Simpson node in the field's support.  Otherwise tau_{p,q} uses tau_p at the
-nine nodes t + 4 j h1 (j = -4..4), so the offsets -20..20 of h1, and
-stencils of step h2 = 4 h1 over those nodes, and at the Simpson nodes it
-samples only its offsets beyond -4..4, which the energy lattice holds.
-
-Wherever these kernels sample the base curve, its points at the nodes
-(offset 0) must lie on the model, as in :mod:`curves`; a curve off it is a
-``ModelConstraintError``.
+A curve map or a field that carries no series is a DomainError that says
+what it must accept.  The curve's points at the nodes must lie on the
+model, as in :mod:`curves`; a curve off it is a ``ModelConstraintError``.
 """
 
 from __future__ import annotations
@@ -52,57 +48,54 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import numeric
-from .curves import SPEED_FLOOR, CurveChart, _series
+from .curves import SPEED_FLOOR, CurveChart, _series, _series_of
 from .errors import DomainError, SingularFactorError, SingularSpeedError
 from .jets import Taylor
-from .numeric import _lattice, _sample, _stencil, require_finite
+from .numeric import require_finite
 from .residual import PQParams
 
 TAU_P_FLOOR = 1e-6
-
-TP_OFFSETS = numeric.NESTED_OFFSETS     # the lattice of one tau_p, in steps h
-OUTER = 4                               # h2 = OUTER * h1 for the tau_pq stencils
-PQ_OFFSETS = np.arange(-20, 21)         # the lattice of one tau_pq, in steps h1
-PQ_NODES = 20 + OUTER * TP_OFFSETS      # indices of its nine tau_p nodes
-PQ_OUTER = np.abs(PQ_OFFSETS) > TP_OFFSETS[-1]   # its offsets beyond the energy lattice
 # largest DiscretizedCurve.K: variation-check of the S^3 helix (3 fields) at
-# this K peaks at 63 MiB (tracemalloc, report included)
+# this K peaks at 35 MiB (tracemalloc, report included)
 MAX_K = 2 ** 14
 
 
 # -- p-tension field --------------------------------------------------------
 
-def _tension_p(sf, X, h, p):
-    """tau_p, velocity and squared speed at the centres of (N, 9, dim) windows."""
-    if h <= 0 or not np.isfinite(h):
-        raise DomainError("derivative step must be positive and finite")
-    V = _stencil(X, h)                      # offsets -2..2
+def _series_tension_p(sf, X, p):
+    """tau_p = |g'|^(p-2) nabla_t g' + d/dt(|g'|^(p-2)) g' from the curve's
+    series X, two degrees lower; with the velocity, |g'|^2 and |g'|^(p-2)
+    (None at p = 2), which the (p,q)-tension field reuses."""
+    V = X.d()
     s2 = sf.pair(V, V)
-    vel, s2c = V[:, 2], s2[:, 2]
+    s2c = s2.c[0].real                      # the value of a complex step is its real part
     if p < 2 and np.any(s2c < SPEED_FLOOR ** 2):
         low = float(np.min(s2c))
         raise SingularSpeedError(f"speed {math.sqrt(max(low, 0)):.3e} with p = {p} < 2")
-    acc = sf.tangent_project(X[:, 4], _stencil(V, h)[:, 0])
+    acc = sf.tangent_project(X, V.d())
     if p == 2:
-        return acc, vel, s2c
-    e = (p - 2) / 2.0
-    dsp = _stencil(s2 ** e, h)[:, 0]
-    return (s2c ** e)[:, None] * acc + dsp[:, None] * vel, vel, s2c
+        return acc, V, s2, None
+    sp = s2 ** ((p - 2) / 2.0)
+    return sp[..., None] * acc + sp.d()[..., None] * V, V, s2, sp
 
 
-def _sample_base(curve, pts):
-    """The curve at the points t + k h (n, 9) of :func:`numeric._lattice`,
-    (n, 9, dim), refused unless its points at the nodes t (offset 0) lie on
-    the model (:meth:`SpaceForm.check_point`)."""
-    X = _sample(curve.map, pts)
-    curve.sf.check_point(X[:, len(TP_OFFSETS) // 2])
-    return X
+def _tension_p_values(sf, X, p):
+    """tau_p at the nodes of the curve's series X, as a series of degree 0.
+    Where the speed vanishes at p > 2 it is 0, its limit there (|tau_p| <=
+    (p-1)|g'|^(p-2)|nabla_t g'|), which the series of |g'|^(p-2) does not give."""
+    tp, _, s2, _ = _series_tension_p(sf, X.truncated(2), p)
+    if p > 2:
+        tp.c[:, s2.c[0] == 0] = 0.0
+    return tp
 
 
+@np.errstate(all="ignore")      # a value that is not finite is refused
 def tension_p(curve: CurveChart, t, p):
     """tau_p = |g'|^(p-2) nabla_t g' + d/dt(|g'|^(p-2)) g' at parameter t."""
-    h = curve.frame_step()
-    return _tension_p(curve.sf, _sample_base(curve, _lattice([t], h)), h, p)[0][0]
+    tp = _tension_p_values(curve.sf, _series(curve, np.array([t], dtype=float)), p).c[0, 0]
+    if not np.all(np.isfinite(tp)):
+        raise SingularFactorError("NaN in p-tension evaluation")
+    return tp
 
 
 # -- discretized energy -----------------------------------------------------
@@ -133,51 +126,33 @@ class DiscretizedCurve:
         return numeric.simpson_weights(self.K, self.dt)
 
 
+@np.errstate(all="ignore")      # a value that is not finite is refused
 def energy_pq(dcurve: DiscretizedCurve, params: PQParams):
     """Composite-Simpson value of (1/q) |tau_p|^q over the parameter t."""
-    h = dcurve.curve.frame_step()
-    X = _sample_base(dcurve.curve, _lattice(dcurve.ts, h))
-    tp = _tension_p(dcurve.curve.sf, X, h, params.p)[0]
-    return float(_energy(dcurve, tp, params))
+    sf = dcurve.curve.sf
+    tp = _tension_p_values(sf, _series(dcurve.curve, dcurve.ts), params.p)
+    energy = float(_energy(dcurve.weights, sf, tp, params))
+    require_finite("energy", {"E_pq": energy})
+    return energy
 
 
-def _energy(dcurve, tp, params):
-    """energy_pq from tau_p at the Simpson nodes (..., K+1, dim): one energy
-    per leading index."""
-    sf, q = dcurve.curve.sf, float(params.q)
-    return np.sum(dcurve.weights * sf.pair(tp, tp) ** (q / 2.0), axis=-1) / q
+def _energy(weights, sf, tp, params):
+    """Simpson sum of (1/q) |tau_p|^q with ``weights`` over the last node
+    axis of tau_p, a series (..., n, dim) of degree 0: one energy per
+    leading index."""
+    q = float(params.q)
+    return np.sum(weights * sf.pair(tp, tp).c[0] ** (q / 2.0), axis=-1) / q
 
 
 # -- (p,q)-tension field ----------------------------------------------------
 
-def _tension_pq(curve, ts, params, h1, base=None):
-    """The (p,q)-tension field at the nodes ``ts`` from one call of the map:
-    on Taylor series where the map carries them (:func:`_series_tension_pq`),
-    on the stencil lattice of step ``h1`` otherwise."""
-    X = _series(curve, ts)
-    if X is None:
-        return _lattice_tension_pq(curve, ts, params, h1, base)
-    return _series_tension_pq(curve.sf, X, params)
-
-
 @np.errstate(all="ignore")      # a value that is not finite is refused
 def _series_tension_pq(sf, X, params):
-    """The (p,q)-tension field at the nodes from the curve's Taylor series X:
-    the formulas of :func:`_lattice_tension_pq` with d/dt the coefficient
-    shift, each series truncated to the degree its derivatives leave."""
+    """The (p,q)-tension field at the nodes from the curve's Taylor series X,
+    with d/dt the coefficient shift, each series truncated to the degree its
+    derivatives leave."""
     p, q = float(params.p), float(params.q)
-    V = X.d()                               # velocity, degree 3
-    s2 = sf.pair(V, V)
-    s2c = s2.c[0]
-    if p < 2 and np.any(s2c < SPEED_FLOOR ** 2):
-        low = float(np.min(s2c))
-        raise SingularSpeedError(f"speed {math.sqrt(max(low, 0)):.3e} with p = {p} < 2")
-    acc = sf.tangent_project(X, V.d())      # degree 2
-    if p == 2:
-        tp = acc
-    else:
-        sp = s2 ** ((p - 2) / 2.0)          # |g'|^(p-2)
-        tp = sp[..., None] * acc + sp.d()[..., None] * V
+    tp, V, s2, sp = _series_tension_p(sf, X, p)      # tau_p to degree 2
     n2 = sf.pair(tp, tp)
     if q == 2:
         W = tp                              # |tau_p|^(q-2) tau_p
@@ -200,59 +175,7 @@ def _series_tension_pq(sf, X, params):
         term3 = -(p - 2) * sf.tangent_project(P, U3.d().c[0])
 
     R = sf.curvature_tensor(P, tp.c[0], v, v)
-    term1 = (-(s2c ** ((p - 2) / 2.0)) * n2.c[0] ** ((q - 2) / 2.0))[:, None] * R
-
-    out = term1 + term2 + term3
-    if not np.all(np.isfinite(out)):
-        raise SingularFactorError("NaN in (p,q)-tension evaluation")
-    return out
-
-
-def _lattice_tension_pq(curve, ts, params, h1, base=None):
-    """The (p,q)-tension field at the nodes ``ts`` from one sampled lattice.
-
-    ``base``, when given, holds the curve at the offsets -4..4 of ``ts``
-    (an energy lattice, (n, 9, dim)), and only the other offsets are sampled.
-    """
-    sf = curve.sf
-    p, q = float(params.p), float(params.q)
-    h2 = OUTER * h1
-    if base is None:
-        X = _sample(curve.map, _lattice(ts, h1, PQ_OFFSETS))
-    else:
-        X = np.empty((len(base), len(PQ_OFFSETS), base.shape[-1]))
-        X[:, ~PQ_OUTER] = base
-        X[:, PQ_OUTER] = _sample(curve.map, _lattice(ts, h1, PQ_OFFSETS[PQ_OUTER]))
-    n, dim = len(X), X.shape[-1]
-    # the tau_p window of each of the nine nodes, as views: every OUTER-th run of 9 offsets
-    windows = np.lib.stride_tricks.sliding_window_view(X, len(TP_OFFSETS), axis=1)[:, ::OUTER]
-    windows = np.moveaxis(windows, -1, 2).reshape(-1, len(TP_OFFSETS), dim)
-    tp, vel, s2 = (a.reshape((n, len(PQ_NODES)) + a.shape[1:])
-                   for a in _tension_p(sf, windows, h1, p))
-    P = X[:, PQ_NODES]                      # the nine tau_p nodes; P[:, 4] is t
-    n2 = sf.pair(tp, tp)
-    if q == 2:
-        W = tp                              # |tau_p|^(q-2) tau_p
-    else:
-        if q < 2 and np.any(n2 < TAU_P_FLOOR ** 2):
-            low = float(np.min(n2))
-            raise SingularFactorError(
-                f"|tau_p| = {math.sqrt(max(low, 0)):.3e} at a q = {q} < 2 evaluation")
-        W = (n2 ** ((q - 2) / 2.0))[..., None] * tp
-
-    inner = slice(2, 7)                     # nodes j = -2..2, where dW exists
-    dW = sf.tangent_project(P[:, inner], _stencil(W, h2))
-    U2 = (s2[:, inner] ** ((p - 2) / 2.0))[..., None] * dW
-    term2 = -sf.tangent_project(P[:, 4], _stencil(U2, h2)[:, 0])
-    if p == 2:
-        term3 = 0.0
-    else:
-        v = vel[:, inner]
-        U3 = (s2[:, inner] ** ((p - 4) / 2.0) * sf.pair(dW, v))[..., None] * v
-        term3 = -(p - 2) * sf.tangent_project(P[:, 4], _stencil(U3, h2)[:, 0])
-
-    R = sf.curvature_tensor(P[:, 4], tp[:, 4], vel[:, 4], vel[:, 4])
-    term1 = (-(s2[:, 4] ** ((p - 2) / 2.0)) * n2[:, 4] ** ((q - 2) / 2.0))[:, None] * R
+    term1 = (-(s2.c[0] ** ((p - 2) / 2.0)) * n2.c[0] ** ((q - 2) / 2.0))[:, None] * R
 
     out = term1 + term2 + term3
     if not np.all(np.isfinite(out)):
@@ -268,7 +191,7 @@ def tension_pq_curve(curve: CurveChart, t, params: PQParams):
     |g'|^(p-2), and the (p-2) correction along g'.  The |tau_p|^(q-2)
     factor is refused (not regularized) near zeros of tau_p when q < 2.
     """
-    return _tension_pq(curve, [t], params, curve.frame_step())[0]
+    return _series_tension_pq(curve.sf, _series(curve, np.array([t], dtype=float)), params)[0]
 
 
 # -- variation fields -------------------------------------------------------
@@ -281,6 +204,8 @@ class VariationField:
     inside the open ``support`` go to vectors (..., dim).  ``along``, where
     given, is the same field from the curve's points: ``along(t, X)`` with
     X = curve.map(t), for callers that have sampled the curve at t already.
+    Like a curve map, each takes the Taylor series of t (and of X) too, and
+    gives the series of the field (:meth:`series`).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -307,6 +232,20 @@ class VariationField:
                            else self.along(ts[inside], points[inside]))
         return out
 
+    def series(self, T, X):
+        """The field as a Taylor series at the nodes of the variable's series
+        T (n,), by one call of ``along(T, X)`` on the curve's series X there
+        (of ``fn(T)`` without ``along``), with its coefficients zeroed at the
+        nodes outside the support.  A field that carries no series is a
+        DomainError."""
+        W = _series_of(lambda: self.fn(T) if self.along is None else self.along(T, X),
+                       "the variation field")
+        lo, hi = self.support
+        outside = (T.c[0] <= lo) | (T.c[0] >= hi)
+        if outside.any():
+            W.c[:, outside] = 0.0
+        return W
+
 
 def bump_normal_field(curve, direction_fn, support=None, amplitude=1.0):
     """A smooth bump times a tangent direction field (over the last axis) along the curve."""
@@ -315,11 +254,9 @@ def bump_normal_field(curve, direction_fn, support=None, amplitude=1.0):
 
     def along(t, X):
         bump = amplitude * numeric.smooth_bump(t, lo, hi)
-        return np.asarray(bump)[..., None] \
-            * sf.tangent_project(X, np.asarray(direction_fn(t), dtype=float))
+        return bump[..., None] * sf.tangent_project(X, direction_fn(t))
 
-    return VariationField(fn=lambda t: along(t, np.asarray(curve.map(t), dtype=float)),
-                          support=(lo, hi), along=along)
+    return VariationField(fn=lambda t: along(t, curve.map(t)), support=(lo, hi), along=along)
 
 
 def random_bump_field(curve, rng, support=None, amplitude=1.0):
@@ -332,9 +269,10 @@ def random_bump_field(curve, rng, support=None, amplitude=1.0):
     cos_coeffs, sin_coeffs = coeffs[:, 0], coeffs[:, 1]
 
     def direction(t):
-        x = omega * (np.asarray(t, dtype=float)[..., None, None] - lo) * harmonics
+        x = omega * (t[..., None, None] - lo) * harmonics
         # one term per harmonic, then their sum: (..., harmonic, dim) -> (..., dim)
-        return np.add.reduce(cos_coeffs * np.cos(x) + sin_coeffs * np.sin(x), axis=-2)
+        terms = cos_coeffs * np.cos(x) + sin_coeffs * np.sin(x)
+        return terms[..., 0, :] + terms[..., 1, :]
 
     field = bump_normal_field(curve, direction, support=(lo, hi), amplitude=1.0)
     # normalize to the requested sup amplitude, over the probes inside the support
@@ -358,25 +296,26 @@ class VariationCheckReport:
     rhs: float                 # -int <v, tau_pq> dt
     rel_error: float
     observed_order: float
-    fd_values: tuple           # central differences per step
+    fd_values: tuple           # Im E(i t)/t or (E(t) - E(-t))/(2 t), one per step t
     steps: tuple
     v_norm: float              # sup of |v| over the quadrature nodes
 
 
 def varied_curve(curve, v: VariationField, t):
-    """gamma_t = retract(gamma + t v); equals gamma outside the support."""
+    """gamma_t = retract(gamma + t v), with v zero outside its support; its
+    map takes parameters, or their Taylor series (:meth:`VariationField.series`)."""
     sf = curve.sf
-    lo, hi = v.support
 
     def mapped(s):
-        base = np.asarray(curve.map(s), dtype=float)
+        base = curve.map(s)
         if t == 0.0:
             return base
-        s = np.asarray(s, dtype=float)
+        if isinstance(s, Taylor):
+            return sf.retract(base + t * v.series(s, base))
+        base, s = np.asarray(base, dtype=float), np.asarray(s, dtype=float)
         dim = base.shape[-1]
         w = v.values(s.ravel(), dim, base.reshape(-1, dim)).reshape(base.shape)
-        inside = ((s > lo) & (s < hi))[..., None]
-        return np.where(inside, sf.retract(base + t * w), base)
+        return sf.retract(base + t * w)
 
     return CurveChart(sf=sf, domain=curve.domain, map=mapped,
                       name=curve.name + f"(varied t={t:g})")
@@ -388,52 +327,55 @@ def first_variation_check(dcurve: DiscretizedCurve, v: VariationField,
                           steps: Sequence[float] = (1e-2, 5e-3, 2.5e-3)):
     """Numerically validate dE/dt|_0 = -int <v, tau_pq(gamma)>.
 
-    The left side is a central finite difference of the energy of the
-    retracted variation (per step, with a Richardson estimate from the two
-    smallest steps); the right side is Simpson quadrature of the pairing
-    against tau_pq of the base curve.  The base curve is sampled once on the
-    energy lattice, and the field is taken from those samples; each varied
-    curve is retract(base + t v) on them, as in :func:`varied_curve`.
-    Both sides are integrals over the curve's own parameter, at any speed.
-    A non-finite side is a DomainError.
+    The left side is a complex step Im E(i t)/t of the energy of the
+    retracted variation where q/2 is an integer, and a central difference
+    (E(t) - E(-t))/(2 t) otherwise (per step t, with a Richardson estimate
+    from the two smallest steps); the right side is Simpson quadrature of
+    the pairing against tau_pq of the base curve.  Both come from one call
+    of the map on the series of the K+1 Simpson nodes, and each varied
+    curve is retract(X + z V) on them, as in :func:`varied_curve` at
+    t = z.  Both sides are integrals over the curve's own parameter,
+    at any speed.  A support that holds no Simpson node, or a non-finite
+    side, is a DomainError.
     """
-    curve, sf = dcurve.curve, dcurve.curve.sf
-    h = curve.frame_step()
-    pts = _lattice(dcurve.ts, h)
-    B = _sample_base(curve, pts)
-    dim = B.shape[-1]
-    V = v.values(pts.ravel(), dim, B.reshape(-1, dim)).reshape(B.shape)
+    curve, sf, ts = dcurve.curve, dcurve.curve.sf, dcurve.ts
+    X = _series(curve, ts)                  # checks every node against the model
     lo, hi = v.support
-    inside = (pts > lo) & (pts < hi)
+    nodes = (ts > lo) & (ts < hi)
+    if not nodes.any():
+        raise DomainError(f"the field's support ({lo:g}, {hi:g}) holds no Simpson node "
+                          f"of K = {dcurve.K}")
+    X, weights = X[nodes], dcurve.weights[nodes]
+    vv = v.values(ts[nodes], sf.ambient_dim, X.c[0])
 
     # steps scale inversely with the field size so the perturbation of
     # tau_p stays small compared to its base value
-    nodes = inside[:, 4]                    # offset 0: the Simpson nodes themselves
-    vv = V[nodes, 4]
-    sup_v = float(np.max(np.sqrt(np.maximum(sf.pair(vv, vv), 0.0)), initial=0.0))
+    sup_v = float(np.max(np.sqrt(np.maximum(sf.pair(vv, vv), 0.0))))
     scale = 1.0 / max(1.0, sup_v)
     steps = tuple(s * scale for s in steps)
 
-    # the varied curves at t = +s, -s for each step equal the base outside the
-    # windows that meet the support: their tau_p is one batch over those windows
-    signed = np.array([x for s in steps for x in (s, -s)])
-    rows = inside.any(axis=1)
-    win = B[rows]
-    varied = np.where(inside[rows, :, None],
-                      sf.retract(win + signed[:, None, None, None] * V[rows]), win)
-    tp = np.repeat(_tension_p(sf, B, h, params.p)[0][None], len(signed), axis=0)
-    tp[:, rows] = _tension_p(sf, varied.reshape((-1,) + win.shape[1:]), h,
-                             params.p)[0].reshape(len(signed), -1, dim)
-    energies = _energy(dcurve, tp, params)
-    fd = (energies[0::2] - energies[1::2]) / (2.0 * np.array(steps))
+    # the varied curves at the steps, one batch along axis 0.  Where q/2 is
+    # an integer, |tau_p|^q is a polynomial in <tau_p, tau_p>, analytic in
+    # t, and the steps are complex: Im E(i s)/s = dE/dt - s^2 E'''/6 + ...
+    # converges at a central difference's order without a difference of
+    # energies to cancel (Squire & Trapp, SIAM Rev. 40 (1998) 110-112), so
+    # an energy quadratic in t (a curve in R^3 at p = q = 2) gives the same
+    # value at every step.  Otherwise |tau_p|^q is not analytic where tau_p
+    # vanishes (a geodesic), and the steps are the real +-s of a central
+    # difference (E(s) - E(-s))/(2 s)
+    s = np.array(steps)
+    complex_step = (float(params.q) / 2.0).is_integer()
+    z = 1j * s if complex_step else np.concatenate([s, -s])
+    base = X.truncated(2)
+    V = v.series(Taylor.variable(ts[nodes]).truncated(2), base)
+    tp = _tension_p_values(sf, sf.retract(base + z[:, None, None] * V), params.p)
+    energy = _energy(weights, sf, tp, params)
+    fd = energy.imag / s if complex_step else (energy[:len(s)] - energy[len(s):]) / (2 * s)
     lhs = float(numeric.richardson(fd[-2], fd[-1], order=2))
     order = numeric.observed_order(fd) if len(fd) >= 3 else float("nan")
     require_finite("first variation", {"dE/dt": lhs})
 
-    rhs = 0.0
-    if nodes.any():
-        tpq = _tension_pq(curve, dcurve.ts[nodes], params, h, base=B[nodes])
-        rhs = -float(np.sum(dcurve.weights[nodes] * sf.pair(vv, tpq)))
+    rhs = -float(np.sum(weights * sf.pair(vv, _series_tension_pq(sf, X, params))))
     require_finite("first variation", {"dE/dt": lhs, "-int <v, tau_pq>": rhs})
 
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-14)

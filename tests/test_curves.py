@@ -4,8 +4,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from pqharmonic import (CurveChart, PQParams, circle, cli, curve_system_residual,
-                        frenet, helix, p_closed_form)
+from pqharmonic import (CurveChart, DiscretizedCurve, PQParams, circle, cli,
+                        curve_system_residual, energy_pq, first_variation_check, frenet,
+                        helix, p_closed_form, random_bump_field, tension_pq_curve)
 from pqharmonic import curves
 from pqharmonic.curves import FrenetApparatus
 from pqharmonic.errors import (DomainError, FrameUndefinedError, ModelConstraintError,
@@ -65,7 +66,7 @@ def test_helix_frenet_closed_form():
 def _retraced(curve, speed):
     """``curve`` traced at ``speed`` times its own speed."""
     return CurveChart(sf=curve.sf, domain=(0.0, curve.domain[1] / speed),
-                      map=lambda t: curve.map(speed * np.asarray(t)), name="retraced")
+                      map=lambda t: curve.map(speed * t), name="retraced")
 
 
 def test_frenet_at_constant_non_unit_speed():
@@ -197,7 +198,7 @@ def test_great_circle_frame_undefined():
 def test_frenet_equations_hold_on_helix():
     hr = helix(math.pi / 4, SQ7 / 2, 0.5)
     curve, sf = hr.curve, hr.curve.sf
-    h = curve.frame_step()
+    h = 1e-3 * curve.width
     rng = np.random.default_rng(3)
     lo, hi = curve.domain
     for t in rng.uniform(lo + 0.1, hi - 0.1, 8):
@@ -241,30 +242,31 @@ def test_frenet_samples_the_lattice_once():
     assert calls[0][:, 0].tolist() == [1.7, 1.0, 0.0, 0.0, 0.0]
 
 
-def test_a_map_without_series_takes_the_lattice_frames():
-    # np.asarray of a series is its coefficients, so this map returns an array:
-    # frenet samples the 17-point lattice once instead, as for any such map
+def test_a_map_without_series_is_refused():
+    # np.asarray of a series is its coefficients, so arrays_only returns an
+    # array, and t.shape fails on a series: no curve kernel takes either map,
+    # and the error says what the map must take
     curve = helix(math.pi / 4, SQ7 / 2, 0.5).curve
-    calls = []
 
     def arrays_only(t):
-        calls.append(np.asarray(t, dtype=float))
         return curve.map(np.asarray(t, dtype=float))
 
-    def preallocating(t):       # t.shape fails on a series, so it takes the lattice too
+    def preallocating(t):
         X = np.empty(t.shape + (4,))
         X[..., 0], X[..., 1], X[..., 2], X[..., 3] = (curve.map(t)[..., i] for i in range(4))
         return X
 
-    ts = np.linspace(0.5, 5.5, 7)
-    lattice, series = frenet(replace(curve, map=arrays_only), ts), frenet(curve, ts)
-    assert [c.shape for c in calls] == [(5, 7), (7 * 17,)]
-    assert len(set(calls[1].tolist())) == 7 * 17
-    written = frenet(replace(curve, map=preallocating), ts)
-    for fd in fields(FrenetApparatus):
-        got, want = getattr(lattice, fd.name), getattr(series, fd.name)
-        assert np.max(np.abs(got - want)) < 1e-6, fd.name
-        assert np.array_equal(getattr(written, fd.name), got), fd.name
+    params = PQParams(3, 2)
+    for fn in (arrays_only, preallocating):
+        bad = replace(curve, map=fn, name=fn.__name__)
+        dc = DiscretizedCurve(curve=bad, K=32)
+        field = random_bump_field(bad, np.random.default_rng(0), amplitude=0.5)
+        for call in (lambda: frenet(bad, np.linspace(0.5, 5.5, 7)), lambda: energy_pq(dc, params),
+                     lambda: tension_pq_curve(bad, 1.7, params),
+                     lambda: first_variation_check(dc, field, params)):
+            with pytest.raises(DomainError, match=rf"^{fn.__name__}: the curve map must take "
+                                                  r"a Taylor series of t \(jets.Taylor\)"):
+                call()
 
 
 def _batch_cases(tmp_path):

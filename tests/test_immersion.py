@@ -856,8 +856,8 @@ def _m_cone(m, q):
 
 _ROUNDING_LIMITED = pytest.mark.xfail(
     strict=True, reason="FOUND 38: the FD residual of a map-only chart is amplified "
-    "rounding, above the absolute 1e-3; ROADMAP items 5-6 (an error-estimated verdict, "
-    "exact jets) are to make it pass")
+    "rounding, above the absolute 1e-3; ROADMAP items 1 and 4 (exact jets, an error-estimated "
+    "verdict) are to make it pass")
 
 
 @pytest.mark.parametrize("m, q", [(3, 4.0), pytest.param(3, 5.5, marks=_ROUNDING_LIMITED),
