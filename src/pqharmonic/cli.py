@@ -110,13 +110,11 @@ def load_chart_file(path):
 
     Keys: ``type`` (hypersurface or curve), ``c``, domain intervals ``u``
     and ``v`` (or ``t`` for curves) as 'lo, hi', and ambient coordinates
-    ``x1`` .. ``xN`` as expressions in the domain variables.  The maps act
-    over the last axis, like every chart callback, and a curve keeps the
-    parameter t of its file, and its expression trees run on the Taylor
-    series that every curve kernel hands its map.  A hypersurface gets exact ``jacobian`` and ``hessian`` callbacks:
-    the expression trees run on jets of (u, v) (:mod:`pqharmonic.jets`), of
-    degree 1 for the jacobian and 2 for the hessian, so the stencil path
-    takes no finite differences of the map.
+    ``x1`` .. ``xN`` as expressions in the domain variables.  The chart is
+    its map alone, which acts over the last axis, like every chart callback;
+    a curve keeps the parameter t of its file.  The expression trees also
+    run on jets and Taylor series (:mod:`pqharmonic.jets`), which give the
+    engine exact derivatives of the map.
     """
     entries = {}
     with open(path) as fh:
@@ -153,31 +151,23 @@ def load_chart_file(path):
 
     def chart_map(x):
         """Each coordinate expression once: a chart point carries (u, v) on its
-        last axis, a curve point is t, and the Taylor series of curve points
-        t (:class:`jets.Taylor`) give the series of the curve's points."""
-        if isinstance(x, jets.Taylor):
-            return np.stack([ex.jet(t=x) for ex in exprs], axis=-1)
-        x = np.asarray(x, dtype=float)
-        values = np.moveaxis(x, -1, 0) if kind == "hypersurface" else x[None]
-        named = dict(zip(variables, values))
-        return np.stack([np.broadcast_to(ex.evaluate(**named), values.shape[1:])
-                         for ex in exprs], axis=-1)
-
-    def chart_derivative(degree):
-        """The jacobian (degree 1) or hessian (degree 2) callback: each
-        coordinate expression once, on jets of (u, v) at the points."""
-        def derivative(x):
-            x = np.asarray(x, dtype=float)
-            X = x.reshape(-1, 2)
-            seeds = dict(zip(variables, jets.seed(X, degree)))
-            out = jets.derivatives([ex.jet(**seeds) for ex in exprs], degree, *X.shape)
-            return out.reshape(x.shape[:-1] + out.shape[1:])
-        return derivative
+        last axis, a curve point is t, and the jets of chart points
+        (:class:`jets.Jet`) and Taylor series of curve points
+        (:class:`jets.Taylor`) give those of the map's points."""
+        carried = isinstance(x, (jets.Jet, jets.Taylor))
+        x = x if carried else np.asarray(x, dtype=float)
+        named = {"u": x[..., 0], "v": x[..., 1]} if kind == "hypersurface" else {"t": x}
+        if carried:
+            values = [ex.jet(**named) for ex in exprs]
+            if not any(isinstance(v, type(x)) for v in values):   # a constant map
+                values[0] = values[0] + 0.0 * named[variables[0]]
+            return np.stack(values, axis=-1)
+        shape = named[variables[0]].shape
+        return np.stack([np.broadcast_to(ex.evaluate(**named), shape) for ex in exprs], axis=-1)
 
     if kind == "curve":
         return crv.CurveChart(sf=sf, domain=domain[0], map=chart_map, name=name)
-    return ImmersionChart(sf=sf, m=2, domain=domain, map=chart_map, name=name,
-                          jacobian=chart_derivative(1), hessian=chart_derivative(2))
+    return ImmersionChart(sf=sf, m=2, domain=domain, map=chart_map, name=name)
 
 
 # -- builtins ---------------------------------------------------------------

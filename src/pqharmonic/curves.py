@@ -11,12 +11,9 @@ nabla_T N to degree 1, and k', k'', tau and tau' from the lowest
 coefficients.  The binormal is needed at degree 0 only, since
 tau' |gamma'| = <d(nabla_T N)/dt, B> (<nabla_T N, dB/dt> vanishes).
 ``np.asarray`` of a series is its (5, n) coefficients, so a counter of
-map rows reads 5 rows per node.
-
-A map whose result is not a series (it raises TypeError or AttributeError
-on one, or returns an array, as one that calls ``np.asarray`` on its
-argument does) is refused with a DomainError that says what the map must
-accept: no derivative of a curve is taken by finite differences.
+map rows reads 5 rows per node.  A map that does not carry a series is
+refused (:func:`jets.carried`): no derivative of a curve is taken by
+finite differences.
 
 The binormal is T x N in R^3 and, in the embedded models, minus the oriented
 normal of (T, N) (:meth:`SpaceForm.complement`), which makes the torsion of
@@ -36,7 +33,7 @@ from . import numeric
 from .errors import (DomainError, FrameUndefinedError, SingularFactorError,
                      SingularSpeedError)
 from .immersion import _row
-from .jets import Taylor
+from .jets import Taylor, carried
 from .residual import Classification
 from .spaceform import SpaceForm
 
@@ -91,27 +88,11 @@ class FrenetApparatus:
 
 # -- the Frenet frame -------------------------------------------------------
 
-def _series_of(call, what):
-    """The Taylor series that ``call()`` returns, with numpy's warnings off;
-    a DomainError that says what ``what`` must accept where it raises
-    TypeError or AttributeError, or returns no series."""
-    with np.errstate(all="ignore"):
-        try:
-            X = call()
-        except (TypeError, AttributeError):
-            X = None
-    if not isinstance(X, Taylor):
-        raise DomainError(f"{what} must take a Taylor series of t (jets.Taylor) and return "
-                          "its series: write it in numpy ufuncs and np.stack, without "
-                          "np.asarray, np.where or in-place writes")
-    return X
-
-
 def _series(curve, ts):
     """The curve as a Taylor series of degree 4 at each node of ``ts`` (n,),
     from one call of its map on the variable's series, refused unless it is
     finite and its values lie on the model (:meth:`SpaceForm.check_point`)."""
-    X = _series_of(lambda: curve.map(Taylor.variable(ts)), f"{curve.name}: the curve map")
+    X = carried(lambda: curve.map(Taylor.variable(ts)), Taylor, f"{curve.name}: the curve map")
     if not np.all(np.isfinite(X.c)):
         raise DomainError("non-finite map value or derivative at the nodes")
     curve.sf.check_point(X.c[0])

@@ -14,15 +14,14 @@ grid points of a call:
   m = 2, 25 for m = 3, 41 for m = 4.  grad f is D1 along the axes.  Lap f
   is g^ij (f_ij - Gamma^k_ij f_k): f_ij is D2 along each line, the mixed
   entries by polarization, and Gamma comes from the jets at u;
-* the jets of the map at each f point come from the exact ``jacobian`` and
-  ``hessian`` when the chart has them, as every catalog entry and every
-  chart file does (a file's expression trees run on :mod:`jets`).  Only a
-  map-only chart takes the same straight-line stencils at step h =
-  h_step/2 around each f point, on one integer lattice (the f points sit
-  at even offsets), built once per m; the map is called once per batch;
-* no callback runs unless all that the lattices read lies in the domain:
-  2 h_step around each grid point with exact jets, 3 h_step with FD jets,
-  and at a single point f_step with FD jets and nothing with exact ones;
+* the map's value, Jacobian and Hessian at the f points come from the
+  chart's exact ``jacobian`` and ``hessian`` when it has them, as every
+  catalog entry does, and otherwise from one call of the map per batch on
+  the jet of the f points (:class:`jets.Jet`), refused unless it carries
+  it (:func:`jets.carried`): no derivative of a map is taken by finite
+  differences;
+* no callback runs unless the f-lattice lies in the domain, 2 h_step
+  around each grid point; a single point reads only itself;
 * g, det g, g^-1, the unit normal (:meth:`SpaceForm.complement` of the
   tangent columns), B and f = g^ij B_ij / m are computed at all f points
   at once, so every guard is checked at every f point.  A = g^-1 B and
@@ -51,15 +50,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import numeric
+from . import jets, numeric
 from .numeric import _weigh
 from .errors import BoundaryProximityError, DegenerateImmersionError
 from .spaceform import SpaceForm
 
 RANK_TOL = 1e-10
 # f points per kernel batch; bounds a call's memory.  The m = 3 grid-4 sample
-# (64 x 25 f points) runs in one batch; the largest batch, m = 4 with FD jets
-# (49 x 41 f points), peaks at 21 MiB of numpy arrays (tracemalloc)
+# (64 x 25 f points) runs in one batch; the largest batch, m = 4 (49 x 41 f
+# points), peaks at 7.1 MiB of numpy arrays with the map's jets and at 5.0 MiB
+# with exact ones (tracemalloc)
 KERNEL_POINTS = 2048
 GRID_POINTS = 2 ** 20       # largest grid sample_grid builds
 _INDEXED_GRID_POINTS = 4096  # grids up to this size keep their index table
@@ -73,11 +73,12 @@ class ImmersionChart:
     Every callback acts over the last axis, as :meth:`SpaceForm.pair`
     does: it takes parameter points of shape (..., m) and returns one
     value per point.  ``map`` gives ambient embedding coordinates
-    (..., dim).  Optional exact ``jacobian`` (..., dim, m) and ``hessian``
-    (..., dim, m, m) callbacks are preferred over finite differences when
-    present.  The unit normal takes the sign of the ambient volume form,
-    times ``orientation`` (+1 or -1), which is all :meth:`flipped`
-    negates; an optional ``reference_normal`` (..., dim), which no
+    (..., dim).  It must also take the jet of the points (:class:`jets.Jet`)
+    and return the jet of its values, unless the chart has exact
+    ``jacobian`` (..., dim, m) and ``hessian`` (..., dim, m, m) callbacks,
+    which are then taken instead.  The unit normal takes the sign of the
+    ambient volume form, times ``orientation`` (+1 or -1), which is all
+    :meth:`flipped` negates; an optional ``reference_normal`` (..., dim), which no
     builtin passes, replaces the volume form's sign by alignment with it.
     ``analytic_geometry`` supplies closed-form samples for catalog
     entries, as one :class:`GeometricSample` with its fields stacked along
@@ -111,9 +112,6 @@ class ImmersionChart:
 
     def f_step(self):      # default step of the f-lattice stencils
         return 2e-3 * float(np.max(self.widths()))
-
-    def exact_jets(self):  # the map's jets from jacobian and hessian, not stencils
-        return self.jacobian is not None
 
     def analytic_path(self, use_analytic=True):    # geometric_sample takes closed forms
         return use_analytic and self.analytic_geometry is not None
@@ -188,8 +186,7 @@ def _f_lattice(m):
     (1 + 4 m(m+1)/2, m): the centre, then k d for k in D1_OFFSETS along the
     lines d = e_a and then d = e_a + e_b, a < b, in ``np.triu_indices``
     order.  That is 13 points for m = 2, 25 for m = 3 and 41 for m = 4, all
-    distinct.  The f points sit on it in steps of h_step, and each FD map
-    jet reads it around its f point in steps of h_step/2.  Built once per m,
+    distinct.  The f points sit on it in steps of h_step.  Built once per m,
     on first use; read-only, since every caller shares it.
     """
     eye = np.eye(m, dtype=int)
@@ -199,25 +196,6 @@ def _f_lattice(m):
                               (numeric.D1_OFFSETS[:, None] * lines[:, None]).reshape(-1, m)])
     offsets.flags.writeable = False
     return offsets
-
-
-@functools.lru_cache(maxsize=None)
-def _jet_lattice(m, stencil):
-    """The FD map lattice in steps of h = h_step/2, and the rows its jets read.
-
-    The f points are the origin, or with ``stencil`` the f-lattice at even
-    offsets, and each reads the f-lattice around itself.  Returns the
-    distinct offsets (R, m) and, per f point, the rows of its reads.  Built
-    once per (m, stencil), on first use; read-only, since callers share them.
-    """
-    reads = _f_lattice(m)
-    f_points = 2 * reads if stencil else np.zeros((1, m), dtype=int)
-    offsets, rows = np.unique((f_points[:, None] + reads).reshape(-1, m), axis=0,
-                              return_inverse=True)
-    lattice = (offsets, rows.reshape(len(f_points), -1))
-    for arr in lattice:
-        arr.flags.writeable = False
-    return lattice
 
 
 def _second_partials(centre, line, m, h):
@@ -236,16 +214,10 @@ def _second_partials(centre, line, m, h):
     return H
 
 
-def _guard_reach(chart, U, h_step, stencil):
-    """Refuse the points U (N, m) unless all that :func:`_jets` reads around
-    them lies in the domain, naming h_step and the largest step they admit.
-    The reach is read off the lattices: 2 h_step of the f-lattice with
-    ``stencil``, plus 2 h_step/2 of the FD jets (:func:`_jet_lattice`)."""
-    m = chart.m
-    units = (np.max(_f_lattice(m)) * stencil if chart.exact_jets()
-             else np.max(_jet_lattice(m, stencil)[0]) / 2)
-    if not units:
-        return
+def _guard_reach(chart, U, h_step):
+    """Refuse the grid points U (N, m) unless their f-lattices, 2 h_step out,
+    lie in the domain, naming h_step and the largest step they admit."""
+    units = np.max(_f_lattice(chart.m))
     lo, hi = np.array(chart.domain, dtype=float).T
     near = np.any((U < lo + units * h_step) | (U > hi - units * h_step), axis=1)
     if np.any(near):
@@ -256,36 +228,21 @@ def _guard_reach(chart, U, h_step, stencil):
             f"{U[np.argmax(near)]}; the points given admit {admits}")
 
 
-def _jets(chart, U, h_step, stencil):
-    """The n = N L f points X (n, m) around the grid points U (N, m), with
-    the jacobian (n, dim, m), hessian (n, dim, m, m) and map (n, dim) there.
-    The f points are the f-lattice at h_step with ``stencil``, else U itself;
-    the rows of each grid point are consecutive, its centre first.
-
-    Exact jets are called once, on all n points.  Without them the jets are
-    stencils of step h = h_step/2 along the lines of :func:`_f_lattice`:
-    the map is called once, on U plus the distinct offsets of
-    :func:`_jet_lattice`, and each f point gathers its rows.  J is D1 along
-    the axes, and H comes from :func:`_second_partials`.  The map is None
-    when nothing needs it.  Every callback value must be finite, and the map
-    values at the f points on the model (:meth:`SpaceForm.check_point`).
-    """
-    N, m = U.shape
-    D = _f_lattice(m) * h_step if stencil else np.zeros((1, m))
-    X = (U[:, None] + D).reshape(-1, m)
-    n = len(X)
-    if chart.exact_jets():
-        P = chart.sf.check_point(numeric._finite(chart.map(X))) if chart.sf.c != 0 else None
-        J = numeric._finite(chart.jacobian(X), "jacobian")
-        return X, J, numeric._finite(chart.hessian(X), "hessian"), P
-    h = h_step / 2.0
-    offsets, rows = _jet_lattice(m, stencil)
-    vals = numeric._finite(chart.map((U[:, None] + offsets * h).reshape(-1, m)))
-    S = vals.reshape(N, len(offsets), -1)[:, rows].reshape(n, rows.shape[1], -1)
-    P = chart.sf.check_point(S[:, 0])
-    line = np.moveaxis(S[:, 1:].reshape(n, -1, 4, P.shape[1]), 3, 1)   # (n, dim, lines, 4)
-    J = _weigh(line[:, :, :m], numeric.D1_WEIGHTS) / h
-    return X, J, _second_partials(P, line, m, h), P
+def _jets(chart, X):
+    """The map (n, dim), its jacobian (n, dim, m) and hessian (n, dim, m, m)
+    at the f points X (n, m), from one call of each exact callback or from
+    one call of the map on the jet of X.  The map is None when nothing
+    needs it (exact jets in flat space).  Every value must be finite, and
+    the map values on the model (:meth:`SpaceForm.check_point`)."""
+    if chart.jacobian is not None:
+        P = chart.map(X) if chart.sf.c != 0 else None
+        J, H = chart.jacobian(X), chart.hessian(X)
+    else:
+        x = jets.carried(lambda: chart.map(jets.Jet.variable(X)), jets.Jet,
+                         f"{chart.name}: the chart map")
+        P, (J, H) = x.value, x.derivatives()
+    P = None if P is None else chart.sf.check_point(numeric._finite(P))
+    return numeric._finite(J, "jacobian"), numeric._finite(H, "hessian"), P
 
 
 # -- the batched kernel -------------------------------------------------------
@@ -312,7 +269,7 @@ def _unit_normal(chart, X, J, P, det_g):
 
 def _shape(chart, X, J, H, P):
     """First fundamental form, unit normal, B and f at the f points X from
-    their jets (:func:`_jets`), fields stacked."""
+    the map's jets there (:func:`_jets`), fields stacked."""
     n, m = X.shape
     signs = chart.sf.pairing_signs()
     g = np.swapaxes(signs[:, None] * J, 1, 2) @ J
@@ -347,11 +304,9 @@ def _row(stacked, i=0):
 
 
 def _one_point(chart, u):
-    """The first fundamental form and shape packet at u (..., m), the jets
-    taken at h_step = f_step."""
+    """The first fundamental form and shape packet at u (..., m)."""
     U = np.asarray(u, dtype=float).reshape(-1, chart.m)
-    _guard_reach(chart, U, chart.f_step(), False)
-    ff, eta, B, f = _shape(chart, *_jets(chart, U, chart.f_step(), False))
+    ff, eta, B, f = _shape(chart, U, *_jets(chart, U))
     A, normA2 = _shape_operator(ff.g_inv, B)
     return ff, ShapePacket(eta=eta, B=B, A=A, f=f, normA2=normA2)
 
@@ -390,14 +345,15 @@ def _stencil_sample(chart, U, h_step):
     """
     n, m = U.shape
     L = len(_f_lattice(m))
-    jets = _jets(chart, U, h_step, True)
-    ff, eta, B, f = _shape(chart, *jets)
+    X = (U[:, None] + _f_lattice(m) * h_step).reshape(-1, m)
+    J, H, P = _jets(chart, X)
+    ff, eta, B, f = _shape(chart, X, J, H, P)
     f = f.reshape(n, L)
     line = f[:, 1:].reshape(n, -1, 4)
     df = _weigh(line[:, :m], numeric.D1_WEIGHTS) / h_step
     f_ij = _second_partials(f[:, 0], line, m, h_step)
     # the centre of each grid point is the first of its L rows
-    J, H, g, g_inv, B, eta = (a[::L] for a in jets[1:3] + (ff.g, ff.g_inv, B, eta))
+    J, H, g, g_inv, B, eta = (a[::L] for a in (J, H, ff.g, ff.g_inv, B, eta))
     A, normA2 = _shape_operator(g_inv, B)
     grad_f = _weigh(g_inv, df[:, None, :])
     tangent = chart.sf.pairing_signs() * _weigh(J, grad_f[:, None, :])      # J grad f, paired
@@ -420,9 +376,8 @@ def geometric_sample(chart, u, h_step=None, use_analytic=True):
     and ``use_analytic`` is true that path is used, in one call on all the
     points; pass ``use_analytic=False`` to force the stencil path, which
     evaluates the points on one lattice, KERNEL_POINTS f points at a time.
-    ``h_step`` (default ``chart.f_step()``) is the step of the f-lattice; on
-    a chart without exact jets the map stencils step at h_step/2, so a
-    caller-given h_step moves them too.
+    ``h_step`` (default ``chart.f_step()``) is the step of the f-lattice,
+    the only finite differences the path takes.
     """
     u = np.asarray(u, dtype=float)
     U = np.atleast_2d(u)
@@ -431,7 +386,7 @@ def geometric_sample(chart, u, h_step=None, use_analytic=True):
         return _row(sample) if u.ndim == 1 else sample
 
     h_step = chart.f_step() if h_step is None else h_step
-    _guard_reach(chart, U, h_step, True)
+    _guard_reach(chart, U, h_step)
 
     per = max(1, KERNEL_POINTS // len(_f_lattice(chart.m)))
     parts = [_stencil_sample(chart, U[i:i + per], h_step)
@@ -454,8 +409,8 @@ def _grid_index(n, m):
 
 def sample_grid(chart, n_per_axis):
     """Uniform interior grid, clear of each axis's outer 2% and of GRID_MARGIN
-    f_step: the stencil path reads up to 3 f_step out at the default step, but
-    a tighter margin would move every grid point, and so every report."""
+    f_step: the stencil path reads 2 f_step out at the default step, but a
+    tighter margin would move every grid point, and so every report."""
     if n_per_axis < 4:
         raise ValueError("need at least 4 points per axis")
     if n_per_axis ** chart.m > GRID_POINTS:

@@ -1,23 +1,22 @@
 """Forward-mode jets and truncated Taylor series: values carried with their
 derivatives through numpy code written for float arrays.
 
-A :class:`Jet` at n points in m variables holds the value (n,), the
-gradient and, at degree 2, the Hessian.  The derivatives are stored
-components first, (m, n) and (m, m, n), so each rule's numpy loops run
-over the points, not over m = 2 or 3 entries.  It implements
-``__array_ufunc__`` for the ufuncs of the expression grammar (``add``,
-``subtract``, ``multiply``, ``true_divide``, ``negative``, ``sin``,
-``cos``, ``sinh``, ``cosh``, ``sqrt`` and ``float_power``), so numpy code
-written for float arrays runs unchanged on jets: ``np.sin(u) * v`` of the
-seeded jets u, v is the jet of sin(u) v (Griewank & Walther, *Evaluating
-Derivatives*, 2nd ed., SIAM 2008, ch. 13).  Floats and arrays in the
-arithmetic are constants.  Each rule is elementwise over the points, so a
-point gets the same bits in a batch of any size, and each value is the
-ufunc of the values, the bits a float evaluation gives.
+A :class:`Jet` holds a value (...) with its gradient (k, ...) and Hessian
+(k, k, ...) in k variables, derivative axes first, so each rule's numpy
+loops run over the points, not over k = 2 or 3 entries.  It acts over the
+last axis as an array does (indexing, ``np.stack``, ``np.concatenate``,
+``@`` a constant, ``np.asarray`` for the value), and the ufuncs of
+arithmetic, powers, ``sqrt``, ``sin``, ``cos``, ``sinh`` and ``cosh``
+carry it: a chart map written for float arrays, run on the jet of its
+points (:meth:`Jet.variable`), returns the jet of its values (Griewank &
+Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).  Floats
+and arrays in the arithmetic are constants.  Each rule is elementwise
+over the points, so a point gets the same bits in a batch of any size,
+and each value is the ufunc of the values, the float evaluation's bits.
 
-    >>> u, v = seed(np.array([[0.5, 2.0]]), 2)
-    >>> derivatives([np.sin(u) * v], 1, 1, 2)
-    array([[[1.75516512, 0.47942554]]])
+    >>> x = Jet.variable(np.array([[0.5, 2.0]]))
+    >>> (np.sin(x[..., 0]) * x[..., 1]).grad[:, 0]
+    array([1.75516512, 0.47942554])
 
 A :class:`Taylor` series in one variable, of degree 4 (``DEGREE``), holds
 the normalized coefficients x^(k)(t)/k! of a value at each point,
@@ -33,10 +32,11 @@ one.  As for jets, each coefficient is elementwise over the points with
 its terms summed in a fixed order, and each value is the float
 evaluation's.  The arithmetic, ``sqrt`` and the powers allocate in their
 operands' dtype, so a series may carry complex coefficients, as the
-complex steps of :func:`variation.first_variation_check` do.  A function
-that is not among these raises TypeError, which is how a curve map or a
-variation field that does not carry a series is told apart and refused
-(:func:`curves._series`).
+complex steps of :func:`variation.first_variation_check` do.
+
+Any other numpy function raises TypeError on a jet or a series, and
+:func:`carried` refuses a map that does not carry them: no derivative of a
+map is taken by finite differences.
 
     >>> t = Taylor.variable(np.array([0.0]))
     >>> np.sinh(2.0 * t).c[:, 0]
@@ -49,15 +49,36 @@ import functools
 
 import numpy as np
 
+from .errors import DomainError
+
 
 class Jet(np.lib.mixins.NDArrayOperatorsMixin):
-    """``value`` (n,), ``grad`` (m, n) and ``hess`` (m, m, n), which is
-    None for a jet of degree 1."""
+    """``value`` (...), ``grad`` (k, ...) and ``hess`` (k, k, ...), whose
+    value axes broadcast to the value's.  ``shape`` is the value's, and
+    ``np.asarray`` of a jet its value: one row per point."""
 
     __slots__ = ("value", "grad", "hess")
 
-    def __init__(self, value, grad, hess=None):
+    def __init__(self, value, grad, hess):
         self.value, self.grad, self.hess = value, grad, hess
+
+    @classmethod
+    def variable(cls, X):
+        """The jet of the points X (n, m): coordinate a has gradient e_a, Hessian 0."""
+        n, m = X.shape
+        grad = np.zeros((m, n, m))
+        grad[np.arange(m), :, np.arange(m)] = 1.0
+        return cls(X, grad, np.zeros((m, m, n, m)))
+
+    shape = property(lambda self: self.value.shape)
+
+    def __getitem__(self, key):
+        key = key if isinstance(key, tuple) else (key,)
+        return Jet(self.value[key], self.grad[(slice(None),) + key],
+                   self.hess[(slice(None), slice(None)) + key])
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.value, dtype=dtype) if copy else np.asarray(self.value, dtype=dtype)
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         rule = _RULES.get(ufunc)
@@ -65,55 +86,48 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
             return NotImplemented
         return rule(*inputs)
 
+    def __array_function__(self, func, types, args, kwargs):
+        rule = _JOINS.get(func)
+        return NotImplemented if rule is None else rule(*args, **kwargs)
 
-def seed(X, degree):
-    """Jets of degree 1 or 2 of the m coordinates of the points X (n, m):
-    coordinate a has gradient e_a and Hessian 0."""
-    n, m = X.shape
-    grads = np.zeros((m, m, n))
-    for a in range(m):
-        grads[a, a] = 1.0
-    hess = np.zeros((m, m, n)) if degree == 2 else None
-    return [Jet(x, grad, hess) for x, grad in zip(X.T, grads)]
-
-
-def derivatives(values, degree, n, m):
-    """The gradients (n, k, m) or, at degree 2, the Hessians (n, k, m, m)
-    of k values at n points, each a jet or a constant, points first."""
-    zero = np.zeros((m,) * degree + (n,))
-    parts = [zero if not isinstance(x, Jet) else x.grad if degree == 1 else x.hess
-             for x in values]
-    return np.ascontiguousarray(np.moveaxis(np.stack(parts), -1, 0))
+    def derivatives(self):
+        """The gradient (..., k) and Hessian (..., k, k), points first."""
+        grad, hess = (np.broadcast_to(d, d.shape[:k] + self.shape)
+                      for d, k in ((self.grad, 1), (self.hess, 2)))
+        return (np.ascontiguousarray(np.moveaxis(grad, 0, -1)),
+                np.ascontiguousarray(np.moveaxis(hess, (0, 1), (-2, -1))))
 
 
 # -- the rules ----------------------------------------------------------------
 
+def _parts(x, ndim):
+    """The gradient and Hessian of the jet x, widened to ndim value axes."""
+    ones = (1,) * (ndim - x.value.ndim)
+    return (x.grad.reshape(x.grad.shape[:1] + ones + x.grad.shape[1:]),
+            x.hess.reshape(x.hess.shape[:2] + ones + x.hess.shape[2:]))
+
+
 def _sym_outer(a, b):
-    """a b^T + b a^T per point, of gradients a, b (m, n)."""
+    """a b^T + b a^T per point, of gradients a, b (k, ...)."""
     ab = a[:, None] * b
     return ab + ab.swapaxes(0, 1)
 
 
 def _chain(x, value, d1, d2):
     """f(x) from f, f' and a callable giving f'' at x.value: the Hessian
-    f' H_x + f'' g_x g_x^T, with f'' taken only at degree 2."""
-    grad = d1 * x.grad
-    if x.hess is None:
-        return Jet(value, grad)
-    return Jet(value, grad, d1 * x.hess + d2() * (x.grad[:, None] * x.grad))
+    f' H_x + f'' g_x g_x^T."""
+    return Jet(value, d1 * x.grad, d1 * x.hess + d2() * (x.grad[:, None] * x.grad))
 
 
 def _add(a, b):
     if not isinstance(a, Jet):
         a, b = b, a
     if not isinstance(b, Jet):
-        return Jet(a.value + b, a.grad, a.hess)
-    return Jet(a.value + b.value, a.grad + b.grad,
-               None if a.hess is None else a.hess + b.hess)
-
-
-def _negative(x):
-    return Jet(-x.value, -x.grad, None if x.hess is None else -x.hess)
+        value = a.value + b
+        return Jet(value, *_parts(a, value.ndim))
+    value = a.value + b.value
+    (ag, ah), (bg, bh) = _parts(a, value.ndim), _parts(b, value.ndim)
+    return Jet(value, ag + bg, ah + bh)
 
 
 def _subtract(a, b):
@@ -124,24 +138,26 @@ def _multiply(a, b):
     if not isinstance(a, Jet):
         a, b = b, a
     if not isinstance(b, Jet):
-        return Jet(a.value * b, a.grad * b, None if a.hess is None else a.hess * b)
-    grad = a.grad * b.value + b.grad * a.value
-    if a.hess is None:
-        return Jet(a.value * b.value, grad)
-    return Jet(a.value * b.value, grad,
-               a.hess * b.value + b.hess * a.value + _sym_outer(a.grad, b.grad))
+        value = a.value * b
+        ag, ah = _parts(a, value.ndim)
+        return Jet(value, ag * b, ah * b)
+    value = a.value * b.value
+    (ag, ah), (bg, bh) = _parts(a, value.ndim), _parts(b, value.ndim)
+    return Jet(value, ag * b.value + bg * a.value,
+               ah * b.value + bh * a.value + _sym_outer(ag, bg))
 
 
 def _divide(a, b):
     if not isinstance(b, Jet):
-        return Jet(a.value / b, a.grad / b, None if a.hess is None else a.hess / b)
+        value = a.value / b
+        ag, ah = _parts(a, value.ndim)
+        return Jet(value, ag / b, ah / b)
     # q = a/b solves a = q b: q' = (a' - q b')/b, q'' = (a'' - q b'' - q'b'^T - b'q'^T)/b
-    a_value, a_grad, a_hess = (a.value, a.grad, a.hess) if isinstance(a, Jet) else (a, 0.0, 0.0)
-    value = a_value / b.value
-    grad = (a_grad - value * b.grad) / b.value
-    if b.hess is None:
-        return Jet(value, grad)
-    return Jet(value, grad, (a_hess - value * b.hess - _sym_outer(grad, b.grad)) / b.value)
+    value = (a.value if isinstance(a, Jet) else a) / b.value
+    ag, ah = _parts(a, value.ndim) if isinstance(a, Jet) else (0.0, 0.0)
+    bg, bh = _parts(b, value.ndim)
+    grad = (ag - value * bg) / b.value
+    return Jet(value, grad, (ah - value * bh - _sym_outer(grad, bg)) / b.value)
 
 
 def _elementary(f, df, sign):
@@ -158,33 +174,65 @@ def _sqrt(x):
     return _chain(x, r, d1, lambda: -0.5 * d1 / x.value)
 
 
-def _float_power(x, y):
-    """x^y: by the chain rule for a constant y, and as exp(y log x) otherwise.
-    The terms of c and c (c - 1) are left out where they vanish, so u^0 and
-    u^1 hold at u = 0."""
-    if isinstance(y, Jet):
-        value = np.float_power(x.value if isinstance(x, Jet) else x, y.value)
-        if isinstance(x, Jet):
-            inv = 1.0 / x.value
-            log_x = _chain(x, np.log(x.value), inv, lambda: -inv * inv)
-        else:
-            log_x = np.log(x)
-        return _chain(y * log_x, value, value, lambda: value)
-    c = y
-    value = np.float_power(x.value, c)
-    zero = np.zeros_like(value)
-    d1 = c * np.float_power(x.value, c - 1) if c != 0 else zero
-    return _chain(x, value, d1,
-                  lambda: c * (c - 1) * np.float_power(x.value, c - 2) if c not in (0, 1) else zero)
+def _power(ufunc):
+    """x^c by ``ufunc``, np.power or np.float_power: by the chain rule for a
+    constant c, and as exp(c log x) otherwise.  The terms of c and c (c - 1)
+    are left out where they vanish, so u^0 and u^1 hold at u = 0."""
+    def rule(x, c):
+        if isinstance(c, Jet):
+            value = ufunc(x.value if isinstance(x, Jet) else x, c.value)
+            if isinstance(x, Jet):
+                inv = 1.0 / x.value
+                log_x = _chain(x, np.log(x.value), inv, lambda: -inv * inv)
+            else:
+                log_x = np.log(x)
+            return _chain(c * log_x, value, value, lambda: value)
+        if np.ndim(c) != 0:
+            return NotImplemented
+        value = ufunc(x.value, c)
+        zero = np.zeros_like(value)
+        d1 = c * ufunc(x.value, c - 1) if c != 0 else zero
+        return _chain(x, value, d1,
+                      lambda: c * (c - 1) * ufunc(x.value, c - 2) if c not in (0, 1) else zero)
+    return rule
+
+
+def _matmul(a, b):
+    """a @ b of a jet and a constant on its right."""
+    if isinstance(b, Jet):
+        return NotImplemented
+    return Jet(a.value @ b, a.grad @ b, a.hess @ b)
+
+
+def _join(join):
+    """np.stack or np.concatenate of jets and constants along a value axis; a
+    constant in a stack takes the value shape of the first jet."""
+    def rule(arrays, axis=0):
+        arrays = list(arrays)
+        first = next(x for x in arrays if isinstance(x, Jet))
+        k = len(first.grad)
+        for i, x in enumerate(arrays):
+            if not isinstance(x, Jet):
+                x = np.broadcast_to(x, first.shape) if join is np.stack else np.asarray(x, float)
+                arrays[i] = Jet(x, np.zeros((k,) + x.shape), np.zeros((k, k) + x.shape))
+        return Jet(join([x.value for x in arrays], axis=axis),
+                   join([np.broadcast_to(x.grad, (k,) + x.shape) for x in arrays],
+                        axis=axis + 1 if axis >= 0 else axis),
+                   join([np.broadcast_to(x.hess, (k, k) + x.shape) for x in arrays],
+                        axis=axis + 2 if axis >= 0 else axis))
+    return rule
 
 
 _RULES = {np.add: _add, np.subtract: _subtract, np.multiply: _multiply,
-          np.true_divide: _divide, np.negative: _negative, np.sqrt: _sqrt,
-          np.float_power: _float_power,
+          np.true_divide: _divide, np.sqrt: _sqrt, np.power: _power(np.power),
+          np.negative: lambda x: Jet(-x.value, -x.grad, -x.hess), np.float_power: _power(np.float_power),
+          np.matmul: _matmul,
           np.sin: _elementary(np.sin, np.cos, -1.0),
           np.cos: _elementary(np.cos, lambda v: -np.sin(v), -1.0),
           np.sinh: _elementary(np.sinh, np.cosh, 1.0),
           np.cosh: _elementary(np.cosh, np.sinh, 1.0)}
+
+_JOINS = {np.stack: _join(np.stack), np.concatenate: _join(np.concatenate)}
 
 
 # -- truncated Taylor series ----------------------------------------------------
@@ -522,3 +570,22 @@ _SERIES_RULES = {np.add: _series_add, np.subtract: _series_subtract,
 _SERIES_FUNCTIONS = {np.stack: _series_join(np.stack),
                      np.concatenate: _series_join(np.concatenate),
                      np.zeros_like: lambda x, *args, **kwargs: Taylor(np.zeros_like(x.c))}
+
+
+# -- the refusal of a map that does not carry them ------------------------------
+
+def carried(call, kind, what):
+    """What ``call()`` returns, with numpy's warnings off, where it is a
+    ``kind``, Jet or Taylor; otherwise, or where it raises TypeError or
+    AttributeError, a DomainError that says what ``what`` must accept."""
+    with np.errstate(all="ignore"):
+        try:
+            X = call()
+        except (TypeError, AttributeError):
+            X = None
+    if not isinstance(X, kind):
+        takes = ("a jet of its points (jets.Jet) and return their jet" if kind is Jet
+                 else "a Taylor series of t (jets.Taylor) and return its series")
+        raise DomainError(f"{what} must take {takes}: write it in numpy ufuncs and "
+                          "np.stack, without np.asarray, np.where or in-place writes")
+    return X

@@ -1,9 +1,9 @@
 """Finite-difference stencil weights, Richardson extrapolation, quadrature,
 small-matrix kernels and the refusal of non-finite values.
 
-The hypersurface stencil path takes its derivatives by the 4th-order
-central stencils D1 and D2 (:mod:`immersion`); curves take none, since
-their maps carry Taylor series (:mod:`curves`).  Richardson extrapolation
+The hypersurface stencil path takes the derivatives of f by the 4th-order
+central stencils D1 and D2 (:mod:`immersion`), and of no map: chart maps
+carry jets, and curve maps Taylor series (:mod:`jets`).  Richardson extrapolation
 and the observed order serve the first-variation step ladder, and
 composite Simpson weights its quadrature.
 
@@ -36,10 +36,10 @@ D2_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
 
 def _finite(vals, what="map"):
-    """A callback's values as a float array, refused unless all are finite."""
+    """A chart callback's values as a float array, refused unless all are finite."""
     vals = np.asarray(vals, dtype=float)
     if not np.all(np.isfinite(vals)):
-        raise DomainError(f"non-finite {what} value on the stencil lattice")
+        raise DomainError(f"non-finite {what} value at the points the chart is sampled at")
     return vals
 
 

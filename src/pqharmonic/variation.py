@@ -48,9 +48,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import numeric
-from .curves import SPEED_FLOOR, CurveChart, _series, _series_of
+from .curves import SPEED_FLOOR, CurveChart, _series
 from .errors import DomainError, SingularFactorError, SingularSpeedError
-from .jets import Taylor
+from .jets import Taylor, carried
 from .numeric import require_finite
 from .residual import PQParams
 
@@ -238,8 +238,8 @@ class VariationField:
         (of ``fn(T)`` without ``along``), with its coefficients zeroed at the
         nodes outside the support.  A field that carries no series is a
         DomainError."""
-        W = _series_of(lambda: self.fn(T) if self.along is None else self.along(T, X),
-                       "the variation field")
+        W = carried(lambda: self.fn(T) if self.along is None else self.along(T, X), Taylor,
+                    "the variation field")
         lo, hi = self.support
         outside = (T.c[0] <= lo) | (T.c[0] >= hi)
         if outside.any():

@@ -8,7 +8,7 @@ import pytest
 from pqharmonic import (PQParams, classify, cone, first_fundamental, geometric_sample,
                         great_sphere, plane, sample_grid, shape_packet, sphere_in_sphere,
                         unit_normal)
-from pqharmonic import immersion
+from pqharmonic import immersion, jets
 from pqharmonic.catalog import _omega
 from pqharmonic.cli import load_chart_file
 from pqharmonic.errors import (BoundaryProximityError, DegenerateImmersionError, DomainError,
@@ -112,6 +112,14 @@ def test_degenerate_immersion_raises():
         first_fundamental(ch, np.array([0.5, 0.5]))
 
 
+def test_a_constant_chart_file_is_a_degenerate_immersion(tmp_path):
+    # no coordinate depends on (u, v), so the map's jet is built from constants
+    ch = _load(tmp_path, "point.txt", "type: hypersurface\nc: 0\nu: 0, 1\nv: 0, 1\n"
+                                      "x1: 1\nx2: 2\nx3: 3\n")
+    with pytest.raises(DegenerateImmersionError, match="^degenerate immersion"):
+        classify(ch, PQParams(2.0, 2.0), n_per_axis=4, use_analytic=False)
+
+
 @pytest.mark.parametrize("c, coords, error", [
     # P = u d_u X, so d_u X, d_v X and P span only a plane; P is on the
     # sphere at u = 1, the only f point of a single-point call
@@ -134,17 +142,18 @@ def test_boundary_proximity_guard():
 
 
 @pytest.mark.parametrize("fn", [shape_packet, first_fundamental, unit_normal])
-def test_single_point_callers_guard_the_fd_reach(fn, tmp_path):
-    # the FD map lines reach f_step = 2e-3 from u, past u = 0 where sqrt(u) fails
+def test_single_point_callers_read_only_the_point(fn, tmp_path):
+    # the map's jets and exact jets read u itself, so they need no margin:
+    # sqrt(u) holds up to u = 0, where its jet divides by zero
     path = tmp_path / "sqrt.txt"
     path.write_text("type: hypersurface\nc: 0\nu: 0, 1\nv: 0, 1\nx1: u\nx2: v\nx3: sqrt(u)\n")
-    ch = replace(load_chart_file(str(path)), jacobian=None, hessian=None)
-    with pytest.raises(BoundaryProximityError,
-                       match=f"^h_step={ch.f_step():g} reaches outside .* admit h_step up to 0.001$"):
-        fn(ch, np.array([0.001, 0.5]))
-    fn(ch, np.array([0.5, 0.5]))
-    # exact jets read only u itself, so they need no margin
-    fn(cone(0.5), np.array([0.5 + 1e-9, 1.0]))
+    ch = load_chart_file(str(path))
+    assert ch.jacobian is None
+    fn(ch, np.array([1e-9, 0.5]))
+    with pytest.raises(ExpressionError, match="divide by zero"):
+        fn(ch, np.array([0.0, 0.5]))
+    for chart in (cone(0.5), replace(cone(0.5), jacobian=None, hessian=None)):
+        fn(chart, np.array([0.5 + 1e-9, 1.0]))
 
 
 def test_a_single_point_jet_that_fails_names_the_expression(tmp_path):
@@ -200,28 +209,19 @@ def _load(tmp_path, name, text):
     return load_chart_file(str(path))
 
 
-def _jet_cone_file(tmp_path):
-    """The r = 1/sqrt(6) cone as a chart file, with the jets of its expressions."""
+def _cone_file(tmp_path):
+    """The r = 1/sqrt(6) cone as a chart file: its map, which takes jets."""
     return _load(tmp_path, "cone.txt", CONE_FILE)
 
 
-def _cone_file(tmp_path):
-    """The cone file without its jets: FD jets from the map only."""
-    return replace(_jet_cone_file(tmp_path), jacobian=None, hessian=None)
-
-
-def _jet_h3_sphere_file(tmp_path):
+def _h3_sphere_file(tmp_path):
     """A geodesic sphere of radius 0.8 in H^3 as a chart file."""
     return _load(tmp_path, "h3.txt", H3_SPHERE_FILE)
 
 
-def _h3_sphere_file(tmp_path):
-    """The H^3 sphere file without its jets: FD jets from the map only."""
-    return replace(_jet_h3_sphere_file(tmp_path), jacobian=None, hessian=None)
-
-
 # stencil-path values recorded with the nested per-point stencils this
-# lattice replaced: (u, f, grad f, lap f, |A|^2, A(grad f)); the jet-cone
+# lattice replaced: (u, f, grad f, lap f, |A|^2, A(grad f)), the file
+# charts' with finite-difference jets of their maps; the jet-cone
 # lap f is recorded from the non-divergence Laplacian on the straight-line
 # f-lattice, whose truncation error is within JET_CONE_LAP_ERROR of the
 # closed form (the divergence scheme's was 9.3e-8 and 2.8e-6)
@@ -270,7 +270,7 @@ def test_stencil_classify_stays_inside_the_domain(name, tmp_path):
 
     def recording(fn):
         def wrapped(w):
-            points.append(np.reshape(w, (-1, ch.m)))
+            points.append(np.asarray(w).reshape(-1, ch.m))
             return fn(w)
         return wrapped
 
@@ -290,7 +290,8 @@ def test_stencil_pinned_values(tmp_path):
     charts = _pinned_charts(tmp_path)
     for name, rows in PINNED.items():
         fd = name.startswith("file")
-        # map-only charts carry rounding noise through two stencil levels
+        # the file charts' pinned values carry the rounding of finite-difference
+        # map jets through two stencil levels
         tol_grad, tol_lap = (1e-7, 1e-5) if fd else (1e-10, 1e-8)
         for u, f, grad_f, lap, normA2, A_grad_f in rows:
             s = geometric_sample(charts[name], np.array(u), use_analytic=False)
@@ -308,20 +309,20 @@ def test_batched_sample_equals_per_point_calls(tmp_path, monkeypatch):
     monkeypatch.setattr(immersion, "KERNEL_POINTS", 1024)
     # 100 and 64 grid points: two kernel batches (KERNEL_POINTS) of 78 and
     # of 40 grid points, whose f-lattices have 13 and 25 points
-    fd_sphere = replace(sphere_in_sphere(3, 0.4), jacobian=None, hessian=None)
+    map_only_sphere = replace(sphere_in_sphere(3, 0.4), jacobian=None, hessian=None)
     calls = []
 
     def counted(fn):
         def wrapped(w):
-            calls.append(len(w))
+            calls.append(len(np.asarray(w)))
             return fn(w)
         return wrapped
 
     for ch, pts in ((_cone_file(tmp_path), sample_grid(cone(R6), 10)),
                     (cone(R6), sample_grid(cone(R6), 10)),
                     (_h3_sphere_file(tmp_path), sample_grid(great_sphere(2), 10)),
-                    (fd_sphere, sample_grid(fd_sphere, 4))):
-        # the map reads the lattice of an FD chart, the jacobian that of exact jets
+                    (map_only_sphere, sample_grid(map_only_sphere, 4))):
+        # the map takes the f points of a map-only chart, the jacobian those of exact jets
         lattice_cb = "map" if ch.hessian is None else "jacobian"
         calls.clear()
         batch = geometric_sample(replace(ch, **{lattice_cb: counted(getattr(ch, lattice_cb))}),
@@ -336,13 +337,25 @@ def test_batched_sample_equals_per_point_calls(tmp_path, monkeypatch):
                                           getattr(one, fd.name)), (ch.name, fd.name)
 
 
+@pytest.mark.parametrize("ch", [cone(R6), plane(), sphere_in_sphere(2, 0.7),
+                                sphere_in_sphere(3, 0.4), great_sphere(2)], ids=lambda ch: ch.name)
+def test_catalog_maps_carry_jets_that_match_their_callbacks(ch):
+    # the catalog keeps its exact callbacks, but its maps run on jets too;
+    # measured: equal bit for bit
+    U = sample_grid(ch, 4)
+    J, H, P = immersion._jets(replace(ch, jacobian=None, hessian=None), U)
+    assert np.array_equal(P, ch.map(U))
+    assert np.allclose(J, ch.jacobian(U), rtol=0, atol=1e-15)
+    assert np.allclose(H, ch.hessian(U), rtol=0, atol=1e-15)
+
+
 def test_the_jet_cone_file_is_the_catalog_cone(tmp_path):
     exact, U = cone(R6), sample_grid(cone(R6), 8)
     eps = np.finfo(float).eps
     # u*cos(v)*r rounds otherwise than the catalog's r*u*cos(v): a few ulp
-    ch = _jet_cone_file(tmp_path)
-    for cb in ("jacobian", "hessian"):
-        got, want = getattr(ch, cb)(U), getattr(exact, cb)(U)
+    J, H, P = immersion._jets(_cone_file(tmp_path), U)
+    for cb, got in (("map", P), ("jacobian", J), ("hessian", H)):
+        want = getattr(exact, cb)(U)
         assert np.allclose(got, want, rtol=2 * eps, atol=2 * eps), cb
     # in the catalog's order the file is the same map, and the stencil path agrees
     ordered = _load(tmp_path, "cone-ordered.txt",
@@ -358,31 +371,46 @@ def test_the_jet_cone_file_is_the_catalog_cone(tmp_path):
 
 @pytest.mark.parametrize("c", [0, -1])
 def test_a_jet_chart_file_takes_its_jets_once_on_the_f_lattice(c, tmp_path):
-    ch = _jet_cone_file(tmp_path) if c == 0 else _jet_h3_sphere_file(tmp_path)
-    rows = {"map": [], "jacobian": [], "hessian": []}
+    ch = _cone_file(tmp_path) if c == 0 else _h3_sphere_file(tmp_path)
+    assert ch.jacobian is None and ch.hessian is None
+    rows = []
 
-    def counting(name):
+    def counted(w):
+        rows.append((type(w), np.asarray(w).shape))
+        return ch.map(w)
+
+    classify(replace(ch, map=counted), PQParams(4 / 3, 3), n_per_axis=4)
+    # 16 grid points of 13 f points, in one call on their jet
+    assert rows == [(jets.Jet, (208, 2))]
+
+
+def test_an_h3_chart_file_calls_its_map_once_per_batch_on_jets(tmp_path, monkeypatch):
+    # one degree-2 jet gives the model check's points, J and H: no float map
+    # call, and no jacobian or hessian callback
+    monkeypatch.setattr(immersion, "KERNEL_POINTS", 1024)
+    ch = _h3_sphere_file(tmp_path)
+    calls = []
+
+    def recording(name):
         fn = getattr(ch, name)
 
         def wrapped(w):
-            rows[name].append(np.shape(w))
+            calls.append((name, type(w), len(np.asarray(w))))
             return fn(w)
         return wrapped
 
-    classify(replace(ch, **{name: counting(name) for name in rows}), PQParams(4 / 3, 3),
-             n_per_axis=4)
-    # 16 grid points of 13 f points; the map only for the model check of c != 0
-    assert rows == {"map": [] if c == 0 else [(208, 2)],
-                    "jacobian": [(208, 2)], "hessian": [(208, 2)]}
+    callbacks = {name: recording(name) for name in ("map", "jacobian", "hessian")
+                 if getattr(ch, name) is not None}
+    classify(replace(ch, **callbacks), PQParams(4 / 3, 3), n_per_axis=10)
+    # 100 grid points of 13 f points: batches of 78 and 22 grid points
+    assert calls == [("map", jets.Jet, 78 * 13), ("map", jets.Jet, 22 * 13)]
 
 
 def test_the_jet_cone_file_classifies_proper_within_7e_5(tmp_path):
-    # 9.3e-5 from FD jets of the map: their rounding passes two more stencil levels
-    report = classify(_jet_cone_file(tmp_path), PQParams(4 / 3, 3), n_per_axis=4)
+    # measured: 6.6e-5, where finite-difference jets of the map gave 9.3e-5
+    report = classify(_cone_file(tmp_path), PQParams(4 / 3, 3), n_per_axis=4)
     assert report.classification.value == "ProperPQHarmonic"
     assert report.max_abs_eq1 <= 7e-5
-    fd = classify(_cone_file(tmp_path), PQParams(4 / 3, 3), n_per_axis=4)
-    assert report.max_abs_eq1 < fd.max_abs_eq1
 
 
 def test_stencil_samples_each_lattice_point_once(tmp_path):
@@ -396,9 +424,8 @@ def test_stencil_samples_each_lattice_point_once(tmp_path):
     geometric_sample(replace(ch, map=counted), np.array([1.3, 2.0]), use_analytic=False)
     assert len(calls) == 1 and calls[0].ndim == 2
     rows = calls[0]
-    # nested per-point stencils made 5,619 map calls here
-    assert len(rows) == 97
-    assert len(rows) <= 700
+    # the f-lattice, once; nested per-point stencils made 5,619 map calls here
+    assert len(rows) == 13
     assert len(np.unique(np.round(rows, 9), axis=0)) == len(rows)
 
     jets = {"jacobian": [], "hessian": []}
@@ -432,9 +459,7 @@ def _same_sample(a, b, i):
 def test_callbacks_act_over_the_last_axis(tmp_path):
     charts = {"sphere-m2": sphere_in_sphere(2, 0.7), "sphere-m3": sphere_in_sphere(3, 0.4),
               "great-sphere": great_sphere(2), "cone": cone(R6), "plane": plane(),
-              "file-cone": _cone_file(tmp_path), "file-h3-sphere": _h3_sphere_file(tmp_path),
-              "jet-cone-file": _jet_cone_file(tmp_path),
-              "jet-h3-sphere-file": _jet_h3_sphere_file(tmp_path)}
+              "file-cone": _cone_file(tmp_path), "file-h3-sphere": _h3_sphere_file(tmp_path)}
     rng = np.random.default_rng(7)
     for name, ch in charts.items():
         lo, hi = np.array(ch.domain).T
@@ -460,13 +485,13 @@ def test_chart_file_classify_calls_the_map_once_per_batch(tmp_path, monkeypatch)
     calls = []
 
     def counted(w):
-        calls.append(np.shape(w))
+        calls.append(np.asarray(w).shape)
         return ch.map(w)
 
     counting = replace(ch, map=counted)
     classify(counting, PQParams(4 / 3, 3), n_per_axis=4)
-    # 97 lattice points per grid point, in one call
-    assert calls == [(1552, 2)]
+    # 13 f points per grid point, in one call
+    assert calls == [(208, 2)]
     calls.clear()
     classify(counting, PQParams(4 / 3, 3), n_per_axis=10)
     # one call per KERNEL_POINTS batch of f points: 100 grid points of 13
@@ -539,7 +564,7 @@ def test_flipped_map_only_chart_samples_its_lattice_once(tmp_path):
     rows = []
 
     def counted(w):
-        rows.append(len(w))
+        rows.append(len(np.asarray(w)))
         return ch.map(w)
 
     watched = replace(ch, map=counted)
@@ -548,11 +573,11 @@ def test_flipped_map_only_chart_samples_its_lattice_once(tmp_path):
     for flipped in (watched.flipped(), watched.flipped().flipped()):
         rows.clear()
         t = geometric_sample(flipped, pts, use_analytic=False)
-        # a reference normal from unit_normal of the unflipped chart cost 15,312 rows more
-        assert rows == [1552]
+        # a reference normal from unit_normal of the unflipped chart cost rows more
+        assert rows == [208]
         rows.clear()
         geometric_sample(flipped, U_CONE, use_analytic=False)
-        assert rows == [97]
+        assert rows == [13]
     t = geometric_sample(watched.flipped(), pts, use_analytic=False)
     _same_sample(t, flip_sample(s), slice(None))
     assert np.array_equal(unit_normal(watched.flipped(), pts), -unit_normal(watched, pts))
@@ -609,16 +634,15 @@ def test_a_reference_normal_orients_a_user_chart_and_flips(sign):
                  slice(None))
 
 
-def test_map_lattice_jets_match_nested_stencils(tmp_path):
-    # the nested partial1 / partial2 stencils at h = f_step / 2 on every
-    # axis are the reference.  J and the diagonal of H apply the same
-    # weights, so only rounding may differ there; the mixed entries of H
-    # come from D2 along e_a + e_b by polarization, an independent scheme of
-    # the same order, so they differ by its truncation error as well
-    fd_sphere = replace(sphere_in_sphere(3, 0.4), jacobian=None, hessian=None)
-    for ch, u in ((_cone_file(tmp_path), U_CONE), (fd_sphere, np.array([1.0, 1.4, 2.0]))):
-        h = ch.f_step() / 2
-        _, J, H, P = immersion._jets(ch, u[None], ch.f_step(), False)
+def test_map_jets_match_nested_stencils(tmp_path):
+    # the map's jets against the nested partial1 / partial2 stencils at
+    # h = f_step / 8 on every axis, which balances their truncation and
+    # rounding.  Measured: J 1.5e-13, H 9.0e-11
+    map_only_sphere = replace(sphere_in_sphere(3, 0.4), jacobian=None, hessian=None)
+    for ch, u in ((_cone_file(tmp_path), U_CONE),
+                  (map_only_sphere, np.array([1.0, 1.4, 2.0]))):
+        h = ch.f_step() / 8
+        J, H, P = immersion._jets(ch, u[None])
         assert np.array_equal(P[0], ch.map(u))
         J_ref = np.stack([partial1(ch.map, u, a, h) for a in range(ch.m)], axis=1)
         assert np.allclose(J[0], J_ref, rtol=0, atol=1e-12)
@@ -660,24 +684,24 @@ def _skew_hessian(u):
 
 
 def test_fd_jets_and_samples_match_exact_jets_on_a_skew_chart():
+    # the map-only chart's jets come from its map, the other's from the
+    # hand-written callbacks: they differ by rounding alone
     fd = ImmersionChart(sf=SpaceForm(3, 0.0), m=2, domain=((0.2, 1.8), (-0.7, 0.9)),
                         map=_skew, name="skew")
     exact = replace(fd, jacobian=_skew_jacobian, hessian=_skew_hessian)
     pts = sample_grid(fd, 4)
     assert np.max(np.abs(geometric_sample(exact, pts, use_analytic=False).g[:, 0, 1])) > 0.5
-    # measured (the larger of the nested D1 and the polarized mixed stencil):
-    # J 1.3e-12, H 5.8e-10 on every entry, mixed 3.2e-10
-    for stencil in (False, True):
-        X, J, H, _ = immersion._jets(fd, pts, fd.f_step(), stencil)
-        assert np.allclose(J, _skew_jacobian(X), rtol=0, atol=2e-11), stencil
-        for a in range(2):
-            for b in range(2):
-                assert np.allclose(H[..., a, b], _skew_hessian(X)[..., a, b],
-                                   rtol=0, atol=6e-9), (stencil, a, b)
+    # measured at the grid points and their f-lattices: J and H 2.2e-16
+    lattice = (pts[:, None] + immersion._f_lattice(2) * fd.f_step()).reshape(-1, 2)
+    for X in (pts, lattice):
+        J, H, _ = immersion._jets(fd, X)
+        assert np.allclose(J, _skew_jacobian(X), rtol=0, atol=2e-15), len(X)
+        assert np.allclose(H, _skew_hessian(X), rtol=0, atol=2e-15), len(X)
     s = geometric_sample(fd, pts, use_analytic=False)
     t = geometric_sample(exact, pts, use_analytic=False)
-    # measured: f 1.9e-10, grad f 2.5e-8, lap f 3.0e-5, |A|^2 5.1e-10
-    for name, atol in (("f", 2e-9), ("grad_f", 3e-7), ("laplacian_f", 4e-4), ("normA2", 6e-9)):
+    # measured: f 1.1e-16, grad f 5.5e-14, lap f 6.1e-11, |A|^2 4.4e-16
+    for name, atol in (("f", 2e-15), ("grad_f", 6e-13), ("laplacian_f", 7e-10),
+                       ("normA2", 5e-15)):
         assert np.allclose(getattr(s, name), getattr(t, name), rtol=0, atol=atol), name
 
 
@@ -693,7 +717,7 @@ def _reparametrized_cone():
     base = cone(R6)
 
     def uv(w):
-        return np.asarray(w, dtype=float) @ _SKEW_M.T
+        return w @ _SKEW_M.T
 
     return ImmersionChart(
         sf=base.sf, m=2, domain=((0.7, 1.9), (0.5, 4.5)),
@@ -710,9 +734,8 @@ def test_laplacian_of_a_skew_reparametrized_cone_matches_the_closed_form(fd):
         ch = replace(ch, jacobian=None, hessian=None)
     assert abs(geometric_sample(ch, np.array([1.3, 2.5]), use_analytic=False).g[0, 1]) > 0.05
     # measured at grids 4 and 8: exact jets 2.5e-8 (1.1e-6 in divergence
-    # form), map-only 4.4e-5 (2.6e-5 in divergence form); each bound is at
-    # least 10x the larger
-    bound = 5e-4 if fd else 2e-5
+    # form), and the map's jets 2.5e-8; each bound is at least 10x the larger
+    bound = 2e-5
     for grid in (4, 8):
         pts = sample_grid(ch, grid)
         closed = cone(R6).analytic_geometry(pts @ _SKEW_M.T).laplacian_f
@@ -728,22 +751,27 @@ def _lifted_cone(c, scale):
     varies, and the last coordinate enters the pairing with the sign of c."""
     base = cone(R6)
 
-    def jets(w):
+    def lift(Y):
+        """The last coordinate sqrt(1 - c |Y|^2), on floats or jets."""
+        return np.sqrt(1.0 - c * (Y[..., 0] * Y[..., 0] + Y[..., 1] * Y[..., 1]
+                                  + Y[..., 2] * Y[..., 2]))
+
+    def parts(w):
         Y, J = scale * base.map(w), scale * base.jacobian(w)
-        x0 = np.sqrt(1.0 - c * np.sum(Y * Y, axis=-1))
+        x0 = lift(Y)
         d0 = -c * np.einsum("...k,...ka->...a", Y, J) / x0[..., None]
         return Y, J, x0, d0
 
     def chart_map(w):
-        Y, _, x0, _ = jets(w)
-        return np.concatenate([Y, x0[..., None]], axis=-1)
+        Y = scale * base.map(w)
+        return np.concatenate([Y, lift(Y)[..., None]], axis=-1)
 
     def jacobian(w):
-        _, J, _, d0 = jets(w)
+        _, J, _, d0 = parts(w)
         return np.concatenate([J, d0[..., None, :]], axis=-2)
 
     def hessian(w):
-        Y, J, x0, d0 = jets(w)
+        Y, J, x0, d0 = parts(w)
         H = scale * base.hessian(w)
         H0 = (-c * (np.einsum("...ka,...kb->...ab", J, J) + np.einsum("...k,...kab->...ab", Y, H))
               - d0[..., :, None] * d0[..., None, :]) / x0[..., None, None]
@@ -767,9 +795,9 @@ def _divergence_laplacian(chart, u, h):
 
 
 # measured against the reference at h = 0.01: S^3 (|Lap f| up to 85)
-# exact jets 1.1e-4 and map-only 1.4e-4 (2.9e-4 and 2.7e-4 with the
-# engine's Lap f in divergence form), H^3 (|Lap f| up to 5.5) 1.1e-5 and
-# 1.1e-5 (2.5e-5 and 2.4e-5); each bound is at least 10x the larger.
+# exact jets and the map's jets 1.1e-4 (2.9e-4 with the engine's Lap f
+# in divergence form), H^3 (|Lap f| up to 5.5) 1.1e-5 (2.5e-5); each
+# bound is at least 10x the larger.
 # Dropping the Minkowski signs from the Christoffel term moves the H^3
 # Lap f by 4.0
 @pytest.mark.parametrize("c, scale, atol", [(1, 0.4, 3e-3), (-1, 1.0, 3e-4)], ids=["S3", "H3"])
@@ -796,10 +824,11 @@ def test_rigid_motion_keeps_eq1_and_orients_f_by_det(seed, det):
     pts = sample_grid(base, 4)
     params = PQParams(2.5, 2.5)
     s, t = (geometric_sample(ch, pts, use_analytic=False) for ch in (before, after))
-    # rounding of the map, amplified by the FD jets and the f-lattice stencils
-    assert np.allclose(t.f, det * s.f, rtol=1e-8, atol=0)
-    assert np.allclose(t.normA2, s.normA2, rtol=1e-8, atol=0)
-    assert np.allclose(residual(t, params)[0], residual(s, params)[0], rtol=1e-4, atol=0)
+    # rounding of the map, amplified by the f-lattice stencils; measured:
+    # f 8.9e-16 and |A|^2 1.8e-15 relative, eq1 2.3e-11 relative
+    assert np.allclose(t.f, det * s.f, rtol=1e-14, atol=0)
+    assert np.allclose(t.normA2, s.normA2, rtol=2e-14, atol=0)
+    assert np.allclose(residual(t, params)[0], residual(s, params)[0], rtol=3e-10, atol=0)
 
 
 def _moved(chart, M):
@@ -809,7 +838,7 @@ def _moved(chart, M):
 
 def _assert_same_geometry(before, after, f_rtol, normA2_rtol, lap_atol, eq1_atol):
     # M has det +1, so f keeps its sign; each bound is at least 10x the
-    # largest rounding difference measured on the FD path
+    # largest rounding difference measured
     pts = sample_grid(before, 4)
     s, t = (geometric_sample(ch, pts, use_analytic=False) for ch in (before, after))
     assert np.allclose(t.f, s.f, rtol=f_rtol, atol=0)
@@ -825,9 +854,9 @@ def test_rotation_keeps_the_geometry_of_a_map_only_sphere_in_s3(seed):
     Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))
     if np.linalg.det(Q) < 0:
         Q[:, 3] *= -1.0
-    # measured: f 1.3e-10 and |A|^2 2.6e-10 relative, lap f 1.1e-5, eq1 2.1e-5
-    _assert_same_geometry(base, _moved(base, Q), f_rtol=2e-9, normA2_rtol=3e-9,
-                          lap_atol=2e-4, eq1_atol=3e-4)
+    # measured: f 8.9e-16 and |A|^2 1.8e-15 relative, lap f 1.7e-10, eq1 3.2e-10
+    _assert_same_geometry(base, _moved(base, Q), f_rtol=1e-14, normA2_rtol=2e-14,
+                          lap_atol=2e-9, eq1_atol=4e-9)
 
 
 @pytest.mark.parametrize("rapidity", [0.5, 1.5])
@@ -836,10 +865,10 @@ def test_lorentz_boost_keeps_the_geometry_of_the_h3_sphere_file(rapidity, tmp_pa
     B = np.eye(4)
     B[0, 0] = B[3, 3] = math.cosh(rapidity)
     B[0, 3] = B[3, 0] = math.sinh(rapidity)
-    # measured at rapidity 1.5: f 8.1e-10 and |A|^2 1.6e-9 relative,
-    # lap f 2.6e-5, eq1 5.9e-5; the rounding grows with cosh(rapidity)
-    _assert_same_geometry(ch, _moved(ch, B), f_rtol=1e-8, normA2_rtol=2e-8,
-                          lap_atol=3e-4, eq1_atol=6e-4)
+    # measured at rapidity 1.5: f 3.1e-15 and |A|^2 6.2e-15 relative,
+    # lap f 3.0e-10, eq1 6.7e-10; the rounding grows with cosh(rapidity)
+    _assert_same_geometry(ch, _moved(ch, B), f_rtol=4e-14, normA2_rtol=7e-14,
+                          lap_atol=3e-9, eq1_atol=7e-9)
 
 
 def _m_cone(m, q):
@@ -855,52 +884,38 @@ def _m_cone(m, q):
 
 
 _ROUNDING_LIMITED = pytest.mark.xfail(
-    strict=True, reason="FOUND 38: the FD residual of a map-only chart is amplified "
-    "rounding, above the absolute 1e-3; ROADMAP items 1 and 4 (exact jets, an error-estimated "
-    "verdict) are to make it pass")
+    strict=True, reason="the truncation error of the f-lattice stencils leaves max |eq1| "
+    "above the absolute 1e-3; ROADMAP items 1 and 4 (a finer or higher-order f-lattice, an "
+    "error-estimated verdict) are to make it pass")
 
 
 @pytest.mark.parametrize("m, q", [(3, 4.0), pytest.param(3, 5.5, marks=_ROUNDING_LIMITED),
                                   pytest.param(3, 8.0, marks=_ROUNDING_LIMITED)])
 def test_map_only_m_cone_classifies_proper_on_the_stencil_path(m, q):
-    # max |eq1| at grid 4: 4.0e-4 at q = 4, 2.9e-3 at q = 5.5, 2.3e-2 at q = 8
-    # (5.0e-4, 2.7e-3 and 1.7e-2 with Lap f in divergence form: D2 of f
-    # amplifies the rounding of the FD jets more than the nested D1 did)
+    # max |eq1| at grid 4 with the map's jets: 2.3e-4 at q = 4, 1.5e-3 at
+    # q = 5.5, 9.7e-3 at q = 8 (4.0e-4, 2.9e-3 and 2.3e-2 with
+    # finite-difference jets of the map)
     report = classify(_m_cone(m, q), PQParams(2 - m / q, q), n_per_axis=4, use_analytic=False)
     assert report.classification.value == "ProperPQHarmonic", report.max_abs_eq1
 
 
-def test_f_lattice_is_built_once_and_read_only(tmp_path, monkeypatch):
+def test_f_lattice_is_built_once_and_read_only(tmp_path):
     lattice = immersion._f_lattice(2)
     assert immersion._f_lattice(2) is lattice
-    jets = immersion._jet_lattice(2, True)
-    assert immersion._jet_lattice(2, True) is jets
     # the centre and 4 points on each of the lines e_0, e_1 and e_0 + e_1:
     # 13 for m = 2, 25 for m = 3 and 41 for m = 4, all distinct
     for m, size in ((2, 13), (3, 25), (4, 41)):
         offsets = immersion._f_lattice(m)
         assert offsets.shape == (size, m) and len(np.unique(offsets, axis=0)) == size
-    # 97 distinct map points around 13 f points, each reading the f-lattice
-    assert jets[0].shape == (97, 2) and jets[1].shape == (13, 13)
-    assert immersion._jet_lattice(2, False)[0].shape == (13, 2)
-    assert immersion._jet_lattice(2, False)[1].shape == (1, 13)
-    for a in (lattice,) + jets + immersion._jet_lattice(2, False):
-        with pytest.raises(ValueError):
-            a[(0,) * a.ndim] = 0
+    with pytest.raises(ValueError):
+        lattice[0, 0] = 0
     # a second map-only chart of the same m builds nothing
-    builds = []
-    unique = np.unique
-
-    def counted(*args, **kwargs):
-        builds.append(1)
-        return unique(*args, **kwargs)
-
-    monkeypatch.setattr(np, "unique", counted)
+    misses = immersion._f_lattice.cache_info().misses
     ch = _cone_file(tmp_path)
     flat = replace(ch, map=lambda u: np.concatenate([u, np.zeros(u.shape[:-1] + (1,))], -1))
     for chart in (ch, flat):
         classify(chart, PQParams(2.5, 2.5), n_per_axis=4, use_analytic=False)
-    assert builds == []
+    assert immersion._f_lattice.cache_info().misses == misses
 
 
 def _omega_partial(u, j, axes):
@@ -1015,14 +1030,14 @@ def test_classify_refuses_a_step_the_grid_cannot_hold(k):
 
 
 def test_a_map_only_chart_file_admits_the_default_step(tmp_path):
-    # the FD map lattice reads h_step further, 3 h_step in all: the grid's
-    # 5 f_step from the edge of u hold steps up to 5/3 f_step
+    # the map's jets read only the f points, 2 h_step out as exact jets do:
+    # the grid's 5 f_step from the edge of u hold steps up to 5/2 f_step
     ch = _cone_file(tmp_path)
     pts = sample_grid(ch, 4)
-    for k in (1.0, 1.6):
+    for k in (1.0, 2.4):
         geometric_sample(ch, pts, h_step=k * ch.f_step(), use_analytic=False)
-    with pytest.raises(BoundaryProximityError, match=f"up to {5 / 3 * ch.f_step():g}$"):
-        geometric_sample(ch, pts, h_step=1.7 * ch.f_step(), use_analytic=False)
+    with pytest.raises(BoundaryProximityError, match=f"up to {2.5 * ch.f_step():g}$"):
+        geometric_sample(ch, pts, h_step=2.6 * ch.f_step(), use_analytic=False)
 
 
 def test_a_point_at_the_edge_admits_no_step():
@@ -1032,11 +1047,12 @@ def test_a_point_at_the_edge_admits_no_step():
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
+# "fd" is the chart without exact jets, which takes its jets from the map
 @pytest.mark.parametrize("exact, stencil, units", [
     (True, True, 2.0),      # the f-lattice, 2 h_step out
-    (False, True, 3.0),     # and the FD jets around each f point, h_step more
-    (False, False, 1.0),    # the FD jets of a single point, at h_step = f_step
-    (True, False, 0.0),     # exact jets at a single point read only the point
+    (False, True, 2.0),     # the same: the map's jets read only the f points
+    (False, False, 0.0),    # a single point reads only the point
+    (True, False, 0.0),
 ], ids=["stencil-exact", "stencil-fd", "point-fd", "point-exact"])
 def test_the_guard_admits_exactly_the_reach_of_the_lattice(m, exact, stencil, units):
     ch = sphere_in_sphere(m, 0.4)
@@ -1101,11 +1117,17 @@ def _nan_past_1_2(fn):
     return nan_fn
 
 
+def _nan_map_past_1_2(w):
+    """cone(R6)'s map, on floats or jets, NaN at the points with u > 1.2."""
+    return cone(R6).map(w) + 0.0 * np.sqrt(1.2 - w[..., :1])
+
+
 def test_a_non_finite_callback_value_is_a_domain_error():
     # the grid reaches u > 1.2: refused before any arithmetic on the values
     base = cone(R6)
-    fd = ImmersionChart(sf=base.sf, m=2, domain=base.domain, map=_nan_past_1_2(base.map))
-    with pytest.raises(DomainError, match="^non-finite map value on the stencil lattice$"):
+    fd = ImmersionChart(sf=base.sf, m=2, domain=base.domain, map=_nan_map_past_1_2)
+    with pytest.raises(DomainError,
+                       match="^non-finite map value at the points the chart is sampled at$"):
         classify(fd, PQParams(4 / 3, 3.0), use_analytic=False)
     with pytest.raises(DomainError, match="non-finite map value"):
         shape_packet(fd, np.array([1.5, 1.0]))

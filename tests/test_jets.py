@@ -5,10 +5,25 @@ import numpy as np
 import pytest
 
 from pqharmonic import jets
+from pqharmonic.errors import DomainError
 from pqharmonic.expressions import ExpressionError, parse
 
 # points (u, v) clear of every singularity of the cases below
 UV = np.array([[0.3, 0.2], [0.7, 1.1], [1.2, 0.45], [1.7, 1.5]])
+
+
+def _uv(X):
+    """The jets of u and v at the points X (n, 2)."""
+    x = jets.Jet.variable(X)
+    return {"u": x[..., 0], "v": x[..., 1]}
+
+
+def _derivatives(value, n):
+    """The value (n,), gradient (n, 2) and Hessian (n, 2, 2) of a jet, or of a
+    constant, at n points."""
+    if isinstance(value, jets.Jet):
+        return (value.value,) + value.derivatives()
+    return np.full(n, value), np.zeros((n, 2)), np.zeros((n, 2, 2))
 
 
 def _composite(f, d1, d2, w, dw, ddw):
@@ -70,21 +85,14 @@ CASES = ["u + v", "u + 3", "3 - u", "u - 2*v", "-u*v", "u*v", "u/4", "2/u", "u/v
 @pytest.mark.parametrize("case", CASES)
 def test_every_grammar_operation_matches_its_closed_form_derivatives(case):
     ex = parse(case)
-    n, m = UV.shape
+    n = len(UV)
     value, grad, hess = _closed_form(case, UV[:, 0], UV[:, 1])
-    out = {}
-    for degree in (1, 2):
-        jet = ex.jet(**dict(zip("uv", jets.seed(UV, degree))))
-        out[degree] = jets.derivatives([jet], degree, n, m)[:, 0]
-        # the value is the float evaluation's, bit for bit
-        got = jet.value if isinstance(jet, jets.Jet) else np.full(n, jet)
-        assert np.array_equal(got, np.broadcast_to(ex.evaluate(u=UV[:, 0], v=UV[:, 1]), n))
-        assert np.allclose(got, value, rtol=1e-14, atol=0)
-    assert np.allclose(out[1], grad, rtol=1e-13, atol=1e-15), out[1] - grad
-    assert np.allclose(out[2], hess, rtol=1e-13, atol=1e-15), out[2] - hess
-    # a jacobian from degree-1 jets is the gradient of the degree-2 pass, bit for bit
-    jet2 = ex.jet(**dict(zip("uv", jets.seed(UV, 2))))
-    assert np.array_equal(out[1], jets.derivatives([jet2], 1, n, m)[:, 0])
+    got, got_grad, got_hess = _derivatives(ex.jet(**_uv(UV)), n)
+    # the value is the float evaluation's, bit for bit
+    assert np.array_equal(got, np.broadcast_to(ex.evaluate(u=UV[:, 0], v=UV[:, 1]), n))
+    assert np.allclose(got, value, rtol=1e-14, atol=0)
+    assert np.allclose(got_grad, grad, rtol=1e-13, atol=1e-15), got_grad - grad
+    assert np.allclose(got_hess, hess, rtol=1e-13, atol=1e-15), got_hess - hess
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 16, 208, 1000])
@@ -93,13 +101,12 @@ def test_a_points_jets_are_the_same_bits_in_a_batch_of_any_size(n):
     X = rng.uniform(0.2, 1.8, (n, 2))
     exprs = [parse(text) for text in ("u*cos(v)*0.4", "sinh(0.8)*sin(u)*cos(v)",
                                       "sqrt(u*v)/(1 + u^2)", "u^v - cosh(u - v)", "cosh(0.8)")]
-    for degree in (1, 2):
-        batch = jets.derivatives([ex.jet(**dict(zip("uv", jets.seed(X, degree))))
-                                  for ex in exprs], degree, n, 2)
+    for ex in exprs:
+        batch = _derivatives(ex.jet(**_uv(X)), n)
         for i in sorted(set(range(min(n, 8))) | {n // 3, n // 2, n - 1}):
-            one = jets.derivatives([ex.jet(**dict(zip("uv", jets.seed(X[i:i + 1], degree))))
-                                    for ex in exprs], degree, 1, 2)
-            assert np.array_equal(batch[i], one[0]), (degree, i)
+            one = _derivatives(ex.jet(**_uv(X[i:i + 1])), 1)
+            for a, b in zip(batch, one):
+                assert np.array_equal(a[i], b[0]), (ex.source, i)
 
 
 @pytest.mark.parametrize("text, at", [("sqrt(u)", 0.0), ("u^1.5", 0.0), ("(u^2)^0.75", 0.0),
@@ -109,24 +116,104 @@ def test_a_jet_that_fails_where_its_value_holds_names_the_expression(text, at):
     X = np.array([[at, 1.0]])
     ex.evaluate(u=X[:, 0])
     with pytest.raises(ExpressionError, match=f"^evaluation failed for {re.escape(repr(text))}"):
-        ex.jet(**dict(zip("uv", jets.seed(X, 2))))
+        ex.jet(**_uv(X))
 
 
 @pytest.mark.parametrize("text, grad, hess", [("u^1", 1.0, 0.0), ("u^0", 0.0, 0.0),
                                              ("u^2", 0.0, 2.0)])
 def test_integer_powers_hold_at_zero(text, grad, hess):
     # the chain rule's terms in c and c (c - 1) are left out where they vanish
-    jet = parse(text).jet(**dict(zip("uv", jets.seed(np.array([[0.0, 1.0]]), 2))))
-    assert np.array_equal(jets.derivatives([jet], 1, 1, 2), [[[grad, 0.0]]])
-    assert np.array_equal(jets.derivatives([jet], 2, 1, 2), [[[[hess, 0.0], [0.0, 0.0]]]])
+    _, got_grad, got_hess = _derivatives(parse(text).jet(**_uv(np.array([[0.0, 1.0]]))), 1)
+    assert np.array_equal(got_grad, [[grad, 0.0]])
+    assert np.array_equal(got_hess, [[[hess, 0.0], [0.0, 0.0]]])
 
 
 def test_unsupported_ufuncs_are_refused():
-    (u,) = jets.seed(np.array([[0.5]]), 2)
+    u = _uv(np.array([[0.5, 1.0]]))["u"]
     with pytest.raises(TypeError):
         np.exp(u)
     with pytest.raises(TypeError):
         u < 1.0
+
+
+X = np.array([[0.3, 0.2], [0.7, 1.1], [1.2, 0.45]])
+
+
+def test_a_jet_acts_over_the_last_axis():
+    x = jets.Jet.variable(X)
+    # np.asarray reads the value: one row per point, as a tracer counts them
+    for array in (np.asarray(x, dtype=float), x.__array__(), x.__array__(None, copy=True)):
+        assert array.shape == (3, 2) and np.array_equal(array, X)
+    assert x.shape == (3, 2)
+    # indexing acts on the value axes and keeps the derivatives' own
+    u = x[..., 0]
+    assert u.shape == (3,) and np.array_equal(u.value, X[:, 0])
+    assert np.array_equal(u.derivatives()[0], np.tile([1.0, 0.0], (3, 1)))
+    assert np.array_equal(x[1:, 1].value, X[1:, 1])
+    assert x[..., None].shape == (3, 2, 1)
+
+
+def test_a_jet_stacks_and_concatenates_with_float_constants():
+    x = jets.Jet.variable(X)
+    u, v = x[..., 0], x[..., 1]
+    # a constant in a stack takes the shape of the first jet
+    Y = np.stack([2.0, u * v, v], axis=-1)
+    assert Y.shape == (3, 3) and np.array_equal(np.asarray(Y)[:, 0], np.full(3, 2.0))
+    J, H = Y.derivatives()
+    assert np.array_equal(J[:, 0], np.zeros((3, 2)))
+    assert np.array_equal(J[:, 1], np.stack([X[:, 1], X[:, 0]], axis=-1))
+    assert np.array_equal(H[:, 1], np.tile([[0.0, 1.0], [1.0, 0.0]], (3, 1, 1)))
+    assert np.array_equal(J[:, 2], np.tile([0.0, 1.0], (3, 1)))
+    # a constant in a concatenation keeps its own shape
+    Z = np.concatenate([x, np.full((3, 1), 5.0)], axis=-1)
+    assert Z.shape == (3, 3)
+    assert np.array_equal(np.asarray(Z), np.hstack([X, np.full((3, 1), 5.0)]))
+    J, H = Z.derivatives()
+    assert np.array_equal(J, np.broadcast_to([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], (3, 3, 2)))
+    assert not H.any()
+    for axis in (0, 1):
+        assert np.concatenate([x, x], axis=axis).shape == np.concatenate([X, X], axis=axis).shape
+
+
+def test_a_jet_times_a_constant_matrix_and_its_powers():
+    x = jets.Jet.variable(X)
+    M = np.array([[1.0, 2.0, 0.5], [-1.0, 0.0, 3.0]])
+    Y = x @ M
+    assert np.array_equal(np.asarray(Y), X @ M)
+    J, H = Y.derivatives()
+    assert np.array_equal(J, np.broadcast_to(M.T, (3, 3, 2))) and not H.any()
+    # np.power (**) and np.float_power: the value is the ufunc's, bit for bit
+    u = x[..., 0]
+    for c in (3, 2.5):
+        for ufunc in (np.power, np.float_power):
+            p = ufunc(u, c)
+            assert np.array_equal(p.value, ufunc(X[:, 0], c))
+            grad, hess = p.derivatives()
+            assert np.allclose(grad[:, 0], c * X[:, 0] ** (c - 1), rtol=1e-15, atol=0)
+            assert np.allclose(hess[:, 0, 0], c * (c - 1) * X[:, 0] ** (c - 2), rtol=1e-15, atol=0)
+            assert not grad[:, 1].any() and not hess[:, 1].any()
+    assert np.array_equal((u ** 2).value, X[:, 0] ** 2)
+    with pytest.raises(TypeError):
+        u ** np.array([2.0, 3.0, 4.0])
+
+
+@pytest.mark.parametrize("chart_map", [
+    lambda w: np.asarray(w) * 2.0,
+    lambda w: np.where(w > 1.0, w, 0.0),
+    lambda w: np.stack([w[..., 0], np.abs(w[..., 1])], axis=-1),
+    lambda w: np.sum(w, axis=-1),
+], ids=["asarray", "where", "abs", "sum"])
+def test_a_map_that_does_not_carry_a_jet_is_refused(chart_map):
+    def in_place(w):
+        out = np.empty(w.shape[:-1] + (3,))
+        out[..., :2], out[..., 2] = w, 1.0
+        return out
+
+    for fn in (chart_map, in_place):
+        with pytest.raises(DomainError, match=r"^the map must take a jet of its points "
+                                              r"\(jets\.Jet\) and return their jet: write it"):
+            jets.carried(lambda: fn(jets.Jet.variable(X)), jets.Jet, "the map")
+        fn(X)       # each runs on floats
 
 
 # -- truncated Taylor series ------------------------------------------------
