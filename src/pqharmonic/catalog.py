@@ -5,7 +5,8 @@ Each hypersurface entry carries exact jacobian/hessian callbacks and an
 closed-form path (residuals at machine precision) and the stencil path
 of the engine, where the exact jets feed finite-difference stencils of f
 over the f-lattice.  The maps also run on jets (:class:`jets.Jet`), but
-the callbacks stay: the map's jets cost a stencil ``classify`` 40% more.
+the callbacks stay: the map's jets cost a stencil ``classify`` 18-30% more
+(the cone and the m = 2 sphere at grid 8, the m = 3 sphere at grid 4).
 No entry carries a reference normal: each is oriented, like every chart,
 by the ambient volume form times its ``orientation`` sign.  Every callback
 acts over the last axis (see :class:`ImmersionChart` and

@@ -15,7 +15,8 @@ which :func:`main` renders, writes once and maps to the exit code.
 
 Exit codes: 0 on success (and on a matching --expect), 1 when --expect
 does not match the computed classification or the worst relative error
-exceeds --max-rel, 2 on configuration or engine errors.  The
+exceeds --max-rel, 2 on configuration or engine errors, and on a solve
+for p that finds none (a minimal chart, or no p in the bracket).  The
 PQHARM_THREADS environment variable must be an integer; :func:`main`
 validates it before any subcommand runs, and it has no other effect.
 """
@@ -154,7 +155,7 @@ def load_chart_file(path):
         last axis, a curve point is t, and the jets of chart points
         (:class:`jets.Jet`) and Taylor series of curve points
         (:class:`jets.Taylor`) give those of the map's points."""
-        carried = isinstance(x, (jets.Jet, jets.Taylor))
+        carried = isinstance(x, jets.Coefficients)
         x = x if carried else np.asarray(x, dtype=float)
         named = {"u": x[..., 0], "v": x[..., 1]} if kind == "hypersurface" else {"t": x}
         if carried:
@@ -284,6 +285,8 @@ def cmd_solve(args):
     if unknowns == ("p",):
         chart = build_hypersurface(args)
         result = solve_p(chart, q, _pair(args.p_bracket, "--p-bracket"), n_per_axis=args.grid)
+        if not result.success:     # exit 2, as a solve with no p in the bracket does
+            raise _CliError(f"{chart.name}: {result.reason}")
         config = {"chart": chart.name, "q": q, "unknowns": "p",
                   "p_bracket": args.p_bracket, "grid": args.grid}
         summary = {"success": result.success, "p": result.p,

@@ -389,6 +389,19 @@ def test_verify_curve_calls_the_raw_map_once_per_lattice_point(tmp_path, monkeyp
     assert "curve: circle.txt\n" in (tmp_path / "r.txt").read_text()
 
 
+def test_verify_curve_takes_a_log_spiral(tmp_path, capsys):
+    # e^(0.2 t) is a power with a carried exponent; k = e^(-0.2 t)/sqrt(1.04)
+    path = tmp_path / "spiral.txt"
+    path.write_text("type: curve\nc: 0\nt: 0, 6\nx1: e^(0.2*t)*cos(t)\n"
+                    "x2: e^(0.2*t)*sin(t)\nx3: 0\n")
+    assert run(["verify-curve", "--chart-file", str(path), "--p", "2", "--q", "2",
+                "--samples", "8"]) == 0
+    out = capsys.readouterr().out
+    ts = np.array([float(line.split()[1]) for line in out.split("points:\n", 1)[1].splitlines()[1:]])
+    k = np.array([row[0] for row in _curve_rows(out)])
+    assert np.allclose(k, np.exp(-0.2 * ts) / math.sqrt(1.04), rtol=1e-6)
+
+
 def test_verify_curve_refuses_a_cusp(tmp_path, capsys):
     path = tmp_path / "cusp.txt"
     path.write_text("type: curve\nc: 0\nt: -1, 1\nx1: t^2\nx2: t^3\nx3: 0\n")
@@ -439,9 +452,14 @@ CONE_SWEEP = ["sweep", "--builtin", "cone", "--param", "r", "--p", "2", "--q", "
      "radius must be positive"),
     (None, ["verify-hypersurface", *SPHERE, "--m", "0", "--p", "2", "--q", "2"],
      "dimension must be >= 1"),
+    # a failed solve exits 2, as one with no p in its bracket does
+    (None, ["solve", "--builtin", "great-sphere", "--q", "3"],
+     "great-sphere(m=2): chart is minimal; no proper solution in p"),
+    (None, ["solve", "--builtin", "plane", "--q", "3"],
+     "plane: chart is minimal; no proper solution in p"),
 ], ids=["no-colon", "bad-type", "missing-v", "one-bound", "curve-as-hypersurface",
         "pr-off-cone", "unknowns-r", "range-two-parts", "sweep-no-values", "r-0", "rho-0",
-        "m-0"])
+        "m-0", "solve-great-sphere", "solve-plane"])
 def test_config_refusals_exit_2_with_one_error_line(chart, argv, message, tmp_path, capsys):
     if chart is not None:
         path = tmp_path / "chart.txt"
