@@ -132,11 +132,11 @@ def richardson(d_h, d_h2, order=2):
 
 
 def observed_order(values):
-    """Estimated convergence order from approximations at steps h, h/2, h/4."""
+    """Estimated convergence order from values at steps h, h/2, h/4; NaN on a tie."""
     v = [np.asarray(x, dtype=float) for x in values]
     num = np.abs(v[0] - v[1])
     den = np.abs(v[1] - v[2])
-    if np.all(den < 1e-300):
+    if np.all(den < 1e-300) or np.all(num < 1e-300):
         return float("nan")
     return float(np.log2(num / den))
 

@@ -293,11 +293,12 @@ def solve_param_pair(family: Callable, q, theta_bracket, p_bracket,
     The grid mean of the scalar equation is affine in p and fixes p(theta).
     The root in theta of the grid mean of the signed tangential component
     (the part of eq2 along grad f) at p(theta) is found by false position
-    (Illinois).  The search starts on ``theta_bracket``, which grows outward
-    by half its width only while both ends have the same sign: from the end
-    whose p(theta) lies nearer ``p_bracket`` (the admissible root lies on
-    that side), or on a tie from the end of smaller |mean|.  A step that
-    would reach or cross theta = 0 halves that end instead, so a positive
+    (Anderson-Bjorck) on one grid while the charts keep their domain.  The
+    search starts on ``theta_bracket``, which grows outward by half its
+    width only while both ends have the same sign: from the end whose
+    p(theta) lies nearer ``p_bracket`` (the admissible root lies on that
+    side), or on a tie from the end of smaller |mean|.  A step that would
+    reach or cross theta = 0 halves that end instead, so a positive
     family parameter, such as the cone slope, stays positive.
     If the mean vanishes at both ends (constant f), the midpoint is taken.
     The search stops at the newest iterate when the mean vanishes there, when
@@ -313,17 +314,21 @@ def solve_param_pair(family: Callable, q, theta_bracket, p_bracket,
         raise ValueError(f"need finite q > 1, got q={q}")
     evaluations = 0
     newest = None   # (chart, batch) of the last family evaluation
+    grid = None, None   # (domain, points): built again only when the domain changes
 
     def reduced(theta):
         """(p(theta), tangential mean at p(theta))."""
-        nonlocal evaluations, newest
+        nonlocal evaluations, newest, grid
         if evaluations >= MAX_FAMILY_SAMPLES:
             raise NonConvergenceError(
                 f"no root of the tangential mean in {MAX_FAMILY_SAMPLES} evaluations")
         evaluations += 1
         chart = family(theta)
-        batch = geometric_sample(chart, sample_grid(chart, n_per_axis),
-                                 use_analytic=use_analytic)
+        domain = tuple(map(tuple, chart.domain))    # compared by ==, never hashed
+        if grid[0] != domain:       # the domain fixes m too: it holds m intervals
+            grid = domain, sample_grid(chart, n_per_axis)
+            grid[1].flags.writeable = False
+        batch = geometric_sample(chart, grid[1], use_analytic=use_analytic)
         newest = chart, batch
         (a1, s1), (a2, s2) = _affine_in_p(batch, q, chart.sf.c)
         if np.mean(s1) == 0:
@@ -360,7 +365,7 @@ def solve_param_pair(family: Callable, q, theta_bracket, p_bracket,
         th_sol = 0.5 * (x0 + x1)
         p_sol = reduced(th_sol)[0]
     else:
-        # Illinois: x1 is the newest point; an x0 kept once more has its value halved
+        # Anderson-Bjorck: x1 is the newest point; a kept x0's value is scaled by 1 - g/g1
         step = g1 * (x1 - x0) / (g1 - g0)
         while True:
             th_sol = x1 - step
@@ -370,7 +375,8 @@ def solve_param_pair(family: Callable, q, theta_bracket, p_bracket,
             if g * g1 < 0:
                 x0, g0 = x1, g1
             else:
-                g0 *= 0.5
+                k = 1 - g / g1
+                g0 *= k if k > 0 else 0.5
             x1, g1 = th_sol, g
             step = g1 * (x1 - x0) / (g1 - g0)
             if abs(step) <= 4 * _EPS * abs(x1):

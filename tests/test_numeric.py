@@ -53,6 +53,12 @@ def test_observed_order():
     assert numeric.observed_order(vals) == pytest.approx(2.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("vals", [[1.0, 1.0, 0.5], [1.0, 0.5, 0.5]], ids=["first-pair", "last-pair"])
+def test_observed_order_of_tied_rungs_is_nan(vals):
+    # log2 of a tie would read -inf or +inf as an order
+    assert math.isnan(numeric.observed_order(vals))
+
+
 def test_simpson_exact_on_cubics():
     K = 16
     dt = 1.0 / K

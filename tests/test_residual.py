@@ -1,5 +1,7 @@
 import math
+import sys
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -279,8 +281,57 @@ def test_solve_param_pair_family_samplings(q):
         return cone(r)
 
     result = solve_param_pair(family, q, (0.3, 0.7), (0.5, 2.5))
-    assert len(calls) <= 25  # post-verification included
+    assert len(calls) <= 12  # post-verification included: 11, 10, 10, 10
     assert result.iterations <= len(calls)
+
+
+@pytest.mark.parametrize("chart_of, bracket, root", [
+    (lambda s: cone(1 / s), (1.4, 3.3), math.sqrt(6)),
+    (lambda s: cone(s * s), (0.55, 0.84), 6 ** -0.25),
+], ids=["cone-of-1/s", "cone-of-s^2"])
+def test_solve_param_pair_on_a_family_nonlinear_in_its_parameter(chart_of, bracket, root):
+    # the mean is the cone's mean of r composed with a nonlinear r(s): another curvature
+    calls = []
+
+    def family(s):
+        calls.append(s)
+        return chart_of(s)
+
+    result = solve_param_pair(family, 3.0, bracket, (0.5, 2.5))
+    assert result.converged and result.admissible
+    assert abs(result.p - 4 / 3) <= 1e-12
+    assert abs(result.theta - root) <= 1e-12
+    assert result.iterations == len(calls) <= 12
+
+
+def _count_sample_grid(monkeypatch):
+    """Calls of sample_grid from solve_param_pair.  The package's ``residual``
+    is the function, so the module is taken from sys.modules."""
+    module = sys.modules["pqharmonic.residual"]
+    calls = []
+
+    def counted(chart, n_per_axis):
+        calls.append(chart.domain)
+        return sample_grid(chart, n_per_axis)
+
+    monkeypatch.setattr(module, "sample_grid", counted)
+    return calls
+
+
+def test_solve_param_pair_builds_one_grid_for_a_fixed_domain(monkeypatch):
+    grids = _count_sample_grid(monkeypatch)
+    result = solve_param_pair(lambda r: cone(r), 3.0, (0.3, 0.7), (0.5, 2.5))
+    assert result.iterations == 10 and len(grids) == 1
+
+
+def test_solve_param_pair_builds_a_grid_per_sampling_when_the_domain_moves(monkeypatch):
+    grids = _count_sample_grid(monkeypatch)
+    result = solve_param_pair(
+        lambda r: replace(cone(r), domain=((0.5, 2 + r), (0.0, 2 * math.pi))),
+        3.0, (0.3, 0.7), (0.5, 2.5))
+    assert len(grids) == result.iterations
+    assert abs(result.theta - 1 / math.sqrt(6)) <= 1e-12
+    assert abs(result.p - 4 / 3) <= 1e-12
 
 
 @pytest.mark.parametrize("q", [0.5, 1.0, -3.0, math.nan, math.inf])
@@ -333,13 +384,14 @@ def test_solve_param_pair_recovers_the_cone_pair_to_rounding():
 
 
 def test_solve_param_pair_counts_every_family_call():
-    # post-verification reuses the last sampling; the rounding stop takes
-    # the total to 1,662 calls (2,115 without it and with a resampling check)
+    # post-verification reuses the last sampling; the rounding stop and the
+    # Anderson-Bjorck step take the total to 1,410 calls (1,663 with Illinois
+    # halving, 2,115 without the stop and with a resampling check)
     total = 0
     for q, result, calls in _cone_solves(np.linspace(2.3, 3.0, 141)):
         assert calls == result.iterations, q
         total += calls
-    assert total <= 1750
+    assert total <= 1450
 
 
 def _h3_sphere_file(tmp_path):
